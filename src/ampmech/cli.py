@@ -13,7 +13,8 @@ byte-identical and can be diffed against golden files. JSON goes to
 stdout unless --output is given; AMPMECH_OUT_DIR rebases relative output
 paths.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error.
+Exit codes: 0 success, 1 a verification check failed, 2 usage error,
+3 numeric non-convergence (eigensolve or basis plateau).
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .core import (
     time_derivative,
 )
 from .oracle import (
+    NumericError,
+    PlateauError,
     default_lambda_grid,
     lambda_series_fit,
     motion_from_spectrum,
@@ -880,6 +883,9 @@ def run(argv=None, stream=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except (NumericError, PlateauError) as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

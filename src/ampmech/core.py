@@ -127,6 +127,14 @@ def frequency_grid_from_levels(levels: LevelSpectrum, hbar: float) -> FrequencyG
     return FrequencyGrid(levels.energies / hbar)
 
 
+def _band_cells(n: int, band_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (row, band column, dense column) of every banded cell
+    X(n, n-alpha) that lies inside the n x n dense block."""
+    cols = np.arange(n)[:, None] + np.arange(band_max, -band_max - 1, -1)
+    rows, bands = np.nonzero((cols >= 0) & (cols < n))
+    return rows, bands, cols[rows, bands]
+
+
 @dataclass(frozen=True)
 class BandAmplitudeArray:
     """Banded two-index amplitude array X(n, n-alpha).
@@ -204,10 +212,8 @@ class BandAmplitudeArray:
         n = self.n_max + 1
         dtype = np.complex128 if self.hermitian else np.float64
         out = np.zeros((n, n), dtype=dtype)
-        for alpha in range(-self.band_max, self.band_max + 1):
-            col = np.arange(n) - alpha
-            keep = (col >= 0) & (col < n)
-            out[np.arange(n)[keep], col[keep]] = self.band(alpha)[keep]
+        rows, bands, cols = _band_cells(n, self.band_max)
+        out[rows, cols] = self.data[rows, bands]
         return out
 
     def transpose(self) -> "BandAmplitudeArray":
@@ -242,12 +248,8 @@ class BandAmplitudeArray:
         if band_max is None:
             band_max = n - 1
         data = np.zeros((n, 2 * band_max + 1), dtype=dense.dtype)
-        for alpha in range(-band_max, band_max + 1):
-            col = np.arange(n) - alpha
-            keep = (col >= 0) & (col < n)
-            data[np.arange(n)[keep], band_max + alpha] = dense[
-                np.arange(n)[keep], col[keep]
-            ]
+        rows, bands, cols = _band_cells(n, band_max)
+        data[rows, bands] = dense[rows, cols]
         return cls(data, hermitian=hermitian)
 
 
@@ -301,11 +303,11 @@ def multiply(
     rows = np.arange(n_rows)
     flagged = rows + x.band_max > x.n_max - trust_margin
     flagged |= x.edge_touched
-    for n in range(n_rows):
-        lo = max(0, n - x.band_max)
-        hi = min(x.n_max, n + x.band_max)
-        if y.edge_touched[lo : hi + 1].any():
-            flagged[n] = True
+    # row n depends on the flags of y in the window n-band_max..n+band_max
+    seen = np.concatenate(([0], np.cumsum(y.edge_touched)))
+    lo = np.maximum(rows - x.band_max, 0)
+    hi = np.minimum(rows + x.band_max, x.n_max) + 1
+    flagged |= seen[hi] > seen[lo]
     return BandAmplitudeArray(out, hermitian=hermitian, edge_touched=flagged)
 
 
@@ -338,22 +340,30 @@ def quantum_condition_residual(motion: MotionRepresentation) -> np.ndarray:
     upper level exceeds the frequency grid are dropped, so only rows well
     below the ceiling are meaningful. The residual is zero exactly when
     the amplitudes obey the Thomas-Kuhn sum rule at level n.
+
+    Costs O(rows x band_max) numpy work, one pass per band, with no
+    per-entry Python calls.
     """
     x = motion.amplitudes
     pot = motion.frequencies.potential
     p = motion.params
     n_rows = x.n_max + 1
+    scale = 4.0 * math.pi * p.mass
     res = np.full(n_rows, -p.h, dtype=float)
     for alpha in range(1, x.band_max + 1):
-        for n in range(n_rows):
-            up = n + alpha
-            if up <= motion.frequencies.n_max:
-                amp = x.get(up, n)
-                res[n] += 4.0 * math.pi * p.mass * abs(amp) ** 2 * (pot[up] - pot[n])
-            dn = n - alpha
-            if dn >= 0:
-                amp = x.get(n, dn)
-                res[n] -= 4.0 * math.pi * p.mass * abs(amp) ** 2 * (pot[n] - pot[dn])
+        # the term of X(n, n-alpha) is the down term of row n and the up
+        # term of row n-alpha; per row the up term is added first
+        low = max(n_rows - alpha, 0)
+        amp2 = np.abs(x.band(alpha)[alpha:]) ** 2
+        term = scale * amp2 * (pot[alpha:n_rows] - pot[:low])
+        res[:low] += term
+        # rows whose upper level lies above the amplitude rows but inside the
+        # grid read |X(n+alpha, n)| from the stored mirror X(n, n+alpha)
+        top = min(n_rows, pot.size - alpha)
+        if top > low:
+            amp2 = np.abs(x.band(-alpha)[low:top]) ** 2
+            res[low:top] += scale * amp2 * (pot[low + alpha : top + alpha] - pot[low:top])
+        res[alpha:] -= term
     return res
 
 

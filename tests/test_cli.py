@@ -41,6 +41,12 @@ class TestExitCodes:
         assert run_capture(["classical"])[0] == 2
         assert run_capture(["classical", "--a1", "1.0", "--action", "2.0"])[0] == 2
 
+    def test_numeric_nonconvergence(self):
+        # a basis of 20 cannot plateau: a numeric failure, not a usage error
+        code, out = run_capture(["oracle", "--basis-size", "20"])
+        assert code == 3
+        assert out == ""
+
     def test_successful_runs(self):
         for name, argv in REFERENCE_INVOCATIONS.items():
             code, out = run_capture(argv)

@@ -33,6 +33,33 @@ def sho_motion(n_max, params=None):
     return assemble_motion(sho_solve(p, n_max), 0.0)
 
 
+def random_values(rng, shape, hermitian):
+    values = rng.normal(size=shape)
+    return values + 1j * rng.normal(size=shape) if hermitian else values
+
+
+def residual_reference(motion):
+    """The sum-rule residual entry by entry through `get`, with the sum of
+    the absolute values of each row's terms."""
+    x = motion.amplitudes
+    pot = motion.frequencies.potential
+    p = motion.params
+    res = np.full(x.n_max + 1, -p.h)
+    size = np.full(x.n_max + 1, p.h)
+    for n in range(x.n_max + 1):
+        for alpha in range(1, x.band_max + 1):
+            up, dn = n + alpha, n - alpha
+            if up <= motion.frequencies.n_max:
+                term = 4.0 * math.pi * p.mass * abs(x.get(up, n)) ** 2 * (pot[up] - pot[n])
+                res[n] += term
+                size[n] += abs(term)
+            if dn >= 0:
+                term = 4.0 * math.pi * p.mass * abs(x.get(n, dn)) ** 2 * (pot[n] - pot[dn])
+                res[n] -= term
+                size[n] += abs(term)
+    return res, size
+
+
 class TestParams:
     def test_beta_identity(self):
         p = OscillatorParams(mass=2.5, omega0=0.7, hbar=3.0)
@@ -122,6 +149,21 @@ class TestBandAmplitudeArray:
         back = BandAmplitudeArray.from_dense(arr.to_dense(), band_max=3)
         assert np.allclose(back.data, arr.data, atol=0, rtol=0)
 
+    @pytest.mark.parametrize("hermitian", [False, True])
+    @pytest.mark.parametrize("n_max,band_max", [(7, 0), (7, 3), (7, 7), (4, 6), (0, 0)])
+    def test_dense_conversion_entrywise(self, hermitian, n_max, band_max):
+        rng = np.random.default_rng(17 + n_max + band_max)
+        values = random_values(rng, (n_max + 1, n_max + 1), hermitian)
+        dense = values + values.conj().T
+        arr = BandAmplitudeArray.from_dense(dense, band_max=band_max, hermitian=hermitian)
+        out = arr.to_dense()
+        for n in range(n_max + 1):
+            for m in range(n_max + 1):
+                expect = dense[n, m] if abs(n - m) <= band_max else 0.0
+                assert out[n, m] == expect == arr.get(n, m)
+        back = BandAmplitudeArray.from_dense(out, band_max=band_max, hermitian=hermitian)
+        assert back.data.tobytes() == arr.data.tobytes()
+
     def test_symmetry_defect_zero_for_symmetric(self):
         arr = random_symmetric_band(np.random.default_rng(5), 8, 2)
         assert arr.symmetry_defect() == 0.0
@@ -165,6 +207,35 @@ class TestMultiply:
         # flags propagate through chained products
         z2 = multiply(z, x)
         assert z2.edge_touched[8:].all()
+
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 24), st.integers(0, 12),
+           st.integers(0, 12), st.integers(0, 4))
+    def test_edge_flags_match_row_loop(self, seed, n_max, bx, by, margin):
+        rng = np.random.default_rng(seed)
+        x, y = (
+            BandAmplitudeArray(
+                np.zeros((n_max + 1, 2 * b + 1)),
+                edge_touched=rng.random(n_max + 1) < rng.random() ** 3,  # often sparse
+            )
+            for b in (bx, by)
+        )
+        expect = [
+            n + bx > n_max - margin
+            or x.edge_touched[n]
+            or y.edge_touched[max(0, n - bx) : min(n_max, n + bx) + 1].any()
+            for n in range(n_max + 1)
+        ]
+        assert multiply(x, y, trust_margin=margin).edge_touched.tolist() == expect
+
+    @pytest.mark.parametrize("bx", [0, 1, 3])
+    def test_single_flag_reaches_band_window(self, bx):
+        # rows n <= 11 - bx are below the margin; flagged row k of y reaches
+        # exactly those with |n - k| <= bx
+        x = BandAmplitudeArray.zeros(11, bx)
+        for k in range(12):
+            y = BandAmplitudeArray(np.zeros((12, 1)), edge_touched=np.arange(12) == k)
+            flags = multiply(x, y).edge_touched[: 12 - bx]
+            assert flags.tolist() == [abs(n - k) <= bx for n in range(12 - bx)]
 
     @given(st.integers(0, 2**31 - 1), st.integers(4, 12), st.integers(1, 3))
     def test_matches_dense_product(self, seed, n_max, band):
@@ -269,6 +340,36 @@ class TestQuantumCondition:
         spec = cached_spectrum(0.1, force_exponent=3)
         res = quantum_condition_residual(motion_from_spectrum(spec))
         assert np.max(np.abs(res[:6])) <= 1e-8
+
+    @given(st.integers(0, 2**31 - 1), st.booleans(), st.integers(0, 9),
+           st.integers(0, 11), st.integers(0, 3))
+    def test_matches_entrywise_reference(self, seed, hermitian, n_max, band, extra):
+        # extra > 0 makes the frequency grid taller than the amplitude rows,
+        # so upper levels are read from the mirrored band
+        rng = np.random.default_rng(seed)
+        # unconstrained data: top-edge mirrors are nonzero
+        data = random_values(rng, (n_max + 1, 2 * band + 1), hermitian)
+        x = BandAmplitudeArray(data, hermitian)
+        grid = FrequencyGrid(dyadic_potential(rng, n_max + 1 + extra))
+        motion = MotionRepresentation(x, grid, OscillatorParams(mass=rng.uniform(0.5, 2.0)))
+        expect, size = residual_reference(motion)
+        # same operations in the same order per row; numpy's |z| and x*x may
+        # round differently from Python's abs and **2 by an ulp
+        tol = 8 * np.finfo(float).eps * size
+        assert np.all(np.abs(quantum_condition_residual(motion) - expect) <= tol)
+
+    @pytest.mark.parametrize("n,alpha", [(5, 1), (5, 5), (9, 3), (11, 2)])
+    def test_injected_violation_moves_two_rows(self, n, alpha):
+        x = random_symmetric_band(np.random.default_rng(n + alpha), 11, 5)
+        grid = FrequencyGrid.harmonic(1.0, 11)
+        base = quantum_condition_residual(MotionRepresentation(x, grid, OscillatorParams()))
+        data = np.array(x.data)
+        data[n, 5 + alpha] = 1.0 + 2.0 * abs(data[n, 5 + alpha])  # |X(n, n-alpha)| grows
+        bumped = MotionRepresentation(BandAmplitudeArray(data), grid, OscillatorParams())
+        moved = quantum_condition_residual(bumped) - base
+        assert np.flatnonzero(moved).tolist() == [n - alpha, n]
+        # X(n, n-alpha) is the down term of row n and the up term of row n-alpha
+        assert moved[n - alpha] > 0.0 > moved[n]
 
 
 class TestCommutator:
