@@ -5,17 +5,10 @@ Run from the repository root after any intentional change to CLI output:
 
     python3 scripts/regenerate_goldens.py
 
-With --check nothing is written: the goldens are regenerated in memory,
-every one that differs from the file on disk is named, and the exit code
-is 1 if any did. A change meant to keep output byte-identical should pass
-
-    python3 scripts/regenerate_goldens.py --check
-
 The reference invocations here are the single source of truth; the CLI
 determinism tests replay them and compare byte for byte.
 """
 
-import argparse
 import io
 import pathlib
 import sys
@@ -34,28 +27,17 @@ REFERENCE_INVOCATIONS = {
 }
 
 
-def main(args=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="write nothing; exit 1 if any golden differs")
-    check = parser.parse_args(args).check
-    if not check:
-        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+def main() -> int:
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     status = 0
     for name, argv in REFERENCE_INVOCATIONS.items():
         buffer = io.StringIO()
         code = run(argv, stream=buffer)
-        text = buffer.getvalue()
         if code != 0:
             print(f"{name}: reference invocation exited {code}", file=sys.stderr)
             status = 1
-        path = GOLDEN_DIR / name
-        if not check:
-            path.write_text(text, encoding="utf-8")
-            print(f"wrote {path} ({len(text)} bytes)")
-        elif not path.is_file() or path.read_text(encoding="utf-8") != text:
-            print(f"{name}: differs from {path}")
-            status = 1
+        (GOLDEN_DIR / name).write_text(buffer.getvalue(), encoding="utf-8")
+        print(f"wrote {GOLDEN_DIR / name} ({len(buffer.getvalue())} bytes)")
     return status
 
 

@@ -127,14 +127,6 @@ def frequency_grid_from_levels(levels: LevelSpectrum, hbar: float) -> FrequencyG
     return FrequencyGrid(levels.energies / hbar)
 
 
-def _band_cells(n: int, band_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (row, band column, dense column) of every banded cell
-    X(n, n-alpha) that lies inside the n x n dense block."""
-    cols = np.arange(n)[:, None] + np.arange(band_max, -band_max - 1, -1)
-    rows, bands = np.nonzero((cols >= 0) & (cols < n))
-    return rows, bands, cols[rows, bands]
-
-
 @dataclass(frozen=True)
 class BandAmplitudeArray:
     """Banded two-index amplitude array X(n, n-alpha).
@@ -212,8 +204,12 @@ class BandAmplitudeArray:
         n = self.n_max + 1
         dtype = np.complex128 if self.hermitian else np.float64
         out = np.zeros((n, n), dtype=dtype)
-        rows, bands, cols = _band_cells(n, self.band_max)
-        out[rows, cols] = self.data[rows, bands]
+        flat = out.reshape(-1)
+        width = min(self.band_max, n - 1)
+        for alpha in range(-width, width + 1):
+            # the cells (r, r-alpha) of rows r = lo..lo+k-1 lie n+1 apart in flat
+            lo, k = max(alpha, 0), n - abs(alpha)
+            flat[lo * (n + 1) - alpha :: n + 1][:k] = self.band(alpha)[lo : lo + k]
         return out
 
     def transpose(self) -> "BandAmplitudeArray":
@@ -248,8 +244,10 @@ class BandAmplitudeArray:
         if band_max is None:
             band_max = n - 1
         data = np.zeros((n, 2 * band_max + 1), dtype=dense.dtype)
-        rows, bands, cols = _band_cells(n, band_max)
-        data[rows, bands] = dense[rows, cols]
+        width = min(band_max, n - 1)
+        for alpha in range(-width, width + 1):
+            lo = max(alpha, 0)
+            data[lo : lo + n - abs(alpha), band_max + alpha] = np.diagonal(dense, -alpha)
         return cls(data, hermitian=hermitian)
 
 
