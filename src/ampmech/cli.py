@@ -649,8 +649,10 @@ def cmd_oracle(cfg):
 
     grid = default_lambda_grid(cfg.lam_max, cfg.grid_points)
     if params.force_exponent == 2:
+        # the grid point at lam itself is the main spectrum, already built
         specs = [
-            spectrum(_with_lam(params, lam), cfg.basis_size, check_plateau=False)
+            spec if lam == params.lam
+            else spectrum(_with_lam(params, lam), cfg.basis_size, check_plateau=False)
             for lam in grid
         ]
         beta, w0 = params.beta, params.omega0

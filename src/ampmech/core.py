@@ -289,14 +289,14 @@ def multiply(
     out = np.zeros((n_rows, 2 * bz + 1), dtype=np.complex128 if hermitian else np.float64)
     xd = x.data.astype(out.dtype)
     yd = y.data.astype(out.dtype)
-    for a in range(-x.band_max, x.band_max + 1):
+    by = y.band_max
+    width = min(x.band_max, n_rows - 1)
+    for a in range(-width, width + 1):
         lo = max(0, a)
         hi = min(n_rows - 1, n_rows - 1 + a)
-        if lo > hi:
-            continue
-        xa = xd[lo : hi + 1, x.band_max + a]
-        for b in range(-y.band_max, y.band_max + 1):
-            out[lo : hi + 1, bz + a + b] += xa * yd[lo - a : hi + 1 - a, y.band_max + b]
+        out[lo : hi + 1, bz + a - by : bz + a + by + 1] += (
+            xd[lo : hi + 1, x.band_max + a, None] * yd[lo - a : hi + 1 - a, :]
+        )
 
     rows = np.arange(n_rows)
     flagged = rows + x.band_max > x.n_max - trust_margin

@@ -207,20 +207,20 @@ def _series_mul(a: np.ndarray, b: np.ndarray, max_power: int) -> np.ndarray:
     ba, bb = (wa - 1) // 2, (wb - 1) // 2
     bc = ba + bb
     out = np.zeros((max_power + 1, 2 * bc + 1, rows), dtype=np.result_type(a, b))
-    for i in range(min(pa, max_power + 1)):
-        for j in range(min(pb, max_power + 1 - i)):
-            s = i + j
-            for g in range(-ba, ba + 1):
-                lo, hi = max(0, g), min(rows - 1, rows - 1 + g)
-                if lo > hi:
-                    continue
-                xa = a[i, ba + g, lo : hi + 1]
-                if not np.any(xa):
-                    continue
-                for d in range(-bb, bb + 1):
-                    out[s, bc + g + d, lo : hi + 1] += (
-                        xa * b[j, bb + d, lo - g : hi + 1 - g]
-                    )
+    # band g of a feeds rows lo..hi; an all-zero (i, g) slice is skipped, so
+    # that 0 * inf in b adds no nan
+    n = np.arange(rows)
+    shift = np.arange(-ba, ba + 1)[:, None]
+    live = np.any((a != 0) & (n >= shift) & (n <= rows - 1 + shift), axis=2)
+    for i, k in np.argwhere(live[: max_power + 1]).tolist():
+        g = k - ba
+        lo, hi = max(0, g), min(rows - 1, rows - 1 + g)
+        nj = min(pb, max_power + 1 - i)
+        # a stays 3-d: numpy rounds a single complex product without fma when
+        # it broadcasts one factor from fewer dimensions, and with fma here
+        out[i : i + nj, bc + g - bb : bc + g + bb + 1, lo : hi + 1] += (
+            a[i : i + 1, k : k + 1, lo : hi + 1] * b[:nj, :, lo - g : hi + 1 - g]
+        )
     return out
 
 
@@ -228,11 +228,10 @@ def _omega_series(pot: np.ndarray, band_max: int) -> np.ndarray:
     """omega^(k)(n, n-g) per band from the frequency potentials."""
     orders, rows = pot.shape
     out = np.zeros((orders, 2 * band_max + 1, rows))
-    idx = np.arange(rows)
-    for g in range(-band_max, band_max + 1):
-        cols = idx - g
-        keep = (cols >= 0) & (cols < rows)
-        out[:, band_max + g, keep] = pot[:, idx[keep]] - pot[:, cols[keep]]
+    width = min(band_max, rows - 1)
+    for g in range(-width, width + 1):
+        lo, k = max(g, 0), rows - abs(g)
+        out[:, band_max + g, lo : lo + k] = pot[:, lo : lo + k] - pot[:, lo - g : lo - g + k]
     return out
 
 
@@ -295,13 +294,12 @@ def _qc_residual_coefficient(
                 # upward term a(n+alpha, n), defined for n + alpha < rows
                 up = np.zeros(rows)
                 m_hi = rows - alpha
-                a_up = amp[i, alpha, alpha:] * amp[j, alpha, alpha:]
-                om_up = pot[l, alpha:] - pot[l, : m_hi]
-                up[:m_hi] = a_up * om_up
-                # downward term a(n, n-alpha)
+                term = amp[i, alpha, alpha:] * amp[j, alpha, alpha:]
+                term *= pot[l, alpha:] - pot[l, :m_hi]
+                up[:m_hi] = term
+                # downward term a(n, n-alpha): the same entries, shifted up
                 down = np.zeros(rows)
-                om_dn = pot[l, alpha:] - pot[l, : m_hi]
-                down[alpha:] = amp[i, alpha, alpha:] * amp[j, alpha, alpha:] * om_dn
+                down[alpha:] = term
                 res += math.pi * params.mass * (up - down)
     return res
 

@@ -60,3 +60,9 @@ def random_symmetric_band(rng, n_max, band_max, scale=1.0):
 def dyadic_potential(rng, size):
     """Potentials on a dyadic grid so frequency sums are exact in binary fp."""
     return rng.integers(-(2**20), 2**20, size=size).astype(float) / 1024.0
+
+
+def assert_same_bits(got, ref):
+    """Same dtype, shape and bytes: equal values, signs of zeros included."""
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()

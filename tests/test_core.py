@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ampmech import (
     BandAmplitudeArray,
@@ -23,7 +23,7 @@ from ampmech import (
 )
 from ampmech.perturb import assemble_motion, sho_solve
 
-from conftest import dyadic_potential, random_symmetric_band
+from conftest import assert_same_bits, dyadic_potential, random_symmetric_band
 
 SQ2 = math.sqrt(2.0)
 
@@ -36,6 +36,25 @@ def sho_motion(n_max, params=None):
 def random_values(rng, shape, hermitian):
     values = rng.normal(size=shape)
     return values + 1j * rng.normal(size=shape) if hermitian else values
+
+
+def multiply_reference(x, y):
+    """The band data of the two-index product, one (a, b) band pair at a time."""
+    n_rows = x.n_max + 1
+    bz = x.band_max + y.band_max
+    hermitian = x.hermitian or y.hermitian
+    out = np.zeros((n_rows, 2 * bz + 1), dtype=np.complex128 if hermitian else np.float64)
+    xd = x.data.astype(out.dtype)
+    yd = y.data.astype(out.dtype)
+    for a in range(-x.band_max, x.band_max + 1):
+        lo = max(0, a)
+        hi = min(n_rows - 1, n_rows - 1 + a)
+        if lo > hi:
+            continue
+        xa = xd[lo : hi + 1, x.band_max + a]
+        for b in range(-y.band_max, y.band_max + 1):
+            out[lo : hi + 1, bz + a + b] += xa * yd[lo - a : hi + 1 - a, y.band_max + b]
+    return out
 
 
 def residual_reference(motion):
@@ -231,6 +250,18 @@ class TestMultiply:
             for n in range(n_max + 1)
         ]
         assert multiply(x, y, trust_margin=margin).edge_touched.tolist() == expect
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 10), st.integers(0, 12),
+           st.integers(0, 12), st.booleans(), st.booleans())
+    def test_matches_band_pair_loop(self, seed, n_max, bx, by, hx, hy):
+        # widths up to 12 over as few as one row, so some bands reach no row
+        rng = np.random.default_rng(seed)
+        x, y = (
+            BandAmplitudeArray(random_values(rng, (n_max + 1, 2 * b + 1), h), hermitian=h)
+            for b, h in ((bx, hx), (by, hy))
+        )
+        assert_same_bits(multiply(x, y).data, multiply_reference(x, y))
 
     @given(st.integers(0, 2**31 - 1), st.integers(4, 12), st.integers(1, 3))
     def test_matches_dense_product(self, seed, n_max, band):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ampmech import (
     DimensionMismatchError,
@@ -27,7 +27,11 @@ from ampmech.perturb import (
     quantum_condition_order_residual,
     sho_solve,
     solve_perturbative,
+    _omega_series,
+    _series_mul,
 )
+
+from conftest import assert_same_bits
 
 B = math.sqrt(2.0)  # beta in default units
 P2 = OscillatorParams()
@@ -42,6 +46,87 @@ def random_tables(seed, rows=16, band_max=4, orders=2, force_exponent=2):
     pot = rng.normal(size=(orders + 1, rows))
     pot[0] = np.arange(rows, dtype=float)
     return CoefficientSet(force_exponent, amp, pot)
+
+
+def series_mul_reference(a, b, max_power):
+    """The two-index series product one (i, j, g, d) term at a time."""
+    pa, wa, rows = a.shape
+    pb, wb, _ = b.shape
+    ba, bb = (wa - 1) // 2, (wb - 1) // 2
+    bc = ba + bb
+    out = np.zeros((max_power + 1, 2 * bc + 1, rows), dtype=np.result_type(a, b))
+    for i in range(min(pa, max_power + 1)):
+        for j in range(min(pb, max_power + 1 - i)):
+            s = i + j
+            for g in range(-ba, ba + 1):
+                lo, hi = max(0, g), min(rows - 1, rows - 1 + g)
+                if lo > hi:
+                    continue
+                xa = a[i, ba + g, lo : hi + 1]
+                if not np.any(xa):
+                    continue
+                for d in range(-bb, bb + 1):
+                    out[s, bc + g + d, lo : hi + 1] += (
+                        xa * b[j, bb + d, lo - g : hi + 1 - g]
+                    )
+    return out
+
+
+def omega_series_reference(pot, band_max):
+    """omega^(k)(n, n-g) gathered through (row, column) index arrays."""
+    orders, rows = pot.shape
+    out = np.zeros((orders, 2 * band_max + 1, rows))
+    idx = np.arange(rows)
+    for g in range(-band_max, band_max + 1):
+        cols = idx - g
+        keep = (cols >= 0) & (cols < rows)
+        out[:, band_max + g, keep] = pot[:, idx[keep]] - pot[:, cols[keep]]
+    return out
+
+
+def random_series(rng, orders, band_max, rows, complex_):
+    """Random banded lam-series in which some (order, band) slices are zero,
+    or zero on every row their band reaches and nonzero outside it."""
+    shape = (orders, 2 * band_max + 1, rows)
+    s = rng.normal(size=shape)
+    if complex_:
+        s = s + 1j * rng.normal(size=shape)
+    for i in range(orders):
+        for g in range(-band_max, band_max + 1):
+            u = rng.random()
+            if u < 0.3:
+                s[i, band_max + g] = 0.0
+            elif u < 0.45:
+                s[i, band_max + g, max(0, g) : rows + min(0, g)] = 0.0
+    return s
+
+
+class TestSeriesKernels:
+    """The sliced series kernels reproduce the per-term loops bit for bit."""
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 4), st.integers(1, 4),
+        st.integers(0, 4), st.integers(0, 4),
+        st.integers(1, 12), st.integers(0, 8),
+        st.booleans(), st.booleans(), st.booleans(),
+    )
+    def test_series_mul_matches_term_loop(
+        self, seed, pa, pb, ba, bb, rows, max_power, ca, cb, nonfinite
+    ):
+        rng = np.random.default_rng(seed)
+        a = random_series(rng, pa, ba, rows, ca)
+        b = random_series(rng, pb, bb, rows, cb)
+        if nonfinite:
+            # 0 * inf is nan, so a skipped all-zero slice must stay skipped
+            b[rng.random(b.shape) < 0.1] = np.inf
+        assert_same_bits(_series_mul(a, b, max_power), series_mul_reference(a, b, max_power))
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(1, 12), st.integers(0, 14))
+    def test_omega_series_matches_gather(self, seed, orders, rows, band_max):
+        pot = np.random.default_rng(seed).normal(size=(orders, rows))
+        assert_same_bits(_omega_series(pot, band_max), omega_series_reference(pot, band_max))
 
 
 class TestRecursionGenerator:
