@@ -24,6 +24,11 @@ REFERENCE_INVOCATIONS = {
     "classical.json": ["classical", "--a1", "1.0", "--lam", "0.01", "--level", "40"],
     "oracle.json": ["oracle"],
     "sho.json": ["sho"],
+    "verify.csv": ["verify", "--format", "csv"],
+    "classical.csv": ["classical", "--a1", "1.0", "--lam", "0.01", "--level", "40",
+                      "--format", "csv"],
+    "oracle.csv": ["oracle", "--format", "csv"],
+    "sho.csv": ["sho", "--format", "csv"],
 }
 
 

@@ -14,12 +14,13 @@ stdout unless --output is given; AMPMECH_OUT_DIR rebases relative output
 paths.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error,
-3 numeric non-convergence (eigensolve or basis plateau).
+3 numeric failure (non-convergence, or a result not finite or overflowing).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -83,13 +84,21 @@ class UsageError(ValueError):
 # deterministic rendering
 
 
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("refusing to serialize a non-finite number")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
+class NonFiniteError(ValueError):
+    """A result to be rendered is NaN or infinite."""
+
+
+def _fmt_floats(values) -> list:
+    """The one float rule: 17 significant digits, -0.0 as 0, NaN and inf refused."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("refusing to serialize a non-finite number")
+    # x + 0.0 is x for every finite x except -0.0, which it turns into 0.0
+    return list(map("%.17g".__mod__, (arr + 0.0).tolist()))
+
+
+def _fmt_float(x) -> str:
+    return _fmt_floats((x,))[0]
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -103,11 +112,12 @@ def render_json(obj, indent: int = 0) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         if len(obj) == 0:
             return "[]"
-        parts = [f"{inner}{render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+        parts = (_fmt_floats(obj) if isinstance(obj, np.ndarray)  # 1-d, of floats
+                 else [render_json(v, indent + 1) for v in obj])
+        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -122,21 +132,20 @@ def render_json(obj, indent: int = 0) -> str:
 
 
 def render_csv(rows) -> str:
+    """One line per value; a row whose value is an array gives one line per n."""
     lines = ["quantity,order,band,n,value"]
     for quantity, order, band, n, value in rows:
-        fields = [
-            quantity,
-            "" if order is None else str(int(order)),
-            "" if band is None else str(int(band)),
-            "" if n is None else str(int(n)),
-            _fmt_float(value),
-        ]
-        lines.append(",".join(fields))
+        order, band, n = ("" if v is None else str(int(v)) for v in (order, band, n))
+        if isinstance(value, np.ndarray):
+            lines.extend(f"{quantity},{order},{band},{i},{v}"
+                         for i, v in enumerate(_fmt_floats(value)))
+        else:
+            lines.append(f"{quantity},{order},{band},{n},{_fmt_float(value)}")
     return "\n".join(lines) + "\n"
 
 
-def _values(array) -> list:
-    return [float(v) for v in np.asarray(array).ravel()]
+def _values(array) -> np.ndarray:
+    return np.array(array, dtype=np.float64).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +458,14 @@ def cmd_solve(cfg):
     amplitude_tables = []
     for alpha in _band_list(params.force_exponent, _public_band_max(params, cfg.order)):
         for k in range(sol.solved_orders[alpha] + 1):
-            values = sol.a(k, alpha)
-            amplitude_tables.append(
-                {"order": k, "band": alpha, "values": _values(values)}
-            )
-            for n, v in enumerate(values):
-                rows.append(("a", k, alpha, n, float(v)))
+            values = _values(sol.a(k, alpha))
+            amplitude_tables.append({"order": k, "band": alpha, "values": values})
+            rows.append(("a", k, alpha, None, values))
     freq_tables = []
     for k in range(cfg.order + 1):
-        band = sol.omega_band(k, 1)
-        freq_tables.append({"order": k, "band": 1, "values": _values(band)})
-        for n, v in enumerate(band):
-            rows.append(("omega", k, 1, n, float(v)))
+        band = _values(sol.omega_band(k, 1))
+        freq_tables.append({"order": k, "band": 1, "values": band})
+        rows.append(("omega", k, 1, None, band))
     potential_tables = [
         {"order": k, "values": _values(sol.frequency_potential(k))}
         for k in range(cfg.order + 1)
@@ -471,17 +476,17 @@ def cmd_solve(cfg):
         em = energy_matrix(sol, cfg.order)
         energy_orders = []
         for k in range(cfg.order + 1):
+            total = _values(em.diagonal(k))
             energy_orders.append(
                 {
                     "order": k,
                     "kinetic": _values(em.kinetic[k, 0]),
                     "harmonic": _values(em.harmonic[k, 0]),
                     "anharmonic": _values(em.anharmonic[k, 0]),
-                    "total": _values(em.diagonal(k)),
+                    "total": total,
                 }
             )
-            for n, v in enumerate(em.diagonal(k)):
-                rows.append(("energy", k, 0, n, float(v)))
+            rows.append(("energy", k, 0, None, total))
             worst = 0.0
             for alpha in range(1, em.band_max + 1):
                 worst = max(worst, float(np.max(np.abs(em.total(k, alpha)))))
@@ -620,14 +625,12 @@ def cmd_oracle(cfg):
     rows: list = []
     spec = spectrum(params, cfg.basis_size)
     levels = min(cfg.levels, cfg.basis_size)
-    eigenvalues = spec.eigenvalues[:levels]
-    for n, e in enumerate(eigenvalues):
-        rows.append(("eigenvalue", None, None, n, float(e)))
+    eigenvalues = _values(spec.eigenvalues[:levels])
+    rows.append(("eigenvalue", None, None, None, eigenvalues))
 
     motion = motion_from_spectrum(spec)
-    trk = quantum_condition_residual(motion)[:6]
-    for n, r in enumerate(trk):
-        rows.append(("thomas-kuhn-residual", None, None, n, float(r)))
+    trk = _values(quantum_condition_residual(motion)[:6])
+    rows.append(("thomas-kuhn-residual", None, None, None, trk))
     _check(
         checks, rows, "thomas-kuhn-sum-rule", 1e-8, float(np.max(np.abs(trk)))
     )
@@ -636,8 +639,7 @@ def cmd_oracle(cfg):
     sol = solve_perturbative(params, 2, max(12, levels + 4))
     series = energy_diagonal_series(sol).evaluate(params.lam)[:levels]
     gaps = np.abs(eigenvalues - series)
-    for n, g in enumerate(gaps):
-        rows.append(("perturbative-gap", None, None, n, float(g)))
+    rows.append(("perturbative-gap", None, None, None, gaps))
     _check(
         checks,
         rows,
@@ -686,12 +688,12 @@ def cmd_oracle(cfg):
 
     results = {
         "basis_size": cfg.basis_size,
-        "eigenvalues": _values(eigenvalues),
+        "eigenvalues": eigenvalues,
         "plateau": _values(spec.plateau) if spec.plateau is not None else None,
-        "thomas_kuhn_residuals": _values(trk),
+        "thomas_kuhn_residuals": trk,
         "rspt_second_order": [float(v) for v in rspt],
         "perturbative_series": _values(series),
-        "perturbative_gap": _values(gaps),
+        "perturbative_gap": gaps,
         "series_fits": fits,
     }
     payload = {
@@ -714,15 +716,11 @@ def cmd_sho(cfg):
         force_exponent=cfg.force,
     )
     checks: list = []
-    rows: list = []
     sol = sho_solve(params, cfg.n_max)
     motion = assemble_motion(sol, 0.0)
-    amp = sol.a(0, 1)
-    for n, v in enumerate(amp):
-        rows.append(("a", 0, 1, n, float(v)))
-    energies = energy_matrix(sol, 0).diagonal(0)
-    for n, v in enumerate(energies):
-        rows.append(("energy", 0, 0, n, float(v)))
+    amp = _values(sol.a(0, 1))
+    energies = _values(energy_matrix(sol, 0).diagonal(0))
+    rows = [("a", 0, 1, None, amp), ("energy", 0, 0, None, energies)]
     interior = max(1, cfg.n_max - 2)
     residual = quantum_condition_residual(motion)[:interior]
     comm = commutator_diagonal(motion)[:interior]
@@ -734,8 +732,8 @@ def cmd_sho(cfg):
         "config": _config_block(cfg, {"n_max": cfg.n_max}),
         "results": {
             "beta": params.beta,
-            "adjacent_amplitudes": _values(amp),
-            "energies": _values(energies),
+            "adjacent_amplitudes": amp,
+            "energies": energies,
         },
         "checks": checks,
         "provenance": _provenance(checks),
@@ -872,34 +870,35 @@ _DISPATCH = {
 }
 
 
+# parse_args leaves the parser as it was, so one per process serves every run
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None, stream=None) -> int:
-    parser = build_parser()
     try:
-        namespace = parser.parse_args(argv)
+        namespace = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     cfg = RunConfig(**{k: v for k, v in vars(namespace).items()})
     try:
         cfg.validate()
         payload, rows, code = _DISPATCH[cfg.subcommand](cfg)
+        text = render_json(payload) + "\n" if cfg.fmt == "json" else render_csv(rows)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, PlateauError) as exc:
+    except (NumericError, PlateauError, NonFiniteError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = render_json(payload) + "\n" if cfg.fmt == "json" else render_csv(rows)
     if cfg.output is None:
         (stream or sys.stdout).write(text)
     else:
-        path = cfg.output
-        out_dir = os.environ.get("AMPMECH_OUT_DIR")
-        if out_dir and not os.path.isabs(path):
-            path = os.path.join(out_dir, path)
+        # join keeps an absolute path as it is and treats "" as no directory
+        path = os.path.join(os.environ.get("AMPMECH_OUT_DIR", ""), cfg.output)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return code

@@ -1,23 +1,126 @@
+import importlib.util
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ampmech import cli
 from ampmech.cli import run
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
-REFERENCE_INVOCATIONS = {
-    "solve.json": ["solve"],
-    "solve.csv": ["solve", "--format", "csv"],
-    "verify.json": ["verify"],
-    "classical.json": ["classical", "--a1", "1.0", "--lam", "0.01", "--level", "40"],
-    "oracle.json": ["oracle"],
-    "sho.json": ["sho"],
+
+def _load_reference_invocations():
+    # the golden script's table is the one list of reference invocations
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "regenerate_goldens.py"
+    spec = importlib.util.spec_from_file_location("regenerate_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.REFERENCE_INVOCATIONS
+
+
+REFERENCE_INVOCATIONS = _load_reference_invocations()
+
+# one invocation per subcommand, rendered in both formats below
+SUBCOMMAND_ARGV = {
+    "solve": ["solve"],
+    "verify": ["verify"],
+    "classical": ["classical", "--a1", "1.0", "--lam", "0.01", "--level", "40"],
+    "oracle": ["oracle"],
+    "sho": ["sho"],
 }
+
+# results that are not finite or overflow: a numeric failure, exit 3
+NON_FINITE_ARGV = [
+    ["classical", "--a1", "1e200"],
+    ["sho", "--omega0", "1e-320"],
+    ["classical", "--action", "1e308", "--lam", "1e300"],
+]
+
+
+# ---------------------------------------------------------------------------
+# per-value renderers, kept as the reference for the array renderers
+
+
+def reference_fmt_float(x: float) -> str:
+    x = float(x)
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError("refusing to serialize a non-finite number")
+    if x == 0.0:
+        x = 0.0  # normalize -0.0
+    return format(x, ".17g")
+
+
+def reference_render_json(obj, indent: int = 0) -> str:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [
+            f"{inner}{json.dumps(str(k))}: {reference_render_json(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            return "[]"
+        parts = [f"{inner}{reference_render_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return reference_fmt_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def reference_render_csv(rows) -> str:
+    lines = ["quantity,order,band,n,value"]
+    for quantity, order, band, n, value in rows:
+        fields = [
+            quantity,
+            "" if order is None else str(int(order)),
+            "" if band is None else str(int(band)),
+            "" if n is None else str(int(n)),
+            reference_fmt_float(value),
+        ]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def per_value_payload(obj):
+    """The payload with every array replaced by a list of Python floats."""
+    if isinstance(obj, dict):
+        return {k: per_value_payload(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [per_value_payload(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [float(v) for v in obj]
+    return obj
+
+
+def per_value_rows(rows):
+    """The CSV rows with every array row expanded to one row per n."""
+    out = []
+    for quantity, order, band, n, value in rows:
+        if isinstance(value, np.ndarray):
+            out.extend((quantity, order, band, i, float(v)) for i, v in enumerate(value))
+        else:
+            out.append((quantity, order, band, n, value))
+    return out
 
 
 def run_capture(argv):
@@ -47,6 +150,16 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
 
+    @pytest.mark.parametrize("argv", NON_FINITE_ARGV, ids=" ".join)
+    def test_non_finite_result(self, argv, tmp_path, capsys):
+        code, out = run_capture(argv)
+        assert code == 3
+        assert out == ""
+        assert "numeric error:" in capsys.readouterr().err
+        target = tmp_path / "out.json"
+        assert run(argv + ["--output", str(target)]) == 3
+        assert not target.exists()
+
     def test_successful_runs(self):
         for name, argv in REFERENCE_INVOCATIONS.items():
             code, out = run_capture(argv)
@@ -68,6 +181,71 @@ class TestDeterminism:
         assert code == 0
         golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
         assert out == golden
+
+
+FINITE_EDGES = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 2.0**53 + 2,
+    1e16, 1e17, 0.1, 1 / 3,
+]
+float_arrays = hnp.arrays(
+    np.float64,
+    st.integers(0, 40),
+    elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(FINITE_EDGES),
+        st.integers(-(2**60), 2**60).map(float),
+    ),
+)
+
+
+class TestRendering:
+    """The array renderers against the per-value reference renderers."""
+
+    @given(float_arrays, st.integers(0, 3), st.integers(0, 4))
+    def test_arrays_match_per_value_reference(self, values, indent, band):
+        floats = [float(v) for v in values]
+        assert cli._fmt_floats(values) == [reference_fmt_float(v) for v in floats]
+        assert [cli._fmt_float(v) for v in floats] == cli._fmt_floats(values)
+        assert cli.render_json(values, indent) == reference_render_json(floats, indent)
+        assert cli.render_json({"values": values}) == reference_render_json(
+            {"values": floats}
+        )
+        assert cli.render_csv([("a", 2, band, None, values)]) == reference_render_csv(
+            [("a", 2, band, n, v) for n, v in enumerate(floats)]
+        )
+
+    @given(float_arrays, st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+    def test_non_finite_anywhere_is_refused(self, values, bad, data):
+        at = data.draw(st.integers(0, len(values)))
+        values = np.insert(values, at, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            cli.render_json(values)
+        with pytest.raises(ValueError, match="non-finite"):
+            cli.render_csv([("a", 0, 1, None, values)])
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._fmt_float(bad)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("sub", list(SUBCOMMAND_ARGV))
+    def test_subcommand_matches_per_value_reference(self, sub, fmt):
+        argv = SUBCOMMAND_ARGV[sub] + ["--format", fmt]
+        cfg = cli.RunConfig(**vars(cli.build_parser().parse_args(argv)))
+        cfg.validate()
+        payload, rows, code = cli._DISPATCH[sub](cfg)
+        if fmt == "json":
+            expected = reference_render_json(per_value_payload(payload)) + "\n"
+        else:
+            expected = reference_render_csv(per_value_rows(rows))
+        assert run_capture(argv) == (code, expected)
+
+    def test_parser_reused_without_carrying_state(self):
+        assert cli._parser() is cli._parser()
+        _, first = run_capture(["sho", "--n-max", "5", "--omega0", "2.0"])
+        _, second = run_capture(["sho"])
+        assert json.loads(first)["config"]["n_max"] == 5
+        config = json.loads(second)["config"]
+        assert (config["n_max"], config["omega0"]) == (12, 1.0)
 
 
 class TestPayloadShape:
