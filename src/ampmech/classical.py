@@ -13,6 +13,12 @@ fixed by its own balance equation. The leading amplitude a_1 is the free
 constant of the motion; prescribing the action J instead uses the
 leading-order quantization a_1 = sqrt(J / (pi m omega0)).
 
+Harmonic balance is the n-independent mode of the series engine in
+`perturb`: the orbit is a table with a single row, the product drops the
+row shift of the two-index law and so becomes the convolution over signed
+harmonics, and the frequency of harmonic g is g*omega. Residuals and the
+solve of every harmonic other than the fundamental are the quantum ones.
+
 This is the large-n benchmark for the quantum solver: at J = n h the
 classical coefficients reproduce the leading-n behavior of the quantum
 band amplitudes.
@@ -26,7 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import OscillatorParams
-from .perturb import band_weight, _band_list, _half
+from .perturb import (
+    band_weight,
+    _band_list,
+    _check_order,
+    _eom_residual_coefficient,
+    _half,
+    _solve_bands,
+    _x_series,
+)
 
 __all__ = [
     "QuadratureMismatchError",
@@ -104,34 +118,6 @@ class ClassicalSolution:
         return -np.sin(np.outer(t, alphas) * w) @ (c * alphas * w)
 
 
-def _exp_series(
-    p: int, amp: np.ndarray, max_power: int, harmonic_max: int
-) -> np.ndarray:
-    """Exponential coefficients data[s, H+g] of the orbit, weights folded."""
-    orders = amp.shape[0]
-    data = np.zeros((max_power + 1, 2 * harmonic_max + 1))
-    for alpha in _band_list(p, min(amp.shape[1] - 1, harmonic_max)):
-        w = band_weight(p, alpha)
-        c = 1.0 if alpha == 0 else 0.5
-        for k in range(orders):
-            s = w + k
-            if s > max_power:
-                break
-            data[s, harmonic_max + alpha] = c * amp[k, alpha]
-            if alpha > 0:
-                data[s, harmonic_max - alpha] = c * amp[k, alpha]
-    return data
-
-
-def _exp_mul(a: np.ndarray, b: np.ndarray, max_power: int) -> np.ndarray:
-    ha, hb = (a.shape[1] - 1) // 2, (b.shape[1] - 1) // 2
-    out = np.zeros((max_power + 1, 2 * (ha + hb) + 1))
-    for i in range(min(a.shape[0], max_power + 1)):
-        for j in range(min(b.shape[0], max_power + 1 - i)):
-            out[i + j] += np.convolve(a[i], b[j])
-    return out
-
-
 def _balance_residual_coefficient(
     params: OscillatorParams,
     amp: np.ndarray,
@@ -140,21 +126,12 @@ def _balance_residual_coefficient(
     harmonic_max: int,
 ) -> np.ndarray:
     """lam^power coefficient of the harmonic-balance residual per signed
-    harmonic: [omega0^2 - (g*omega)^2] X_g + lam (x^p)_g."""
-    p = params.force_exponent
-    x = _exp_series(p, amp, power, harmonic_max)
-    om2 = np.convolve(omega_coeffs, omega_coeffs)[: power + 1]
-    g2 = (np.arange(-harmonic_max, harmonic_max + 1) ** 2).astype(float)
-    res = params.omega0**2 * x[power].copy()
-    for s in range(min(om2.size, power + 1)):
-        res -= om2[s] * g2 * x[power - s]
-    if power >= 1:
-        xp = _exp_mul(x, x, power - 1)
-        if p == 3:
-            xp = _exp_mul(xp, x, power - 1)
-        hc = (xp.shape[1] - 1) // 2
-        res += xp[power - 1, hc - harmonic_max : hc + harmonic_max + 1]
-    return res
+    harmonic, [omega0^2 - (g*omega)^2] X_g + lam (x^p)_g, as res[g, 0] for
+    amp[k, alpha, 0]: the perturb engine on one row without the row shift."""
+    x = _x_series(params.force_exponent, amp, power, harmonic_max, step=0)
+    g = np.arange(-harmonic_max, harmonic_max + 1)
+    om = np.multiply.outer(omega_coeffs, g)[:, :, None]
+    return _eom_residual_coefficient(params, x, om, power, step=0)
 
 
 def classical_solve(
@@ -171,8 +148,7 @@ def classical_solve(
     corrections), and one guard harmonic beyond those coupled at this
     order is carried but never balanced.
     """
-    if order < 0 or order > 2:
-        raise ValueError("order must be 0, 1 or 2")
+    _check_order(order)
     if (a1 is None) == (action is None):
         raise ValueError("prescribe exactly one of a1 or action")
     if action is not None:
@@ -194,28 +170,22 @@ def classical_solve(
         guard_max = coupled_max + 2
         t_max = band_weight(p, coupled_max) + order
 
-    amp = np.zeros((order + 1, guard_max + 1))
+    # one row: the orbit is the n-independent case of the banded tables
+    amp = np.zeros((order + 1, guard_max + 1, 1))
     omega_coeffs = np.zeros(order + 1)
     omega_coeffs[0] = omega0
     amp[0, 1] = a1
+    bands = _band_list(p, coupled_max)
 
     for t in range(1, t_max + 1):
         res = _balance_residual_coefficient(params, amp, omega_coeffs, t, guard_max)
         if t <= order:
             # fundamental: a1 is held fixed, the frequency correction remains
-            omega_coeffs[t] = res[guard_max + 1] / (omega0 * a1)
-        for alpha in _band_list(p, coupled_max):
-            if alpha == 1:
-                continue
-            k = t - band_weight(p, alpha)
-            if k < 0 or k > order:
-                continue
-            denom = (1.0 - alpha * alpha) * omega0**2 * _half(alpha)
-            amp[k, alpha] = -res[guard_max + alpha] / denom
-        if p == 2 and 1 <= t <= order + 1:
-            amp[t - 1, 0] = -res[guard_max] / omega0**2
+            omega_coeffs[t] = res[guard_max + 1, 0] / (omega0 * a1)
+        _solve_bands(p, amp, res, t, bands, omega0, step=0)
     return ClassicalSolution(
-        params=params, order=order, amp=amp, omega_coeffs=omega_coeffs, action=action
+        params=params, order=order, amp=amp[:, :, 0], omega_coeffs=omega_coeffs,
+        action=action,
     )
 
 
@@ -241,9 +211,9 @@ def balance_residuals(sol: ClassicalSolution) -> np.ndarray:
         c = _half(alpha)
         for k in range(order + 1):
             res = _balance_residual_coefficient(
-                sol.params, sol.amp, sol.omega_coeffs, w + k, guard_max
+                sol.params, sol.amp[:, :, None], sol.omega_coeffs, w + k, guard_max
             )
-            out[k, alpha] = res[guard_max + alpha] / c
+            out[k, alpha] = res[guard_max + alpha, 0] / c
     return out
 
 

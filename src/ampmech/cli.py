@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -272,32 +272,16 @@ def _algebra_checks(checks, rows, params, seed: int) -> None:
     )
 
 
-def _sho_checks(checks, rows, params) -> None:
-    sho_params = OscillatorParams(
-        mass=params.mass,
-        omega0=params.omega0,
-        lam=0.0,
-        hbar=params.hbar,
-        force_exponent=params.force_exponent,
-    )
-    sol = sho_solve(sho_params, 50)
+def _sho_checks(checks, rows, sol, interior: int) -> None:
+    """Sum rule and commutator of an exact oscillator solution on its first
+    `interior` rows."""
     motion = assemble_motion(sol, 0.0)
-    res = quantum_condition_residual(motion)
-    _check(
-        checks,
-        rows,
-        "sho-quantum-condition",
-        1e-12,
-        float(np.max(np.abs(res[:49]))),
-    )
-    comm = commutator_diagonal(motion)
-    _check(
-        checks,
-        rows,
-        "sho-commutator",
-        1e-12,
-        float(np.max(np.abs(comm[:49] - 1j * sho_params.hbar))),
-    )
+    res = quantum_condition_residual(motion)[:interior]
+    comm = commutator_diagonal(motion)[:interior]
+    _check(checks, rows, "sho-quantum-condition", 1e-12,
+           float(np.max(np.abs(res))))
+    _check(checks, rows, "sho-commutator", 1e-12,
+           float(np.max(np.abs(comm - 1j * sol.params.hbar))))
 
 
 def _recursion_checks(checks, rows, params, sol) -> None:
@@ -394,13 +378,7 @@ def _offdiag_checks(checks, rows, params, sol) -> None:
 
 
 def _commutator_checks(checks, rows, params) -> None:
-    quartic = OscillatorParams(
-        mass=params.mass,
-        omega0=params.omega0,
-        lam=params.lam,
-        hbar=params.hbar,
-        force_exponent=3,
-    )
+    quartic = replace(params, force_exponent=3)
     sol = solve_perturbative(quartic, 2, 12)
     devs = []
     for lam in (0.1, 0.05):
@@ -532,7 +510,7 @@ def cmd_verify(cfg):
     if group in ("all", "algebra"):
         _algebra_checks(checks, rows, params, cfg.seed)
     if group in ("all", "commutator"):
-        _sho_checks(checks, rows, params)
+        _sho_checks(checks, rows, sho_solve(replace(params, lam=0.0), 50), 49)
         _commutator_checks(checks, rows, params)
     if group in ("all", "recursion"):
         _recursion_checks(checks, rows, params, sol)
@@ -589,7 +567,7 @@ def cmd_classical(cfg):
 
     if cfg.level is not None:
         n = cfg.level
-        quantum = solve_perturbative(params, min(cfg.order, 2), n + 4)
+        quantum = solve_perturbative(params, cfg.order, n + 4)
         cl = classical_solve(params, cfg.order, action=n * params.h)
         ratios = {
             "level": n,
@@ -654,7 +632,7 @@ def cmd_oracle(cfg):
         # the grid point at lam itself is the main spectrum, already built
         specs = [
             spec if lam == params.lam
-            else spectrum(_with_lam(params, lam), cfg.basis_size, check_plateau=False)
+            else spectrum(replace(params, lam=lam), cfg.basis_size, check_plateau=False)
             for lam in grid
         ]
         beta, w0 = params.beta, params.omega0
@@ -711,23 +689,14 @@ def cmd_oracle(cfg):
 
 
 def cmd_sho(cfg):
-    params = OscillatorParams(
-        mass=cfg.mass, omega0=cfg.omega0, lam=0.0, hbar=cfg.hbar,
-        force_exponent=cfg.force,
-    )
+    # the exact route ignores --lam
+    params = _params_from(replace(cfg, lam=0.0))
     checks: list = []
     sol = sho_solve(params, cfg.n_max)
-    motion = assemble_motion(sol, 0.0)
     amp = _values(sol.a(0, 1))
     energies = _values(energy_matrix(sol, 0).diagonal(0))
     rows = [("a", 0, 1, None, amp), ("energy", 0, 0, None, energies)]
-    interior = max(1, cfg.n_max - 2)
-    residual = quantum_condition_residual(motion)[:interior]
-    comm = commutator_diagonal(motion)[:interior]
-    _check(checks, rows, "sho-quantum-condition", 1e-12,
-           float(np.max(np.abs(residual))))
-    _check(checks, rows, "sho-commutator", 1e-12,
-           float(np.max(np.abs(comm - 1j * params.hbar))))
+    _sho_checks(checks, rows, sol, max(1, cfg.n_max - 2))
     payload = {
         "config": _config_block(cfg, {"n_max": cfg.n_max}),
         "results": {
@@ -739,13 +708,6 @@ def cmd_sho(cfg):
         "provenance": _provenance(checks),
     }
     return payload, rows, 0 if all(c["pass"] for c in checks) else 1
-
-
-def _with_lam(params: OscillatorParams, lam: float) -> OscillatorParams:
-    return OscillatorParams(
-        mass=params.mass, omega0=params.omega0, lam=lam, hbar=params.hbar,
-        force_exponent=params.force_exponent,
-    )
 
 
 def _provenance(checks) -> dict:
@@ -899,8 +861,12 @@ def run(argv=None, stream=None) -> int:
     else:
         # join keeps an absolute path as it is and treats "" as no directory
         path = os.path.join(os.environ.get("AMPMECH_OUT_DIR", ""), cfg.output)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

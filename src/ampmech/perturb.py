@@ -29,7 +29,9 @@ increasing total power of lam:
 Residual functionals are generated from the product law itself rather
 than hand-coded per band, so the same machinery serves both force
 exponents and the printed low-band recursion relations become regression
-targets for the generator.
+targets for the generator. With the row shift of the product law turned
+off, the same engine on a single row is classical harmonic balance (see
+`classical`).
 
 Coefficients are kept symbolic in lam (one array per power); a numeric
 coupling enters only when a motion representation or an energy value is
@@ -39,7 +41,7 @@ assembled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -120,6 +122,15 @@ def _half(alpha: int) -> float:
     return 1.0 if alpha == 0 else 0.5
 
 
+def _check_order(order: int) -> None:
+    if order > MAX_ORDER:
+        raise UnimplementedOrderError(
+            f"order {order} beyond implemented maximum {MAX_ORDER}"
+        )
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Per-order amplitude and frequency tables.
@@ -177,14 +188,18 @@ class CoefficientSet:
 
 
 # ---------------------------------------------------------------------------
-# series arithmetic: banded arrays with one coefficient per power of lam
+# series arithmetic: banded arrays with one coefficient per power of lam.
+# `step` is the row shift of the product law: 1 is the two-index law of
+# transition amplitudes; 0 drops it, so that on one row a series is the
+# Fourier series of classical harmonic balance.
 
 
 def _x_series(
-    p: int, amp: np.ndarray, max_power: int, band_max: int
+    p: int, amp: np.ndarray, max_power: int, band_max: int, step: int = 1
 ) -> np.ndarray:
     """Representation of x as data[s, band_max+g, n], the lam^s coefficient
-    of X(n, n-g), with the band weights and cosine halves folded in."""
+    of X(n, n-g), with the band weights and cosine halves folded in. The
+    mirrored band is X(n, n+g) = X(n+step*g, n)."""
     orders, bands, rows = amp.shape
     data = np.zeros((max_power + 1, 2 * band_max + 1, rows))
     for a in _band_list(p, min(bands - 1, band_max)):
@@ -196,12 +211,15 @@ def _x_series(
                 break
             data[s, band_max + a, :] = c * amp[k, a, :]
             if a > 0:
-                data[s, band_max - a, : rows - a] = c * amp[k, a, a:]
+                data[s, band_max - a, : rows - step * a] = c * amp[k, a, step * a :]
     return data
 
 
-def _series_mul(a: np.ndarray, b: np.ndarray, max_power: int) -> np.ndarray:
-    """Product of two banded lam-series under the two-index law."""
+def _series_mul(
+    a: np.ndarray, b: np.ndarray, max_power: int, step: int = 1
+) -> np.ndarray:
+    """Product of two banded lam-series: sum over g of a(n, n-g) b(n-step*g, .).
+    With step 0 on one row this is the convolution over signed harmonics."""
     pa, wa, rows = a.shape
     pb, wb, _ = b.shape
     ba, bb = (wa - 1) // 2, (wb - 1) // 2
@@ -210,16 +228,17 @@ def _series_mul(a: np.ndarray, b: np.ndarray, max_power: int) -> np.ndarray:
     # band g of a feeds rows lo..hi; an all-zero (i, g) slice is skipped, so
     # that 0 * inf in b adds no nan
     n = np.arange(rows)
-    shift = np.arange(-ba, ba + 1)[:, None]
+    shift = step * np.arange(-ba, ba + 1)[:, None]
     live = np.any((a != 0) & (n >= shift) & (n <= rows - 1 + shift), axis=2)
     for i, k in np.argwhere(live[: max_power + 1]).tolist():
         g = k - ba
-        lo, hi = max(0, g), min(rows - 1, rows - 1 + g)
+        sg = step * g
+        lo, hi = max(0, sg), min(rows - 1, rows - 1 + sg)
         nj = min(pb, max_power + 1 - i)
         # a stays 3-d: numpy rounds a single complex product without fma when
         # it broadcasts one factor from fewer dimensions, and with fma here
         out[i : i + nj, bc + g - bb : bc + g + bb + 1, lo : hi + 1] += (
-            a[i : i + 1, k : k + 1, lo : hi + 1] * b[:nj, :, lo - g : hi + 1 - g]
+            a[i : i + 1, k : k + 1, lo : hi + 1] * b[:nj, :, lo - sg : hi + 1 - sg]
         )
     return out
 
@@ -237,31 +256,57 @@ def _omega_series(pot: np.ndarray, band_max: int) -> np.ndarray:
 
 def _eom_residual_coefficient(
     params: OscillatorParams,
-    amp: np.ndarray,
-    pot: np.ndarray,
+    x: np.ndarray,
+    om: np.ndarray,
     power: int,
-    band_max: int,
+    step: int = 1,
 ) -> np.ndarray:
     """lam^power coefficient of the equation-of-motion representative,
 
         [omega0^2 - omega^2(n, n-g)] X(n, n-g) + lam (X^p)(n, n-g),
 
-    returned as an array over (signed band g, row n)."""
+    returned as an array over (signed band g, row n), from the x series
+    through lam^power and the per-band frequency series om[k, g, n]."""
     p = params.force_exponent
-    x = _x_series(p, amp, power, band_max)
-    om = _omega_series(pot, band_max)
+    band_max = (x.shape[1] - 1) // 2
     res = params.omega0**2 * x[power].copy()
     # omega^2 acts entrywise per band; convolve the three order indices
     for i in range(min(om.shape[0], power + 1)):
         for j in range(min(om.shape[0], power + 1 - i)):
             res -= om[i] * om[j] * x[power - i - j]
     if power >= 1:
-        xp = _series_mul(x, x, power - 1)
+        xp = _series_mul(x, x, power - 1, step)
         if p == 3:
-            xp = _series_mul(xp, x, power - 1)
+            xp = _series_mul(xp, x, power - 1, step)
         bc = (xp.shape[1] - 1) // 2
         res += xp[power - 1, bc - band_max : bc + band_max + 1, :]
     return res
+
+
+def _solve_bands(
+    p: int,
+    amp: np.ndarray,
+    res: np.ndarray,
+    t: int,
+    bands: tuple[int, ...],
+    omega0: float,
+    step: int = 1,
+) -> dict[int, int]:
+    """Solve every band alpha != 1 whose order k = t - w(alpha) is within
+    the tables from the lam^t residual, a^(k) = -res / ((1 - alpha^2)
+    omega0^2 / 2), on the rows the band reaches. Returns the order solved
+    per band."""
+    band_max = (res.shape[0] - 1) // 2
+    solved = {}
+    for alpha in bands:
+        k = t - band_weight(p, alpha)
+        if alpha == 1 or not 0 <= k < amp.shape[0]:
+            continue
+        denom = (1.0 - alpha * alpha) * omega0**2 * _half(alpha)
+        lo = step * alpha
+        amp[k, alpha, lo:] = -res[band_max + alpha, lo:] / denom
+        solved[alpha] = k
+    return solved
 
 
 def _qc_residual_coefficient(
@@ -323,12 +368,7 @@ def build_recursions(
     p = params.force_exponent
     if p not in (2, 3):
         raise UnsupportedForceError(f"force exponent {p!r} not supported")
-    if order > MAX_ORDER:
-        raise UnimplementedOrderError(
-            f"order {order} beyond implemented maximum {MAX_ORDER}"
-        )
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(order)
     alpha = abs(alpha)
     w = band_weight(p, alpha)  # raises for even quartic bands
     power = w + order
@@ -340,9 +380,9 @@ def build_recursions(
                 "coefficient tables were built for a different force exponent"
             )
         band_max = max(coeffs.band_max, alpha)
-        res = _eom_residual_coefficient(
-            params, coeffs.amp, coeffs.freq_potential, power, band_max
-        )
+        x = _x_series(p, coeffs.amp, power, band_max)
+        om = _omega_series(coeffs.freq_potential, band_max)
+        res = _eom_residual_coefficient(params, x, om, power)
         return scale * res[band_max + alpha, :]
 
     return residual
@@ -425,12 +465,7 @@ def solve_perturbative(
     up to n_max. The adjacent-band zeroth amplitude is taken positive.
     """
     p = params.force_exponent
-    if order > MAX_ORDER:
-        raise UnimplementedOrderError(
-            f"order {order} beyond implemented maximum {MAX_ORDER}"
-        )
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(order)
     if n_max < order + 3:
         raise DimensionMismatchError(
             f"n_max = {n_max} too small; need at least order + 3 = {order + 3}"
@@ -448,7 +483,8 @@ def solve_perturbative(
     solved: dict[int, int] = {1: 0}
 
     for t in range(1, t_max + 1):
-        res_t = _eom_residual_coefficient(params, amp, pot, t, band_eng)
+        x = _x_series(p, amp, t, band_eng)
+        res_t = _eom_residual_coefficient(params, x, _omega_series(pot, band_eng), t)
         if t <= order:
             # adjacent band: its amplitude drops out, the frequency remains
             a0 = amp[0, 1]
@@ -460,16 +496,7 @@ def solve_perturbative(
             u = -np.cumsum(q0)
             amp[t, 1, 1:] = u[:-1] / (2.0 * math.pi * params.mass * omega0 * a0[1:])
             solved[1] = t
-        for alpha in bands:
-            if alpha == 1:
-                continue
-            w = band_weight(p, alpha)
-            k = t - w
-            if k < 0 or k > order:
-                continue
-            denom = (1.0 - alpha * alpha) * omega0**2 * _half(alpha)
-            amp[k, alpha, alpha:] = -res_t[band_eng + alpha, alpha:] / denom
-            solved[alpha] = max(solved.get(alpha, -1), k)
+        solved.update(_solve_bands(p, amp, res_t, t, bands, omega0))
 
     coeffs = CoefficientSet(force_exponent=p, amp=amp, freq_potential=pot)
     return PerturbSolution(
@@ -646,13 +673,7 @@ def assemble_motion(
         potential += lam**k * c.freq_potential[k, :grid_rows]
     params = sol.params
     if params.lam != lam:
-        params = OscillatorParams(
-            mass=params.mass,
-            omega0=params.omega0,
-            lam=lam,
-            hbar=params.hbar,
-            force_exponent=params.force_exponent,
-        )
+        params = replace(params, lam=lam)
     return MotionRepresentation(
         amplitudes=BandAmplitudeArray(data),
         frequencies=FrequencyGrid(potential),

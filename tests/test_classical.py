@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from ampmech import (
     ClassicalSolution,
     OscillatorParams,
+    UnimplementedOrderError,
     action_integral,
     balance_residuals,
     classical_solve,
@@ -14,8 +15,105 @@ from ampmech import (
     ode_residual,
     solve_perturbative,
 )
+from ampmech.perturb import _band_list, _half, _series_mul, band_weight
+
+from conftest import assert_same_bits
 
 P2 = OscillatorParams()
+EPS = np.finfo(float).eps
+
+
+# ---------------------------------------------------------------------------
+# the former classical series engine (exponential coefficients over signed
+# harmonics, products by np.convolve), kept as the reference for the shared
+# engine in perturb
+
+
+def exp_series_reference(p, amp, max_power, harmonic_max):
+    """Exponential coefficients data[s, H+g] of the orbit, weights folded."""
+    orders = amp.shape[0]
+    data = np.zeros((max_power + 1, 2 * harmonic_max + 1))
+    for alpha in _band_list(p, min(amp.shape[1] - 1, harmonic_max)):
+        w = band_weight(p, alpha)
+        c = 1.0 if alpha == 0 else 0.5
+        for k in range(orders):
+            s = w + k
+            if s > max_power:
+                break
+            data[s, harmonic_max + alpha] = c * amp[k, alpha]
+            if alpha > 0:
+                data[s, harmonic_max - alpha] = c * amp[k, alpha]
+    return data
+
+
+def exp_mul_reference(a, b, max_power):
+    ha, hb = (a.shape[1] - 1) // 2, (b.shape[1] - 1) // 2
+    out = np.zeros((max_power + 1, 2 * (ha + hb) + 1))
+    for i in range(min(a.shape[0], max_power + 1)):
+        for j in range(min(b.shape[0], max_power + 1 - i)):
+            out[i + j] += np.convolve(a[i], b[j])
+    return out
+
+
+def balance_residual_reference(params, amp, omega_coeffs, power, harmonic_max,
+                               absolute=False):
+    """lam^power coefficient of the harmonic-balance residual per signed
+    harmonic; with `absolute`, the sum of the absolute values of its terms
+    (amp and omega_coeffs must then be nonnegative)."""
+    p = params.force_exponent
+    x = exp_series_reference(p, amp, power, harmonic_max)
+    om2 = np.convolve(omega_coeffs, omega_coeffs)[: power + 1]
+    g2 = (np.arange(-harmonic_max, harmonic_max + 1) ** 2).astype(float)
+    sign = 1.0 if absolute else -1.0
+    res = params.omega0**2 * x[power].copy()
+    for s in range(min(om2.size, power + 1)):
+        res += sign * om2[s] * g2 * x[power - s]
+    if power >= 1:
+        xp = exp_mul_reference(x, x, power - 1)
+        if p == 3:
+            xp = exp_mul_reference(xp, x, power - 1)
+        hc = (xp.shape[1] - 1) // 2
+        res += xp[power - 1, hc - harmonic_max : hc + harmonic_max + 1]
+    return res
+
+
+def classical_solve_reference(params, order, a1, absolute=False):
+    """The former harmonic-balance loop: (amp, omega_coeffs). With `absolute`
+    every term enters by its absolute value, which gives for each
+    coefficient the size of the terms summed into it, through every order."""
+    p = params.force_exponent
+    omega0 = params.omega0
+    if p == 2:
+        coupled_max = order + 1 if order >= 1 else 1
+        guard_max = coupled_max + 1
+        t_max = max(order, 1 if order >= 1 else 0) + order
+    else:
+        coupled_max = 2 * order + 1
+        guard_max = coupled_max + 2
+        t_max = band_weight(p, coupled_max) + order
+    amp = np.zeros((order + 1, guard_max + 1))
+    omega_coeffs = np.zeros(order + 1)
+    omega_coeffs[0] = omega0
+    amp[0, 1] = a1
+    sign = 1.0 if absolute else -1.0
+    for t in range(1, t_max + 1):
+        res = balance_residual_reference(params, amp, omega_coeffs, t, guard_max,
+                                         absolute)
+        if t <= order:
+            omega_coeffs[t] = res[guard_max + 1] / (omega0 * a1)
+        for alpha in _band_list(p, coupled_max):
+            if alpha == 1:
+                continue
+            k = t - band_weight(p, alpha)
+            if k < 0 or k > order:
+                continue
+            denom = (1.0 - alpha * alpha) * omega0**2 * _half(alpha)
+            if absolute:
+                denom = abs(denom)
+            amp[k, alpha] = sign * res[guard_max + alpha] / denom
+        if p == 2 and 1 <= t <= order + 1:
+            amp[t - 1, 0] = sign * res[guard_max] / omega0**2
+    return amp, omega_coeffs
 
 
 class TestClassicalSolve:
@@ -64,6 +162,71 @@ class TestClassicalSolve:
         sol = classical_solve(P2, order, a1=a1)
         res = balance_residuals(sol)
         assert np.max(np.abs(res)) <= 1e-12 * max(1.0, a1**3)
+
+
+class TestSharedEngine:
+    """Harmonic balance runs on the perturb engine with the row shift off;
+    the former convolution engine is the reference."""
+
+    @given(
+        st.integers(0, 2**31 - 1), st.integers(1, 3), st.integers(1, 3),
+        st.integers(0, 4), st.integers(0, 4), st.integers(0, 6),
+    )
+    def test_unshifted_product_is_convolution(self, seed, pa, pb, ha, hb, max_power):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(pa, 2 * ha + 1))
+        b = rng.normal(size=(pb, 2 * hb + 1))
+        got = _series_mul(a[:, :, None], b[:, :, None], max_power, step=0)[:, :, 0]
+        ref = exp_mul_reference(a, b, max_power)
+        # each entry sums at most min(pa, pb) * (2 min(ha, hb) + 1) products,
+        # rounded in another order by each side (20,000 random cases reached
+        # half of terms * EPS times the size)
+        terms = min(pa, pb) * (2 * min(ha, hb) + 1)
+        bound = 2 * terms * EPS * exp_mul_reference(np.abs(a), np.abs(b), max_power)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= bound)
+
+    @given(
+        st.sampled_from((2, 3)), st.integers(0, 2), st.floats(0.01, 100.0),
+        st.floats(0.05, 20.0), st.floats(0.05, 20.0), st.booleans(),
+    )
+    def test_solve_matches_convolution_engine(
+        self, p, order, a1, omega0, mass, by_action
+    ):
+        params = OscillatorParams(mass=mass, omega0=omega0, force_exponent=p)
+        if by_action:
+            sol = classical_solve(params, order, action=a1**2 * math.pi * mass * omega0)
+            a1 = float(sol.amp[0, 1])
+        else:
+            sol = classical_solve(params, order, a1=a1)
+        amp, om = classical_solve_reference(params, order, a1)
+        amp_size, om_size = classical_solve_reference(params, order, a1, absolute=True)
+        # the two engines sum the same terms in another order; 4 orders of
+        # residuals at most, each a few tens of rounded operations deep
+        # (20,000 random solves reached 3.2 * EPS times the size)
+        assert np.all(np.abs(sol.amp - amp) <= 64 * EPS * amp_size)
+        assert np.all(np.abs(sol.omega_coeffs - om) <= 64 * EPS * om_size)
+
+    @pytest.mark.parametrize("p, by_action", [(2, False), (3, False), (2, True)])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_printed_solves_bit_identical(self, p, by_action, order):
+        # the solves `classical --a1 1.0` and the golden `--level 40` print
+        params = OscillatorParams(lam=0.01, force_exponent=p)
+        if by_action:
+            sol = classical_solve(params, order, action=40 * params.h)
+            a1 = math.sqrt(40 * params.h / (math.pi * params.mass * params.omega0))
+        else:
+            sol = classical_solve(params, order, a1=1.0)
+            a1 = 1.0
+        amp, om = classical_solve_reference(params, order, a1)
+        assert_same_bits(sol.amp, amp)
+        assert_same_bits(sol.omega_coeffs, om)
+
+    def test_order_cap_is_the_quantum_one(self):
+        with pytest.raises(UnimplementedOrderError):
+            classical_solve(P2, 3, a1=1.0)
+        with pytest.raises(ValueError):
+            classical_solve(P2, -1, a1=1.0)
 
 
 class TestFourierProduct:

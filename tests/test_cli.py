@@ -160,6 +160,13 @@ class TestExitCodes:
         assert run(argv + ["--output", str(target)]) == 3
         assert not target.exists()
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        # a missing directory is neither a failed check nor a success
+        target = tmp_path / "missing" / "x.json"
+        assert run(["solve", "--n-max", "5", "--output", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not target.exists()
+
     def test_successful_runs(self):
         for name, argv in REFERENCE_INVOCATIONS.items():
             code, out = run_capture(argv)
