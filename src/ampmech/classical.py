@@ -38,8 +38,10 @@ from .perturb import (
     _check_order,
     _eom_residual_coefficient,
     _half,
+    _series_mul,
     _solve_bands,
     _x_series,
+    _xp_coefficient,
 )
 
 __all__ = [
@@ -124,14 +126,23 @@ def _balance_residual_coefficient(
     omega_coeffs: np.ndarray,
     power: int,
     harmonic_max: int,
+    x2: np.ndarray,
 ) -> np.ndarray:
     """lam^power coefficient of the harmonic-balance residual per signed
     harmonic, [omega0^2 - (g*omega)^2] X_g + lam (x^p)_g, as res[g, 0] for
-    amp[k, alpha, 0]: the perturb engine on one row without the row shift."""
-    x = _x_series(params.force_exponent, amp, power, harmonic_max, step=0)
+    amp[k, alpha, 0]: the perturb engine on one row without the row shift.
+    x2 carries x^2 across powers: it must hold lam^0..lam^(power-2), and
+    this call adds lam^(power-1)."""
+    p = params.force_exponent
+    x = _x_series(p, amp, power, harmonic_max, step=0)
     g = np.arange(-harmonic_max, harmonic_max + 1)
     om = np.multiply.outer(omega_coeffs, g)[:, :, None]
-    return _eom_residual_coefficient(params, x, om, power, step=0)
+    xp_top = None
+    if power:
+        s = power - 1
+        x2[s] = _series_mul(x, x, s, step=0, min_power=s)[0]
+        xp_top = _xp_coefficient(p, x, x2, s, step=0)
+    return _eom_residual_coefficient(params, x, om, power, xp_top)
 
 
 def classical_solve(
@@ -177,8 +188,9 @@ def classical_solve(
     amp[0, 1] = a1
     bands = _band_list(p, coupled_max)
 
+    x2 = np.zeros((t_max, 4 * guard_max + 1, 1))
     for t in range(1, t_max + 1):
-        res = _balance_residual_coefficient(params, amp, omega_coeffs, t, guard_max)
+        res = _balance_residual_coefficient(params, amp, omega_coeffs, t, guard_max, x2)
         if t <= order:
             # fundamental: a1 is held fixed, the frequency correction remains
             omega_coeffs[t] = res[guard_max + 1, 0] / (omega0 * a1)
@@ -206,14 +218,19 @@ def balance_residuals(sol: ClassicalSolution) -> np.ndarray:
         coupled = list(range(1, 2 * order + 2, 2))
     out = np.zeros((order + 1, sol.harmonic_max + 1))
     guard_max = sol.harmonic_max
+    # the solution is final, so one x^2 carry serves every power in turn
+    powers = band_weight(p, max(coupled)) + order + 1
+    x2 = np.zeros((powers, 4 * guard_max + 1, 1))
+    res = [
+        _balance_residual_coefficient(
+            sol.params, sol.amp[:, :, None], sol.omega_coeffs, t, guard_max, x2
+        )
+        for t in range(powers)
+    ]
     for alpha in coupled:
         w = band_weight(p, alpha)
-        c = _half(alpha)
         for k in range(order + 1):
-            res = _balance_residual_coefficient(
-                sol.params, sol.amp[:, :, None], sol.omega_coeffs, w + k, guard_max
-            )
-            out[k, alpha] = res[guard_max + alpha, 0] / c
+            out[k, alpha] = res[w + k][guard_max + alpha, 0] / _half(alpha)
     return out
 
 

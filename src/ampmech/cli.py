@@ -88,17 +88,30 @@ class NonFiniteError(ValueError):
     """A result to be rendered is NaN or infinite."""
 
 
-def _fmt_floats(values) -> list:
-    """The one float rule: 17 significant digits, -0.0 as 0, NaN and inf refused."""
+def _fmt_table(values, line: str, sep: str, indexed: bool = False) -> str:
+    """The one float rule for a 1-d table: 17 significant digits, -0.0 as 0,
+    NaN and inf refused. One % renders the whole table: `line`, which holds
+    "%.17g" (after "%d" when `indexed`, which passes each value's index
+    first), is repeated once per value and joined by `sep`."""
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise NonFiniteError("refusing to serialize a non-finite number")
     # x + 0.0 is x for every finite x except -0.0, which it turns into 0.0
-    return list(map("%.17g".__mod__, (arr + 0.0).tolist()))
+    args = (arr + 0.0).tolist()
+    if indexed:
+        pairs = [None] * (2 * len(args))
+        pairs[0::2] = range(len(args))
+        pairs[1::2] = args
+        args = pairs
+    return sep.join([line] * len(arr)) % tuple(args)
 
 
 def _fmt_float(x) -> str:
-    return _fmt_floats((x,))[0]
+    """The rule of `_fmt_table` for one number."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise NonFiniteError("refusing to serialize a non-finite number")
+    return "%.17g" % (x + 0.0)
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -115,9 +128,11 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple, np.ndarray)):
         if len(obj) == 0:
             return "[]"
-        parts = (_fmt_floats(obj) if isinstance(obj, np.ndarray)  # 1-d, of floats
-                 else [render_json(v, indent + 1) for v in obj])
-        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
+        if isinstance(obj, np.ndarray):  # 1-d, of floats
+            body = _fmt_table(obj, "%.17g", f",\n{inner}")
+        else:
+            body = f",\n{inner}".join(render_json(v, indent + 1) for v in obj)
+        return f"[\n{inner}{body}\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -137,8 +152,9 @@ def render_csv(rows) -> str:
     for quantity, order, band, n, value in rows:
         order, band, n = ("" if v is None else str(int(v)) for v in (order, band, n))
         if isinstance(value, np.ndarray):
-            lines.extend(f"{quantity},{order},{band},{i},{v}"
-                         for i, v in enumerate(_fmt_floats(value)))
+            if len(value):
+                prefix = f"{quantity},{order},{band},".replace("%", "%%")
+                lines.append(_fmt_table(value, prefix + "%d,%.17g", "\n", indexed=True))
         else:
             lines.append(f"{quantity},{order},{band},{n},{_fmt_float(value)}")
     return "\n".join(lines) + "\n"
@@ -331,36 +347,37 @@ def _quantum_condition_checks(checks, rows, params, sol) -> None:
 def _closed_form_checks(checks, rows, params, sol) -> None:
     if params.force_exponent != 2:
         return
-    worst = 0.0
+    levels = np.arange(sol.n_max + 1)
+
+    def worst(solved, target):
+        return float(np.max(np.abs(solved - target) / np.maximum(1.0, np.abs(target))))
+
     tabulated_amp = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2),
                      (2, 0), (2, 1), (2, 2)]
-    for k, alpha in tabulated_amp:
-        solved = sol.a(k, alpha)
-        for n in range(sol.n_max + 1):
-            target = closed_form_amplitude(k, n, alpha, params)
-            err = abs(solved[n] - target) / max(1.0, abs(target))
-            worst = max(worst, err)
-    _check(checks, rows, "closed-form-amplitudes", 1e-12, worst)
+    observed = max(
+        worst(sol.a(k, alpha), closed_form_amplitude(k, levels, alpha, params))
+        for k, alpha in tabulated_amp
+    )
+    _check(checks, rows, "closed-form-amplitudes", 1e-12, observed)
 
-    worst = 0.0
     tabulated_freq = [(0, 1), (0, 2), (0, 3), (1, 1), (2, 1), (2, 2)]
-    for k, alpha in tabulated_freq:
-        band = sol.omega_band(k, alpha)
-        for n in range(alpha, sol.n_max + 1):
-            target = closed_form_frequency(k, n, alpha, params)
-            worst = max(worst, abs(band[n] - target) / max(1.0, abs(target)))
-    _check(checks, rows, "closed-form-frequencies", 1e-12, worst)
+    observed = max(
+        worst(sol.omega_band(k, alpha)[alpha:],
+              closed_form_frequency(k, levels[alpha:], alpha, params))
+        for k, alpha in tabulated_freq
+    )
+    _check(checks, rows, "closed-form-frequencies", 1e-12, observed)
 
     try:
         constants = extract_structure_constants(sol)
-        worst = max(
+        observed = max(
             abs(constants[1] - 1.0),
             abs(constants[2] - 1.0 / 6.0),
             abs(constants[3] - 1.0 / 48.0),
         )
     except StructureViolationError:
-        worst = None
-    _check(checks, rows, "structure-constants", 1e-12, worst)
+        observed = None
+    _check(checks, rows, "structure-constants", 1e-12, observed)
 
 
 def _offdiag_checks(checks, rows, params, sol) -> None:
@@ -747,6 +764,10 @@ class RunConfig:
     output: str | None = None
 
     def validate(self) -> None:
+        for name in ("mass", "omega0", "lam", "hbar", "a1", "action", "lam_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"--{name.replace('_', '-')} must be finite")
         if self.force not in (2, 3):
             raise UsageError("--force must be 2 or 3")
         if not (0 <= self.order <= 2):
@@ -844,12 +865,15 @@ def run(argv=None, stream=None) -> int:
     cfg = RunConfig(**{k: v for k, v in vars(namespace).items()})
     try:
         cfg.validate()
-        payload, rows, code = _DISPATCH[cfg.subcommand](cfg)
-        text = render_json(payload) + "\n" if cfg.fmt == "json" else render_csv(rows)
+        # an overflow or invalid operation stops where it happens
+        with np.errstate(over="raise", invalid="raise"):
+            payload, rows, code = _DISPATCH[cfg.subcommand](cfg)
+            text = render_json(payload) + "\n" if cfg.fmt == "json" else render_csv(rows)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, PlateauError, NonFiniteError, OverflowError) as exc:
+    except (NumericError, PlateauError, NonFiniteError, OverflowError,
+            FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, RuntimeError) as exc:

@@ -216,15 +216,19 @@ def _x_series(
 
 
 def _series_mul(
-    a: np.ndarray, b: np.ndarray, max_power: int, step: int = 1
+    a: np.ndarray, b: np.ndarray, max_power: int, step: int = 1, min_power: int = 0
 ) -> np.ndarray:
     """Product of two banded lam-series: sum over g of a(n, n-g) b(n-step*g, .).
-    With step 0 on one row this is the convolution over signed harmonics."""
+    With step 0 on one row this is the convolution over signed harmonics.
+    Only the powers min_power..max_power are formed; out[s - min_power] is the
+    lam^s coefficient, with the same bits as in the full product."""
     pa, wa, rows = a.shape
     pb, wb, _ = b.shape
     ba, bb = (wa - 1) // 2, (wb - 1) // 2
     bc = ba + bb
-    out = np.zeros((max_power + 1, 2 * bc + 1, rows), dtype=np.result_type(a, b))
+    out = np.zeros(
+        (max_power + 1 - min_power, 2 * bc + 1, rows), dtype=np.result_type(a, b)
+    )
     # band g of a feeds rows lo..hi; an all-zero (i, g) slice is skipped, so
     # that 0 * inf in b adds no nan
     n = np.arange(rows)
@@ -234,13 +238,28 @@ def _series_mul(
         g = k - ba
         sg = step * g
         lo, hi = max(0, sg), min(rows - 1, rows - 1 + sg)
-        nj = min(pb, max_power + 1 - i)
+        j0, j1 = max(0, min_power - i), min(pb, max_power + 1 - i)
+        if j0 >= j1:
+            continue
         # a stays 3-d: numpy rounds a single complex product without fma when
         # it broadcasts one factor from fewer dimensions, and with fma here
-        out[i : i + nj, bc + g - bb : bc + g + bb + 1, lo : hi + 1] += (
-            a[i : i + 1, k : k + 1, lo : hi + 1] * b[:nj, :, lo - sg : hi + 1 - sg]
+        out[i + j0 - min_power : i + j1 - min_power, bc + g - bb : bc + g + bb + 1,
+            lo : hi + 1] += (
+            a[i : i + 1, k : k + 1, lo : hi + 1] * b[j0:j1, :, lo - sg : hi + 1 - sg]
         )
     return out
+
+
+def _xp_coefficient(
+    p: int, x: np.ndarray, x2: np.ndarray, s: int, step: int = 1
+) -> np.ndarray:
+    """lam^s coefficient of x^p over (signed band, row), from the x series
+    and x2, the coefficients of x^2, both through lam^s. Only the top power
+    of x^3 is formed, so a solver that carries x2 across powers adds one
+    power of each per step."""
+    if p == 2:
+        return x2[s]
+    return _series_mul(x2[: s + 1], x, s, step, min_power=s)[0]
 
 
 def _omega_series(pot: np.ndarray, band_max: int) -> np.ndarray:
@@ -259,27 +278,24 @@ def _eom_residual_coefficient(
     x: np.ndarray,
     om: np.ndarray,
     power: int,
-    step: int = 1,
+    xp_top: np.ndarray | None,
 ) -> np.ndarray:
     """lam^power coefficient of the equation-of-motion representative,
 
         [omega0^2 - omega^2(n, n-g)] X(n, n-g) + lam (X^p)(n, n-g),
 
     returned as an array over (signed band g, row n), from the x series
-    through lam^power and the per-band frequency series om[k, g, n]."""
-    p = params.force_exponent
+    through lam^power, the per-band frequency series om[k, g, n] and xp_top,
+    the lam^(power-1) coefficient of x^p (None at power 0)."""
     band_max = (x.shape[1] - 1) // 2
     res = params.omega0**2 * x[power].copy()
     # omega^2 acts entrywise per band; convolve the three order indices
     for i in range(min(om.shape[0], power + 1)):
         for j in range(min(om.shape[0], power + 1 - i)):
             res -= om[i] * om[j] * x[power - i - j]
-    if power >= 1:
-        xp = _series_mul(x, x, power - 1, step)
-        if p == 3:
-            xp = _series_mul(xp, x, power - 1, step)
-        bc = (xp.shape[1] - 1) // 2
-        res += xp[power - 1, bc - band_max : bc + band_max + 1, :]
+    if xp_top is not None:
+        bc = (xp_top.shape[0] - 1) // 2
+        res += xp_top[bc - band_max : bc + band_max + 1, :]
     return res
 
 
@@ -382,7 +398,11 @@ def build_recursions(
         band_max = max(coeffs.band_max, alpha)
         x = _x_series(p, coeffs.amp, power, band_max)
         om = _omega_series(coeffs.freq_potential, band_max)
-        res = _eom_residual_coefficient(params, x, om, power)
+        xp_top = None
+        if power:
+            x2 = _series_mul(x, x, power - 1)
+            xp_top = _xp_coefficient(p, x, x2, power - 1)
+        res = _eom_residual_coefficient(params, x, om, power, xp_top)
         return scale * res[band_max + alpha, :]
 
     return residual
@@ -482,9 +502,15 @@ def solve_perturbative(
     amp[0, 1, 1:] = beta * np.sqrt(levels[1:])
     solved: dict[int, int] = {1: 0}
 
+    x2 = np.zeros((t_max, 4 * band_eng + 1, rows))  # x^2, carried across t
     for t in range(1, t_max + 1):
+        # x is final through lam^(t-1), all that x^2 and x^p there read
         x = _x_series(p, amp, t, band_eng)
-        res_t = _eom_residual_coefficient(params, x, _omega_series(pot, band_eng), t)
+        x2[t - 1] = _series_mul(x, x, t - 1, min_power=t - 1)[0]
+        xp_top = _xp_coefficient(p, x, x2, t - 1)
+        res_t = _eom_residual_coefficient(
+            params, x, _omega_series(pot, band_eng), t, xp_top
+        )
         if t <= order:
             # adjacent band: its amplitude drops out, the frequency remains
             a0 = amp[0, 1]
@@ -547,57 +573,75 @@ def _falling_sqrt(n: np.ndarray | int, alpha: int) -> np.ndarray | float:
 
 
 def closed_form_amplitude(
-    k: int, n: int, alpha: int, params: OscillatorParams
-) -> float:
-    """Tabulated closed-form a^(k)(n, n-alpha) for the cubic force."""
+    k: int, n: int | np.ndarray, alpha: int, params: OscillatorParams
+) -> float | np.ndarray:
+    """Tabulated closed-form a^(k)(n, n-alpha) for the cubic force, zero
+    below the floor n < alpha. For an array of levels n the result is the
+    array of the values the scalar form gives, bit for bit."""
     if params.force_exponent != 2:
         raise NoClosedFormError("closed forms are tabulated for the cubic force only")
     alpha = abs(alpha)
-    if n < alpha or n < 0:
+    levels = np.asarray(n, dtype=float)
+    floor = levels < alpha
+    if levels.ndim == 0 and floor:
         return 0.0
+    # rows below the floor are zeroed at the end; lifting them keeps sqrt real
+    n = np.maximum(levels, alpha)
     b, w0 = params.beta, params.omega0
-    root = float(_falling_sqrt(n, alpha))
+    root = _falling_sqrt(n, alpha)
+    value = None
     if k == 0:
         if alpha == 0:
-            return -(b**2) / (4.0 * w0**2) * (2.0 * n + 1.0)
-        if alpha == 1:
-            return b * math.sqrt(n)
-        if alpha == 2:
-            return b**2 / (6.0 * w0**2) * root
-        if alpha == 3:
-            return b**3 / (48.0 * w0**4) * root
+            value = -(b**2) / (4.0 * w0**2) * (2.0 * n + 1.0)
+        elif alpha == 1:
+            value = b * np.sqrt(n)
+        elif alpha == 2:
+            value = b**2 / (6.0 * w0**2) * root
+        elif alpha == 3:
+            value = b**3 / (48.0 * w0**4) * root
     elif k == 1:
         if alpha in (0, 1, 2):
-            return 0.0
+            value = 0.0
     elif k == 2:
         if alpha == 0:
-            return -(b**4) / (72.0 * w0**6) * (30.0 * n**2 + 30.0 * n + 11.0)
-        if alpha == 1:
-            return 11.0 * b**3 / (72.0 * w0**4) * n * math.sqrt(n)
-        if alpha == 2:
-            return 3.0 * b**4 / (32.0 * w0**6) * (2.0 * n - 1.0) * root
-    raise NoClosedFormError(f"no tabulated closed form for (k={k}, alpha={alpha})")
+            value = -(b**4) / (72.0 * w0**6) * (30.0 * n**2 + 30.0 * n + 11.0)
+        elif alpha == 1:
+            value = 11.0 * b**3 / (72.0 * w0**4) * n * np.sqrt(n)
+        elif alpha == 2:
+            value = 3.0 * b**4 / (32.0 * w0**6) * (2.0 * n - 1.0) * root
+    if value is None:
+        raise NoClosedFormError(f"no tabulated closed form for (k={k}, alpha={alpha})")
+    return _like(levels, np.where(floor, 0.0, value))
 
 
 def closed_form_frequency(
-    k: int, n: int, alpha: int, params: OscillatorParams
-) -> float:
-    """Tabulated closed-form omega^(k)(n, n-alpha)."""
+    k: int, n: int | np.ndarray, alpha: int, params: OscillatorParams
+) -> float | np.ndarray:
+    """Tabulated closed-form omega^(k)(n, n-alpha); n may be an array of levels."""
     alpha = abs(alpha)
+    n = np.asarray(n, dtype=float)
+    b, w0 = params.beta, params.omega0
     if k == 0:
-        return alpha * params.omega0
-    if params.force_exponent != 2:
+        value = alpha * params.omega0
+    elif params.force_exponent != 2:
         raise NoClosedFormError(
             "frequency corrections are tabulated for the cubic force only"
         )
-    b, w0 = params.beta, params.omega0
-    if k == 1 and alpha == 1:
-        return 0.0
-    if k == 2 and alpha == 1:
-        return -5.0 * b**2 / (12.0 * w0**3) * n
-    if k == 2 and alpha == 2:
-        return -5.0 * b**2 / (12.0 * w0**3) * (2.0 * n - 1.0)
-    raise NoClosedFormError(f"no tabulated frequency form for (k={k}, alpha={alpha})")
+    elif k == 1 and alpha == 1:
+        value = 0.0
+    elif k == 2 and alpha == 1:
+        value = -5.0 * b**2 / (12.0 * w0**3) * n
+    elif k == 2 and alpha == 2:
+        value = -5.0 * b**2 / (12.0 * w0**3) * (2.0 * n - 1.0)
+    else:
+        raise NoClosedFormError(f"no tabulated frequency form for (k={k}, alpha={alpha})")
+    return _like(n, value)
+
+
+def _like(levels: np.ndarray, value) -> float | np.ndarray:
+    """value over the shape of levels: a float for a scalar level."""
+    out = np.broadcast_to(value, levels.shape)
+    return float(out) if out.ndim == 0 else np.array(out, dtype=float)
 
 
 def extract_structure_constants(
@@ -717,7 +761,8 @@ def energy_matrix(
     through lam^order_cap with the two-index product law.
 
     The kinetic term uses the entrywise derivative i*omega(n, m) X(n, m),
-    so its frequency signs follow the antisymmetry omega(n, m) = -omega(m, n).
+    so its frequency signs follow the antisymmetry omega(n, m) = -omega(m, n);
+    with the i taken out, x'^2 = -(omega X)^2 in real arithmetic.
     Raises EnergyConservationError if any off-diagonal element fails to
     vanish at the computed orders.
     """
@@ -735,13 +780,15 @@ def energy_matrix(
     rows = c.rows
     x = _x_series(p, c.amp, order_cap, band_x)
     om = _omega_series(c.freq_potential, band_x)
-    xdot = np.zeros_like(x, dtype=np.complex128)
+    wx = np.zeros_like(x)
     for s in range(order_cap + 1):
         for j in range(min(om.shape[0], s + 1)):
-            xdot[s] += 1j * om[j] * x[s - j]
+            wx[s] += om[j] * x[s - j]
 
     x2 = _series_mul(x, x, order_cap)
-    d2 = _series_mul(xdot, xdot, order_cap)
+    # negating a factor, not the product, keeps the signs of zeros of the
+    # real part of (i wx)(i wx)
+    d2 = _series_mul(-wx, wx, order_cap)
     # the anharmonic term x^(p+1) carries one explicit power of lam
     if order_cap >= 1:
         src = _series_mul(x2, x if p == 2 else x2, order_cap - 1)
@@ -758,7 +805,7 @@ def energy_matrix(
         bc = (series.shape[1] - 1) // 2
         for s in range(shift, order_cap + 1):
             for a in range(band_rep + 1):
-                out[s, a] = factor * np.real(series[s - shift, bc + a, :n_keep])
+                out[s, a] = factor * series[s - shift, bc + a, :n_keep]
         return out
 
     kinetic = _trim(d2, 0.5 * m, 0)

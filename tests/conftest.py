@@ -66,3 +66,16 @@ def assert_same_bits(got, ref):
     """Same dtype, shape and bytes: equal values, signs of zeros included."""
     assert got.dtype == ref.dtype and got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
+
+
+def xp_rebuild_reference(p, x, x2, s, step=1):
+    """lam^s coefficient of x^p formed from scratch through lam^s at every
+    call, as the engine did before it carried x^2 across powers; the carry
+    array x2 is ignored. Patched over `_xp_coefficient` it gives the old
+    per-power rebuild of the solvers."""
+    from ampmech.perturb import _series_mul
+
+    xp = _series_mul(x, x, s, step)
+    if p == 3:
+        xp = _series_mul(xp, x, s, step)
+    return xp[s]

@@ -15,9 +15,10 @@ from ampmech import (
     ode_residual,
     solve_perturbative,
 )
+from ampmech import classical, perturb
 from ampmech.perturb import _band_list, _half, _series_mul, band_weight
 
-from conftest import assert_same_bits
+from conftest import assert_same_bits, xp_rebuild_reference
 
 P2 = OscillatorParams()
 EPS = np.finfo(float).eps
@@ -221,6 +222,20 @@ class TestSharedEngine:
         amp, om = classical_solve_reference(params, order, a1)
         assert_same_bits(sol.amp, amp)
         assert_same_bits(sol.omega_coeffs, om)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_carried_powers_match_rebuild(self, monkeypatch, p, order):
+        # x^2 carried across powers against x^p rebuilt at every power
+        monkeypatch.setattr(perturb, "MAX_ORDER", 6)
+        params = OscillatorParams(mass=1.3, omega0=0.8, lam=0.01, force_exponent=p)
+        sol = classical_solve(params, order, a1=0.9)
+        res = balance_residuals(sol)
+        monkeypatch.setattr(classical, "_xp_coefficient", xp_rebuild_reference)
+        ref = classical_solve(params, order, a1=0.9)
+        assert_same_bits(sol.amp, ref.amp)
+        assert_same_bits(sol.omega_coeffs, ref.omega_coeffs)
+        assert_same_bits(res, balance_residuals(sol))
 
     def test_order_cap_is_the_quantum_one(self):
         with pytest.raises(UnimplementedOrderError):

@@ -5,6 +5,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,20 @@ NON_FINITE_ARGV = [
     ["classical", "--a1", "1e200"],
     ["sho", "--omega0", "1e-320"],
     ["classical", "--action", "1e308", "--lam", "1e300"],
+]
+
+# inputs that are not finite: a usage error, exit 2, whichever subcommand
+NON_FINITE_INPUT_ARGV = [
+    ["sho", "--lam", "nan"],
+    ["sho", "--lam", "nan", "--format", "csv"],
+    ["solve", "--lam", "inf"],
+    ["verify", "--mass", "nan"],
+    ["oracle", "--omega0", "inf"],
+    ["oracle", "--lam-max", "nan"],
+    ["sho", "--hbar=-inf"],
+    ["classical", "--a1", "nan"],
+    ["classical", "--action", "inf"],
+    ["classical", "--a1", "1.0", "--lam", "nan", "--format", "csv"],
 ]
 
 
@@ -160,6 +175,22 @@ class TestExitCodes:
         assert run(argv + ["--output", str(target)]) == 3
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv", NON_FINITE_INPUT_ARGV, ids=" ".join)
+    def test_non_finite_input(self, argv, capsys):
+        code, out = run_capture(argv)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_overflow_stops_without_warnings(self, capsys):
+        # the overflow raises where it happens, before numpy can warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_capture(["classical", "--a1", "1e200"])
+        assert (code, out) == (3, "")
+        err = capsys.readouterr().err
+        assert err == "numeric error: overflow encountered in multiply\n"
+
     def test_unwritable_output(self, tmp_path, capsys):
         # a missing directory is neither a failed check nor a success
         target = tmp_path / "missing" / "x.json"
@@ -209,18 +240,25 @@ float_arrays = hnp.arrays(
 class TestRendering:
     """The array renderers against the per-value reference renderers."""
 
-    @given(float_arrays, st.integers(0, 3), st.integers(0, 4))
-    def test_arrays_match_per_value_reference(self, values, indent, band):
+    @given(float_arrays, st.integers(0, 3), st.integers(0, 4),
+           st.sampled_from(["a", "check:%", "x%d%%s,%.17g"]))
+    def test_arrays_match_per_value_reference(self, values, indent, band, quantity):
         floats = [float(v) for v in values]
-        assert cli._fmt_floats(values) == [reference_fmt_float(v) for v in floats]
-        assert [cli._fmt_float(v) for v in floats] == cli._fmt_floats(values)
+        assert list(map(cli._fmt_float, floats)) == list(map(reference_fmt_float, floats))
         assert cli.render_json(values, indent) == reference_render_json(floats, indent)
         assert cli.render_json({"values": values}) == reference_render_json(
             {"values": floats}
         )
-        assert cli.render_csv([("a", 2, band, None, values)]) == reference_render_csv(
-            [("a", 2, band, n, v) for n, v in enumerate(floats)]
-        )
+        rows = [("a", 0, None, 3, 0.5), (quantity, 2, band, None, values),
+                (quantity, 1, None, None, values[:1])]
+        assert cli.render_csv(rows) == reference_render_csv(per_value_rows(rows))
+
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from(FINITE_EDGES)))
+    def test_scalar_rule_is_the_table_rule(self, x):
+        # every finite double, -0.0, subnormals and +-max included
+        assert cli._fmt_float(x) == cli._fmt_table([x], "%.17g", "")
+        assert cli._fmt_float(np.float64(x)) == cli._fmt_table(np.array([x]), "%.17g", "")
 
     @given(float_arrays, st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
     def test_non_finite_anywhere_is_refused(self, values, bad, data):

@@ -13,6 +13,7 @@ from ampmech import (
     UnimplementedOrderError,
     quantum_condition_residual,
 )
+from ampmech import perturb
 from ampmech.oracle import position_matrix
 from ampmech.perturb import (
     CoefficientSet,
@@ -29,13 +30,47 @@ from ampmech.perturb import (
     solve_perturbative,
     _omega_series,
     _series_mul,
+    _x_series,
 )
 
-from conftest import assert_same_bits
+from conftest import assert_same_bits, xp_rebuild_reference
 
 B = math.sqrt(2.0)  # beta in default units
 P2 = OscillatorParams()
 N_CHECK = 21  # rows 0..20
+
+
+def closed_form_amplitude_reference(k, n, alpha, params):
+    """The closed forms one level at a time in Python floats, as tabulated
+    before they took arrays of levels."""
+    alpha = abs(alpha)
+    if n < alpha or n < 0:
+        return 0.0
+    b, w0 = params.beta, params.omega0
+    root = math.sqrt(math.prod(range(n - alpha + 1, n + 1)))
+    table = {
+        (0, 0): lambda: -(b**2) / (4.0 * w0**2) * (2.0 * n + 1.0),
+        (0, 1): lambda: b * math.sqrt(n),
+        (0, 2): lambda: b**2 / (6.0 * w0**2) * root,
+        (0, 3): lambda: b**3 / (48.0 * w0**4) * root,
+        (1, 0): lambda: 0.0,
+        (1, 1): lambda: 0.0,
+        (1, 2): lambda: 0.0,
+        (2, 0): lambda: -(b**4) / (72.0 * w0**6) * (30.0 * n**2 + 30.0 * n + 11.0),
+        (2, 1): lambda: 11.0 * b**3 / (72.0 * w0**4) * n * math.sqrt(n),
+        (2, 2): lambda: 3.0 * b**4 / (32.0 * w0**6) * (2.0 * n - 1.0) * root,
+    }
+    return table[k, alpha]()
+
+
+def closed_form_frequency_reference(k, n, alpha, params):
+    b, w0 = params.beta, params.omega0
+    table = {
+        (1, 1): lambda: 0.0,
+        (2, 1): lambda: -5.0 * b**2 / (12.0 * w0**3) * n,
+        (2, 2): lambda: -5.0 * b**2 / (12.0 * w0**3) * (2.0 * n - 1.0),
+    }
+    return alpha * params.omega0 if k == 0 else table[k, alpha]()
 
 
 def random_tables(seed, rows=16, band_max=4, orders=2, force_exponent=2):
@@ -123,6 +158,28 @@ class TestSeriesKernels:
             b[rng.random(b.shape) < 0.1] = np.inf
         assert_same_bits(_series_mul(a, b, max_power), series_mul_reference(a, b, max_power))
 
+    @settings(max_examples=200)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 4), st.integers(1, 4),
+        st.integers(0, 4), st.integers(0, 4),
+        st.integers(1, 12), st.integers(0, 8), st.data(),
+        st.booleans(), st.booleans(), st.booleans(), st.sampled_from((0, 1)),
+    )
+    def test_bounded_series_mul_is_slice_of_full(
+        self, seed, pa, pb, ba, bb, rows, max_power, data, ca, cb, nonfinite, step
+    ):
+        min_power = data.draw(st.integers(0, max_power))
+        rng = np.random.default_rng(seed)
+        a = random_series(rng, pa, ba, rows, ca)
+        b = random_series(rng, pb, bb, rows, cb)
+        if nonfinite:
+            b[rng.random(b.shape) < 0.1] = np.inf
+        with np.errstate(invalid="ignore"):
+            full = _series_mul(a, b, max_power, step)
+            bounded = _series_mul(a, b, max_power, step, min_power=min_power)
+        assert_same_bits(bounded, full[min_power:])
+
     @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(1, 12), st.integers(0, 14))
     def test_omega_series_matches_gather(self, seed, orders, rows, band_max):
         pot = np.random.default_rng(seed).normal(size=(orders, rows))
@@ -202,6 +259,57 @@ class TestRecursionGenerator:
             fn(cs)
 
 
+class TestCarriedPowers:
+    """The solver carries x^2 across powers of lam and forms only the top
+    coefficient of x^p; the per-power rebuild is the reference."""
+
+    @staticmethod
+    def assert_same_solution(got, ref):
+        assert_same_bits(got.coeffs.amp, ref.coeffs.amp)
+        assert_same_bits(got.coeffs.freq_potential, ref.coeffs.freq_potential)
+        assert got.solved_orders == ref.solved_orders
+
+    @pytest.mark.parametrize("n_max", [5, 40])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_solve_matches_rebuild(self, monkeypatch, p, order, n_max):
+        params = OscillatorParams(force_exponent=p)
+        got = solve_perturbative(params, order, n_max)
+        monkeypatch.setattr(perturb, "_xp_coefficient", xp_rebuild_reference)
+        self.assert_same_solution(got, solve_perturbative(params, order, n_max))
+
+    @pytest.mark.parametrize("order", [3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_solve_matches_rebuild_beyond_order_cap(self, monkeypatch, p, order):
+        monkeypatch.setattr(perturb, "MAX_ORDER", 6)
+        params = OscillatorParams(mass=1.3, omega0=0.8, hbar=0.7, force_exponent=p)
+        got = solve_perturbative(params, order, order + 3)
+        monkeypatch.setattr(perturb, "_xp_coefficient", xp_rebuild_reference)
+        self.assert_same_solution(got, solve_perturbative(params, order, order + 3))
+
+    @pytest.mark.parametrize("alpha, order", [(1, 0), (0, 2), (1, 2), (3, 1), (4, 0)])
+    def test_recursion_residual_matches_rebuild(
+        self, monkeypatch, sol_cubic, alpha, order
+    ):
+        got = build_recursions(P2, alpha, order)(sol_cubic.coeffs)
+        monkeypatch.setattr(perturb, "_xp_coefficient", xp_rebuild_reference)
+        assert_same_bits(got, build_recursions(P2, alpha, order)(sol_cubic.coeffs))
+
+
+def kinetic_complex_reference(sol, order_cap):
+    """Kinetic energy terms from the complex derivative i*omega*X, squared
+    as a complex series product: the real kinetic term's reference."""
+    p, c = sol.params.force_exponent, sol.coeffs
+    x = _x_series(p, c.amp, order_cap, sol.band_max)
+    om = _omega_series(c.freq_potential, sol.band_max)
+    xdot = np.zeros_like(x, dtype=np.complex128)
+    for s in range(order_cap + 1):
+        for j in range(min(om.shape[0], s + 1)):
+            xdot[s] += 1j * om[j] * x[s - j]
+    d2 = _series_mul(xdot, xdot, order_cap)
+    return 0.5 * sol.params.mass * np.real(d2)
+
+
 class TestSolveClosedForms:
     TABULATED_AMP = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2),
                      (2, 0), (2, 1), (2, 2)]
@@ -234,6 +342,26 @@ class TestSolveClosedForms:
         assert sol_cubic.omega_band(2, 1)[1] == pytest.approx(-5.0 / 6.0, rel=1e-13)
         assert np.all(sol_cubic.omega_band(1, 1) == 0.0)
         assert np.all(sol_cubic.a(1, 1) == 0.0)
+
+    @given(
+        st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.2, 3.0),
+        st.integers(0, 400),
+    )
+    def test_array_levels_match_scalar_loop(self, mass, omega0, hbar, n_max):
+        params = OscillatorParams(mass=mass, omega0=omega0, hbar=hbar)
+        levels = np.arange(-2, n_max + 4)
+        for forms, tables in (
+            ((closed_form_amplitude, closed_form_amplitude_reference), self.TABULATED_AMP),
+            ((closed_form_frequency, closed_form_frequency_reference), self.TABULATED_FREQ),
+        ):
+            form, reference = forms
+            for k, alpha in tables:
+                ref = np.array([reference(k, n, alpha, params) for n in levels])
+                assert_same_bits(form(k, levels, alpha, params), ref)
+                for n in (-1, 0, alpha, n_max):
+                    got = form(k, n, alpha, params)
+                    assert type(got) is float
+                    assert_same_bits(np.float64(got), ref[n + 2])
 
     def test_closed_form_floor(self):
         assert closed_form_amplitude(0, 1, 2, P2) == 0.0
@@ -421,6 +549,15 @@ class TestShoRoute:
 
 
 class TestEnergyMatrix:
+    @pytest.mark.parametrize("n_max", [12, 200])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_real_kinetic_term_matches_complex_product(self, p, n_max):
+        sol = solve_perturbative(OscillatorParams(force_exponent=p), 2, n_max)
+        em = energy_matrix(sol, 2)
+        ref = kinetic_complex_reference(sol, 2)
+        bc = (ref.shape[1] - 1) // 2
+        assert_same_bits(em.kinetic, ref[:, bc : bc + em.band_max + 1, : n_max + 1])
+
     def test_diagonal_orders(self, sol_cubic):
         em = energy_matrix(sol_cubic, 2)
         n = np.arange(N_CHECK)
