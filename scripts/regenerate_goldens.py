@@ -39,8 +39,11 @@ def main() -> int:
         buffer = io.StringIO()
         code = run(argv, stream=buffer)
         if code != 0:
-            print(f"{name}: reference invocation exited {code}", file=sys.stderr)
+            # a golden pins a passing run; the old file stays as it is
+            print(f"{name}: reference invocation exited {code}; not written",
+                  file=sys.stderr)
             status = 1
+            continue
         (GOLDEN_DIR / name).write_text(buffer.getvalue(), encoding="utf-8")
         print(f"wrote {GOLDEN_DIR / name} ({len(buffer.getvalue())} bytes)")
     return status

@@ -29,16 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import checks as registry
 from .classical import action_integral, classical_solve, ode_residual
-from .core import (
-    BandAmplitudeArray,
-    FrequencyGrid,
-    MotionRepresentation,
-    commutator_diagonal,
-    multiply,
-    quantum_condition_residual,
-    time_derivative,
-)
+from .core import quantum_condition_residual
 from .oracle import (
     NumericError,
     PlateauError,
@@ -50,30 +43,14 @@ from .oracle import (
 )
 from .params import OscillatorParams
 from .perturb import (
-    EnergyConservationError,
-    StructureViolationError,
-    assemble_motion,
-    build_recursions,
-    closed_form_amplitude,
-    closed_form_frequency,
     energy_diagonal_series,
     energy_matrix,
     extract_structure_constants,
-    quantum_condition_order_residual,
     sho_solve,
     solve_perturbative,
-    _band_list,
 )
 
-CHECK_GROUPS = (
-    "all",
-    "algebra",
-    "recursion",
-    "quantum-condition",
-    "commutator",
-    "offdiag",
-    "closed-form",
-)
+CHECK_GROUPS = ("all", *registry.GROUPS)
 
 
 class UsageError(ValueError):
@@ -165,256 +142,27 @@ def _values(array) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# checks
+# check recording
 
 
-def _check(checks, rows, check_id, tolerance, observed, detail=None):
+def _check(checks, rows, check_id, observed, tolerance):
+    """Record one check of `registry`: it passes when observed <= tolerance,
+    or, for a (low, high) window, when observed lies inside it."""
     broken = observed is None or not math.isfinite(observed)
-    entry = {
-        "id": check_id,
-        "tolerance": float(tolerance),
-        "observed": None if broken else float(observed),
-        "pass": False if broken else bool(observed <= tolerance),
-    }
-    if detail:
-        entry["detail"] = detail
+    if isinstance(tolerance, tuple):
+        low, high = tolerance
+        entry = {"id": check_id, "window": [float(low), float(high)]}
+        passed = not broken and low <= observed <= high
+    else:
+        entry = {"id": check_id, "tolerance": float(tolerance)}
+        passed = not broken and observed <= tolerance
+    entry["observed"] = None if broken else float(observed)
+    entry["pass"] = bool(passed)
+    if check_id in registry.DETAILS:
+        entry["detail"] = registry.DETAILS[check_id]
     checks.append(entry)
     if not broken:
         rows.append((f"check:{check_id}", None, None, None, float(observed)))
-
-
-def _check_window(checks, rows, check_id, low, high, observed, detail=None):
-    entry = {
-        "id": check_id,
-        "window": [float(low), float(high)],
-        "observed": float(observed),
-        "pass": bool(low <= observed <= high),
-    }
-    if detail:
-        entry["detail"] = detail
-    checks.append(entry)
-    rows.append((f"check:{check_id}", None, None, None, float(observed)))
-
-
-def _random_symmetric_band(rng, n_max: int, band_max: int) -> BandAmplitudeArray:
-    data = np.zeros((n_max + 1, 2 * band_max + 1))
-    for a in range(band_max + 1):
-        vals = rng.normal(size=n_max + 1)
-        vals[:a] = 0.0
-        data[:, band_max + a] = vals
-        if a:
-            data[: n_max + 1 - a, band_max - a] = vals[a:]
-    return BandAmplitudeArray(data)
-
-
-def _dyadic_potential(rng, size: int) -> np.ndarray:
-    # dyadic rationals keep potential differences exact in binary floating point
-    return rng.integers(-(2**20), 2**20, size=size).astype(float) / 1024.0
-
-
-def _algebra_checks(checks, rows, params, seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    n_max, bx, by = 14, 2, 3
-    x = _random_symmetric_band(rng, n_max, bx)
-    y = _random_symmetric_band(rng, n_max, by)
-    z = _random_symmetric_band(rng, n_max, 2)
-
-    pot = _dyadic_potential(rng, n_max + bx + by + 3)
-    grid = FrequencyGrid(pot)
-    worst = 0.0
-    for n in range(n_max):
-        for a in range(1, 4):
-            for b in range(1, 4):
-                if n - a - b < 0:
-                    continue
-                worst = max(
-                    worst,
-                    abs(
-                        grid.omega(n, n - a)
-                        + grid.omega(n - a, n - a - b)
-                        - grid.omega(n, n - a - b)
-                    ),
-                )
-    _check(checks, rows, "ritz-combination", 0.0, worst)
-
-    prod = multiply(x, y)
-    dense = x.to_dense() @ y.to_dense()
-    scale = max(1.0, float(np.max(np.abs(dense))))
-    _check(
-        checks,
-        rows,
-        "multiply-matches-dense-product",
-        1e-14,
-        float(np.max(np.abs(prod.to_dense() - dense))) / scale,
-    )
-
-    left = multiply(multiply(x, y), z).to_dense()
-    right = multiply(x, multiply(y, z)).to_dense()
-    scale = max(1.0, float(np.max(np.abs(left))))
-    _check(
-        checks,
-        rows,
-        "multiply-associative",
-        1e-14,
-        float(np.max(np.abs(left - right))) / scale,
-    )
-
-    t_left = multiply(x, y).to_dense().T
-    t_right = multiply(y, x).to_dense()
-    scale = max(1.0, float(np.max(np.abs(t_right))))
-    _check(
-        checks,
-        rows,
-        "product-transpose-reverses-order",
-        1e-14,
-        float(np.max(np.abs(t_left - t_right))) / scale,
-    )
-
-    mx = MotionRepresentation(x, grid, params)
-    my = MotionRepresentation(y, grid, params)
-    prod_m = MotionRepresentation(multiply(x, y), grid, params)
-    lhs = time_derivative(prod_m).to_dense()
-    rhs = (
-        multiply(time_derivative(mx), y).to_dense()
-        + multiply(x, time_derivative(my)).to_dense()
-    )
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    _check(
-        checks,
-        rows,
-        "derivative-product-rule",
-        1e-12,
-        float(np.max(np.abs(lhs - rhs))) / scale,
-    )
-
-
-def _sho_checks(checks, rows, sol, interior: int) -> None:
-    """Sum rule and commutator of an exact oscillator solution on its first
-    `interior` rows."""
-    motion = assemble_motion(sol, 0.0)
-    res = quantum_condition_residual(motion)[:interior]
-    comm = commutator_diagonal(motion)[:interior]
-    _check(checks, rows, "sho-quantum-condition", 1e-12,
-           float(np.max(np.abs(res))))
-    _check(checks, rows, "sho-commutator", 1e-12,
-           float(np.max(np.abs(comm - 1j * sol.params.hbar))))
-
-
-def _recursion_checks(checks, rows, params, sol) -> None:
-    # residuals are compared against the magnitude of the equation's own
-    # terms; for the cubic force at default units that scale is O(1)
-    n_hi = sol.n_max + 1
-    for alpha in _band_list(params.force_exponent, _public_band_max(params, sol.order)):
-        for k in range(sol.order + 1):
-            residual = build_recursions(params, alpha, k)(sol.coeffs)
-            amp_scale = float(np.max(np.abs(sol.coeffs.amp[: k + 1, alpha, :n_hi])))
-            if alpha == 1:
-                scale = max(1.0, amp_scale**2)
-            else:
-                scale = max(1.0, abs(1 - alpha * alpha) * params.omega0**2 * amp_scale)
-            _check(
-                checks,
-                rows,
-                f"recursion-residual-band{alpha}-order{k}",
-                1e-12,
-                float(np.max(np.abs(residual[:n_hi]))) / scale,
-            )
-
-
-def _quantum_condition_checks(checks, rows, params, sol) -> None:
-    n_hi = sol.n_max + 1
-    for k in range(sol.order + 1):
-        residual = quantum_condition_order_residual(sol, k)
-        amp_scale = float(np.max(np.abs(sol.coeffs.amp[: k + 1, 1, :n_hi])))
-        scale = max(1.0, math.pi * params.mass * params.omega0 * amp_scale**2)
-        _check(
-            checks,
-            rows,
-            f"quantum-condition-order{k}",
-            1e-12,
-            float(np.max(np.abs(residual[:n_hi]))) / scale,
-        )
-    worst = 0.0
-    for k in range(sol.order + 1):
-        om2 = sol.omega_band(k, 2)
-        om1 = sol.omega_band(k, 1)
-        pair = np.zeros(sol.n_max + 1)
-        pair[2:] = om1[2:] + om1[1:-1]
-        worst = max(worst, float(np.max(np.abs(om2 - pair))))
-    _check(checks, rows, "frequency-additivity", 1e-12, worst)
-
-
-def _closed_form_checks(checks, rows, params, sol) -> None:
-    if params.force_exponent != 2:
-        return
-    levels = np.arange(sol.n_max + 1)
-
-    def worst(solved, target):
-        return float(np.max(np.abs(solved - target) / np.maximum(1.0, np.abs(target))))
-
-    tabulated_amp = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2),
-                     (2, 0), (2, 1), (2, 2)]
-    observed = max(
-        worst(sol.a(k, alpha), closed_form_amplitude(k, levels, alpha, params))
-        for k, alpha in tabulated_amp
-    )
-    _check(checks, rows, "closed-form-amplitudes", 1e-12, observed)
-
-    tabulated_freq = [(0, 1), (0, 2), (0, 3), (1, 1), (2, 1), (2, 2)]
-    observed = max(
-        worst(sol.omega_band(k, alpha)[alpha:],
-              closed_form_frequency(k, levels[alpha:], alpha, params))
-        for k, alpha in tabulated_freq
-    )
-    _check(checks, rows, "closed-form-frequencies", 1e-12, observed)
-
-    try:
-        constants = extract_structure_constants(sol)
-        observed = max(
-            abs(constants[1] - 1.0),
-            abs(constants[2] - 1.0 / 6.0),
-            abs(constants[3] - 1.0 / 48.0),
-        )
-    except StructureViolationError:
-        observed = None
-    _check(checks, rows, "structure-constants", 1e-12, observed)
-
-
-def _offdiag_checks(checks, rows, params, sol) -> None:
-    try:
-        em = energy_matrix(sol, sol.order)
-    except EnergyConservationError:
-        for k in range(sol.order + 1):
-            _check(checks, rows, f"offdiag-energy-order{k}", 1e-12, None)
-        return
-    for k in range(sol.order + 1):
-        worst = 0.0
-        for alpha in range(1, min(3, em.band_max) + 1):
-            worst = max(worst, float(np.max(np.abs(em.total(k, alpha)))))
-        _check(checks, rows, f"offdiag-energy-order{k}", 1e-12, worst)
-
-
-def _commutator_checks(checks, rows, params) -> None:
-    quartic = replace(params, force_exponent=3)
-    sol = solve_perturbative(quartic, 2, 12)
-    devs = []
-    for lam in (0.1, 0.05):
-        comm = commutator_diagonal(assemble_motion(sol, lam))
-        devs.append(float(np.max(np.abs(comm[:5] - 1j * quartic.hbar))))
-    ratio = devs[0] / devs[1]
-    _check_window(
-        checks,
-        rows,
-        "commutator-coupling-scaling",
-        8.0 * 0.7,
-        8.0 * 1.3,
-        ratio,
-        detail="deviation from i*hbar under coupling halving, quartic force",
-    )
-
-
-def _public_band_max(params, order: int) -> int:
-    return order + 1 if params.force_exponent == 2 else 2 * order + 1
 
 
 # ---------------------------------------------------------------------------
@@ -422,36 +170,25 @@ def _public_band_max(params, order: int) -> int:
 
 
 def _params_from(cfg) -> OscillatorParams:
-    return OscillatorParams(
-        mass=cfg.mass,
-        omega0=cfg.omega0,
-        lam=cfg.lam,
-        hbar=cfg.hbar,
-        force_exponent=cfg.force,
-    )
+    return OscillatorParams(mass=cfg.mass, omega0=cfg.omega0, lam=cfg.lam,
+                            hbar=cfg.hbar, force_exponent=cfg.force)
 
 
-def _config_block(cfg, extra: dict | None = None) -> dict:
-    block = {
-        "subcommand": cfg.subcommand,
-        "mass": cfg.mass,
-        "omega0": cfg.omega0,
-        "lam": cfg.lam,
-        "hbar": cfg.hbar,
-        "force": cfg.force,
-    }
-    if extra:
-        block.update(extra)
-    return block
+def _report(cfg, extra: dict, results: dict, checks: list, rows: list):
+    """Payload, CSV rows and exit code of a run: 1 if a check failed."""
+    config = {"subcommand": cfg.subcommand, "mass": cfg.mass, "omega0": cfg.omega0,
+              "lam": cfg.lam, "hbar": cfg.hbar, "force": cfg.force, **extra}
+    provenance = {"format_version": 1, "tool": "ampmech", "rules": [c["id"] for c in checks]}
+    payload = {"config": config, "results": results, "checks": checks, "provenance": provenance}
+    return payload, rows, 0 if all(c["pass"] for c in checks) else 1
 
 
 def cmd_solve(cfg):
     params = _params_from(cfg)
     sol = solve_perturbative(params, cfg.order, cfg.n_max)
-    checks: list = []
-    rows: list = []
+    checks, rows = [], []
     amplitude_tables = []
-    for alpha in _band_list(params.force_exponent, _public_band_max(params, cfg.order)):
+    for alpha in sol.public_bands:
         for k in range(sol.solved_orders[alpha] + 1):
             values = _values(sol.a(k, alpha))
             amplitude_tables.append({"order": k, "band": alpha, "values": values})
@@ -466,94 +203,55 @@ def cmd_solve(cfg):
         for k in range(cfg.order + 1)
     ]
 
-    exit_code = 0
-    try:
-        em = energy_matrix(sol, cfg.order)
-        energy_orders = []
-        for k in range(cfg.order + 1):
+    em, found = registry.offdiag_energy(sol)
+    energy_orders = []
+    # each order's energy row precedes its check; a failed guard gives none
+    for k, check in enumerate(found):
+        if em is not None:
             total = _values(em.diagonal(k))
-            energy_orders.append(
-                {
-                    "order": k,
-                    "kinetic": _values(em.kinetic[k, 0]),
-                    "harmonic": _values(em.harmonic[k, 0]),
-                    "anharmonic": _values(em.anharmonic[k, 0]),
-                    "total": total,
-                }
-            )
+            energy_orders.append({"order": k, "kinetic": _values(em.kinetic[k, 0]),
+                                  "harmonic": _values(em.harmonic[k, 0]),
+                                  "anharmonic": _values(em.anharmonic[k, 0]), "total": total})
             rows.append(("energy", k, 0, None, total))
-            worst = 0.0
-            for alpha in range(1, em.band_max + 1):
-                worst = max(worst, float(np.max(np.abs(em.total(k, alpha)))))
-            _check(checks, rows, f"offdiag-energy-order{k}", 1e-12, worst)
-    except EnergyConservationError as exc:
-        energy_orders = []
-        _check(checks, rows, "offdiag-energy", 1e-12, None, detail=str(exc))
-        exit_code = 1
+        _check(checks, rows, *check)
 
     constants = extract_structure_constants(sol)
     for alpha, value in sorted(constants.items()):
         rows.append(("structure-constant", 0, alpha, None, float(value)))
 
-    payload = {
-        "config": _config_block(cfg, {"order": cfg.order, "n_max": cfg.n_max}),
-        "results": {
-            "beta": params.beta,
-            "structure_constants": [
-                {"band": alpha, "value": value}
-                for alpha, value in sorted(constants.items())
-            ],
-            "amplitude_coefficients": amplitude_tables,
-            "frequency_corrections": freq_tables,
-            "frequency_potential": potential_tables,
-            "energy_series": energy_orders,
-        },
-        "checks": checks,
-        "provenance": _provenance(checks),
+    results = {
+        "beta": params.beta,
+        "structure_constants": [
+            {"band": alpha, "value": value}
+            for alpha, value in sorted(constants.items())
+        ],
+        "amplitude_coefficients": amplitude_tables,
+        "frequency_corrections": freq_tables,
+        "frequency_potential": potential_tables,
+        "energy_series": energy_orders,
     }
-    if any(not c["pass"] for c in checks):
-        exit_code = 1
-    return payload, rows, exit_code
+    return _report(cfg, {"order": cfg.order, "n_max": cfg.n_max}, results, checks, rows)
 
 
 def cmd_verify(cfg):
     params = _params_from(cfg)
-    checks: list = []
-    rows: list = []
+    checks, rows = [], []
     group = cfg.check
-    needs_solution = group in ("all", "recursion", "quantum-condition",
-                               "offdiag", "closed-form")
-    sol = solve_perturbative(params, cfg.order, cfg.n_max) if needs_solution else None
-    if group in ("all", "algebra"):
-        _algebra_checks(checks, rows, params, cfg.seed)
-    if group in ("all", "commutator"):
-        _sho_checks(checks, rows, sho_solve(replace(params, lam=0.0), 50), 49)
-        _commutator_checks(checks, rows, params)
-    if group in ("all", "recursion"):
-        _recursion_checks(checks, rows, params, sol)
-    if group in ("all", "quantum-condition"):
-        _quantum_condition_checks(checks, rows, params, sol)
-    if group in ("all", "closed-form"):
-        _closed_form_checks(checks, rows, params, sol)
-    if group in ("all", "offdiag"):
-        _offdiag_checks(checks, rows, params, sol)
+    sol = functools.cache(lambda: solve_perturbative(params, cfg.order, cfg.n_max))
+    for name, checks_of in registry.GROUPS.items():
+        if group in ("all", name):
+            for check in checks_of(params, sol, cfg.seed):
+                _check(checks, rows, *check)
+    if not checks:
+        # a verify that checked nothing must not read as a pass
+        raise UsageError(f"--check {group} has no checks for --force {cfg.force}")
 
-    payload = {
-        "config": _config_block(
-            cfg,
-            {"order": cfg.order, "n_max": cfg.n_max, "check": group,
-             "seed": cfg.seed},
-        ),
-        "results": {"checks_run": len(checks)},
-        "checks": checks,
-        "provenance": _provenance(checks),
-    }
-    return payload, rows, 0 if all(c["pass"] for c in checks) else 1
+    extra = {"order": cfg.order, "n_max": cfg.n_max, "check": group, "seed": cfg.seed}
+    return _report(cfg, extra, {"checks_run": len(checks)}, checks, rows)
 
 
 def cmd_classical(cfg):
     params = _params_from(cfg)
-    checks: list = []
     rows: list = []
     if cfg.action is not None:
         sol = classical_solve(params, cfg.order, action=cfg.action)
@@ -601,23 +299,14 @@ def cmd_classical(cfg):
             if key != "level":
                 rows.append((f"correspondence-{key}", None, None, n, float(val)))
 
-    payload = {
-        "config": _config_block(
-            cfg,
-            {"order": cfg.order, "a1": cfg.a1, "action": cfg.action,
-             "level": cfg.level, "samples": cfg.samples},
-        ),
-        "results": results,
-        "checks": checks,
-        "provenance": _provenance(checks),
-    }
-    return payload, rows, 0
+    extra = {"order": cfg.order, "a1": cfg.a1, "action": cfg.action,
+             "level": cfg.level, "samples": cfg.samples}
+    return _report(cfg, extra, results, [], rows)
 
 
 def cmd_oracle(cfg):
     params = _params_from(cfg)
-    checks: list = []
-    rows: list = []
+    checks, rows = [], []
     spec = spectrum(params, cfg.basis_size)
     levels = min(cfg.levels, cfg.basis_size)
     eigenvalues = _values(spec.eigenvalues[:levels])
@@ -626,23 +315,16 @@ def cmd_oracle(cfg):
     motion = motion_from_spectrum(spec)
     trk = _values(quantum_condition_residual(motion)[:6])
     rows.append(("thomas-kuhn-residual", None, None, None, trk))
-    _check(
-        checks, rows, "thomas-kuhn-sum-rule", 1e-8, float(np.max(np.abs(trk)))
-    )
+    _check(checks, rows, "thomas-kuhn-sum-rule", *registry.thomas_kuhn(trk))
 
     rspt = [rspt_energy_second_order(params, n) for n in range(levels)]
     sol = solve_perturbative(params, 2, max(12, levels + 4))
-    series = energy_diagonal_series(sol).evaluate(params.lam)[:levels]
+    eds = energy_diagonal_series(sol)
+    series = eds.evaluate(params.lam)[:levels]
     gaps = np.abs(eigenvalues - series)
     rows.append(("perturbative-gap", None, None, None, gaps))
-    _check(
-        checks,
-        rows,
-        "rspt-matches-amplitude-series",
-        1e-12,
-        float(np.max(np.abs(np.array(rspt) - series))),
-        detail="second-order sum versus banded-solver energy series",
-    )
+    _check(checks, rows, "rspt-matches-amplitude-series",
+           *registry.rspt_matches_series(rspt, series, eds, params.lam))
 
     grid = default_lambda_grid(cfg.lam_max, cfg.grid_points)
     if params.force_exponent == 2:
@@ -665,19 +347,12 @@ def cmd_oracle(cfg):
         for name, samples, power, target in targets:
             fit = lambda_series_fit(samples, grid, cfg.fit_order)
             got = float(fit.coefficients[power])
-            rel = abs(got - target) / abs(target)
-            fits.append(
-                {
-                    "quantity": name,
-                    "power": power,
-                    "coefficient": got,
-                    "target": target,
-                    "relative_error": rel,
-                    "condition_number": fit.condition_number,
-                    "ill_conditioned": fit.ill_conditioned,
-                }
-            )
-            _check(checks, rows, f"series-fit-{name}", 1e-2, rel)
+            rel, tolerance = registry.series_fit(got, target)
+            fits.append({"quantity": name, "power": power, "coefficient": got,
+                         "target": target, "relative_error": rel,
+                         "condition_number": fit.condition_number,
+                         "ill_conditioned": fit.ill_conditioned})
+            _check(checks, rows, f"series-fit-{name}", rel, tolerance)
     else:
         fits = []
 
@@ -691,18 +366,9 @@ def cmd_oracle(cfg):
         "perturbative_gap": gaps,
         "series_fits": fits,
     }
-    payload = {
-        "config": _config_block(
-            cfg,
-            {"basis_size": cfg.basis_size, "levels": cfg.levels,
-             "lam_max": cfg.lam_max, "grid_points": cfg.grid_points,
-             "fit_order": cfg.fit_order},
-        ),
-        "results": results,
-        "checks": checks,
-        "provenance": _provenance(checks),
-    }
-    return payload, rows, 0 if all(c["pass"] for c in checks) else 1
+    extra = {"basis_size": cfg.basis_size, "levels": cfg.levels, "lam_max": cfg.lam_max,
+             "grid_points": cfg.grid_points, "fit_order": cfg.fit_order}
+    return _report(cfg, extra, results, checks, rows)
 
 
 def cmd_sho(cfg):
@@ -713,26 +379,10 @@ def cmd_sho(cfg):
     amp = _values(sol.a(0, 1))
     energies = _values(energy_matrix(sol, 0).diagonal(0))
     rows = [("a", 0, 1, None, amp), ("energy", 0, 0, None, energies)]
-    _sho_checks(checks, rows, sol, max(1, cfg.n_max - 2))
-    payload = {
-        "config": _config_block(cfg, {"n_max": cfg.n_max}),
-        "results": {
-            "beta": params.beta,
-            "adjacent_amplitudes": amp,
-            "energies": energies,
-        },
-        "checks": checks,
-        "provenance": _provenance(checks),
-    }
-    return payload, rows, 0 if all(c["pass"] for c in checks) else 1
-
-
-def _provenance(checks) -> dict:
-    return {
-        "format_version": 1,
-        "tool": "ampmech",
-        "rules": [c["id"] for c in checks],
-    }
+    for check in registry.sho(sol, max(1, cfg.n_max - 2)):
+        _check(checks, rows, *check)
+    results = {"beta": params.beta, "adjacent_amplitudes": amp, "energies": energies}
+    return _report(cfg, {"n_max": cfg.n_max}, results, checks, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -369,12 +369,13 @@ def commutator_diagonal(motion: MotionRepresentation) -> np.ndarray:
     """Diagonal of x*p - p*x with p = m*dx/dt, via the multiplication law.
 
     Equals i*hbar at every level where the quantum condition residual
-    vanishes. Rows near the truncation ceiling are unreliable.
+    vanishes. Rows near the truncation ceiling are unreliable. The
+    amplitudes are real (the cosine convention), so the products are real.
     """
-    xdot = time_derivative(motion)
-    x_xdot = multiply(motion.amplitudes, xdot)
-    xdot_x = multiply(xdot, motion.amplitudes)
-    return motion.params.mass * (x_xdot.band(0) - xdot_x.band(0))
+    x = motion.amplitudes
+    # dx/dt = i omega X; the products run on the real omega X, i taken out
+    wx = BandAmplitudeArray(time_derivative(motion).data.imag, edge_touched=x.edge_touched)
+    return 1j * (motion.params.mass * (multiply(x, wx).band(0) - multiply(wx, x).band(0)))
 
 
 class EmissionResult(NamedTuple):

@@ -79,6 +79,11 @@ __all__ = [
 
 MAX_ORDER = 2
 
+# c of every rounding bound c*eps*(summed size of the terms) in `checks` and
+# `EnergyMatrix.offdiag`: about 4 times the largest ratio measured over
+# n_max 12..3000, both forces and random unit systems
+ROUNDING_C = 4.0
+
 
 class UnsupportedForceError(ValueError):
     """Force exponent outside the implemented set {2, 3}."""
@@ -98,6 +103,11 @@ class StructureViolationError(ValueError):
 
 class EnergyConservationError(ValueError):
     """An off-diagonal energy element failed to vanish order by order."""
+
+    def __init__(self, order: int, observed: float, tolerance: float):
+        super().__init__(f"off-diagonal energy at order lam^{order} reaches "
+                         f"{observed:.3e}, beyond its rounding bound {tolerance:.3e}")
+        self.order, self.observed, self.tolerance = order, observed, tolerance
 
 
 def band_weight(force_exponent: int, alpha: int) -> int:
@@ -330,6 +340,7 @@ def _qc_residual_coefficient(
     amp: np.ndarray,
     pot: np.ndarray,
     k: int,
+    absolute: bool = False,
 ) -> np.ndarray:
     """lam^k coefficient of the quantum-condition residual
 
@@ -337,12 +348,14 @@ def _qc_residual_coefficient(
                                           - a^2(n, n-alpha) omega(n, n-alpha) ]
         - h,
 
-    evaluated from the current coefficient tables."""
+    evaluated from the current coefficient tables. With `absolute`, the
+    summed size of its terms instead: each product by its absolute value,
+    omega(n, m) by |Omega(n)| + |Omega(m)|, and h."""
     p = params.force_exponent
     orders, bands, rows = amp.shape
     res = np.zeros(rows)
     if k == 0:
-        res -= params.h
+        res += params.h if absolute else -params.h
     for alpha in _band_list(p, bands - 1):
         rem = k - 2 * band_weight(p, alpha)
         if rem < 0:
@@ -356,12 +369,15 @@ def _qc_residual_coefficient(
                 up = np.zeros(rows)
                 m_hi = rows - alpha
                 term = amp[i, alpha, alpha:] * amp[j, alpha, alpha:]
-                term *= pot[l, alpha:] - pot[l, :m_hi]
+                if absolute:
+                    term = np.abs(term) * (np.abs(pot[l, alpha:]) + np.abs(pot[l, :m_hi]))
+                else:
+                    term *= pot[l, alpha:] - pot[l, :m_hi]
                 up[:m_hi] = term
                 # downward term a(n, n-alpha): the same entries, shifted up
                 down = np.zeros(rows)
                 down[alpha:] = term
-                res += math.pi * params.mass * (up - down)
+                res += math.pi * params.mass * (up + down if absolute else up - down)
     return res
 
 
@@ -396,16 +412,40 @@ def build_recursions(
                 "coefficient tables were built for a different force exponent"
             )
         band_max = max(coeffs.band_max, alpha)
-        x = _x_series(p, coeffs.amp, power, band_max)
-        om = _omega_series(coeffs.freq_potential, band_max)
-        xp_top = None
-        if power:
-            x2 = _series_mul(x, x, power - 1)
-            xp_top = _xp_coefficient(p, x, x2, power - 1)
-        res = _eom_residual_coefficient(params, x, om, power, xp_top)
-        return scale * res[band_max + alpha, :]
+        return scale * _eom_terms(params, coeffs, power, band_max)[power][band_max + alpha, :]
 
     return residual
+
+
+def _eom_terms(params: OscillatorParams, coeffs: CoefficientSet, t_max: int,
+               band_max: int, absolute: bool = False) -> list[np.ndarray]:
+    """The lam^t coefficients, t = 0..t_max, of the equation-of-motion
+    representative over (signed band, row) at the coefficient tables. With
+    `absolute`, the summed size of their terms instead: omega0^2 |X|,
+    2 |omega_i| (|Omega_j(n)| + |Omega_j(n-g)|) |X| for each omega_i omega_j X
+    (a frequency is a difference of potentials), and |x|^p."""
+    p, pot = params.force_exponent, coeffs.freq_potential
+    x = _x_series(p, np.abs(coeffs.amp) if absolute else coeffs.amp, t_max, band_max)
+    x2 = _series_mul(x, x, max(t_max - 1, 0))
+    om = _omega_series(pot, band_max)
+    if absolute:
+        # |Omega(n)| + |Omega(n-g)| is 2 |Omega(n)| less their difference
+        big = 2.0 * np.abs(pot)[:, None, :] - _omega_series(np.abs(pot), band_max)
+    out = []
+    for t in range(t_max + 1):
+        xp_top = _xp_coefficient(p, x, x2, t - 1) if t else None
+        if not absolute:
+            out.append(_eom_residual_coefficient(params, x, om, t, xp_top))
+            continue
+        size = params.omega0**2 * x[t]
+        for i in range(min(om.shape[0], t + 1)):
+            for j in range(min(om.shape[0], t + 1 - i)):
+                size += 2.0 * np.abs(om[i]) * big[j] * x[t - i - j]
+        if t:
+            bc = (xp_top.shape[0] - 1) // 2
+            size += xp_top[bc - band_max : bc + band_max + 1]
+        out.append(size)
+    return out
 
 
 def quantum_condition_order_residual(sol: "PerturbSolution", k: int) -> np.ndarray:
@@ -456,6 +496,13 @@ class PerturbSolution:
         n = np.arange(alpha, self.n_max + 1)
         out[alpha:] = pot[n] - pot[n - alpha]
         return out
+
+    @property
+    def public_bands(self) -> tuple[int, ...]:
+        """Bands a solve publishes: through order + 1 for the cubic force,
+        the odd ones through 2*order + 1 for the quartic."""
+        p = self.params.force_exponent
+        return _band_list(p, self.order + 1 if p == 2 else 2 * self.order + 1)
 
     @cached_property
     def structure_constants(self) -> dict[int, float]:
@@ -753,10 +800,17 @@ class EnergyMatrix:
     def diagonal(self, k: int) -> np.ndarray:
         return self.total(k, 0)
 
+    def offdiag(self, k: int) -> tuple[float, float]:
+        """Largest |W(n, n-alpha)| over the off-diagonal bands at order lam^k,
+        and its rounding bound c eps (n+1) (|K|+|H|+|A|)(n) at worst; n+1 is
+        the length of the sum-rule cumsum that feeds row n."""
+        parts = (self.kinetic[k, 1:], self.harmonic[k, 1:], self.anharmonic[k, 1:])
+        size = (np.arange(self.n_max + 1) + 1.0) * sum(np.abs(a) for a in parts)
+        return (float(np.max(np.abs(parts[0] + parts[1] + parts[2]), initial=0.0)),
+                ROUNDING_C * float(np.finfo(float).eps) * float(np.max(size, initial=0.0)))
 
-def energy_matrix(
-    sol: PerturbSolution, order_cap: int | None = None, check_tol: float = 1e-12
-) -> EnergyMatrix:
+
+def energy_matrix(sol: PerturbSolution, order_cap: int | None = None) -> EnergyMatrix:
     """Assemble W = m x'^2 / 2 + m omega0^2 x^2 / 2 + m lam x^(p+1)/(p+1)
     through lam^order_cap with the two-index product law.
 
@@ -764,7 +818,7 @@ def energy_matrix(
     so its frequency signs follow the antisymmetry omega(n, m) = -omega(m, n);
     with the i taken out, x'^2 = -(omega X)^2 in real arithmetic.
     Raises EnergyConservationError if any off-diagonal element fails to
-    vanish at the computed orders.
+    vanish to rounding (`EnergyMatrix.offdiag`) at the computed orders.
     """
     if order_cap is None:
         order_cap = sol.order
@@ -820,15 +874,10 @@ def energy_matrix(
         harmonic=harmonic,
         anharmonic=anharmonic,
     )
-    scale = max(1.0, float(np.max(np.abs(kinetic + harmonic))))
     for s in range(order_cap + 1):
-        for alpha in range(1, band_rep + 1):
-            worst = float(np.max(np.abs(em.total(s, alpha))))
-            if worst > check_tol * scale:
-                raise EnergyConservationError(
-                    f"W(n, n-{alpha}) at order lam^{s} reaches {worst:.3e}; "
-                    "off-diagonal energy must vanish order by order"
-                )
+        observed, tolerance = em.offdiag(s)
+        if observed > tolerance:
+            raise EnergyConservationError(s, observed, tolerance)
     return em
 
 

@@ -18,16 +18,16 @@ from ampmech.cli import run
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
 
-def _load_reference_invocations():
-    # the golden script's table is the one list of reference invocations
+def _load_golden_script():
     path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "regenerate_goldens.py"
     spec = importlib.util.spec_from_file_location("regenerate_goldens", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.REFERENCE_INVOCATIONS
+    return module
 
 
-REFERENCE_INVOCATIONS = _load_reference_invocations()
+# the golden script's table is the one list of reference invocations
+REFERENCE_INVOCATIONS = _load_golden_script().REFERENCE_INVOCATIONS
 
 # one invocation per subcommand, rendered in both formats below
 SUBCOMMAND_ARGV = {
@@ -198,11 +198,34 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
         assert not target.exists()
 
+    @pytest.mark.parametrize("force", ["2", "3"])
+    @pytest.mark.parametrize("order", ["0", "1"])
+    def test_verify_below_second_order(self, order, force):
+        # the closed forms are checked only where the solution holds them
+        code, out = run_capture(["verify", "--order", order, "--force", force])
+        assert code == 0
+        assert all(c["pass"] for c in json.loads(out)["checks"])
+
+    def test_verify_that_checks_nothing_is_refused(self, capsys):
+        code, out = run_capture(["verify", "--check", "closed-form", "--force", "3"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("usage error: --check closed-form")
+
     def test_successful_runs(self):
         for name, argv in REFERENCE_INVOCATIONS.items():
             code, out = run_capture(argv)
             assert code == 0, name
             assert out
+
+
+class TestGoldenScript:
+    def test_failed_invocation_is_not_written(self, tmp_path, monkeypatch):
+        script = _load_golden_script()
+        monkeypatch.setattr(script, "GOLDEN_DIR", tmp_path)
+        monkeypatch.setattr(script, "run", lambda argv, stream: 1 if argv == ["sho"] else 0)
+        assert script.main() == 1
+        written = {p.name for p in tmp_path.iterdir()}
+        assert written == set(script.REFERENCE_INVOCATIONS) - {"sho.json"}
 
 
 class TestDeterminism:

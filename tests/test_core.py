@@ -21,7 +21,7 @@ from ampmech import (
     quantum_condition_residual,
     time_derivative,
 )
-from ampmech.perturb import assemble_motion, sho_solve
+from ampmech.perturb import assemble_motion, sho_solve, solve_perturbative
 
 from conftest import assert_same_bits, dyadic_potential, random_symmetric_band
 
@@ -36,6 +36,15 @@ def sho_motion(n_max, params=None):
 def random_values(rng, shape, hermitian):
     values = rng.normal(size=shape)
     return values + 1j * rng.normal(size=shape) if hermitian else values
+
+
+def commutator_complex_reference(motion):
+    """Diagonal of x*p - p*x from the complex derivative, as computed before
+    the products ran on the real omega*X."""
+    xdot = time_derivative(motion)
+    x_xdot = multiply(motion.amplitudes, xdot)
+    xdot_x = multiply(xdot, motion.amplitudes)
+    return motion.params.mass * (x_xdot.band(0) - xdot_x.band(0))
 
 
 def multiply_reference(x, y):
@@ -429,6 +438,18 @@ class TestCommutator:
             devs.append(np.max(np.abs(comm[:5] - 1j)))
         ratio = devs[0] / devs[1]
         assert 16.0 * 0.7 <= ratio <= 16.0 * 1.3
+
+    @pytest.mark.parametrize("n_max", [5, 12, 60, 400])
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.1])
+    @pytest.mark.parametrize("units", [(1.0, 1.0, 1.0), (2.3, 0.4, 0.7), (1.0, 0.3, 1.0)])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_real_products_match_complex_reference(self, p, units, lam, n_max):
+        m, w0, hbar = units
+        params = OscillatorParams(mass=m, omega0=w0, hbar=hbar, force_exponent=p)
+        motion = assemble_motion(solve_perturbative(params, 2, n_max), lam)
+        got, ref = commutator_diagonal(motion), commutator_complex_reference(motion)
+        assert_same_bits(got.imag, ref.imag)
+        assert not np.any(got.real) and not np.any(ref.real)
 
     def test_sum_rule_chain(self, sol_cubic):
         # the diagonal commutator equals i*hbar + i/(2 pi) * sum-rule residual
