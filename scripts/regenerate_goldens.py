@@ -29,6 +29,7 @@ REFERENCE_INVOCATIONS = {
                       "--format", "csv"],
     "oracle.csv": ["oracle", "--format", "csv"],
     "sho.csv": ["sho", "--format", "csv"],
+    "solve-quartic-order4.json": ["solve", "--order", "4", "--force", "3"],
 }
 
 

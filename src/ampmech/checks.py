@@ -24,9 +24,9 @@ from .core import (BandAmplitudeArray, FrequencyGrid, MotionRepresentation,
                    commutator_diagonal, multiply, quantum_condition_residual,
                    time_derivative)
 from .perturb import (ROUNDING_C, EnergyConservationError, StructureViolationError,
-                      _eom_terms, _half, _qc_residual_coefficient, assemble_motion,
-                      band_weight, closed_form_amplitude, closed_form_frequency,
-                      energy_matrix, extract_structure_constants,
+                      _engine_extent, _eom_terms, _half, _qc_residual_coefficient,
+                      assemble_motion, band_weight, closed_form_amplitude,
+                      closed_form_frequency, energy_matrix, extract_structure_constants,
                       quantum_condition_order_residual, sho_solve, solve_perturbative)
 
 EPS = float(np.finfo(float).eps)
@@ -163,7 +163,7 @@ def recursion(sol):
     `build_recursions` gives it, over the natural size of the band's terms
     at default units."""
     params, c, n_hi = sol.params, sol.coeffs, sol.n_max + 1
-    t_max = max(band_weight(params.force_exponent, a) for a in sol.public_bands) + sol.order
+    t_max = _engine_extent(params.force_exponent, sol.order)[1]
     residuals = _eom_terms(params, c, t_max, c.band_max)
     sizes = _eom_terms(params, c, t_max, c.band_max, absolute=True)
     for alpha in sol.public_bands:

@@ -35,6 +35,7 @@ from .core import quantum_condition_residual
 from .oracle import (
     NumericError,
     PlateauError,
+    cubic_coupling_limit,
     default_lambda_grid,
     lambda_series_fit,
     motion_from_spectrum,
@@ -282,7 +283,7 @@ def cmd_classical(cfg):
 
     if cfg.level is not None:
         n = cfg.level
-        quantum = solve_perturbative(params, cfg.order, n + 4)
+        quantum = solve_perturbative(params, cfg.order, max(n + 4, cfg.order + 3))
         cl = classical_solve(params, cfg.order, action=n * params.h)
         ratios = {
             "level": n,
@@ -306,6 +307,11 @@ def cmd_classical(cfg):
 
 def cmd_oracle(cfg):
     params = _params_from(cfg)
+    if params.force_exponent == 2:
+        limit = cubic_coupling_limit(params)
+        if max(abs(params.lam), abs(cfg.lam_max)) > limit:
+            raise UsageError(f"--lam and --lam-max must be at most {limit:.4g} in "
+                             "absolute value for the cubic force at these units")
     checks, rows = [], []
     spec = spectrum(params, cfg.basis_size)
     levels = min(cfg.levels, cfg.basis_size)
@@ -420,8 +426,8 @@ class RunConfig:
                 raise UsageError(f"--{name.replace('_', '-')} must be finite")
         if self.force not in (2, 3):
             raise UsageError("--force must be 2 or 3")
-        if not (0 <= self.order <= 2):
-            raise UsageError("--order must be 0, 1 or 2")
+        if self.order < 0:
+            raise UsageError("--order must be nonnegative")
         if self.n_max < self.order + 3:
             raise UsageError("--n-max must be at least order + 3")
         if self.basis_size < 18:

@@ -39,11 +39,8 @@ __all__ = [
     "lambda_series_fit",
     "default_lambda_grid",
     "position_matrix",
+    "cubic_coupling_limit",
 ]
-
-# dimensionless coupling |lam|*beta/omega0^2 at lam = 0.05 in default units
-_CUBIC_COUPLING_CAP = 0.05 * math.sqrt(2.0) * (1.0 + 1e-12)
-
 
 class NumericError(RuntimeError):
     """Eigensolve failed or did not meet the residual bound."""
@@ -160,6 +157,13 @@ def diagonalize(op: TruncatedOperator) -> SpectrumResult:
     )
 
 
+def cubic_coupling_limit(params: OscillatorParams) -> float:
+    """Largest |lam| at which `spectrum` takes the cubic force's truncated
+    eigenvalues for metastable levels: the unit-free |lam|*beta/omega0^2 of
+    lam = 0.05 in default units."""
+    return 0.05 * math.sqrt(2.0) * (1.0 + 1e-12) * params.omega0**2 / params.beta
+
+
 def spectrum(
     params: OscillatorParams,
     basis_size: int,
@@ -179,14 +183,11 @@ def spectrum(
     potential.
     """
     if params.force_exponent == 2 and not allow_deep_coupling:
-        zeta = abs(params.lam) * params.beta / params.omega0**2
-        if zeta > _CUBIC_COUPLING_CAP:
-            raise ValueError(
-                "cubic-force coupling too deep for the metastable-spectrum "
-                f"regime (|lam|*beta/omega0^2 = {zeta:.4g} > "
-                f"{_CUBIC_COUPLING_CAP:.4g}); pass allow_deep_coupling=True "
-                "to override"
-            )
+        limit = cubic_coupling_limit(params)
+        if abs(params.lam) > limit:
+            raise ValueError(f"cubic-force coupling |lam| = {abs(params.lam):.4g} beyond "
+                             f"{limit:.4g}, the metastable-spectrum regime at these "
+                             "units; pass allow_deep_coupling=True to override")
     result = diagonalize(build_hamiltonian(params, basis_size))
     if not check_plateau:
         return result

@@ -77,8 +77,6 @@ __all__ = [
     "energy_diagonal_series",
 ]
 
-MAX_ORDER = 2
-
 # c of every rounding bound c*eps*(summed size of the terms) in `checks` and
 # `EnergyMatrix.offdiag`: about 4 times the largest ratio measured over
 # n_max 12..3000, both forces and random unit systems
@@ -90,7 +88,7 @@ class UnsupportedForceError(ValueError):
 
 
 class UnimplementedOrderError(ValueError):
-    """Perturbative order beyond the implemented maximum."""
+    """Energy asked through an order of lam beyond the one the solution holds."""
 
 
 class NoClosedFormError(LookupError):
@@ -133,10 +131,6 @@ def _half(alpha: int) -> float:
 
 
 def _check_order(order: int) -> None:
-    if order > MAX_ORDER:
-        raise UnimplementedOrderError(
-            f"order {order} beyond implemented maximum {MAX_ORDER}"
-        )
     if order < 0:
         raise ValueError("order must be nonnegative")
 
@@ -239,23 +233,27 @@ def _series_mul(
     out = np.zeros(
         (max_power + 1 - min_power, 2 * bc + 1, rows), dtype=np.result_type(a, b)
     )
-    # band g of a feeds rows lo..hi; an all-zero (i, g) slice is skipped, so
-    # that 0 * inf in b adds no nan
+    # band g of a feeds rows lo..hi. All-zero (i, g) slices of a and bands of
+    # b outside h0..h1-1, the span of its nonzero ones at the powers read, add
+    # only zeros (and nan from 0 * inf): out starts at +0 and never holds -0.
     n = np.arange(rows)
     shift = step * np.arange(-ba, ba + 1)[:, None]
     live = np.any((a != 0) & (n >= shift) & (n <= rows - 1 + shift), axis=2)
+    nonzero = np.any(b != 0, axis=2)
+    b_lo, b_hi = nonzero.argmax(1).tolist(), (wb - nonzero[:, ::-1].argmax(1)).tolist()
     for i, k in np.argwhere(live[: max_power + 1]).tolist():
         g = k - ba
         sg = step * g
         lo, hi = max(0, sg), min(rows - 1, rows - 1 + sg)
         j0, j1 = max(0, min_power - i), min(pb, max_power + 1 - i)
-        if j0 >= j1:
+        h0, h1 = min(b_lo[j0:j1], default=wb), max(b_hi[j0:j1], default=0)
+        if h0 >= h1:
             continue
         # a stays 3-d: numpy rounds a single complex product without fma when
         # it broadcasts one factor from fewer dimensions, and with fma here
-        out[i + j0 - min_power : i + j1 - min_power, bc + g - bb : bc + g + bb + 1,
-            lo : hi + 1] += (
-            a[i : i + 1, k : k + 1, lo : hi + 1] * b[j0:j1, :, lo - sg : hi + 1 - sg]
+        s0, g0 = i + j0 - min_power, bc + g - bb
+        out[s0 : s0 + j1 - j0, g0 + h0 : g0 + h1, lo : hi + 1] += (
+            a[i : i + 1, k : k + 1, lo : hi + 1] * b[j0:j1, h0:h1, lo - sg : hi + 1 - sg]
         )
     return out
 
@@ -462,8 +460,8 @@ def quantum_condition_order_residual(sol: "PerturbSolution", k: int) -> np.ndarr
 class PerturbSolution:
     """Solved coefficient tables up to the requested order.
 
-    Rows beyond n_max exist internally as headroom so that every public
-    row is exact; accessors expose n = 0..n_max.
+    Rows beyond n_max are headroom that keeps rows 0..n_max+band_max, all
+    that `assemble_motion` reads, exact; accessors expose n = 0..n_max.
     """
 
     params: OscillatorParams
@@ -501,25 +499,28 @@ class PerturbSolution:
     def public_bands(self) -> tuple[int, ...]:
         """Bands a solve publishes: through order + 1 for the cubic force,
         the odd ones through 2*order + 1 for the quartic."""
-        p = self.params.force_exponent
-        return _band_list(p, self.order + 1 if p == 2 else 2 * self.order + 1)
+        return _engine_extent(self.params.force_exponent, self.order)[0]
 
     @cached_property
     def structure_constants(self) -> dict[int, float]:
         return extract_structure_constants(self)
 
 
-def _engine_extent(p: int, order: int) -> tuple[int, int, tuple[int, ...]]:
-    """Total-power ceiling, engine band width and band list for a solve."""
-    if p == 2:
-        public_band = order + 1
-        t_max = max(band_weight(p, public_band), 1) + order
-        band_eng = t_max + 1
-    else:
-        public_band = 2 * order + 1
-        t_max = band_weight(p, public_band) + order
-        band_eng = 2 * t_max + 1
-    return t_max, band_eng, _band_list(p, band_eng)
+def _engine_extent(p: int, order: int) -> tuple[tuple[int, ...], int, int, int]:
+    """Public bands, power ceiling t_max, engine band width and row pad of
+    a solve through the given order.
+
+    The pad is the dependency cone. X(n, n+g) reads row n+g, and products
+    that climb h rows above n and come back span 2h in band index, costing
+    h powers of lam (quartic) or 2h (cubic). So an order-k table at row n
+    reads up to row n+k (quartic) or n+k/2 (cubic; n+k/2+1 on the diagonal
+    band, of weight 1), and band_eng rows beyond that reach keep rows
+    0..n_max+band_eng, all that `assemble_motion` reads, exact."""
+    public = _band_list(p, order + 1 if p == 2 else 2 * order + 1)
+    t_max = max(band_weight(p, a) for a in public) + order
+    band_eng = t_max + 1 if p == 2 else 2 * t_max + 1
+    reach = order // 2 + 1 if p == 2 else order
+    return public, t_max, band_eng, band_eng + reach
 
 
 def solve_perturbative(
@@ -538,8 +539,8 @@ def solve_perturbative(
             f"n_max = {n_max} too small; need at least order + 3 = {order + 3}"
         )
     omega0, beta = params.omega0, params.beta
-    t_max, band_eng, bands = _engine_extent(p, order)
-    pad = (t_max + 2) * band_eng + 2
+    _, t_max, band_eng, pad = _engine_extent(p, order)
+    bands = _band_list(p, band_eng)
     rows = n_max + 1 + pad
 
     amp = np.zeros((order + 1, band_eng + 1, rows))
@@ -831,7 +832,6 @@ def energy_matrix(sol: PerturbSolution, order_cap: int | None = None) -> EnergyM
     c = sol.coeffs
     m = sol.params.mass
     band_x = sol.band_max
-    rows = c.rows
     x = _x_series(p, c.amp, order_cap, band_x)
     om = _omega_series(c.freq_potential, band_x)
     wx = np.zeros_like(x)
@@ -844,22 +844,14 @@ def energy_matrix(sol: PerturbSolution, order_cap: int | None = None) -> EnergyM
     # real part of (i wx)(i wx)
     d2 = _series_mul(-wx, wx, order_cap)
     # the anharmonic term x^(p+1) carries one explicit power of lam
-    if order_cap >= 1:
-        src = _series_mul(x2, x if p == 2 else x2, order_cap - 1)
-    else:
-        src = None
-    band_rep = order_cap + 2 if p == 2 else 2 * order_cap + 2
-    band_rep = min(band_rep, 2 * band_x)
+    src = _series_mul(x2, x if p == 2 else x2, order_cap - 1)
+    band_rep = min(order_cap + 2 if p == 2 else 2 * order_cap + 2, 2 * band_x)
     n_keep = sol.n_max + 1
 
-    def _trim(series: np.ndarray | None, factor: float, shift: int) -> np.ndarray:
+    def _trim(series: np.ndarray, factor: float, shift: int) -> np.ndarray:
         out = np.zeros((order_cap + 1, band_rep + 1, n_keep))
-        if series is None:
-            return out
         bc = (series.shape[1] - 1) // 2
-        for s in range(shift, order_cap + 1):
-            for a in range(band_rep + 1):
-                out[s, a] = factor * series[s - shift, bc + a, :n_keep]
+        out[shift:] = factor * series[: order_cap + 1 - shift, bc : bc + band_rep + 1, :n_keep]
         return out
 
     kinetic = _trim(d2, 0.5 * m, 0)

@@ -48,14 +48,23 @@ def failing(found):
             if observed is None or not observed <= tolerance]
 
 
+# (subcommand, n_max, order); the default order 2 keeps its short id
+LEVEL_CASES = ([(sub, n_max, 2) for n_max in (12, 60, 200, 1000)
+                for sub in ("verify", "solve", "sho")]
+               + [(sub, n_max, 6) for n_max in (12, 200) for sub in ("verify", "solve")])
+
+
 @pytest.mark.parametrize("units", UNITS, ids=str)
 @pytest.mark.parametrize("force", [2, 3])
-@pytest.mark.parametrize("n_max", [12, 60, 200, 1000])
-@pytest.mark.parametrize("sub", ["verify", "solve", "sho"])
-def test_every_check_passes_at_any_level_and_units(sub, n_max, force, units):
+@pytest.mark.parametrize("sub, n_max, order", LEVEL_CASES,
+                         ids=[f"{s}-{n}" + (f"-order{o}" if o != 2 else "")
+                              for s, n, o in LEVEL_CASES])
+def test_every_check_passes_at_any_level_and_units(sub, n_max, order, force, units):
     m, w0, hbar = units
     argv = [sub, "--n-max", str(n_max), "--force", str(force),
             "--mass", str(m), "--omega0", str(w0), "--hbar", str(hbar)]
+    if order != 2:  # sho takes no --order
+        argv += ["--order", str(order)]
     buffer = io.StringIO()
     assert run(argv, stream=buffer) == 0
     doc = json.loads(buffer.getvalue())

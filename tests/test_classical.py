@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from ampmech import (
     ClassicalSolution,
     OscillatorParams,
-    UnimplementedOrderError,
     action_integral,
     balance_residuals,
     classical_solve,
@@ -15,7 +14,7 @@ from ampmech import (
     ode_residual,
     solve_perturbative,
 )
-from ampmech import classical, perturb
+from ampmech import classical
 from ampmech.perturb import _band_list, _half, _series_mul, band_weight
 
 from conftest import assert_same_bits, xp_rebuild_reference
@@ -227,7 +226,6 @@ class TestSharedEngine:
     @pytest.mark.parametrize("p", [2, 3])
     def test_carried_powers_match_rebuild(self, monkeypatch, p, order):
         # x^2 carried across powers against x^p rebuilt at every power
-        monkeypatch.setattr(perturb, "MAX_ORDER", 6)
         params = OscillatorParams(mass=1.3, omega0=0.8, lam=0.01, force_exponent=p)
         sol = classical_solve(params, order, a1=0.9)
         res = balance_residuals(sol)
@@ -238,8 +236,6 @@ class TestSharedEngine:
         assert_same_bits(res, balance_residuals(sol))
 
     def test_order_cap_is_the_quantum_one(self):
-        with pytest.raises(UnimplementedOrderError):
-            classical_solve(P2, 3, a1=1.0)
         with pytest.raises(ValueError):
             classical_solve(P2, -1, a1=1.0)
 

@@ -154,10 +154,33 @@ class TestExitCodes:
         assert code == 2
 
     def test_semantic_validation(self):
-        assert run_capture(["solve", "--order", "5"])[0] == 2
+        assert run_capture(["solve", "--order", "-1"])[0] == 2
         assert run_capture(["solve", "--n-max", "3"])[0] == 2
         assert run_capture(["classical"])[0] == 2
         assert run_capture(["classical", "--a1", "1.0", "--action", "2.0"])[0] == 2
+
+    @pytest.mark.parametrize("argv", [["solve"], ["verify"], ["classical", "--a1", "1.0"],
+                                      ["classical", "--a1", "1.0", "--level", "1"]],
+                             ids=" ".join)
+    @pytest.mark.parametrize("force", ["2", "3"])
+    def test_order_beyond_second(self, argv, force):
+        code, out = run_capture(argv + ["--order", "8", "--force", force])
+        assert code == 0
+        assert all(c["pass"] for c in json.loads(out)["checks"])
+
+    # the cubic oracle's coupling cap, |lam| beta / omega0^2 <= 0.05 sqrt(2),
+    # as the largest |lam| at the given units
+    @pytest.mark.parametrize("argv, limit", [
+        (["oracle", "--omega0", "0.3"], "0.002465"),
+        (["oracle", "--mass", "2.3", "--omega0", "0.4", "--hbar", "0.7"], "0.009171"),
+        (["oracle", "--lam", "0.01", "--lam-max", "0.2"], "0.05"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_deep_oracle_coupling_is_a_usage_error(self, argv, limit, capsys):
+        code, out = run_capture(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"usage error: --lam and --lam-max must be at most {limit} in absolute "
+            "value for the cubic force at these units\n")
 
     def test_numeric_nonconvergence(self):
         # a basis of 20 cannot plateau: a numeric failure, not a usage error

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -249,8 +250,8 @@ class TestRecursionGenerator:
             build_recursions(OscillatorParams(force_exponent=3), 2, 0)
 
     def test_rejects_deep_order(self):
-        with pytest.raises(UnimplementedOrderError):
-            build_recursions(P2, 1, 3)
+        with pytest.raises(ValueError):
+            build_recursions(P2, 1, -1)
 
     def test_force_exponent_must_match_tables(self):
         cs = random_tables(0, force_exponent=3)
@@ -281,7 +282,6 @@ class TestCarriedPowers:
     @pytest.mark.parametrize("order", [3, 4, 5, 6])
     @pytest.mark.parametrize("p", [2, 3])
     def test_solve_matches_rebuild_beyond_order_cap(self, monkeypatch, p, order):
-        monkeypatch.setattr(perturb, "MAX_ORDER", 6)
         params = OscillatorParams(mass=1.3, omega0=0.8, hbar=0.7, force_exponent=p)
         got = solve_perturbative(params, order, order + 3)
         monkeypatch.setattr(perturb, "_xp_coefficient", xp_rebuild_reference)
@@ -296,6 +296,51 @@ class TestCarriedPowers:
         assert_same_bits(got, build_recursions(P2, alpha, order)(sol_cubic.coeffs))
 
 
+WIDE_PAD = 600
+PAD_UNITS = [(1.0, 1.0, 1.0), (2.3, 0.4, 0.7)]
+
+
+@functools.cache
+def wide_pad_solve(p, order, units):
+    """A solve at n_max 37 with 600 rows of pad, far beyond the dependency
+    cone: its rows 0..n_max+band_max are the reference for every n_max up
+    to 37, since a row's value does not depend on the table length."""
+    tight = perturb._engine_extent
+
+    def wide(p, order):
+        public, t_max, band_eng, _ = tight(p, order)
+        return public, t_max, band_eng, WIDE_PAD
+
+    m, w0, hbar = units
+    params = OscillatorParams(mass=m, omega0=w0, hbar=hbar, force_exponent=p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perturb, "_engine_extent", wide)
+        return solve_perturbative(params, order, 37)
+
+
+class TestEnginePad:
+    """The row pad is the engine's dependency cone: every row that
+    `assemble_motion` reads, 0..n_max+band_max, has the bits of a solve
+    with a far wider pad."""
+
+    @pytest.mark.parametrize("units", PAD_UNITS, ids=str)
+    @pytest.mark.parametrize("n_max", ["order+3", 12, 37])
+    @pytest.mark.parametrize("order", range(9))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rows_read_match_wide_pad(self, p, order, n_max, units):
+        n_max = order + 3 if n_max == "order+3" else n_max
+        ref = wide_pad_solve(p, order, units)
+        m, w0, hbar = units
+        params = OscillatorParams(mass=m, omega0=w0, hbar=hbar, force_exponent=p)
+        sol = solve_perturbative(params, order, n_max)
+        read = n_max + sol.band_max + 1
+        assert sol.coeffs.rows < ref.coeffs.rows
+        assert_same_bits(sol.coeffs.amp[..., :read], ref.coeffs.amp[..., :read])
+        assert_same_bits(sol.coeffs.freq_potential[:, :read],
+                         ref.coeffs.freq_potential[:, :read])
+        assert sol.solved_orders == ref.solved_orders
+
+
 def kinetic_complex_reference(sol, order_cap):
     """Kinetic energy terms from the complex derivative i*omega*X, squared
     as a complex series product: the real kinetic term's reference."""
@@ -308,6 +353,32 @@ def kinetic_complex_reference(sol, order_cap):
             xdot[s] += 1j * om[j] * x[s - j]
     d2 = _series_mul(xdot, xdot, order_cap)
     return 0.5 * sol.params.mass * np.real(d2)
+
+
+def energy_terms_loop_reference(sol, order_cap):
+    """Kinetic, harmonic and anharmonic terms trimmed one (power, band) slice
+    at a time, with no anharmonic product at order 0, as `energy_matrix` did
+    before it sliced each term at once."""
+    p, c, m = sol.params.force_exponent, sol.coeffs, sol.params.mass
+    x = _x_series(p, c.amp, order_cap, sol.band_max)
+    om = _omega_series(c.freq_potential, sol.band_max)
+    wx = np.zeros_like(x)
+    for s in range(order_cap + 1):
+        for j in range(min(om.shape[0], s + 1)):
+            wx[s] += om[j] * x[s - j]
+    x2 = _series_mul(x, x, order_cap)
+    terms = [(_series_mul(-wx, wx, order_cap), 0.5 * m, 0),
+             (x2, 0.5 * m * sol.params.omega0**2, 0)]
+    if order_cap >= 1:
+        terms.append((_series_mul(x2, x if p == 2 else x2, order_cap - 1), m / (p + 1.0), 1))
+    band_rep = min(order_cap + 2 if p == 2 else 2 * order_cap + 2, 2 * sol.band_max)
+    out = [np.zeros((order_cap + 1, band_rep + 1, sol.n_max + 1)) for _ in range(3)]
+    for term, (series, factor, shift) in zip(out, terms):
+        bc = (series.shape[1] - 1) // 2
+        for s in range(shift, order_cap + 1):
+            for a in range(band_rep + 1):
+                term[s, a] = factor * series[s - shift, bc + a, : sol.n_max + 1]
+    return out
 
 
 class TestSolveClosedForms:
@@ -439,8 +510,8 @@ class TestSolveInvariants:
                 assert om2[n] == pytest.approx(om1[n] + om1[n - 1], abs=1e-12)
 
     def test_solver_errors(self):
-        with pytest.raises(UnimplementedOrderError):
-            solve_perturbative(P2, 3, 20)
+        with pytest.raises(ValueError):
+            solve_perturbative(P2, -1, 20)
         with pytest.raises(DimensionMismatchError):
             solve_perturbative(P2, 2, 4)
 
@@ -557,6 +628,17 @@ class TestEnergyMatrix:
         ref = kinetic_complex_reference(sol, 2)
         bc = (ref.shape[1] - 1) // 2
         assert_same_bits(em.kinetic, ref[:, bc : bc + em.band_max + 1, : n_max + 1])
+
+    @pytest.mark.parametrize("order", range(7))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_terms_match_slice_loop(self, p, order):
+        params = OscillatorParams(mass=1.3, omega0=0.8, hbar=0.7, force_exponent=p)
+        sol = solve_perturbative(params, order, order + 9)
+        for order_cap in range(order + 1):
+            em = energy_matrix(sol, order_cap)
+            for got, ref in zip((em.kinetic, em.harmonic, em.anharmonic),
+                                energy_terms_loop_reference(sol, order_cap)):
+                assert_same_bits(got, ref)
 
     def test_diagonal_orders(self, sol_cubic):
         em = energy_matrix(sol_cubic, 2)
