@@ -345,9 +345,9 @@ def cmd_oracle(cfg):
         targets = [
             ("omega-1-0", np.array([s.omega_exact(1, 0) for s in specs]), 2,
              -5.0 * beta**2 / (12.0 * w0**3)),
-            ("x-1-1", np.array([s.amplitudes[1, 1] for s in specs]), 1,
+            ("x-1-1", np.array([s.amplitude(1, 1) for s in specs]), 1,
              -3.0 * beta**2 / (4.0 * w0**2)),
-            ("x-2-0", np.array([s.amplitudes[2, 0] for s in specs]), 1,
+            ("x-2-0", np.array([s.amplitude(2, 0) for s in specs]), 1,
              beta**2 * math.sqrt(2.0) / (12.0 * w0**2)),
         ]
         for name, samples, power, target in targets:
@@ -428,7 +428,9 @@ class RunConfig:
             raise UsageError("--force must be 2 or 3")
         if self.order < 0:
             raise UsageError("--order must be nonnegative")
-        if self.n_max < self.order + 3:
+        if self.n_max < 1:
+            raise UsageError("--n-max must be at least 1")
+        if self.subcommand in ("solve", "verify") and self.n_max < self.order + 3:
             raise UsageError("--n-max must be at least order + 3")
         if self.basis_size < 18:
             raise UsageError("--basis-size must be at least 18")

@@ -17,7 +17,8 @@ are far below every tolerance used in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -78,16 +79,16 @@ class SpectrumResult:
     """Eigenvalues, eigenvectors and exact position amplitudes.
 
     amplitudes[k, n] = <k|x|n> between exact (truncated-basis) eigenstates,
-    with each eigenvector's largest component made positive. plateau holds
-    |E(N) - E(N - plateau_step)| for the lowest reported levels when a
-    basis-growth check was run.
+    with each eigenvector's largest component made positive. The matrix is
+    formed on first read; `amplitude(k, n)` gives one entry without it.
+    plateau holds |E(N) - E(N - plateau_step)| for the lowest reported
+    levels when a basis-growth check was run.
     """
 
     params: OscillatorParams
     basis_size: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    amplitudes: np.ndarray
     plateau: np.ndarray | None = None
     plateau_step: int | None = None
 
@@ -96,64 +97,135 @@ class SpectrumResult:
             (self.eigenvalues[n] - self.eigenvalues[m]) / self.params.hbar
         )
 
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        v = self.eigenvectors
+        amps = v.T @ position_matrix(self.params, self.basis_size) @ v
+        return 0.5 * (amps + amps.T)
+
+    def amplitude(self, k: int, n: int) -> float:
+        """amplitudes[k, n], to rounding, at O(basis_size) cost."""
+        vk, vn = self.eigenvectors[:, k], self.eigenvectors[:, n]
+        off = _position_offdiag(self.params, self.basis_size)
+        # sum_r <r|x|r+1> (vk[r] vn[r+1] + vk[r+1] vn[r]): symmetric in k, n
+        return float(off @ (vk[:-1] * vn[1:] + vk[1:] * vn[:-1]))
+
+
+def _position_offdiag(params: OscillatorParams, n: int) -> np.ndarray:
+    """<r|x|r+1> = sqrt(hbar/(2 m omega0)) * sqrt(r+1) for r = 0..n-2."""
+    scale = math.sqrt(params.hbar / (2.0 * params.mass * params.omega0))
+    return scale * np.sqrt(np.arange(1, n, dtype=float))
+
 
 def position_matrix(params: OscillatorParams, n: int) -> np.ndarray:
     """Ladder-built x with <n-1|x|n> = sqrt(hbar/(2 m omega0)) * sqrt(n)."""
-    scale = math.sqrt(params.hbar / (2.0 * params.mass * params.omega0))
-    off = scale * np.sqrt(np.arange(1, n, dtype=float))
+    off = _position_offdiag(params, n)
     return np.diag(off, 1) + np.diag(off, -1)
 
 
-def _momentum_over_i(params: OscillatorParams, n: int) -> np.ndarray:
-    """Real matrix P with p = i P; P[n+1, n] = sqrt(m hbar omega0 / 2) sqrt(n+1)."""
-    scale = math.sqrt(params.mass * params.hbar * params.omega0 / 2.0)
-    off = scale * np.sqrt(np.arange(1, n, dtype=float))
-    return np.diag(off, -1) - np.diag(off, 1)
+def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two operators stored by diagonals.
+
+    Row w + k of an operator of band width w, an array of shape
+    (2w + 1, N), holds d[r] = <r|M|r+k> for every row r of the truncated
+    basis, with 0 where r + k lies outside it. The sum over intermediate
+    states runs inside the basis, as a dense product of the truncated
+    matrices does."""
+    wa, wb = a.shape[0] // 2, b.shape[0] // 2
+    n = a.shape[1]
+    out = np.zeros((2 * (wa + wb) + 1, n))
+    for i in range(-wa, wa + 1):
+        if a[wa + i].any():
+            # rows r whose intermediate state r + i lies inside the basis
+            lo, hi = max(-i, 0), n - max(i, 0)
+            out[wa + i : wa + i + 2 * wb + 1, lo:hi] += a[wa + i, lo:hi] * b[:, lo + i : hi + i]
+    return out
+
+
+def _ladder_bands(up: np.ndarray, sign: float) -> np.ndarray:
+    """c (a + sign a^dagger) by diagonals, from up[r] = c sqrt(r+1) =
+    <r|c a|r+1>."""
+    bands = np.zeros((3, up.size + 1))
+    bands[2, :-1] = up
+    bands[0, 1:] = sign * up
+    return bands
 
 
 def build_hamiltonian(params: OscillatorParams, basis_size: int) -> TruncatedOperator:
     """H = p^2/2m + m omega0^2 x^2 / 2 + m lam x^(p+1)/(p+1), with every
-    operator product formed inside the truncated basis."""
+    operator product formed inside the truncated basis.
+
+    The ladder operators are tridiagonal, so each product is formed
+    diagonal by diagonal, and H is written into the dense matrix as its
+    2p + 3 diagonals."""
     if basis_size < 8:
         raise ValueError("basis_size must be at least 8")
-    x = position_matrix(params, basis_size)
-    p_over_i = _momentum_over_i(params, basis_size)
-    kinetic = -(p_over_i @ p_over_i) / (2.0 * params.mass)
-    x2 = x @ x
-    h = kinetic + 0.5 * params.mass * params.omega0**2 * x2
-    if params.force_exponent == 2:
-        h = h + params.mass * params.lam / 3.0 * (x2 @ x)
-    else:
-        h = h + params.mass * params.lam / 4.0 * (x2 @ x2)
+    n = basis_size
+    x = _ladder_bands(_position_offdiag(params, n), 1.0)
+    # p = i P with real P = sqrt(m hbar omega0 / 2) (a^dagger - a)
+    p_scale = math.sqrt(params.mass * params.hbar * params.omega0 / 2.0)
+    p_over_i = _ladder_bands(-p_scale * np.sqrt(np.arange(1, n, dtype=float)), -1.0)
+    x2 = _band_product(x, x)
+    potential = x2
+    for _ in range(params.force_exponent - 1):
+        potential = _band_product(x, potential)
+    bands = params.mass * params.lam / (params.force_exponent + 1) * potential
+    w = params.force_exponent + 1
+    bands[w - 2 : w + 3] = (-_band_product(p_over_i, p_over_i) / (2.0 * params.mass)
+                            + 0.5 * params.mass * params.omega0**2 * x2) + bands[w - 2 : w + 3]
+    h = np.zeros((n, n))
+    flat = h.reshape(-1)
+    for k in range(-w, w + 1):
+        # the cells (r, r+k) of rows r = lo..lo+m-1 lie n+1 apart in flat
+        lo, m = max(-k, 0), n - abs(k)
+        flat[lo * (n + 1) + k :: n + 1][:m] = bands[w + k, lo : lo + m]
     return TruncatedOperator(params=params, matrix=h)
 
 
 def diagonalize(op: TruncatedOperator) -> SpectrumResult:
-    """Full symmetric eigendecomposition with a per-pair residual check."""
+    """Symmetric eigendecomposition with a per-pair residual check.
+
+    An operator that couples no even level to an odd one (H of the quartic
+    force commutes with parity) is solved as its two half-size blocks."""
     h = op.matrix
-    try:
-        evals, evecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+    n = op.basis_size
+    if n > 1 and not np.any(h[0::2, 1::2]):
+        blocks = (slice(0, None, 2), slice(1, None, 2))
+    else:
+        blocks = (slice(None),)
+    solved = []
+    for rows in blocks:
+        block = h[rows, rows]
+        try:
+            evals, evecs = np.linalg.eigh(block)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NumericError(f"eigensolver did not converge: {exc}") from exc
+        solved.append((block, evals, evecs))
+    evals = np.concatenate([e for _, e, _ in solved])
     scale = float(np.max(np.abs(evals))) or 1.0
-    residual = np.max(np.abs(h @ evecs - evecs * evals))
-    if residual > 1e-10 * scale:
-        raise NumericError(
-            f"eigenpair residual {residual:.3e} exceeds 1e-10 * {scale:.3e}"
-        )
+    for block, e, v in solved:
+        residual = np.max(np.abs(block @ v - v * e))
+        if residual > 1e-10 * scale:
+            raise NumericError(
+                f"eigenpair residual {residual:.3e} exceeds 1e-10 * {scale:.3e}"
+            )
+    if len(solved) == 1:
+        evecs = solved[0][2]
+    else:
+        evecs = np.zeros((n, n))
+        even = solved[0][1].size
+        evecs[0::2, :even] = solved[0][2]
+        evecs[1::2, even:] = solved[1][2]
+        order = np.argsort(evals, kind="stable")
+        evals, evecs = evals[order], evecs[:, order]
     # deterministic phases: largest-magnitude component positive
     flips = np.sign(evecs[np.abs(evecs).argmax(axis=0), np.arange(evecs.shape[1])])
     flips[flips == 0] = 1.0
-    evecs = evecs * flips
-    x = position_matrix(op.params, op.basis_size)
-    amps = evecs.T @ x @ evecs
-    amps = 0.5 * (amps + amps.T)
     return SpectrumResult(
         params=op.params,
         basis_size=op.basis_size,
         eigenvalues=evals,
-        eigenvectors=evecs,
-        amplitudes=amps,
+        eigenvectors=evecs * flips,
     )
 
 
@@ -199,15 +271,7 @@ def spectrum(
             f"eigenvalue drift {np.max(drift):.3e} over basis step "
             f"{plateau_step} exceeds {plateau_tol:.1e}"
         )
-    return SpectrumResult(
-        params=result.params,
-        basis_size=result.basis_size,
-        eigenvalues=result.eigenvalues,
-        eigenvectors=result.eigenvectors,
-        amplitudes=result.amplitudes,
-        plateau=drift,
-        plateau_step=plateau_step,
-    )
+    return replace(result, plateau=drift, plateau_step=plateau_step)
 
 
 def motion_from_spectrum(spec: SpectrumResult) -> MotionRepresentation:

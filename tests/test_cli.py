@@ -156,8 +156,20 @@ class TestExitCodes:
     def test_semantic_validation(self):
         assert run_capture(["solve", "--order", "-1"])[0] == 2
         assert run_capture(["solve", "--n-max", "3"])[0] == 2
+        assert run_capture(["solve", "--n-max", "4"])[0] == 2
+        assert run_capture(["sho", "--n-max", "0"])[0] == 2
+        # classical takes --order but no --n-max
+        assert run_capture(["classical", "--a1", "1.0", "--order", "10"])[0] == 0
         assert run_capture(["classical"])[0] == 2
         assert run_capture(["classical", "--a1", "1.0", "--action", "2.0"])[0] == 2
+
+    @pytest.mark.parametrize("n_max", ["1", "2", "3", "4"])
+    def test_sho_takes_no_order_floor(self, n_max):
+        # the order + 3 floor on --n-max belongs to solve and verify
+        code, out = run_capture(["sho", "--n-max", n_max])
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert checks and all(c["pass"] for c in checks)
 
     @pytest.mark.parametrize("argv", [["solve"], ["verify"], ["classical", "--a1", "1.0"],
                                       ["classical", "--a1", "1.0", "--level", "1"]],
@@ -249,6 +261,17 @@ class TestGoldenScript:
         assert script.main() == 1
         written = {p.name for p in tmp_path.iterdir()}
         assert written == set(script.REFERENCE_INVOCATIONS) - {"sho.json"}
+
+    def test_audit_counts_changed_numbers_and_worst_ulp(self):
+        audit = _load_golden_script().audit
+        old = '{"a": [1.5, -2, 0.10000000000000001], "x-1-1": 3e-17}\n'
+        assert audit(old, old) == "unchanged"
+        new = old.replace("1.5", "1.5000000000000002").replace("3e-17", "3.0000000000000006e-17")
+        assert audit(old, new) == ("2 of 6 numeric tokens changed, largest distance 1 ulp "
+                                   "(3e-17 -> 3.0000000000000006e-17)")
+        assert audit(old, new.replace("-2", "2")).endswith("(-2 -> 2)")
+        assert audit(old, old.replace('"a"', '"b"')) == (
+            "text around the numbers changed; audit by hand")
 
 
 class TestDeterminism:

@@ -1,11 +1,16 @@
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+import ampmech.cli
 from ampmech import (
+    NumericError,
     OscillatorParams,
     PlateauError,
+    SpectrumResult,
     TruncatedOperator,
     build_hamiltonian,
     default_lambda_grid,
@@ -19,9 +24,28 @@ from ampmech import (
     rspt_first_order_state,
     spectrum,
 )
+from conftest import assert_same_bits
 
 P2 = OscillatorParams()  # lam = 0.05, cubic force
 B = math.sqrt(2.0)
+EPS = np.finfo(float).eps
+UNITS = [{}, {"mass": 2.3, "omega0": 0.4, "hbar": 0.7}, {"mass": 0.5, "omega0": 3.0, "hbar": 1.7}]
+
+
+def dense_hamiltonian_reference(params, n):
+    """H built as before the banded build: dense N x N products of the
+    tridiagonal ladder matrices, symmetrized as `TruncatedOperator` does."""
+    x = position_matrix(params, n)
+    off = math.sqrt(params.mass * params.hbar * params.omega0 / 2.0) * np.sqrt(
+        np.arange(1, n, dtype=float))
+    p_over_i = np.diag(off, -1) - np.diag(off, 1)
+    x2 = x @ x
+    h = -(p_over_i @ p_over_i) / (2.0 * params.mass) + 0.5 * params.mass * params.omega0**2 * x2
+    if params.force_exponent == 2:
+        h = h + params.mass * params.lam / 3.0 * (x2 @ x)
+    else:
+        h = h + params.mass * params.lam / 4.0 * (x2 @ x2)
+    return 0.5 * (h + h.T)
 
 
 def series_energy(n, lam):
@@ -55,6 +79,15 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(P2, 4)
 
+    @pytest.mark.parametrize("units", UNITS, ids=["default", "units-a", "units-b"])
+    @pytest.mark.parametrize("force", [2, 3])
+    @pytest.mark.parametrize("n", [8, 80, 300])
+    def test_banded_matches_dense_reference(self, n, force, units):
+        params = OscillatorParams(force_exponent=force, **units)
+        h = build_hamiltonian(params, n).matrix
+        ref = dense_hamiltonian_reference(params, n)
+        assert np.max(np.abs(h - ref)) <= 4.0 * EPS * np.max(np.abs(ref))
+
 
 class TestDiagonalize:
     def test_diagonal_matrix(self):
@@ -87,8 +120,69 @@ class TestDiagonalize:
         spec = cached_spectrum(0.05)
         assert np.max(np.abs(spec.amplitudes - spec.amplitudes.T)) == 0.0
 
+    @pytest.mark.parametrize("force", [2, 3])
+    def test_amplitudes_equal_eager_formula(self, force, cached_spectrum):
+        spec = cached_spectrum(0.05, force_exponent=force)
+        v = spec.eigenvectors
+        amps = v.T @ position_matrix(spec.params, spec.basis_size) @ v
+        assert_same_bits(spec.amplitudes, 0.5 * (amps + amps.T))
+
+    @pytest.mark.parametrize("force", [2, 3])
+    def test_one_amplitude_matches_matrix(self, force, cached_spectrum):
+        spec = cached_spectrum(0.05, force_exponent=force)
+        amps = spec.amplitudes
+        got = np.array([[spec.amplitude(k, n) for n in range(12)] for k in range(12)])
+        assert np.max(np.abs(got - amps[:12, :12])) <= spec.basis_size * EPS * np.max(np.abs(amps))
+
+    @pytest.mark.parametrize("n", [8, 80, 300])
+    def test_parity_blocks_match_full_eigh(self, n):
+        op = build_hamiltonian(OscillatorParams(lam=0.5, force_exponent=3), n)
+        got = diagonalize(op).eigenvalues
+        full = np.linalg.eigvalsh(op.matrix)
+        assert np.max(np.abs(got - full)) <= n * EPS * np.max(np.abs(full))
+
+    def test_same_parity_quartic_amplitudes_are_zero(self, cached_spectrum):
+        spec = cached_spectrum(0.05, force_exponent=3)
+        # every eigenstate has a definite parity
+        odd = np.all(spec.eigenvectors[0::2] == 0.0, axis=0)
+        assert np.array_equal(~odd, np.all(spec.eigenvectors[1::2] == 0.0, axis=0))
+        same = odd[:, None] == odd[None, :]
+        assert np.all(spec.amplitudes[same] == 0.0)
+        assert spec.amplitudes[0, 1] != 0.0
+
+    @pytest.mark.parametrize("force, call", [(2, 0), (3, 0), (3, 1)],
+                             ids=["cubic", "quartic-even", "quartic-odd"])
+    def test_tampered_eigensolve_raises(self, force, call, monkeypatch):
+        eigh, calls = np.linalg.eigh, []
+
+        def tampered(block):
+            evals, evecs = eigh(block)
+            if len(calls) == call:
+                evals = evals + 1e-9 * np.max(np.abs(evals))
+            calls.append(block.shape)
+            return evals, evecs
+
+        monkeypatch.setattr(np.linalg, "eigh", tampered)
+        op = build_hamiltonian(OscillatorParams(force_exponent=force), 80)
+        with pytest.raises(NumericError):
+            diagonalize(op)
+        assert calls[call] == ((80, 80) if force == 2 else (40, 40))
+
 
 class TestSpectrumVetting:
+    def test_grid_spectra_never_form_amplitudes(self, monkeypatch):
+        made = []
+
+        def recorded(*args, **kwargs):
+            made.append(spectrum(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(ampmech.cli, "spectrum", recorded)
+        assert ampmech.cli.run(["oracle"], stream=io.StringIO()) == 0
+        main, *grid = made
+        assert "amplitudes" in vars(main) and len(grid) == 4
+        assert all("amplitudes" not in vars(s) for s in grid)
+
     def test_plateau_reported(self, cached_spectrum):
         spec = cached_spectrum(0.05)
         assert spec.plateau is not None
@@ -108,6 +202,32 @@ class TestSpectrumVetting:
         # a coupling this deep has no stable plateau at modest bases
         with pytest.raises(PlateauError):
             spectrum(OscillatorParams(lam=0.35), 40, allow_deep_coupling=True)
+
+
+def _scaled_amplitudes(spec):
+    v = spec.eigenvectors
+    amps = v.T @ position_matrix(spec.params, spec.basis_size) @ v
+    amps[0, 1] = amps[1, 0] = (1.0 + 1e-6) * amps[1, 0]
+    return amps
+
+
+class TestInjectedViolations:
+    """Each check of `oracle` whose observed value the banded build moved
+    still fails when its input is tampered with."""
+
+    @pytest.mark.parametrize("name, tamper, failing", [
+        ("amplitudes", property(_scaled_amplitudes), {"thomas-kuhn-sum-rule"}),
+        ("amplitude", lambda self, k, n, one=SpectrumResult.amplitude: 1.05 * one(self, k, n),
+         {"series-fit-x-1-1", "series-fit-x-2-0"}),
+        ("omega_exact", lambda self, n, m: 1.05 * (self.eigenvalues[n] - self.eigenvalues[m]),
+         {"series-fit-omega-1-0"}),
+    ], ids=["thomas-kuhn", "amplitude-fits", "frequency-fit"])
+    def test_tampered_input_fails_its_check(self, name, tamper, failing, monkeypatch):
+        monkeypatch.setattr(SpectrumResult, name, tamper)
+        out = io.StringIO()
+        assert ampmech.cli.run(["oracle"], stream=out) == 1
+        checks = json.loads(out.getvalue())["checks"]
+        assert {c["id"] for c in checks if not c["pass"]} == failing
 
 
 class TestRsptState:
