@@ -7,14 +7,17 @@ Run from the repository root after any intentional change to CLI output:
 
 The reference invocations here are the single source of truth; the CLI
 determinism tests replay them and compare byte for byte. For each golden it
-overwrites, the script prints an audit of the change: how many numeric
-tokens changed and the largest distance among them in units in the last
-place (ulp), or a note that the text around the numbers changed too.
+overwrites, the script prints an audit of the change, value by value: a JSON
+golden is keyed by the path to each value, a CSV golden by the
+(quantity, order, band, n) of each line. The audit lists the removed and
+added keys and each changed value with its distance in units in the last
+place (ulp), so it survives a change of layout.
 """
 
+import csv
 import io
+import json
 import pathlib
-import re
 import struct
 import sys
 
@@ -38,26 +41,64 @@ REFERENCE_INVOCATIONS = {
 }
 
 
-NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
 def _ordinal(value: float) -> int:
     """Position of a float64 in the ordered sequence of all float64 values."""
     bits = struct.unpack("<q", struct.pack("<d", value))[0]
     return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
 
 
-def audit(old: str, new: str) -> str:
-    """One line describing how `new` differs from `old`, number by number."""
+class Number(str):
+    """A JSON number kept as the text the golden holds."""
+
+
+def _keyed(name: str, text: str) -> dict[str, str]:
+    """The text of each value of a golden under its key: the path of keys
+    and indices for JSON, the (quantity, order, band, n) columns for CSV."""
+    if name.endswith(".csv"):
+        return {",".join(key): value for *key, value in list(csv.reader(io.StringIO(text)))[1:]}
+    out = {}
+
+    def walk(path: str, node) -> None:
+        if isinstance(node, (dict, list)):
+            for k, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+                walk(f"{path}/{k}", v)
+        else:
+            out[path] = node if isinstance(node, Number) else json.dumps(node)
+
+    walk("", json.loads(text, parse_float=Number, parse_int=Number))
+    return out
+
+
+def _ulp(a: str, b: str) -> int | None:
+    """ulp distance of two numbers given as text; None unless both are."""
+    try:
+        return abs(_ordinal(float(a)) - _ordinal(float(b)))
+    except ValueError:
+        return None
+
+
+def audit(name: str, old: str, new: str) -> str:
+    """How `new` differs from `old`, key by key: a summary line, then one
+    line per removed (-), added (+) and changed (~) key. Numbers are shown
+    as each golden spells them."""
     if old == new:
         return "unchanged"
-    old_numbers, new_numbers = NUMBER.findall(old), NUMBER.findall(new)
-    if NUMBER.split(old) != NUMBER.split(new) or len(old_numbers) != len(new_numbers):
-        return "text around the numbers changed; audit by hand"
-    changed = [(a, b) for a, b in zip(old_numbers, new_numbers) if a != b]
-    ulps, a, b = max((abs(_ordinal(float(a)) - _ordinal(float(b))), a, b) for a, b in changed)
-    return (f"{len(changed)} of {len(new_numbers)} numeric tokens changed, "
-            f"largest distance {ulps} ulp ({a} -> {b})")
+    before, after = _keyed(name, old), _keyed(name, new)
+    removed = [f"  - {k}: {v}" for k, v in before.items() if k not in after]
+    added = [f"  + {k}: {v}" for k, v in after.items() if k not in before]
+    # a number counts as changed when its value does, not its spelling
+    changed = [(k, before[k], v, _ulp(before[k], v))
+               for k, v in after.items() if k in before and before[k] != v]
+    changed = [c for c in changed if c[3] != 0]
+    summary = f"{len(changed)} of {len(after)} values changed"
+    ulps = [(u, a, b) for _, a, b, u in changed if u is not None]
+    if ulps:
+        u, a, b = max(ulps, key=lambda c: c[0])  # the first of equals
+        summary += f", largest distance {u} ulp ({a} -> {b})"
+    summary += f"; {len(removed)} keys removed, {len(added)} added"
+    lines = [f"  ~ {k}: {a} -> {b}" + ("" if u is None else f" ({u} ulp)")
+             for k, a, b, u in changed]
+    return "\n".join([summary, *removed, *added, *lines])
 
 
 def main() -> int:
@@ -74,7 +115,7 @@ def main() -> int:
             continue
         path = GOLDEN_DIR / name
         text = buffer.getvalue()
-        change = audit(path.read_text(encoding="utf-8"), text) if path.exists() else "new"
+        change = audit(name, path.read_text(encoding="utf-8"), text) if path.exists() else "new"
         path.write_text(text, encoding="utf-8")
         print(f"wrote {path} ({len(text)} bytes): {change}")
     return status

@@ -36,6 +36,7 @@ from .perturb import (
     band_weight,
     _band_list,
     _check_order,
+    _engine_extent,
     _eom_residual_coefficient,
     _half,
     _series_mul,
@@ -64,10 +65,10 @@ class ClassicalSolution:
     """Harmonic coefficients a_alpha^(k) and frequency series for one orbit.
 
     amp[k, alpha] holds the order-k coefficient of harmonic alpha (the
-    lam^w(alpha) suppression is not folded in); omega_coeffs[k] is the
-    order-k frequency coefficient. The highest harmonic is a guard: it is
-    carried in products but never balanced, so the residual floor of a
-    solution sits one order beyond the solved one.
+    lam^w(alpha) suppression is not folded in) over the engine's harmonics,
+    as `PerturbSolution.coeffs` does over its bands; `harmonics` publishes
+    those through `harmonic_max`, the public bands of a quantum solve of
+    the same order. omega_coeffs[k] is the order-k frequency coefficient.
     """
 
     params: OscillatorParams
@@ -79,8 +80,9 @@ class ClassicalSolution:
     def __post_init__(self) -> None:
         amp = np.asarray(self.amp, dtype=float)
         om = np.asarray(self.omega_coeffs, dtype=float)
-        if amp.ndim != 2 or om.shape != (amp.shape[0],):
-            raise ValueError("amp must be (orders, harmonics), omega_coeffs (orders,)")
+        if amp.ndim != 2 or om.shape != (amp.shape[0],) or amp.shape[1] <= self.harmonic_max:
+            raise ValueError("amp must be (orders, harmonics through harmonic_max), "
+                             "omega_coeffs (orders,)")
         amp.setflags(write=False)
         om.setflags(write=False)
         object.__setattr__(self, "amp", amp)
@@ -88,7 +90,13 @@ class ClassicalSolution:
 
     @property
     def harmonic_max(self) -> int:
-        return self.amp.shape[1] - 1
+        """Top public harmonic: order + 1 (cubic), 2*order + 1 (quartic)."""
+        return _engine_extent(self.params.force_exponent, self.order)[0][-1]
+
+    @property
+    def harmonics(self) -> np.ndarray:
+        """harmonics[k, alpha] = amp[k, alpha] for alpha = 0..harmonic_max."""
+        return self.amp[:, : self.harmonic_max + 1]
 
     def omega(self, lam: float) -> float:
         powers = lam ** np.arange(self.omega_coeffs.size)
@@ -104,13 +112,6 @@ class ClassicalSolution:
                 self.amp[:, alpha] @ powers
             )
         return out
-
-    def x_of_t(self, t: np.ndarray, lam: float) -> np.ndarray:
-        c = self.cosine_coefficients(lam)
-        w = self.omega(lam)
-        t = np.asarray(t, dtype=float)
-        alphas = np.arange(c.size)
-        return np.cos(np.outer(t, alphas) * w) @ c
 
     def xdot_of_t(self, t: np.ndarray, lam: float) -> np.ndarray:
         c = self.cosine_coefficients(lam)
@@ -156,8 +157,8 @@ def classical_solve(
     Exactly one of the leading amplitude a1 or the action must be
     prescribed. The leading amplitude is held fixed across orders (the
     fundamental's balance equation then determines the frequency
-    corrections), and one guard harmonic beyond those coupled at this
-    order is carried but never balanced.
+    corrections). Every harmonic of the quantum engine's extent is solved,
+    so the published ones are those of any higher-order solve.
     """
     _check_order(order)
     if (a1 is None) == (action is None):
@@ -172,28 +173,21 @@ def classical_solve(
 
     p = params.force_exponent
     omega0 = params.omega0
-    if p == 2:
-        coupled_max = order + 1 if order >= 1 else 1
-        guard_max = coupled_max + 1
-        t_max = max(order, 1 if order >= 1 else 0) + order
-    else:
-        coupled_max = 2 * order + 1
-        guard_max = coupled_max + 2
-        t_max = band_weight(p, coupled_max) + order
+    _, t_max, band_eng, _ = _engine_extent(p, order)
 
     # one row: the orbit is the n-independent case of the banded tables
-    amp = np.zeros((order + 1, guard_max + 1, 1))
+    amp = np.zeros((order + 1, band_eng + 1, 1))
     omega_coeffs = np.zeros(order + 1)
     omega_coeffs[0] = omega0
     amp[0, 1] = a1
-    bands = _band_list(p, coupled_max)
+    bands = _band_list(p, band_eng)
 
-    x2 = np.zeros((t_max, 4 * guard_max + 1, 1))
+    x2 = np.zeros((t_max, 4 * band_eng + 1, 1))
     for t in range(1, t_max + 1):
-        res = _balance_residual_coefficient(params, amp, omega_coeffs, t, guard_max, x2)
+        res = _balance_residual_coefficient(params, amp, omega_coeffs, t, band_eng, x2)
         if t <= order:
             # fundamental: a1 is held fixed, the frequency correction remains
-            omega_coeffs[t] = res[guard_max + 1, 0] / (omega0 * a1)
+            omega_coeffs[t] = res[band_eng + 1, 0] / (omega0 * a1)
         _solve_bands(p, amp, res, t, bands, omega0, step=0)
     return ClassicalSolution(
         params=params, order=order, amp=amp[:, :, 0], omega_coeffs=omega_coeffs,
@@ -202,35 +196,31 @@ def classical_solve(
 
 
 def balance_residuals(sol: ClassicalSolution) -> np.ndarray:
-    """Reduced harmonic-balance residuals res[k, alpha] for every coupled
-    harmonic at every solved order; all vanish (to rounding) on a solution.
+    """Reduced harmonic-balance residuals res[k, alpha] for every harmonic
+    of the engine tables at every order the solve balanced (lam^(w+k)
+    within its power ceiling); all vanish (to rounding) on a solution, and
+    the orders a solve leaves open read zero.
 
     The normalization matches the constant-, cos(w t)-, cos(2 w t)-...
     balance equations written per harmonic, so res[0, 2] is the
-    coefficient (omega0^2 - 4 omega^2) a_2 + a_1^2 / 2 and so on. The
-    guard harmonic is excluded (it is never balanced).
+    coefficient (omega0^2 - 4 omega^2) a_2 + a_1^2 / 2 and so on.
     """
     p = sol.params.force_exponent
     order = sol.order
-    if p == 2:
-        coupled = [a for a in range(0, order + 2) if order >= 1 or a == 1]
-    else:
-        coupled = list(range(1, 2 * order + 2, 2))
-    out = np.zeros((order + 1, sol.harmonic_max + 1))
-    guard_max = sol.harmonic_max
+    _, t_max, band_eng, _ = _engine_extent(p, order)
+    out = np.zeros((order + 1, band_eng + 1))
     # the solution is final, so one x^2 carry serves every power in turn
-    powers = band_weight(p, max(coupled)) + order + 1
-    x2 = np.zeros((powers, 4 * guard_max + 1, 1))
+    x2 = np.zeros((t_max, 4 * band_eng + 1, 1))
     res = [
         _balance_residual_coefficient(
-            sol.params, sol.amp[:, :, None], sol.omega_coeffs, t, guard_max, x2
+            sol.params, sol.amp[:, :, None], sol.omega_coeffs, t, band_eng, x2
         )
-        for t in range(powers)
+        for t in range(t_max + 1)
     ]
-    for alpha in coupled:
+    for alpha in _band_list(p, band_eng):
         w = band_weight(p, alpha)
-        for k in range(order + 1):
-            out[k, alpha] = res[w + k][guard_max + alpha, 0] / _half(alpha)
+        for k in range(min(order, t_max - w) + 1):
+            out[k, alpha] = res[w + k][band_eng + alpha, 0] / _half(alpha)
     return out
 
 

@@ -259,9 +259,9 @@ def cmd_classical(cfg):
     else:
         sol = classical_solve(params, cfg.order, a1=cfg.a1)
     coeff_tables = []
-    for k in range(cfg.order + 1):
-        coeff_tables.append({"order": k, "values": _values(sol.amp[k])})
-        for alpha, v in enumerate(sol.amp[k]):
+    for k, harmonics in enumerate(sol.harmonics):
+        coeff_tables.append({"order": k, "values": _values(harmonics)})
+        for alpha, v in enumerate(harmonics):
             rows.append(("harmonic", k, alpha, None, float(v)))
     for k, v in enumerate(sol.omega_coeffs):
         rows.append(("omega", k, None, None, float(v)))
@@ -289,7 +289,7 @@ def cmd_classical(cfg):
             "level": n,
             "a1_ratio": float(quantum.a(0, 1)[n] / cl.amp[0, 1]),
         }
-        if params.force_exponent == 2 and 2 in quantum.solved_orders:
+        if 2 in quantum.solved_orders:
             ratios["a2_ratio"] = float(quantum.a(0, 2)[n] / cl.amp[0, 2])
             if cfg.order >= 2:
                 ratios["omega2_ratio"] = float(

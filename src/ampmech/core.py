@@ -146,19 +146,19 @@ class BandAmplitudeArray:
     edge_touched: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        d = np.array(self.data, copy=True)
+        if not self.hermitian and np.iscomplexobj(self.data):
+            raise ValueError("real-symmetric mode cannot hold complex data")
+        d = np.array(self.data, dtype=np.complex128 if self.hermitian else np.float64)
         if d.ndim != 2 or d.shape[1] % 2 != 1:
             raise ValueError("data must be 2-d with an odd number of band columns")
-        dtype = np.complex128 if self.hermitian else np.float64
-        if not self.hermitian and np.iscomplexobj(d):
-            raise ValueError("real-symmetric mode cannot hold complex data")
-        d = d.astype(dtype)
         n_rows, n_cols = d.shape
         bmax = (n_cols - 1) // 2
-        for alpha in range(1, bmax + 1):
-            # ground-state floor: X(n, n-alpha) = 0 whenever n - alpha < 0
-            d[:alpha, bmax + alpha] = 0.0
-        object.__setattr__(self, "data", _readonly(d))
+        # ground-state floor: X(n, n-alpha) = 0 whenever n - alpha < 0, which
+        # only rows n < bmax of the bands alpha > 0 hold
+        floor = np.arange(min(n_rows, bmax))[:, None] < np.arange(1, bmax + 1)
+        d[:bmax, bmax + 1 :][floor] = 0.0
+        d.setflags(write=False)
+        object.__setattr__(self, "data", d)
         flags = self.edge_touched
         if flags is None:
             flags = np.zeros(n_rows, dtype=bool)
@@ -211,12 +211,6 @@ class BandAmplitudeArray:
             lo, k = max(alpha, 0), n - abs(alpha)
             flat[lo * (n + 1) - alpha :: n + 1][:k] = self.band(alpha)[lo : lo + k]
         return out
-
-    def transpose(self) -> "BandAmplitudeArray":
-        """Transpose of the square block, same band width."""
-        return BandAmplitudeArray.from_dense(
-            self.to_dense().T, band_max=self.band_max, hermitian=self.hermitian
-        )
 
     def symmetry_defect(self) -> float:
         """Largest violation of the symmetry (or Hermiticity) convention

@@ -396,8 +396,6 @@ def build_recursions(
     neighbors the band couples to.
     """
     p = params.force_exponent
-    if p not in (2, 3):
-        raise UnsupportedForceError(f"force exponent {p!r} not supported")
     _check_order(order)
     alpha = abs(alpha)
     w = band_weight(p, alpha)  # raises for even quartic bands
@@ -701,7 +699,8 @@ def extract_structure_constants(
 
         a^(0)(n, n-alpha) = A_alpha * beta^alpha / omega0^e * sqrt(n!/(n-alpha)!),
 
-    with e = 2(alpha-1) for the cubic force and alpha-1 for the quartic.
+    with e = 2 w(alpha), twice the band weight: 2(alpha-1) for the cubic
+    force and alpha-1 for the quartic.
     The factor must come out independent of n; a spread beyond tol raises
     StructureViolationError.
     """
@@ -716,7 +715,7 @@ def extract_structure_constants(
         n = np.arange(alpha, sol.n_max + 1)
         if n.size == 0:
             continue
-        exp = 2 * (alpha - 1) if p == 2 else alpha - 1
+        exp = 2 * band_weight(p, alpha)
         norm = b**alpha / w0**exp * _falling_sqrt(n, alpha)
         vals = sol.coeffs.amp[0, alpha, alpha : sol.n_max + 1] / norm
         ref = float(np.median(vals))
@@ -845,7 +844,7 @@ def energy_matrix(sol: PerturbSolution, order_cap: int | None = None) -> EnergyM
     d2 = _series_mul(-wx, wx, order_cap)
     # the anharmonic term x^(p+1) carries one explicit power of lam
     src = _series_mul(x2, x if p == 2 else x2, order_cap - 1)
-    band_rep = min(order_cap + 2 if p == 2 else 2 * order_cap + 2, 2 * band_x)
+    band_rep = min(max(_engine_extent(p, order_cap)[0]) + 1, 2 * band_x)
     n_keep = sol.n_max + 1
 
     def _trim(series: np.ndarray, factor: float, shift: int) -> np.ndarray:

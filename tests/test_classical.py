@@ -15,7 +15,7 @@ from ampmech import (
     solve_perturbative,
 )
 from ampmech import classical
-from ampmech.perturb import _band_list, _half, _series_mul, band_weight
+from ampmech.perturb import _band_list, _engine_extent, _half, _series_mul, band_weight
 
 from conftest import assert_same_bits, xp_rebuild_reference
 
@@ -83,25 +83,19 @@ def classical_solve_reference(params, order, a1, absolute=False):
     coefficient the size of the terms summed into it, through every order."""
     p = params.force_exponent
     omega0 = params.omega0
-    if p == 2:
-        coupled_max = order + 1 if order >= 1 else 1
-        guard_max = coupled_max + 1
-        t_max = max(order, 1 if order >= 1 else 0) + order
-    else:
-        coupled_max = 2 * order + 1
-        guard_max = coupled_max + 2
-        t_max = band_weight(p, coupled_max) + order
-    amp = np.zeros((order + 1, guard_max + 1))
+    # the quantum engine's extent: every harmonic through band_eng is solved
+    _, t_max, band_eng, _ = _engine_extent(p, order)
+    amp = np.zeros((order + 1, band_eng + 1))
     omega_coeffs = np.zeros(order + 1)
     omega_coeffs[0] = omega0
     amp[0, 1] = a1
     sign = 1.0 if absolute else -1.0
     for t in range(1, t_max + 1):
-        res = balance_residual_reference(params, amp, omega_coeffs, t, guard_max,
+        res = balance_residual_reference(params, amp, omega_coeffs, t, band_eng,
                                          absolute)
         if t <= order:
-            omega_coeffs[t] = res[guard_max + 1] / (omega0 * a1)
-        for alpha in _band_list(p, coupled_max):
+            omega_coeffs[t] = res[band_eng + 1] / (omega0 * a1)
+        for alpha in _band_list(p, band_eng):
             if alpha == 1:
                 continue
             k = t - band_weight(p, alpha)
@@ -110,9 +104,9 @@ def classical_solve_reference(params, order, a1, absolute=False):
             denom = (1.0 - alpha * alpha) * omega0**2 * _half(alpha)
             if absolute:
                 denom = abs(denom)
-            amp[k, alpha] = sign * res[guard_max + alpha] / denom
+            amp[k, alpha] = sign * res[band_eng + alpha] / denom
         if p == 2 and 1 <= t <= order + 1:
-            amp[t - 1, 0] = sign * res[guard_max] / omega0**2
+            amp[t - 1, 0] = sign * res[band_eng] / omega0**2
     return amp, omega_coeffs
 
 
@@ -238,6 +232,28 @@ class TestSharedEngine:
     def test_order_cap_is_the_quantum_one(self):
         with pytest.raises(ValueError):
             classical_solve(P2, -1, a1=1.0)
+
+
+class TestOrderStability:
+    """A solve publishes the quantum public bands, and the engine extent
+    solves every harmonic they read: raising the order leaves them alone."""
+
+    @pytest.mark.parametrize("units, a1", [({}, 1.0), ({"mass": 1.3, "omega0": 0.8}, 0.9)])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_published_harmonics_match_higher_order(self, p, order, units, a1):
+        params = OscillatorParams(lam=0.01, force_exponent=p, **units)
+        sol = classical_solve(params, order, a1=a1)
+        ref = classical_solve(params, order + 2, a1=a1)
+        assert sol.harmonic_max == (order + 1 if p == 2 else 2 * order + 1)
+        assert_same_bits(sol.harmonics, ref.amp[: order + 1, : sol.harmonic_max + 1])
+        assert_same_bits(sol.omega_coeffs, ref.omega_coeffs[: order + 1])
+
+    def test_cubic_order_two_third_harmonic(self):
+        # 79/2304, which the former guard harmonic, never solved, cut short
+        sol = classical_solve(OscillatorParams(lam=0.01), 2, a1=1.0)
+        assert sol.harmonics[2, 3] == 79 / 2304
+        assert sol.harmonics.shape == (3, 4)
 
 
 class TestFourierProduct:

@@ -265,13 +265,70 @@ class TestGoldenScript:
     def test_audit_counts_changed_numbers_and_worst_ulp(self):
         audit = _load_golden_script().audit
         old = '{"a": [1.5, -2, 0.10000000000000001], "x-1-1": 3e-17}\n'
-        assert audit(old, old) == "unchanged"
+        assert audit("g.json", old, old) == "unchanged"
         new = old.replace("1.5", "1.5000000000000002").replace("3e-17", "3.0000000000000006e-17")
-        assert audit(old, new) == ("2 of 6 numeric tokens changed, largest distance 1 ulp "
-                                   "(3e-17 -> 3.0000000000000006e-17)")
-        assert audit(old, new.replace("-2", "2")).endswith("(-2 -> 2)")
-        assert audit(old, old.replace('"a"', '"b"')) == (
-            "text around the numbers changed; audit by hand")
+        assert audit("g.json", old, new).splitlines() == [
+            "2 of 4 values changed, largest distance 1 ulp (1.5 -> 1.5000000000000002); "
+            "0 keys removed, 0 added",
+            "  ~ /a/0: 1.5 -> 1.5000000000000002 (1 ulp)",
+            "  ~ /x-1-1: 3e-17 -> 3.0000000000000006e-17 (1 ulp)",
+        ]
+        assert "ulp (-2 -> 2);" in audit("g.json", old, new.replace("-2", "2"))
+        # another spelling of the same number is no change
+        assert audit("g.json", old, old.replace("1.5", "1.50")).startswith("0 of 4 values")
+        # a layout change is audited key by key
+        assert audit("g.json", old, old.replace('"a"', '"b"')).splitlines() == [
+            "0 of 4 values changed; 3 keys removed, 3 added",
+            "  - /a/0: 1.5", "  - /a/1: -2", "  - /a/2: 0.10000000000000001",
+            "  + /b/0: 1.5", "  + /b/1: -2", "  + /b/2: 0.10000000000000001",
+        ]
+        assert "  ~ /c: \"x\" -> null" in audit("g.json", '{"c": "x"}', '{"c": null}')
+
+    def test_audit_keys_csv_lines_by_quantity_order_band_n(self):
+        audit = _load_golden_script().audit
+        head = "quantity,order,band,n,value\n"
+        old = head + "harmonic,0,4,,0\nomega,1,,,0.5\ngap,,,3,1\n"
+        # reordered lines move no key; the removed and changed ones are listed
+        new = head + "gap,,,3,1.0000000000000002\nomega,1,,,0.5\n"
+        assert audit("g.csv", old, new).splitlines() == [
+            "1 of 2 values changed, largest distance 1 ulp (1 -> 1.0000000000000002); "
+            "1 keys removed, 0 added",
+            "  - harmonic,0,4,: 0",
+            "  ~ gap,,,3: 1 -> 1.0000000000000002 (1 ulp)",
+        ]
+
+    def test_audit_of_classical_extent_regeneration(self):
+        # the classical golden while harmonic balance kept its own extent,
+        # rendered back byte for byte: a guard harmonic, never solved, closed
+        # every table, and the third harmonic at order 2 (79/2304) missed the
+        # contribution of the fourth
+        new = (GOLDEN_DIR / "classical.json").read_text(encoding="utf-8")
+        old = json.loads(new)
+        results = old["results"]
+        for table in results["harmonic_coefficients"]:
+            table["values"].append(0)
+        results["harmonic_coefficients"][2]["values"][3] = 0.033998842592592594
+        results.update(action=3.1414966648700426, ode_residual=4.0350012268930424e-08,
+                       ode_residual_half_coupling=4.6904837583405801e-09,
+                       ode_residual_ratio=8.6025268070015937)
+        old = cli.render_json(old) + "\n"
+        audit = _load_golden_script().audit
+        assert audit("classical.json", old, new).splitlines() == [
+            "5 of 40 values changed, largest distance 41699996549727 ulp "
+            "(0.033998842592592594 -> 0.034288194444444448); 3 keys removed, 0 added",
+            "  - /results/harmonic_coefficients/0/values/4: 0",
+            "  - /results/harmonic_coefficients/1/values/4: 0",
+            "  - /results/harmonic_coefficients/2/values/4: 0",
+            "  ~ /results/harmonic_coefficients/2/values/3: "
+            "0.033998842592592594 -> 0.034288194444444448 (41699996549727 ulp)",
+            "  ~ /results/action: 3.1414966648700426 -> 3.1414966648700435 (2 ulp)",
+            "  ~ /results/ode_residual: 4.0350012268930424e-08 -> 4.0373216044636839e-08 "
+            "(3506455445504 ulp)",
+            "  ~ /results/ode_residual_half_coupling: 4.6904837583405801e-09 -> "
+            "4.691932191727699e-09 (1751048519680 ulp)",
+            "  ~ /results/ode_residual_ratio: 8.6025268070015937 -> 8.6048166074988188 "
+            "(1289043083257 ulp)",
+        ]
 
 
 class TestDeterminism:

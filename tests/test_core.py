@@ -161,6 +161,28 @@ class TestBandAmplitudeArray:
         assert arr.get(1, -1) == 0.0
         assert arr.band(2)[0] == 0.0 and arr.band(2)[1] == 0.0
 
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 7), st.integers(0, 9),
+           st.sampled_from((np.float64, np.float32, np.int64, np.complex128)),
+           st.booleans(), st.booleans())
+    def test_single_copy_matches_former_constructor(self, seed, rows, bmax, dtype,
+                                                    hermitian, fortran):
+        # the former __post_init__: copy, cast, then zero the floor band by band
+        data = np.random.default_rng(seed).normal(size=(rows, 2 * bmax + 1, 2)) * 4.0
+        data = (data[..., 0] + 1j * data[..., 1] if dtype == np.complex128
+                else data[..., 0]).astype(dtype)
+        if fortran:
+            data = np.asfortranarray(data)
+        if dtype == np.complex128 and not hermitian:
+            with pytest.raises(ValueError):
+                BandAmplitudeArray(data)
+            return
+        ref = np.array(data, copy=True).astype(np.complex128 if hermitian else np.float64)
+        for alpha in range(1, bmax + 1):
+            ref[:alpha, bmax + alpha] = 0.0
+        arr = BandAmplitudeArray(data, hermitian=hermitian)
+        assert_same_bits(arr.data, ref)
+        assert not arr.data.flags.writeable and not np.shares_memory(arr.data, data)
+
     def test_mode_controls_dtype(self):
         arr = BandAmplitudeArray(np.ones((2, 3)), hermitian=True)
         assert arr.data.dtype == np.complex128
