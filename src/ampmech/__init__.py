@@ -60,13 +60,13 @@ from .oracle import (
     SpectrumResult,
     TruncatedOperator,
     build_hamiltonian,
+    cubic_coupling_limit,
     default_lambda_grid,
     diagonalize,
     lambda_series_fit,
     motion_from_spectrum,
     position_matrix,
-    rspt_energy_second_order,
-    rspt_first_order_state,
+    rspt,
     spectrum,
 )
 

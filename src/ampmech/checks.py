@@ -264,9 +264,9 @@ def series_fit(got: float, target: float):
 
 
 def rspt_matches_series(rspt, series, eds, lam: float):
-    """The conventional second-order sum against the amplitude route's energy
-    series at lam; the series' terms at level n are sized n+1 times, as in
-    `EnergyMatrix.offdiag`."""
+    """RSPT level energies against the amplitude route's energy series at
+    lam, both at the same order; the series' terms at level n are sized n+1
+    times, as in `EnergyMatrix.offdiag`."""
     n = np.arange(len(series))
     size = sum(abs(lam) ** k * (np.abs(eds.kinetic[k]) + np.abs(eds.harmonic[k])
                                 + np.abs(eds.anharmonic[k]))[n] for k in range(len(eds.kinetic)))

@@ -39,7 +39,7 @@ from .oracle import (
     default_lambda_grid,
     lambda_series_fit,
     motion_from_spectrum,
-    rspt_energy_second_order,
+    rspt,
     spectrum,
 )
 from .params import OscillatorParams
@@ -52,6 +52,9 @@ from .perturb import (
 )
 
 CHECK_GROUPS = ("all", *registry.GROUPS)
+# `oracle` runs RSPT and the solver at this one order; its series fits read
+# the solver's coefficients up to lam^2
+ORACLE_ORDER = 2
 
 
 class UsageError(ValueError):
@@ -323,14 +326,14 @@ def cmd_oracle(cfg):
     rows.append(("thomas-kuhn-residual", None, None, None, trk))
     _check(checks, rows, "thomas-kuhn-sum-rule", *registry.thomas_kuhn(trk))
 
-    rspt = [rspt_energy_second_order(params, n) for n in range(levels)]
-    sol = solve_perturbative(params, 2, max(12, levels + 4))
+    rspt_total = rspt(params, levels, ORACLE_ORDER)[0].sum(axis=0)
+    sol = solve_perturbative(params, ORACLE_ORDER, max(12, levels + 4))
     eds = energy_diagonal_series(sol)
     series = eds.evaluate(params.lam)[:levels]
     gaps = np.abs(eigenvalues - series)
     rows.append(("perturbative-gap", None, None, None, gaps))
     _check(checks, rows, "rspt-matches-amplitude-series",
-           *registry.rspt_matches_series(rspt, series, eds, params.lam))
+           *registry.rspt_matches_series(rspt_total, series, eds, params.lam))
 
     grid = default_lambda_grid(cfg.lam_max, cfg.grid_points)
     if params.force_exponent == 2:
@@ -340,15 +343,15 @@ def cmd_oracle(cfg):
             else spectrum(replace(params, lam=lam), cfg.basis_size, check_plateau=False)
             for lam in grid
         ]
-        beta, w0 = params.beta, params.omega0
         fits = []
+        # each target is the solver's own coefficient of that power of lam
         targets = [
             ("omega-1-0", np.array([s.omega_exact(1, 0) for s in specs]), 2,
-             -5.0 * beta**2 / (12.0 * w0**3)),
+             float(sol.omega_band(2, 1)[1])),
             ("x-1-1", np.array([s.amplitude(1, 1) for s in specs]), 1,
-             -3.0 * beta**2 / (4.0 * w0**2)),
+             float(sol.a(0, 0)[1])),
             ("x-2-0", np.array([s.amplitude(2, 0) for s in specs]), 1,
-             beta**2 * math.sqrt(2.0) / (12.0 * w0**2)),
+             0.5 * float(sol.a(0, 2)[2])),
         ]
         for name, samples, power, target in targets:
             fit = lambda_series_fit(samples, grid, cfg.fit_order)
@@ -367,7 +370,7 @@ def cmd_oracle(cfg):
         "eigenvalues": eigenvalues,
         "plateau": _values(spec.plateau) if spec.plateau is not None else None,
         "thomas_kuhn_residuals": trk,
-        "rspt_second_order": [float(v) for v in rspt],
+        "rspt_second_order": _values(rspt_total),
         "perturbative_series": _values(series),
         "perturbative_gap": gaps,
         "series_fits": fits,

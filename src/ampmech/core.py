@@ -237,12 +237,15 @@ class BandAmplitudeArray:
             raise ValueError("dense input must be square")
         if band_max is None:
             band_max = n - 1
-        data = np.zeros((n, 2 * band_max + 1), dtype=dense.dtype)
-        width = min(band_max, n - 1)
-        for alpha in range(-width, width + 1):
-            lo = max(alpha, 0)
-            data[lo : lo + n - abs(alpha), band_max + alpha] = np.diagonal(dense, -alpha)
-        return cls(data, hermitian=hermitian)
+        # with band_max zeros on each side of every row, X(r, c) sits at column
+        # band_max + c, and row r's band X(r, r + band_max) .. X(r, r - band_max)
+        # is the window from column r: the windows lie n + 2 band_max + 1
+        # apart in flat, as the diagonals of `to_dense` lie n + 1 apart
+        width = n + 2 * band_max
+        padded = np.zeros((n, width), dtype=dense.dtype)
+        padded[:, band_max : band_max + n] = dense
+        windows = np.lib.stride_tricks.sliding_window_view(padded.reshape(-1), 2 * band_max + 1)
+        return cls(windows[:: width + 1, ::-1], hermitian=hermitian)
 
 
 @dataclass(frozen=True)

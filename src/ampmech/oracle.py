@@ -2,9 +2,9 @@
 
 Everything here is built the conventional way: ladder-operator matrices in
 the truncated number basis, a dense symmetric eigensolve, and textbook
-Rayleigh-Schrodinger perturbation sums. None of it shares code paths with
-the banded perturbation solver, so agreement between the two is a real
-cross-check.
+Rayleigh-Schrodinger perturbation theory at any order. None of it shares
+code paths with the banded perturbation solver, so agreement between the
+two is a real cross-check.
 
 For the cubic force (p = 2) the potential is unbounded below and the
 truncated eigenvalues are metastable approximants. They are trustworthy
@@ -35,13 +35,25 @@ __all__ = [
     "diagonalize",
     "spectrum",
     "motion_from_spectrum",
-    "rspt_first_order_state",
-    "rspt_energy_second_order",
+    "rspt",
     "lambda_series_fit",
     "default_lambda_grid",
     "position_matrix",
     "cubic_coupling_limit",
 ]
+
+# The cubic force's plateau rule in `spectrum`: a truncated eigenvalue
+# stands for a metastable level only while the basis no longer moves it. The
+# lowest PLATEAU_LEVELS, the ones the Thomas-Kuhn check reads, may move at
+# most PLATEAU_TOL, the size of that check's truncation bound, when the basis
+# loses PLATEAU_STEP states, several times the reach p + 1 of the potential.
+PLATEAU_STEP = 10
+PLATEAU_TOL = 1e-8
+PLATEAU_LEVELS = 6
+# Above this condition number a fit's design amplifies the rounding of its
+# samples past 2e-6 relative, so `lambda_series_fit` flags it.
+COND_THRESHOLD = 1e10
+
 
 class NumericError(RuntimeError):
     """Eigensolve failed or did not meet the residual bound."""
@@ -81,8 +93,8 @@ class SpectrumResult:
     amplitudes[k, n] = <k|x|n> between exact (truncated-basis) eigenstates,
     with each eigenvector's largest component made positive. The matrix is
     formed on first read; `amplitude(k, n)` gives one entry without it.
-    plateau holds |E(N) - E(N - plateau_step)| for the lowest reported
-    levels when a basis-growth check was run.
+    plateau holds |E(N) - E(N - plateau_step)| for the lowest
+    PLATEAU_LEVELS levels when a basis-growth check was run.
     """
 
     params: OscillatorParams
@@ -240,17 +252,14 @@ def spectrum(
     params: OscillatorParams,
     basis_size: int,
     *,
-    plateau_step: int = 10,
-    plateau_tol: float = 1e-8,
-    plateau_levels: int = 6,
     check_plateau: bool = True,
     allow_deep_coupling: bool = False,
 ) -> SpectrumResult:
     """Diagonalize the truncated Hamiltonian and vet the result.
 
     For the cubic force this enforces the default coupling cap and (unless
-    disabled) requires the lowest eigenvalues to move less than
-    plateau_tol when the basis shrinks by plateau_step, since those
+    disabled) requires the lowest PLATEAU_LEVELS eigenvalues to move less
+    than PLATEAU_TOL when the basis shrinks by PLATEAU_STEP, since those
     eigenvalues only approximate metastable levels of an unbounded
     potential.
     """
@@ -263,15 +272,15 @@ def spectrum(
     result = diagonalize(build_hamiltonian(params, basis_size))
     if not check_plateau:
         return result
-    smaller = diagonalize(build_hamiltonian(params, basis_size - plateau_step))
-    levels = min(plateau_levels, basis_size - plateau_step)
+    smaller = diagonalize(build_hamiltonian(params, basis_size - PLATEAU_STEP))
+    levels = min(PLATEAU_LEVELS, basis_size - PLATEAU_STEP)
     drift = np.abs(result.eigenvalues[:levels] - smaller.eigenvalues[:levels])
-    if params.force_exponent == 2 and np.any(drift > plateau_tol):
+    if params.force_exponent == 2 and np.any(drift > PLATEAU_TOL):
         raise PlateauError(
             f"eigenvalue drift {np.max(drift):.3e} over basis step "
-            f"{plateau_step} exceeds {plateau_tol:.1e}"
+            f"{PLATEAU_STEP} exceeds {PLATEAU_TOL:.1e}"
         )
-    return replace(result, plateau=drift, plateau_step=plateau_step)
+    return replace(result, plateau=drift, plateau_step=PLATEAU_STEP)
 
 
 def motion_from_spectrum(spec: SpectrumResult) -> MotionRepresentation:
@@ -284,59 +293,42 @@ def motion_from_spectrum(spec: SpectrumResult) -> MotionRepresentation:
     )
 
 
-def rspt_first_order_state(
-    params: OscillatorParams, n: int, basis_size: int
-) -> np.ndarray:
-    """First-order perturbed eigenstate coefficients over unperturbed states.
+def rspt(params: OscillatorParams, levels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Textbook Rayleigh-Schrodinger perturbation theory in the number basis.
 
-    |n> = |n>_0 + (m lam / 3) sum_{k != n} <k|x^3|n>_0 / ((n-k) hbar omega0) |k>_0
-    for the cubic force; exactly four coefficients (k = n +- 1, n +- 3)
-    are nonzero besides the unit diagonal.
-    """
-    if params.force_exponent != 2:
-        raise ValueError("first-order state is tabulated for the cubic force")
-    if n + 3 >= basis_size:
-        raise ValueError("basis_size must exceed n + 3")
-    x = position_matrix(params, basis_size)
-    x3 = x @ x @ x
-    k = np.arange(basis_size)
-    coeffs = np.zeros(basis_size)
-    mask = k != n
-    coeffs[mask] = (
-        params.mass
-        * params.lam
-        / 3.0
-        * x3[mask, n]
-        / ((n - k[mask]) * params.hbar * params.omega0)
-    )
-    coeffs[n] = 1.0
-    return coeffs
+    Returns (energies, states): energies[k, n] is E^(k)(n), the lam^k term
+    of the energy of level n at the coupling of params, and states[k, :, n]
+    holds the state correction |n^(k)) over unperturbed states, for
+    k = 0..order and n < levels. With V = m lam x^(p+1)/(p+1),
 
+        E^(k)(n) = <n|V|n^(k-1)),
+        (E^(0)(n) - H0) |n^(k)) = V |n^(k-1)) - sum_{i=1..k} E^(i)(n) |n^(k-i)),
 
-def rspt_energy_second_order(params: OscillatorParams, n: int) -> float:
-    """Level energy through second order in the conventional scheme,
-
-        E_n = (n + 1/2) hbar omega0 + <n|V|n> + sum_{k != n} |<k|V|n>|^2
-              / ((n - k) hbar omega0),
-
-    with V = m lam x^3/3 (p = 2) or m lam x^4/4 (p = 3)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    with intermediate normalization <n|n^(k)) = 0 for k >= 1. |n^(k)) reaches
+    level n + k(p+1), so the basis of levels + order(p+1) states holds every
+    correction exactly."""
+    if levels < 1 or order < 0:
+        raise ValueError("need levels >= 1 and order >= 0")
     p = params.force_exponent
-    size = n + p + 4
+    size = levels + order * (p + 1)
     x = position_matrix(params, size)
-    if p == 2:
-        v = params.mass * params.lam / 3.0 * (x @ x @ x)
-    else:
-        x2 = x @ x
-        v = params.mass * params.lam / 4.0 * (x2 @ x2)
-    e = (n + 0.5) * params.hbar * params.omega0 + v[n, n]
-    k = np.arange(size)
-    mask = k != n
-    e += float(
-        np.sum(v[mask, n] ** 2 / ((n - k[mask]) * params.hbar * params.omega0))
-    )
-    return float(e)
+    v = params.mass * params.lam / (p + 1) * np.linalg.matrix_power(x, p + 1)
+    n = np.arange(levels)
+    step = params.hbar * params.omega0
+    gap = (n - np.arange(size)[:, None]) * step
+    # dividing by inf keeps each correction free of its own level
+    gap[n, n] = np.inf
+    energies = np.zeros((order + 1, levels))
+    energies[0] = (n + 0.5) * step
+    states = np.zeros((order + 1, size, levels))
+    states[0, n, n] = 1.0
+    for k in range(1, order + 1):
+        rhs = v @ states[k - 1]
+        energies[k] = rhs[n, n]
+        for i in range(1, k + 1):
+            rhs -= energies[i] * states[k - i]
+        states[k] = rhs / gap
+    return energies, states
 
 
 @dataclass(frozen=True)
@@ -357,13 +349,11 @@ def default_lambda_grid(lam0: float, count: int = 5) -> np.ndarray:
     return lam0 / 2.0 ** np.arange(count - 1, -1, -1, dtype=float)
 
 
-def lambda_series_fit(
-    f, lambdas: np.ndarray, order: int, cond_threshold: float = 1e10
-) -> SeriesFit:
+def lambda_series_fit(f, lambdas: np.ndarray, order: int) -> SeriesFit:
     """Fit f(lam) = c0 + c1 lam + ... + c_order lam^order by least squares.
 
     f may be a callable evaluated on the grid or an array of samples.
-    A condition number above cond_threshold (or a rank-deficient design)
+    A condition number above COND_THRESHOLD (or a rank-deficient design)
     marks the fit ill conditioned rather than raising.
     """
     lam = np.asarray(lambdas, dtype=float)
@@ -382,5 +372,5 @@ def lambda_series_fit(
         coefficients=coeffs,
         condition_number=cond,
         rms_residual=rms,
-        ill_conditioned=bool(cond > cond_threshold or rank < order + 1),
+        ill_conditioned=bool(cond > COND_THRESHOLD or rank < order + 1),
     )

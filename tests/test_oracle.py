@@ -9,6 +9,7 @@ import ampmech.cli
 from ampmech import (
     NumericError,
     OscillatorParams,
+    PerturbSolution,
     PlateauError,
     SpectrumResult,
     TruncatedOperator,
@@ -20,8 +21,7 @@ from ampmech import (
     motion_from_spectrum,
     position_matrix,
     quantum_condition_residual,
-    rspt_energy_second_order,
-    rspt_first_order_state,
+    rspt,
     spectrum,
 )
 from conftest import assert_same_bits
@@ -215,40 +215,56 @@ class TestInjectedViolations:
     """Each check of `oracle` whose observed value the banded build moved
     still fails when its input is tampered with."""
 
-    @pytest.mark.parametrize("name, tamper, failing", [
-        ("amplitudes", property(_scaled_amplitudes), {"thomas-kuhn-sum-rule"}),
-        ("amplitude", lambda self, k, n, one=SpectrumResult.amplitude: 1.05 * one(self, k, n),
+    @pytest.mark.parametrize("owner, name, tamper, failing", [
+        (SpectrumResult, "amplitudes", property(_scaled_amplitudes), {"thomas-kuhn-sum-rule"}),
+        (SpectrumResult, "amplitude",
+         lambda self, k, n, one=SpectrumResult.amplitude: 1.05 * one(self, k, n),
          {"series-fit-x-1-1", "series-fit-x-2-0"}),
-        ("omega_exact", lambda self, n, m: 1.05 * (self.eigenvalues[n] - self.eigenvalues[m]),
+        (SpectrumResult, "omega_exact",
+         lambda self, n, m: 1.05 * (self.eigenvalues[n] - self.eigenvalues[m]),
          {"series-fit-omega-1-0"}),
-    ], ids=["thomas-kuhn", "amplitude-fits", "frequency-fit"])
-    def test_tampered_input_fails_its_check(self, name, tamper, failing, monkeypatch):
-        monkeypatch.setattr(SpectrumResult, name, tamper)
+        # the fit target is the solver's lam^2 frequency, not a copy of it
+        (PerturbSolution, "omega_band",
+         lambda self, k, alpha=1, one=PerturbSolution.omega_band:
+             (1.1 if k == 2 else 1.0) * one(self, k, alpha),
+         {"series-fit-omega-1-0"}),
+    ], ids=["thomas-kuhn", "amplitude-fits", "frequency-fit", "frequency-target"])
+    def test_tampered_input_fails_its_check(self, owner, name, tamper, failing, monkeypatch):
+        monkeypatch.setattr(owner, name, tamper)
         out = io.StringIO()
         assert ampmech.cli.run(["oracle"], stream=out) == 1
         checks = json.loads(out.getvalue())["checks"]
         assert {c["id"] for c in checks if not c["pass"]} == failing
 
 
+def rspt_state(params, n, order=1):
+    """|n) through the given order, over the unperturbed states."""
+    states = rspt(params, n + 1, order)[1]
+    return states.sum(axis=0)[:, n]
+
+
+def rspt_energy(params, n, order=2):
+    return rspt(params, n + 1, order)[0].sum(axis=0)[n]
+
+
 class TestRsptState:
     def test_connectivity_pattern(self):
         n = 4
-        c = rspt_first_order_state(P2, n, 40)
-        nonzero = set(np.nonzero(c)[0]) - {n}
-        assert nonzero == {n - 3, n - 1, n + 1, n + 3}
-        assert c[n] == 1.0
-        assert c[n - 2] == 0.0 and c[n + 2] == 0.0
+        for p, reach in ((2, {1, 3}), (3, {2, 4})):
+            c = rspt_state(OscillatorParams(force_exponent=p), n)
+            assert set(np.nonzero(c)[0]) == {n} | {n + s * r for r in reach for s in (-1, 1)}
+            assert c[n] == 1.0
 
     def test_two_step_amplitude_through_first_order(self):
         # <n-2|x|n> grows a first-order amplitude matching the banded
         # solver's two-step band via the coupling substitution
         lam = 0.01
         params = OscillatorParams(lam=lam)
-        n, size = 5, 40
-        x = position_matrix(params, size)
-        bra = rspt_first_order_state(params, n - 2, size)
-        ket = rspt_first_order_state(params, n, size)
-        amp = bra @ x @ ket
+        n = 5
+        ket = rspt_state(params, n)
+        bra = np.zeros(ket.size)
+        bra[: n + 2] = rspt_state(params, n - 2)
+        amp = bra @ position_matrix(params, ket.size) @ ket
         target = lam * params.beta**2 * math.sqrt(n * (n - 1)) / 12.0
         assert amp == pytest.approx(target, rel=1e-12)
 
@@ -260,40 +276,34 @@ class TestRsptState:
         deficits = []
         for lam in (0.01, 0.005):
             spec = cached_spectrum(lam, basis_size=80, check_plateau=False)
-            c = rspt_first_order_state(OscillatorParams(lam=lam), n, 80)
-            c = c / np.linalg.norm(c)
+            c = np.zeros(80)
+            first = rspt_state(OscillatorParams(lam=lam), n)
+            c[: first.size] = first / np.linalg.norm(first)
             overlap = abs(c @ spec.eigenvectors[:, n])
             deficits.append(1.0 - overlap)
         assert deficits[0] <= 1e-6
         assert deficits[0] / deficits[1] == pytest.approx(16.0, rel=0.3)
 
-    def test_requires_cubic_force(self):
-        with pytest.raises(ValueError):
-            rspt_first_order_state(OscillatorParams(force_exponent=3), 2, 40)
-
 
 class TestRsptEnergy:
     def test_matches_series_identically(self):
         for lam in (0.05, 0.02):
-            params = OscillatorParams(lam=lam)
+            energies = rspt(OscillatorParams(lam=lam), 11, 2)[0].sum(axis=0)
             for n in range(11):
-                assert rspt_energy_second_order(params, n) == pytest.approx(
-                    series_energy(n, lam), abs=1e-12
-                )
+                assert energies[n] == pytest.approx(series_energy(n, lam), abs=1e-12)
 
     def test_zero_coupling(self):
-        params = OscillatorParams(lam=0.0)
-        assert rspt_energy_second_order(params, 3) == pytest.approx(3.5, abs=0)
+        assert rspt_energy(OscillatorParams(lam=0.0), 3) == 3.5
 
     def test_quartic_against_diagonalization(self, cached_spectrum):
         lam = 0.05
         params = OscillatorParams(lam=lam, force_exponent=3)
-        e_rspt = rspt_energy_second_order(params, 0)
+        e_rspt = rspt_energy(params, 0)
         e_exact = cached_spectrum(lam, force_exponent=3).eigenvalues[0]
         gap1 = abs(e_rspt - e_exact)
         params2 = OscillatorParams(lam=lam / 2, force_exponent=3)
         gap2 = abs(
-            rspt_energy_second_order(params2, 0)
+            rspt_energy(params2, 0)
             - cached_spectrum(lam / 2, force_exponent=3).eigenvalues[0]
         )
         assert gap1 <= 1e-4

@@ -1,17 +1,19 @@
 """Level energies through eighth order against exact-rational RSPT.
 
 The oracle is textbook Rayleigh-Schroedinger perturbation theory on the
-ladder basis, in stdlib fractions, sharing no code with `perturb`. In the
+ladder basis, in stdlib fractions, sharing no code with `perturb` or with
+the float RSPT of `oracle.rspt`; both are checked against it. In the
 unnormalized basis a^+|n) = |n+1), a|n) = n|n-1) every matrix element of
 (a + a^+)^q is an integer, so every energy coefficient is a rational.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from ampmech import OscillatorParams, solve_perturbative
+from ampmech import OscillatorParams, rspt, solve_perturbative
 from ampmech.perturb import energy_diagonal_series
 
 ORDER = 8
@@ -80,12 +82,10 @@ def test_oracle_matches_textbook_second_order():
         assert exact_energies(3, n)[1] == Fraction(3 * (2 * n * n + 2 * n + 1), 16)
 
 
-@pytest.mark.parametrize("units", UNITS, ids=str)
-@pytest.mark.parametrize("p", [2, 3])
-def test_energy_series_matches_rational_rspt(p, units):
+def assert_matches_rational(total, p, units):
+    """total[k, n], the lam^k energy coefficient of level n, against the
+    rational ladder RSPT."""
     mass, omega0, hbar = units
-    params = OscillatorParams(mass=mass, omega0=omega0, hbar=hbar, force_exponent=p)
-    total = energy_diagonal_series(solve_perturbative(params, ORDER, 12)).total
     # lam enters as lam * m l^(p+1) / (hbar omega0) with l = sqrt(hbar/(m omega0))
     coupling = mass * math.sqrt(hbar / (mass * omega0)) ** (p + 1) / (hbar * omega0)
     for n in LEVELS:
@@ -96,3 +96,23 @@ def test_energy_series_matches_rational_rspt(p, units):
                 continue
             want = hbar * omega0 * float(exact) * coupling**k
             assert abs(got - want) <= REL_BOUND * abs(want), (n, k)
+
+
+def unit_params(p, units):
+    mass, omega0, hbar = units
+    return OscillatorParams(mass=mass, omega0=omega0, hbar=hbar, force_exponent=p)
+
+
+@pytest.mark.parametrize("units", UNITS, ids=str)
+@pytest.mark.parametrize("p", [2, 3])
+def test_energy_series_matches_rational_rspt(p, units):
+    total = energy_diagonal_series(solve_perturbative(unit_params(p, units), ORDER, 12)).total
+    assert_matches_rational(total, p, units)
+
+
+@pytest.mark.parametrize("units", UNITS, ids=str)
+@pytest.mark.parametrize("p", [2, 3])
+def test_float_rspt_matches_rational_rspt(p, units):
+    # at lam = 1 each term of the energy is its own coefficient
+    total = rspt(replace(unit_params(p, units), lam=1.0), len(LEVELS), ORDER)[0]
+    assert_matches_rational(total, p, units)
