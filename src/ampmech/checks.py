@@ -27,7 +27,7 @@ from .perturb import (ROUNDING_C, EnergyConservationError, StructureViolationErr
                       _engine_extent, _eom_terms, _half, _qc_residual_coefficient,
                       assemble_motion, band_weight, closed_form_amplitude,
                       closed_form_frequency, energy_matrix, extract_structure_constants,
-                      quantum_condition_order_residual, sho_solve, solve_perturbative)
+                      quantum_condition_order_residual, sho_solve)
 
 EPS = float(np.finfo(float).eps)
 # the random products of `algebra` sum up to 15 terms per entry
@@ -87,18 +87,22 @@ def algebra(params, seed: int):
             worst = max(worst, float(np.max(np.abs(ritz), initial=0.0)))
     yield "ritz-combination", worst, 0.0
 
-    ax, ay, az = (np.abs(m.to_dense()) for m in (x, y, z))
-    yield "multiply-matches-dense-product", *_relative(
-        multiply(x, y).to_dense(), x.to_dense() @ y.to_dense(), ax @ ay)
-    left = multiply(multiply(x, y), z).to_dense()
+    # each product and dense form is made once and read by every check
+    xy = multiply(x, y)
+    dense_xy = xy.to_dense()
+    dense_x, dense_y = x.to_dense(), y.to_dense()
+    ax, ay, az = np.abs(dense_x), np.abs(dense_y), np.abs(z.to_dense())
+    axy = ax @ ay
+    yield "multiply-matches-dense-product", *_relative(dense_xy, dense_x @ dense_y, axy)
+    left = multiply(xy, z).to_dense()
     right = multiply(x, multiply(y, z)).to_dense()
-    yield "multiply-associative", *_relative(right, left, ax @ ay @ az)
+    yield "multiply-associative", *_relative(right, left, axy @ az)
     yield "product-transpose-reverses-order", *_relative(
-        multiply(x, y).to_dense().T, multiply(y, x).to_dense(), ay @ ax)
+        dense_xy.T, multiply(y, x).to_dense(), ay @ ax)
 
     grid = FrequencyGrid(pot)
     dx, dy = (time_derivative(MotionRepresentation(m, grid, params)) for m in (x, y))
-    lhs = time_derivative(MotionRepresentation(multiply(x, y), grid, params)).to_dense()
+    lhs = time_derivative(MotionRepresentation(xy, grid, params)).to_dense()
     rhs = multiply(dx, y).to_dense() + multiply(x, dy).to_dense()
     size = np.abs(dx.to_dense()) @ ay + ax @ np.abs(dy.to_dense())
     yield "derivative-product-rule", *_relative(lhs, rhs, size)
@@ -121,31 +125,25 @@ def _sum_rule_size(motion, rows: int) -> float:
     return float(np.max(size))
 
 
-def sum_rule(motion, rows: int):
-    """Largest sum-rule residual over the first `rows` rows."""
-    res = quantum_condition_residual(motion)[:rows]
-    return float(np.max(np.abs(res))), ROUNDING_C * EPS * _sum_rule_size(motion, rows)
-
-
-def commutator(motion, rows: int):
-    """Largest |[x, p](n, n) - i hbar| over the first `rows` rows: the
-    sum-rule residual over 2 pi, and so are its terms."""
-    comm = commutator_diagonal(motion)[:rows]
-    size = _sum_rule_size(motion, rows) / (2.0 * math.pi)
-    return float(np.max(np.abs(comm - 1j * motion.params.hbar))), ROUNDING_C * EPS * size
-
-
 def sho(sol, rows: int):
-    """Sum rule and commutator of an exact oscillator solution."""
+    """Largest sum-rule residual and largest |[x, p](n, n) - i hbar| over the
+    first `rows` rows of an exact oscillator solution. The commutator's
+    deviation is the sum-rule residual over 2 pi, and so are its terms."""
     motion = assemble_motion(sol, 0.0)
-    yield "sho-quantum-condition", *sum_rule(motion, rows)
-    yield "sho-commutator", *commutator(motion, rows)
+    size = _sum_rule_size(motion, rows)
+    res = quantum_condition_residual(motion)[:rows]
+    yield "sho-quantum-condition", float(np.max(np.abs(res))), ROUNDING_C * EPS * size
+    comm = commutator_diagonal(motion)[:rows]
+    size /= 2.0 * math.pi
+    yield ("sho-commutator", float(np.max(np.abs(comm - 1j * motion.params.hbar))),
+           ROUNDING_C * EPS * size)
 
 
-def coupling_scaling(params):
-    """Deviation of the quartic commutator from i hbar under coupling halving."""
+def coupling_scaling(params, solve):
+    """Deviation of the quartic commutator from i hbar under coupling halving,
+    on the table solve(params, order, n_max) gives."""
     quartic = replace(params, force_exponent=3)
-    sol = solve_perturbative(quartic, 2, 12)
+    sol = solve(quartic, 2, 12)
     unit = params.mass * params.omega0**3 / params.hbar
     devs = []
     for lam in COUPLING_LAMS:
@@ -164,8 +162,7 @@ def recursion(sol):
     at default units."""
     params, c, n_hi = sol.params, sol.coeffs, sol.n_max + 1
     t_max = _engine_extent(params.force_exponent, sol.order)[1]
-    residuals = _eom_terms(params, c, t_max, c.band_max)
-    sizes = _eom_terms(params, c, t_max, c.band_max, absolute=True)
+    terms = _eom_terms(params, c, t_max, c.band_max, sizes=True)
     for alpha in sol.public_bands:
         for k in range(sol.order + 1):
             t, band = band_weight(params.force_exponent, alpha) + k, c.band_max + alpha
@@ -174,8 +171,8 @@ def recursion(sol):
                 scale = max(1.0, amp_scale**2)
             else:
                 scale = max(1.0, abs(1 - alpha * alpha) * params.omega0**2 * amp_scale)
-            observed = float(np.max(np.abs(residuals[t][band, :n_hi]))) / _half(alpha)
-            size = float(np.max(sizes[t][band, :n_hi])) / _half(alpha)
+            observed = float(np.max(np.abs(terms[0, t, band, :n_hi]))) / _half(alpha)
+            size = float(np.max(terms[1, t, band, :n_hi])) / _half(alpha)
             yield (f"recursion-residual-band{alpha}-order{k}",
                    observed / scale, ROUNDING_C * EPS * size / scale)
 
@@ -280,10 +277,12 @@ def rspt_matches_series(rspt, series, eds, lam: float):
 
 def _commutator_group(params, sol, seed):
     yield from sho(sho_solve(replace(params, lam=0.0), 50), 49)
-    yield "commutator-coupling-scaling", *coupling_scaling(params)
+    yield "commutator-coupling-scaling", *coupling_scaling(params, sol)
 
 
-# verify's groups in report order; `sol` solves on its first call
+# verify's groups in report order. `sol(params, order, n_max)` is the run's
+# memo of `solve_perturbative`, so that a table is solved once per run; with
+# no arguments it gives verify's own table
 GROUPS = {
     "algebra": lambda params, sol, seed: algebra(params, seed),
     "commutator": _commutator_group,

@@ -241,7 +241,11 @@ def cmd_verify(cfg):
     params = _params_from(cfg)
     checks, rows = [], []
     group = cfg.check
-    sol = functools.cache(lambda: solve_perturbative(params, cfg.order, cfg.n_max))
+    solve = functools.cache(solve_perturbative)
+
+    def sol(p=params, order=cfg.order, n_max=cfg.n_max):
+        return solve(p, order, n_max)
+
     for name, checks_of in registry.GROUPS.items():
         if group in ("all", name):
             for check in checks_of(params, sol, cfg.seed):
@@ -437,6 +441,8 @@ class RunConfig:
             raise UsageError("--n-max must be at least order + 3")
         if self.basis_size < 18:
             raise UsageError("--basis-size must be at least 18")
+        if self.levels < 1:
+            raise UsageError("--levels must be at least 1")
         if self.samples < 16:
             raise UsageError("--samples must be at least 16")
         if self.fmt not in ("json", "csv"):

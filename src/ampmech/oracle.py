@@ -93,7 +93,7 @@ class SpectrumResult:
     amplitudes[k, n] = <k|x|n> between exact (truncated-basis) eigenstates,
     with each eigenvector's largest component made positive. The matrix is
     formed on first read; `amplitude(k, n)` gives one entry without it.
-    plateau holds |E(N) - E(N - plateau_step)| for the lowest
+    plateau holds |E(N) - E(N - PLATEAU_STEP)| for the lowest
     PLATEAU_LEVELS levels when a basis-growth check was run.
     """
 
@@ -102,7 +102,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     plateau: np.ndarray | None = None
-    plateau_step: int | None = None
 
     def omega_exact(self, n: int, m: int) -> float:
         return float(
@@ -280,7 +279,7 @@ def spectrum(
             f"eigenvalue drift {np.max(drift):.3e} over basis step "
             f"{PLATEAU_STEP} exceeds {PLATEAU_TOL:.1e}"
         )
-    return replace(result, plateau=drift, plateau_step=PLATEAU_STEP)
+    return replace(result, plateau=drift)
 
 
 def motion_from_spectrum(spec: SpectrumResult) -> MotionRepresentation:

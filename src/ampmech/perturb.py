@@ -203,20 +203,25 @@ def _x_series(
 ) -> np.ndarray:
     """Representation of x as data[s, band_max+g, n], the lam^s coefficient
     of X(n, n-g), with the band weights and cosine halves folded in. The
-    mirrored band is X(n, n+g) = X(n+step*g, n)."""
-    orders, bands, rows = amp.shape
-    data = np.zeros((max_power + 1, 2 * band_max + 1, rows))
+    mirrored band is X(n, n+g) = X(n+step*g, n). Leading axes of amp, past
+    its (orders, bands, rows), are kept as leading axes of the series."""
+    *lead, orders, bands, rows = amp.shape
+    data = np.zeros((*lead, max_power + 1, 2 * band_max + 1, rows))
     for a in _band_list(p, min(bands - 1, band_max)):
-        w = band_weight(p, a)
-        c = _half(a)
-        for k in range(orders):
-            s = w + k
-            if s > max_power:
-                break
-            data[s, band_max + a, :] = c * amp[k, a, :]
-            if a > 0:
-                data[s, band_max - a, : rows - step * a] = c * amp[k, a, step * a :]
+        for k in range(min(orders, max_power + 1 - band_weight(p, a))):
+            _x_put(data, p, amp, k, a, step)
     return data
+
+
+def _x_put(x: np.ndarray, p: int, amp: np.ndarray, k: int, a: int, step: int = 1) -> None:
+    """Write a^(k)(n, n-a) into the x series at its power w(a) + k, on band a
+    and its mirror."""
+    band_max, rows = (x.shape[-2] - 1) // 2, x.shape[-1]
+    s, c = band_weight(p, a) + k, _half(a)
+    x[..., s, band_max + a, :] = c * amp[..., k, a, :]
+    if a > 0:
+        # the mirror reads rows step*a.., none when the band outgrows the table
+        x[..., s, band_max - a, : max(rows - step * a, 0)] = c * amp[..., k, a, step * a :]
 
 
 def _series_mul(
@@ -225,49 +230,71 @@ def _series_mul(
     """Product of two banded lam-series: sum over g of a(n, n-g) b(n-step*g, .).
     With step 0 on one row this is the convolution over signed harmonics.
     Only the powers min_power..max_power are formed; out[s - min_power] is the
-    lam^s coefficient, with the same bits as in the full product."""
-    pa, wa, rows = a.shape
-    pb, wb, _ = b.shape
+    lam^s coefficient, with the same bits as in the full product. Leading
+    axes, past (powers, bands, rows), broadcast: each slice of finite
+    series gets the bits of its own product."""
+    *_, pa, wa, rows = a.shape
+    pb, wb = b.shape[-3:-1]
     ba, bb = (wa - 1) // 2, (wb - 1) // 2
     bc = ba + bb
     out = np.zeros(
-        (max_power + 1 - min_power, 2 * bc + 1, rows), dtype=np.result_type(a, b)
+        (*(a.shape[:-3] or b.shape[:-3]), max_power + 1 - min_power, 2 * bc + 1, rows),
+        dtype=np.result_type(a, b),
     )
     # band g of a feeds rows lo..hi. All-zero (i, g) slices of a and bands of
     # b outside h0..h1-1, the span of its nonzero ones at the powers read, add
     # only zeros (and nan from 0 * inf): out starts at +0 and never holds -0.
+    # A slice or band is nonzero if it is in any stacked series.
     n = np.arange(rows)
     shift = step * np.arange(-ba, ba + 1)[:, None]
-    live = np.any((a != 0) & (n >= shift) & (n <= rows - 1 + shift), axis=2)
-    nonzero = np.any(b != 0, axis=2)
+    mask = (n >= shift) & (n <= rows - 1 + shift)
+    live = np.any((a != 0) & mask, axis=(*range(a.ndim - 3), -1)).tolist()
+    nonzero = np.any(b != 0, axis=(*range(b.ndim - 3), -1))
     b_lo, b_hi = nonzero.argmax(1).tolist(), (wb - nonzero[:, ::-1].argmax(1)).tolist()
-    for i, k in np.argwhere(live[: max_power + 1]).tolist():
-        g = k - ba
-        sg = step * g
-        lo, hi = max(0, sg), min(rows - 1, rows - 1 + sg)
+    # where the nonzero bands of b share one parity (odd x, even x^2 of the
+    # quartic force), a span takes every other band, from the first of that
+    # parity: the others are zero, and as above skipping them shows only as
+    # the nan of 0 * inf
+    held = nonzero.any(0).tolist()
+    hs = 1 if any(held[::2]) and any(held[1::2]) else 2
+    parity = held.index(True) % 2 if True in held else 0
+    for i, row in enumerate(live[: max_power + 1]):
         j0, j1 = max(0, min_power - i), min(pb, max_power + 1 - i)
         h0, h1 = min(b_lo[j0:j1], default=wb), max(b_hi[j0:j1], default=0)
+        h0 += (h0 - parity) % hs
         if h0 >= h1:
             continue
-        # a stays 3-d: numpy rounds a single complex product without fma when
-        # it broadcasts one factor from fewer dimensions, and with fma here
-        s0, g0 = i + j0 - min_power, bc + g - bb
-        out[s0 : s0 + j1 - j0, g0 + h0 : g0 + h1, lo : hi + 1] += (
-            a[i : i + 1, k : k + 1, lo : hi + 1] * b[j0:j1, h0:h1, lo - sg : hi + 1 - sg]
-        )
+        s0 = i + j0 - min_power
+        for k in [k for k, on in enumerate(row) if on]:
+            g = k - ba
+            sg = step * g
+            lo, hi = max(0, sg), min(rows - 1, rows - 1 + sg)
+            # a stays 3-d: numpy rounds a single complex product without fma
+            # when it broadcasts one factor from fewer dimensions, and with fma
+            # here
+            g0 = bc + g - bb
+            out[..., s0 : s0 + j1 - j0, g0 + h0 : g0 + h1 : hs, lo : hi + 1] += (
+                a[..., i : i + 1, k : k + 1, lo : hi + 1]
+                * b[..., j0:j1, h0:h1:hs, lo - sg : hi + 1 - sg]
+            )
     return out
 
 
 def _xp_coefficient(
-    p: int, x: np.ndarray, x2: np.ndarray, s: int, step: int = 1
+    p: int, x: np.ndarray, x2: np.ndarray, s: int, step: int = 1,
+    min_power: int | None = None,
 ) -> np.ndarray:
     """lam^s coefficient of x^p over (signed band, row), from the x series
     and x2, the coefficients of x^2, both through lam^s. Only the top power
     of x^3 is formed, so a solver that carries x2 across powers adds one
-    power of each per step."""
+    power of each per step. With min_power, the coefficients
+    lam^min_power..lam^s instead, on a powers axis, in one product."""
+    lo = s if min_power is None else min_power
     if p == 2:
-        return x2[s]
-    return _series_mul(x2[: s + 1], x, s, step, min_power=s)[0]
+        xp = x2[..., lo : s + 1, :, :]
+    else:
+        xp = _series_mul(x2[..., : s + 1, :, :], x, s, step, min_power=lo)
+    return xp if min_power is not None else xp[..., 0, :, :]
 
 
 def _omega_series(pot: np.ndarray, band_max: int) -> np.ndarray:
@@ -287,6 +314,7 @@ def _eom_residual_coefficient(
     om: np.ndarray,
     power: int,
     xp_top: np.ndarray | None,
+    om_right: np.ndarray | None = None,
 ) -> np.ndarray:
     """lam^power coefficient of the equation-of-motion representative,
 
@@ -294,17 +322,25 @@ def _eom_residual_coefficient(
 
     returned as an array over (signed band g, row n), from the x series
     through lam^power, the per-band frequency series om[k, g, n] and xp_top,
-    the lam^(power-1) coefficient of x^p (None at power 0)."""
-    band_max = (x.shape[1] - 1) // 2
-    res = params.omega0**2 * x[power].copy()
+    the lam^(power-1) coefficient of x^p (None at power 0). The second
+    factor of each omega_i omega_j comes from om_right (default om). Leading
+    axes, before (powers, bands, rows), broadcast."""
+    band_max = (x.shape[-2] - 1) // 2
+    om_right = om if om_right is None else om_right
+    res = params.omega0**2 * x[..., power, :, :]
     # omega^2 acts entrywise per band; convolve the three order indices
-    for i in range(min(om.shape[0], power + 1)):
-        for j in range(min(om.shape[0], power + 1 - i)):
-            res -= om[i] * om[j] * x[power - i - j]
+    for i in range(min(om.shape[-3], power + 1)):
+        for j in range(min(om.shape[-3], power + 1 - i)):
+            res -= om[..., i, :, :] * om_right[..., j, :, :] * x[..., power - i - j, :, :]
     if xp_top is not None:
-        bc = (xp_top.shape[0] - 1) // 2
-        res += xp_top[bc - band_max : bc + band_max + 1, :]
+        res += _window(xp_top, band_max)
     return res
+
+
+def _window(series: np.ndarray, band_max: int) -> np.ndarray:
+    """The bands -band_max..band_max of a banded array over (band, row)."""
+    bc = (series.shape[-2] - 1) // 2
+    return series[..., bc - band_max : bc + band_max + 1, :]
 
 
 def _solve_bands(
@@ -408,40 +444,36 @@ def build_recursions(
                 "coefficient tables were built for a different force exponent"
             )
         band_max = max(coeffs.band_max, alpha)
-        return scale * _eom_terms(params, coeffs, power, band_max)[power][band_max + alpha, :]
+        return scale * _eom_terms(params, coeffs, power, band_max)[power, band_max + alpha, :]
 
     return residual
 
 
 def _eom_terms(params: OscillatorParams, coeffs: CoefficientSet, t_max: int,
-               band_max: int, absolute: bool = False) -> list[np.ndarray]:
+               band_max: int, sizes: bool = False) -> np.ndarray:
     """The lam^t coefficients, t = 0..t_max, of the equation-of-motion
-    representative over (signed band, row) at the coefficient tables. With
-    `absolute`, the summed size of their terms instead: omega0^2 |X|,
+    representative over (power t, signed band, row) at the coefficient
+    tables. With `sizes`, they are stacked on a leading axis with the summed
+    size of their terms, formed in the same pass: omega0^2 |X|,
     2 |omega_i| (|Omega_j(n)| + |Omega_j(n-g)|) |X| for each omega_i omega_j X
     (a frequency is a difference of potentials), and |x|^p."""
-    p, pot = params.force_exponent, coeffs.freq_potential
-    x = _x_series(p, np.abs(coeffs.amp) if absolute else coeffs.amp, t_max, band_max)
-    x2 = _series_mul(x, x, max(t_max - 1, 0))
-    om = _omega_series(pot, band_max)
-    if absolute:
-        # |Omega(n)| + |Omega(n-g)| is 2 |Omega(n)| less their difference
+    p, pot, amp = params.force_exponent, coeffs.freq_potential, coeffs.amp
+    om = om_right = _omega_series(pot, band_max)
+    if sizes:
+        # |Omega(n)| + |Omega(n-g)| is 2 |Omega(n)| less their difference; it
+        # enters negated, so that the size is subtracted as the residual's
+        # terms are
         big = 2.0 * np.abs(pot)[:, None, :] - _omega_series(np.abs(pot), band_max)
-    out = []
-    for t in range(t_max + 1):
-        xp_top = _xp_coefficient(p, x, x2, t - 1) if t else None
-        if not absolute:
-            out.append(_eom_residual_coefficient(params, x, om, t, xp_top))
-            continue
-        size = params.omega0**2 * x[t]
-        for i in range(min(om.shape[0], t + 1)):
-            for j in range(min(om.shape[0], t + 1 - i)):
-                size += 2.0 * np.abs(om[i]) * big[j] * x[t - i - j]
-        if t:
-            bc = (xp_top.shape[0] - 1) // 2
-            size += xp_top[bc - band_max : bc + band_max + 1]
-        out.append(size)
-    return out
+        om, om_right = np.stack([om, 2.0 * np.abs(om)]), np.stack([om, -big])
+        amp = np.stack([amp, np.abs(amp)])
+    x = _x_series(p, amp, t_max, band_max)
+    x2 = _series_mul(x, x, max(t_max - 1, 0))
+    xp = _xp_coefficient(p, x, x2, t_max - 1, min_power=0)
+    return np.stack([
+        _eom_residual_coefficient(params, x, om, t, xp[..., t - 1, :, :] if t else None,
+                                  om_right)
+        for t in range(t_max + 1)
+    ], axis=-3)
 
 
 def quantum_condition_order_residual(sol: "PerturbSolution", k: int) -> np.ndarray:
@@ -548,14 +580,19 @@ def solve_perturbative(
     amp[0, 1, 1:] = beta * np.sqrt(levels[1:])
     solved: dict[int, int] = {1: 0}
 
-    x2 = np.zeros((t_max, 4 * band_eng + 1, rows))  # x^2, carried across t
+    # x, its square and the frequencies are carried across t: each power is
+    # set once, as its coefficients are solved
+    x = np.zeros((t_max + 1, 2 * band_eng + 1, rows))
+    _x_put(x, p, amp, 0, 1)
+    x2 = np.zeros((t_max, 4 * band_eng + 1, rows))
+    om = np.zeros((order + 1, 2 * band_eng + 1, rows))
+    om[0] = _omega_series(pot[:1], band_eng)[0]
     for t in range(1, t_max + 1):
         # x is final through lam^(t-1), all that x^2 and x^p there read
-        x = _x_series(p, amp, t, band_eng)
-        x2[t - 1] = _series_mul(x, x, t - 1, min_power=t - 1)[0]
-        xp_top = _xp_coefficient(p, x, x2, t - 1)
+        xt = x[: t + 1]
+        x2[t - 1] = _series_mul(xt, xt, t - 1, min_power=t - 1)[0]
         res_t = _eom_residual_coefficient(
-            params, x, _omega_series(pot, band_eng), t, xp_top
+            params, xt, om, t, _xp_coefficient(p, xt, x2, t - 1)
         )
         if t <= order:
             # adjacent band: its amplitude drops out, the frequency remains
@@ -563,12 +600,17 @@ def solve_perturbative(
             pot_inc = np.zeros(rows)
             pot_inc[1:] = res_t[band_eng + 1, 1:] / (omega0 * a0[1:])
             pot[t] = np.cumsum(pot_inc)
+            om[t] = _omega_series(pot[t : t + 1], band_eng)[0]
             # sum rule at order t: difference equation integrated from n = 0
             q0 = _qc_residual_coefficient(params, amp, pot, t)
             u = -np.cumsum(q0)
             amp[t, 1, 1:] = u[:-1] / (2.0 * math.pi * params.mass * omega0 * a0[1:])
             solved[1] = t
-        solved.update(_solve_bands(p, amp, res_t, t, bands, omega0))
+            _x_put(x, p, amp, t, 1)
+        solved_t = _solve_bands(p, amp, res_t, t, bands, omega0)
+        for alpha, k in solved_t.items():
+            _x_put(x, p, amp, k, alpha)
+        solved.update(solved_t)
 
     coeffs = CoefficientSet(force_exponent=p, amp=amp, freq_potential=pot)
     return PerturbSolution(

@@ -68,14 +68,15 @@ def assert_same_bits(got, ref):
     assert got.tobytes() == ref.tobytes()
 
 
-def xp_rebuild_reference(p, x, x2, s, step=1):
+def xp_rebuild_reference(p, x, x2, s, step=1, min_power=None):
     """lam^s coefficient of x^p formed from scratch through lam^s at every
     call, as the engine did before it carried x^2 across powers; the carry
     array x2 is ignored. Patched over `_xp_coefficient` it gives the old
-    per-power rebuild of the solvers."""
+    per-power rebuild of the solvers. With min_power, the coefficients
+    lam^min_power..lam^s."""
     from ampmech.perturb import _series_mul
 
     xp = _series_mul(x, x, s, step)
     if p == 3:
         xp = _series_mul(xp, x, s, step)
-    return xp[s]
+    return xp[s] if min_power is None else xp[min_power : s + 1]

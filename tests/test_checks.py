@@ -93,6 +93,22 @@ def test_tampered_amplitude_fails_its_checks(group, force):
         assert failing(group(tampered(sol, 0, 1, 500)))
 
 
+@pytest.mark.parametrize("force", [2, 3])
+def test_recursion_reads_every_solved_coefficient(force):
+    # the residuals are formed from the tables alone, so a wrong entry of any
+    # public band at any order checked shows, whatever the solve formed on
+    # the way
+    sol = solve_perturbative(OscillatorParams(force_exponent=force), 4, 60)
+    assert not failing(checks.recursion(sol))
+    tried = 0
+    for alpha in sol.public_bands:
+        for k in range(sol.order + 1):
+            if sol.coeffs.amp[k, alpha, 30] != 0:  # scaling a zero changes nothing
+                assert failing(checks.recursion(tampered(sol, k, alpha, 30))), (alpha, k)
+                tried += 1
+    assert tried > len(sol.public_bands)
+
+
 @pytest.mark.parametrize("units", UNITS, ids=str)
 def test_tampered_sho_row_fails(units):
     m, w0, hbar = units
@@ -105,8 +121,9 @@ def test_tampered_sho_row_fails(units):
 @pytest.mark.parametrize("units", UNITS + [(0.3, 3.0, 2.0), (5.0, 0.7, 0.2)], ids=str)
 def test_coupling_scaling_is_unit_free(units):
     m, w0, hbar = units
-    ratio, window = checks.coupling_scaling(OscillatorParams(mass=m, omega0=w0, hbar=hbar))
-    default, _ = checks.coupling_scaling(OscillatorParams())
+    ratio, window = checks.coupling_scaling(OscillatorParams(mass=m, omega0=w0, hbar=hbar),
+                                            solve_perturbative)
+    default, _ = checks.coupling_scaling(OscillatorParams(), solve_perturbative)
     assert window[0] <= ratio <= window[1]
     assert ratio == pytest.approx(default, rel=1e-6)
 

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from ampmech import cli
 from ampmech.cli import run
+from ampmech.perturb import solve_perturbative
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -193,6 +194,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"usage error: --lam and --lam-max must be at most {limit} in absolute "
             "value for the cubic force at these units\n")
+
+    @pytest.mark.parametrize("levels", ["0", "-3"])
+    def test_oracle_levels_below_one_is_a_usage_error(self, levels, capsys, monkeypatch):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("diagonalized before the usage check")
+
+        monkeypatch.setattr(cli, "spectrum", no_eigensolve)
+        code, out = run_capture(["oracle", "--levels", levels])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "usage error: --levels must be at least 1\n"
 
     def test_numeric_nonconvergence(self):
         # a basis of 20 cannot plateau: a numeric failure, not a usage error
@@ -447,6 +458,25 @@ class TestPayloadShape:
         assert "closed-form-amplitudes" in ids
         assert "structure-constants" in ids
         assert all(c["pass"] for c in doc["checks"])
+
+    @pytest.mark.parametrize("runs, solves", [
+        ([["verify", "--force", "3"]], 1),  # coupling scaling reads verify's table
+        ([["verify"]], 2),  # the cubic table and the quartic one of coupling scaling
+        ([["verify", "--check", "algebra"]], 0),
+        # the memo lives for one run: a second run solves again
+        ([["verify", "--force", "3"], ["verify", "--force", "3"]], 2),
+    ], ids=lambda v: str(v) if isinstance(v, int) else " / ".join(map(" ".join, v)))
+    def test_verify_solves_each_table_once(self, runs, solves, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_perturbative(*args)
+
+        monkeypatch.setattr(cli, "solve_perturbative", counted)
+        for argv in runs:
+            assert run_capture(argv)[0] == 0
+        assert len(calls) == solves
 
     def test_verify_check_filter(self):
         _, out = run_capture(["verify", "--check", "algebra"])

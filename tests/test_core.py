@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,40 @@ def commutator_complex_reference(motion):
     x_xdot = multiply(motion.amplitudes, xdot)
     xdot_x = multiply(xdot, motion.amplitudes)
     return motion.params.mass * (x_xdot.band(0) - xdot_x.band(0))
+
+
+def commutator_multiply_reference(motion):
+    """Diagonal of x*p - p*x as band 0 of two full `multiply` products on the
+    real omega*X, as computed before only the diagonal was summed."""
+    x = motion.amplitudes
+    wx = BandAmplitudeArray(time_derivative(motion).data.imag, edge_touched=x.edge_touched)
+    return 1j * (motion.params.mass * (multiply(x, wx).band(0) - multiply(wx, x).band(0)))
+
+
+def time_derivative_reference(motion):
+    """i*omega(n, m)*X(n, m) one band at a time, as computed before the
+    frequencies of all bands were gathered at once."""
+    x = motion.amplitudes
+    pot = motion.frequencies.potential
+    n_rows = x.n_max + 1
+    out = np.zeros((n_rows, 2 * x.band_max + 1), dtype=np.complex128)
+    for alpha in range(-x.band_max, x.band_max + 1):
+        col = np.arange(n_rows) - alpha
+        keep = (col >= 0) & (col <= motion.frequencies.n_max)
+        omega = np.zeros(n_rows)
+        omega[keep] = pot[np.arange(n_rows)[keep]] - pot[col[keep]]
+        out[:, x.band_max + alpha] = 1j * omega * np.where(keep, x.band(alpha), 0.0)
+    return out
+
+
+def random_motion(seed, n_max, band_max, extra, hermitian=False):
+    """A motion of random banded amplitudes (top-edge mirrors nonzero) on a
+    random grid `extra` levels taller than the amplitude rows."""
+    rng = np.random.default_rng(seed)
+    data = random_values(rng, (n_max + 1, 2 * band_max + 1), hermitian)
+    grid = FrequencyGrid(rng.normal(size=n_max + 1 + extra))
+    params = OscillatorParams(mass=rng.uniform(0.5, 2.0))
+    return MotionRepresentation(BandAmplitudeArray(data, hermitian), grid, params)
 
 
 def multiply_reference(x, y):
@@ -379,6 +414,20 @@ class TestTimeDerivative:
         )
 
 
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 30), st.integers(0, 40),
+           st.integers(0, 4), st.booleans())
+    def test_gather_matches_band_loop(self, seed, n_max, band_max, extra, hermitian):
+        motion = random_motion(seed, n_max, band_max, extra, hermitian)
+        assert_same_bits(time_derivative(motion).data, time_derivative_reference(motion))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_gather_matches_band_loop_on_solutions(self, p):
+        sol = solve_perturbative(OscillatorParams(mass=2.3, omega0=0.4, force_exponent=p), 4, 30)
+        motion = assemble_motion(sol, 0.07)
+        assert_same_bits(time_derivative(motion).data, time_derivative_reference(motion))
+
+
 class TestQuantumCondition:
     def test_sho_residual_tiny(self):
         m = sho_motion(50)
@@ -429,6 +478,27 @@ class TestQuantumCondition:
         assert moved[n - alpha] > 0.0 > moved[n]
 
 
+@pytest.mark.parametrize("kernel", ["from_dense", "time_derivative"])
+def test_strided_views_keep_no_memory(kernel):
+    # numpy's stride_tricks keep about 19 bytes from every call; the kernels
+    # read their strided views through plain ndarray views instead
+    rng = np.random.default_rng(0)
+    dense = rng.normal(size=(9, 9))
+    motion = random_motion(0, 12, 3, 2)
+    call = {"from_dense": lambda: BandAmplitudeArray.from_dense(dense, 3),
+            "time_derivative": lambda: time_derivative(motion)}[kernel]
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(3000):
+            call()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 8 * 1024
+
+
 class TestCommutator:
     def test_sho_equals_i_hbar(self):
         m = sho_motion(30)
@@ -472,6 +542,21 @@ class TestCommutator:
         got, ref = commutator_diagonal(motion), commutator_complex_reference(motion)
         assert_same_bits(got.imag, ref.imag)
         assert not np.any(got.real) and not np.any(ref.real)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 30), st.integers(0, 40), st.integers(0, 4))
+    def test_diagonal_sum_matches_full_products(self, seed, n_max, band_max, extra):
+        motion = random_motion(seed, n_max, band_max, extra)
+        assert_same_bits(commutator_diagonal(motion), commutator_multiply_reference(motion))
+
+    @pytest.mark.parametrize("n_max", [5, 12, 400])
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("order", [0, 2, 6])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_diagonal_sum_matches_full_products_on_solutions(self, p, order, lam, n_max):
+        params = OscillatorParams(mass=2.3, omega0=0.4, hbar=0.7, force_exponent=p)
+        motion = assemble_motion(solve_perturbative(params, order, max(n_max, order + 3)), lam)
+        assert_same_bits(commutator_diagonal(motion), commutator_multiply_reference(motion))
 
     def test_sum_rule_chain(self, sol_cubic):
         # the diagonal commutator equals i*hbar + i/(2 pi) * sum-rule residual

@@ -296,6 +296,194 @@ class TestCarriedPowers:
         assert_same_bits(got, build_recursions(P2, alpha, order)(sol_cubic.coeffs))
 
 
+def solve_rebuild_reference(params, order, n_max):
+    """The solver as it was before it carried x and the frequencies across
+    powers: both rebuilt from the tables at every power. Returns the tables,
+    and the solved orders."""
+    p, omega0 = params.force_exponent, params.omega0
+    _, t_max, band_eng, pad = perturb._engine_extent(p, order)
+    bands = perturb._band_list(p, band_eng)
+    rows = n_max + 1 + pad
+    amp = np.zeros((order + 1, band_eng + 1, rows))
+    pot = np.zeros((order + 1, rows))
+    pot[0] = omega0 * np.arange(rows)
+    amp[0, 1, 1:] = params.beta * np.sqrt(np.arange(rows, dtype=float)[1:])
+    solved = {1: 0}
+    x2 = np.zeros((t_max, 4 * band_eng + 1, rows))
+    for t in range(1, t_max + 1):
+        x = _x_series(p, amp, t, band_eng)
+        x2[t - 1] = _series_mul(x, x, t - 1, min_power=t - 1)[0]
+        xp_top = perturb._xp_coefficient(p, x, x2, t - 1)
+        res_t = perturb._eom_residual_coefficient(
+            params, x, _omega_series(pot, band_eng), t, xp_top)
+        if t <= order:
+            a0 = amp[0, 1]
+            pot_inc = np.zeros(rows)
+            pot_inc[1:] = res_t[band_eng + 1, 1:] / (omega0 * a0[1:])
+            pot[t] = np.cumsum(pot_inc)
+            u = -np.cumsum(perturb._qc_residual_coefficient(params, amp, pot, t))
+            amp[t, 1, 1:] = u[:-1] / (2.0 * math.pi * params.mass * omega0 * a0[1:])
+            solved[1] = t
+        solved.update(perturb._solve_bands(p, amp, res_t, t, bands, omega0))
+    return amp, pot, solved
+
+
+def eom_terms_two_pass_reference(params, coeffs, t_max, band_max, absolute=False):
+    """`_eom_terms` as it was before the residual and its size shared one
+    pass: one series pass for each, from the tables alone."""
+    p, pot = params.force_exponent, coeffs.freq_potential
+    x = _x_series(p, np.abs(coeffs.amp) if absolute else coeffs.amp, t_max, band_max)
+    x2 = _series_mul(x, x, max(t_max - 1, 0))
+    om = _omega_series(pot, band_max)
+    big = 2.0 * np.abs(pot)[:, None, :] - _omega_series(np.abs(pot), band_max)
+    out = []
+    for t in range(t_max + 1):
+        res = params.omega0**2 * x[t].copy()
+        for i in range(min(om.shape[0], t + 1)):
+            for j in range(min(om.shape[0], t + 1 - i)):
+                if absolute:
+                    res += 2.0 * np.abs(om[i]) * big[j] * x[t - i - j]
+                else:
+                    res -= om[i] * om[j] * x[t - i - j]
+        if t:
+            xp_top = perturb._xp_coefficient(p, x, x2, t - 1)
+            bc = (xp_top.shape[0] - 1) // 2
+            res += xp_top[bc - band_max : bc + band_max + 1]
+        out.append(res)
+    return out
+
+
+ORDERS_UNITS = [(p, order, units) for p in (2, 3) for order in range(7)
+                for units in [(1.0, 1.0, 1.0), (2.3, 0.4, 0.7)]]
+
+
+class TestIncrementalSeries:
+    """The solver sets each power of x and of the frequencies once, as its
+    coefficients are solved; the rebuild of both at every power is the
+    reference."""
+
+    @pytest.mark.parametrize("n_max", ["order+3", 40])
+    @pytest.mark.parametrize("p, order, units", ORDERS_UNITS, ids=str)
+    def test_solve_matches_rebuild(self, p, order, units, n_max):
+        m, w0, hbar = units
+        params = OscillatorParams(mass=m, omega0=w0, hbar=hbar, force_exponent=p)
+        n_max = order + 3 if n_max == "order+3" else n_max
+        sol = solve_perturbative(params, order, n_max)
+        amp, pot, solved = solve_rebuild_reference(params, order, n_max)
+        assert_same_bits(sol.coeffs.amp, amp)
+        assert_same_bits(sol.coeffs.freq_potential, pot)
+        assert sol.solved_orders == solved
+
+
+class TestStackedEomTerms:
+    """The residual and the summed size of its terms share one series pass,
+    stacked on a leading axis. Two separate passes from the tables are the
+    reference."""
+
+    @staticmethod
+    def assert_matches_two_passes(params, coeffs, t_max, band_max):
+        stacked = perturb._eom_terms(params, coeffs, t_max, band_max, sizes=True)
+        signed = eom_terms_two_pass_reference(params, coeffs, t_max, band_max)
+        sizes = eom_terms_two_pass_reference(params, coeffs, t_max, band_max, absolute=True)
+        assert stacked.shape[:2] == (2, t_max + 1)
+        for t, (res, size) in enumerate(zip(signed, sizes)):
+            assert_same_bits(stacked[0, t], res)
+            assert_same_bits(stacked[1, t], size)
+
+    @pytest.mark.parametrize("n_max", ["order+3", 40])
+    @pytest.mark.parametrize("p, order, units", ORDERS_UNITS, ids=str)
+    def test_solution_matches_two_passes(self, p, order, units, n_max):
+        m, w0, hbar = units
+        params = OscillatorParams(mass=m, omega0=w0, hbar=hbar, force_exponent=p)
+        sol = solve_perturbative(params, order, order + 3 if n_max == "order+3" else n_max)
+        c = sol.coeffs
+        t_max = perturb._engine_extent(p, order)[1]
+        self.assert_matches_two_passes(params, c, t_max, c.band_max)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 3), st.integers(1, 6),
+           st.integers(1, 20), st.sampled_from((2, 3)))
+    def test_random_tables_match_two_passes(self, seed, orders, band_max, rows, p):
+        cs = random_tables(seed, rows=rows, band_max=band_max, orders=orders, force_exponent=p)
+        params = OscillatorParams(mass=1.7, omega0=0.6, force_exponent=p)
+        self.assert_matches_two_passes(params, cs, orders + 2, band_max)
+
+    def test_bands_wider_than_the_table(self):
+        # band 3 outgrows two rows: its mirror has no entry, and the residual
+        # of band 3 reads it as zero (a ValueError before)
+        cs = random_tables(0, rows=2, band_max=3, orders=0)
+        res = build_recursions(P2, 3, 0)(cs)
+        assert res.shape == (2,) and np.all(np.isfinite(res))
+
+    def test_signed_pass_alone_is_the_residual(self, sol_cubic):
+        c = sol_cubic.coeffs
+        got = perturb._eom_terms(P2, c, 4, c.band_max)
+        for res, ref in zip(got, eom_terms_two_pass_reference(P2, c, 4, c.band_max)):
+            assert_same_bits(res, ref)
+
+
+def parity_series(rng, orders, band_max, rows, complex_, parity):
+    """A random series whose bands of one parity (index band_max + g) are all
+    zero, as in odd x and even x^2 of the quartic force, with all-zero powers."""
+    s = random_series(rng, orders, band_max, rows, complex_)
+    s[:, parity::2] = 0.0
+    s[rng.random(orders) < 0.3] = 0.0
+    return s
+
+
+class TestSeriesMulStructure:
+    """The product skips the zero bands of one parity and forms stacked
+    products in one pass, with the bits of the term loop per slice."""
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 4), st.integers(1, 4),
+        st.integers(0, 4), st.integers(0, 5),
+        st.integers(1, 12), st.integers(0, 8),
+        st.booleans(), st.booleans(), st.sampled_from(("a", "b", None)),
+        st.sampled_from((0, 1)),
+    )
+    def test_parity_skip_matches_term_loop(
+        self, seed, pa, pb, ba, bb, rows, max_power, ca, cb, nonfinite, parity
+    ):
+        rng = np.random.default_rng(seed)
+        a = random_series(rng, pa, ba, rows, ca)
+        b = parity_series(rng, pb, bb, rows, cb, parity)
+        factor = {"a": a, "b": b}.get(nonfinite)
+        if factor is not None:
+            factor[(rng.random(factor.shape) < 0.1) & (factor != 0)] = np.inf
+        with np.errstate(invalid="ignore"):
+            got, ref = _series_mul(a, b, max_power), series_mul_reference(a, b, max_power)
+        if nonfinite != "a":
+            assert_same_bits(got, ref)
+        else:
+            # a skipped product has a zero factor from b: it changes the sum
+            # only where the term loop formed inf * 0 = nan
+            keep = ~np.isnan(ref)
+            assert_same_bits(got[keep], ref[keep])
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 4), st.integers(1, 4),
+        st.integers(0, 4), st.integers(0, 4),
+        st.integers(1, 12), st.integers(0, 8), st.data(),
+        st.sampled_from((0, 1)), st.booleans(),
+    )
+    def test_stacked_product_is_per_slice_product(
+        self, seed, pa, pb, ba, bb, rows, max_power, data, step, parity
+    ):
+        min_power = data.draw(st.integers(0, max_power))
+        rng = np.random.default_rng(seed)
+        a = np.stack([random_series(rng, pa, ba, rows, False) for _ in range(2)])
+        make = parity_series if parity else lambda *args: random_series(*args[:-1])
+        b = np.stack([make(rng, pb, bb, rows, False, 1) for _ in range(2)])
+        stacked = _series_mul(a, b, max_power, step, min_power=min_power)
+        for q in range(2):
+            assert_same_bits(stacked[q], _series_mul(a[q], b[q], max_power, step,
+                                                     min_power=min_power))
+
+
 WIDE_PAD = 600
 PAD_UNITS = [(1.0, 1.0, 1.0), (2.3, 0.4, 0.7)]
 
