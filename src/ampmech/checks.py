@@ -24,10 +24,10 @@ from .core import (BandAmplitudeArray, FrequencyGrid, MotionRepresentation,
                    commutator_diagonal, multiply, quantum_condition_residual,
                    time_derivative)
 from .perturb import (ROUNDING_C, EnergyConservationError, StructureViolationError,
-                      _engine_extent, _eom_terms, _half, _qc_residual_coefficient,
-                      assemble_motion, band_weight, closed_form_amplitude,
-                      closed_form_frequency, energy_matrix, extract_structure_constants,
-                      quantum_condition_order_residual, sho_solve)
+                      _engine_extent, _eom_terms, _half, _omega_series,
+                      _qc_residual_coefficient, assemble_motion, band_weight,
+                      closed_form_amplitude, closed_form_frequency, energy_matrix,
+                      extract_structure_constants, sho_solve)
 
 EPS = float(np.finfo(float).eps)
 # the random products of `algebra` sum up to 15 terms per entry
@@ -162,7 +162,11 @@ def recursion(sol):
     at default units."""
     params, c, n_hi = sol.params, sol.coeffs, sol.n_max + 1
     t_max = _engine_extent(params.force_exponent, sol.order)[1]
-    terms = _eom_terms(params, c, t_max, c.band_max, sizes=True)
+    pot = c.freq_potential
+    # omega(n, n-g) is sized |Omega(n)| + |Omega(n-g)|: 2 |Omega(n)| less
+    # the difference of the two
+    om_size = 2.0 * np.abs(pot)[:, None, :] - _omega_series(np.abs(pot), c.band_max)
+    terms = _eom_terms(params, c.amp, _omega_series(pot, c.band_max), t_max, om_size=om_size)
     for alpha in sol.public_bands:
         for k in range(sol.order + 1):
             t, band = band_weight(params.force_exponent, alpha) + k, c.band_max + alpha
@@ -181,8 +185,8 @@ def quantum_condition(sol):
     """Order-k sum-rule residuals, and the additivity of the frequencies."""
     params, c, n_hi = sol.params, sol.coeffs, sol.n_max + 1
     for k in range(sol.order + 1):
-        residual = quantum_condition_order_residual(sol, k)
-        size = _qc_residual_coefficient(params, c.amp, c.freq_potential, k, absolute=True)
+        residual, size = _qc_residual_coefficient(params, c.amp, c.freq_potential, k,
+                                                  sizes=True)
         amp_scale = float(np.max(np.abs(c.amp[: k + 1, 1, :n_hi])))
         scale = max(1.0, math.pi * params.mass * params.omega0 * amp_scale**2)
         yield (f"quantum-condition-order{k}", float(np.max(np.abs(residual[:n_hi]))) / scale,

@@ -15,9 +15,12 @@ leading-order quantization a_1 = sqrt(J / (pi m omega0)).
 
 Harmonic balance is the n-independent mode of the series engine in
 `perturb`: the orbit is a table with a single row, the product drops the
-row shift of the two-index law and so becomes the convolution over signed
-harmonics, and the frequency of harmonic g is g*omega. Residuals and the
-solve of every harmonic other than the fundamental are the quantum ones.
+row shift of the two-index law (step 0) and so becomes the convolution
+over signed harmonics, and the frequency of harmonic g is g*omega. The
+solve is the quantum march over the powers of lam with its own rule for
+the fundamental (a1 held fixed, the frequency correction from its
+residual); every other harmonic is solved as a quantum band. The
+residuals come from the function the quantum recursion check reads.
 
 This is the large-n benchmark for the quantum solver: at J = n h the
 classical coefficients reproduce the leading-n behavior of the quantum
@@ -37,12 +40,9 @@ from .perturb import (
     _band_list,
     _check_order,
     _engine_extent,
-    _eom_residual_coefficient,
+    _eom_terms,
     _half,
-    _series_mul,
-    _solve_bands,
-    _x_series,
-    _xp_coefficient,
+    _march,
 )
 
 __all__ = [
@@ -121,31 +121,6 @@ class ClassicalSolution:
         return -np.sin(np.outer(t, alphas) * w) @ (c * alphas * w)
 
 
-def _balance_residual_coefficient(
-    params: OscillatorParams,
-    amp: np.ndarray,
-    omega_coeffs: np.ndarray,
-    power: int,
-    harmonic_max: int,
-    x2: np.ndarray,
-) -> np.ndarray:
-    """lam^power coefficient of the harmonic-balance residual per signed
-    harmonic, [omega0^2 - (g*omega)^2] X_g + lam (x^p)_g, as res[g, 0] for
-    amp[k, alpha, 0]: the perturb engine on one row without the row shift.
-    x2 carries x^2 across powers: it must hold lam^0..lam^(power-2), and
-    this call adds lam^(power-1)."""
-    p = params.force_exponent
-    x = _x_series(p, amp, power, harmonic_max, step=0)
-    g = np.arange(-harmonic_max, harmonic_max + 1)
-    om = np.multiply.outer(omega_coeffs, g)[:, :, None]
-    xp_top = None
-    if power:
-        s = power - 1
-        x2[s] = _series_mul(x, x, s, step=0, min_power=s)[0]
-        xp_top = _xp_coefficient(p, x, x2, s, step=0)
-    return _eom_residual_coefficient(params, x, om, power, xp_top)
-
-
 def classical_solve(
     params: OscillatorParams,
     order: int,
@@ -171,24 +146,24 @@ def classical_solve(
     if a1 <= 0:
         raise ValueError("leading amplitude must be positive")
 
-    p = params.force_exponent
     omega0 = params.omega0
-    _, t_max, band_eng, _ = _engine_extent(p, order)
+    _, t_max, band_eng, _ = _engine_extent(params.force_exponent, order)
 
     # one row: the orbit is the n-independent case of the banded tables
     amp = np.zeros((order + 1, band_eng + 1, 1))
     omega_coeffs = np.zeros(order + 1)
     omega_coeffs[0] = omega0
     amp[0, 1] = a1
-    bands = _band_list(p, band_eng)
+    # harmonic g has the frequency g * omega
+    g = np.arange(-band_eng, band_eng + 1)
+    om = np.multiply.outer(omega_coeffs, g)[:, :, None]
 
-    x2 = np.zeros((t_max, 4 * band_eng + 1, 1))
-    for t in range(1, t_max + 1):
-        res = _balance_residual_coefficient(params, amp, omega_coeffs, t, band_eng, x2)
-        if t <= order:
-            # fundamental: a1 is held fixed, the frequency correction remains
-            omega_coeffs[t] = res[band_eng + 1, 0] / (omega0 * a1)
-        _solve_bands(p, amp, res, t, bands, omega0, step=0)
+    def adjacent(t: int, res_t: np.ndarray) -> None:
+        # fundamental: a1 is held fixed, the frequency correction remains
+        omega_coeffs[t] = res_t[band_eng + 1, 0] / (omega0 * a1)
+        om[t, :, 0] = omega_coeffs[t] * g
+
+    _march(params, amp, om, t_max, adjacent, step=0)
     return ClassicalSolution(
         params=params, order=order, amp=amp[:, :, 0], omega_coeffs=omega_coeffs,
         action=action,
@@ -208,19 +183,13 @@ def balance_residuals(sol: ClassicalSolution) -> np.ndarray:
     p = sol.params.force_exponent
     order = sol.order
     _, t_max, band_eng, _ = _engine_extent(p, order)
+    om = np.multiply.outer(sol.omega_coeffs, np.arange(-band_eng, band_eng + 1))
+    res = _eom_terms(sol.params, sol.amp[:, :, None], om[:, :, None], t_max, step=0)
     out = np.zeros((order + 1, band_eng + 1))
-    # the solution is final, so one x^2 carry serves every power in turn
-    x2 = np.zeros((t_max, 4 * band_eng + 1, 1))
-    res = [
-        _balance_residual_coefficient(
-            sol.params, sol.amp[:, :, None], sol.omega_coeffs, t, band_eng, x2
-        )
-        for t in range(t_max + 1)
-    ]
     for alpha in _band_list(p, band_eng):
         w = band_weight(p, alpha)
         for k in range(min(order, t_max - w) + 1):
-            out[k, alpha] = res[w + k][band_eng + alpha, 0] / _half(alpha)
+            out[k, alpha] = res[w + k, band_eng + alpha, 0] / _half(alpha)
     return out
 
 

@@ -374,7 +374,7 @@ def _qc_residual_coefficient(
     amp: np.ndarray,
     pot: np.ndarray,
     k: int,
-    absolute: bool = False,
+    sizes: bool = False,
 ) -> np.ndarray:
     """lam^k coefficient of the quantum-condition residual
 
@@ -382,14 +382,26 @@ def _qc_residual_coefficient(
                                           - a^2(n, n-alpha) omega(n, n-alpha) ]
         - h,
 
-    evaluated from the current coefficient tables. With `absolute`, the
-    summed size of its terms instead: each product by its absolute value,
-    omega(n, m) by |Omega(n)| + |Omega(m)|, and h."""
+    evaluated from the current coefficient tables. With `sizes`, it is
+    stacked on a leading axis with the summed size of its terms, formed in
+    the same pass: each product by its absolute value, omega(n, m) by
+    |Omega(n)| + |Omega(m)|, and h."""
     p = params.force_exponent
-    orders, bands, rows = amp.shape
-    res = np.zeros(rows)
+    # lam^k reads the orders through k, on bands of weight w <= k/2; every
+    # band has w >= (alpha - 1)/2, so none past k + 1
+    amp, pot = amp[: k + 1, : k + 2], pot[: k + 1]
+    hi = lo = pot
+    sign, h = None, -params.h
+    if sizes:
+        # |a||b| is |ab|, and the size's downward terms enter negated where
+        # the residual's are subtracted: x - (-y) is x + y
+        amp, size = np.array([amp, np.abs(amp)]), np.abs(pot)
+        hi, lo = np.array([pot, size]), np.array([pot, -size])
+        sign, h = np.array([[1.0], [-1.0]]), np.array([[-params.h], [params.h]])
+    *lead, orders, bands, rows = amp.shape
+    res = np.zeros((*lead, rows))
     if k == 0:
-        res += params.h if absolute else -params.h
+        res += h
     for alpha in _band_list(p, bands - 1):
         rem = k - 2 * band_weight(p, alpha)
         if rem < 0:
@@ -399,19 +411,15 @@ def _qc_residual_coefficient(
                 l = rem - i - j
                 if l >= pot.shape[0]:
                     continue
-                # upward term a(n+alpha, n), defined for n + alpha < rows
-                up = np.zeros(rows)
                 m_hi = rows - alpha
-                term = amp[i, alpha, alpha:] * amp[j, alpha, alpha:]
-                if absolute:
-                    term = np.abs(term) * (np.abs(pot[l, alpha:]) + np.abs(pot[l, :m_hi]))
-                else:
-                    term *= pot[l, alpha:] - pot[l, :m_hi]
-                up[:m_hi] = term
-                # downward term a(n, n-alpha): the same entries, shifted up
-                down = np.zeros(rows)
-                down[alpha:] = term
-                res += math.pi * params.mass * (up + down if absolute else up - down)
+                term = amp[..., i, alpha, alpha:] * amp[..., j, alpha, alpha:]
+                term *= hi[..., l, alpha:] - lo[..., l, :m_hi]
+                # the upward term a(n+alpha, n), defined for n + alpha < rows,
+                # less the downward a(n, n-alpha): the same entries, shifted up
+                diff = np.zeros(res.shape)
+                diff[..., :m_hi] = term
+                diff[..., alpha:] -= term if sign is None else sign * term
+                res += math.pi * params.mass * diff
     return res
 
 
@@ -444,31 +452,30 @@ def build_recursions(
                 "coefficient tables were built for a different force exponent"
             )
         band_max = max(coeffs.band_max, alpha)
-        return scale * _eom_terms(params, coeffs, power, band_max)[power, band_max + alpha, :]
+        om = _omega_series(coeffs.freq_potential, band_max)
+        return scale * _eom_terms(params, coeffs.amp, om, power)[power, band_max + alpha, :]
 
     return residual
 
 
-def _eom_terms(params: OscillatorParams, coeffs: CoefficientSet, t_max: int,
-               band_max: int, sizes: bool = False) -> np.ndarray:
+def _eom_terms(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max: int,
+               step: int = 1, om_size: np.ndarray | None = None) -> np.ndarray:
     """The lam^t coefficients, t = 0..t_max, of the equation-of-motion
-    representative over (power t, signed band, row) at the coefficient
-    tables. With `sizes`, they are stacked on a leading axis with the summed
-    size of their terms, formed in the same pass: omega0^2 |X|,
-    2 |omega_i| (|Omega_j(n)| + |Omega_j(n-g)|) |X| for each omega_i omega_j X
-    (a frequency is a difference of potentials), and |x|^p."""
-    p, pot, amp = params.force_exponent, coeffs.freq_potential, coeffs.amp
-    om = om_right = _omega_series(pot, band_max)
-    if sizes:
-        # |Omega(n)| + |Omega(n-g)| is 2 |Omega(n)| less their difference; it
-        # enters negated, so that the size is subtracted as the residual's
-        # terms are
-        big = 2.0 * np.abs(pot)[:, None, :] - _omega_series(np.abs(pot), band_max)
-        om, om_right = np.stack([om, 2.0 * np.abs(om)]), np.stack([om, -big])
+    representative over (power t, signed band, row) at the amplitude tables
+    and the per-band frequency series om[k, g, n], whose bands these are.
+    With om_size, the summed size of each frequency's terms, they are
+    stacked on a leading axis with the summed size of their own terms,
+    formed in the same pass: omega0^2 |X|, 2 |omega_i| om_size_j |X| for
+    each omega_i omega_j X, and |x|^p."""
+    p, om_right = params.force_exponent, om
+    if om_size is not None:
+        # the size enters negated, so that it is subtracted as the
+        # residual's terms are
+        om, om_right = np.stack([om, 2.0 * np.abs(om)]), np.stack([om, -om_size])
         amp = np.stack([amp, np.abs(amp)])
-    x = _x_series(p, amp, t_max, band_max)
-    x2 = _series_mul(x, x, max(t_max - 1, 0))
-    xp = _xp_coefficient(p, x, x2, t_max - 1, min_power=0)
+    x = _x_series(p, amp, t_max, (om.shape[-2] - 1) // 2, step)
+    x2 = _series_mul(x, x, max(t_max - 1, 0), step)
+    xp = _xp_coefficient(p, x, x2, t_max - 1, step, min_power=0)
     return np.stack([
         _eom_residual_coefficient(params, x, om, t, xp[..., t - 1, :, :] if t else None,
                                   om_right)
@@ -553,6 +560,39 @@ def _engine_extent(p: int, order: int) -> tuple[tuple[int, ...], int, int, int]:
     return public, t_max, band_eng, band_eng + reach
 
 
+def _march(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max: int,
+           adjacent: Callable[[int, np.ndarray], None], step: int = 1) -> dict[int, int]:
+    """Solve the tables amp[k, alpha, n] and the per-band frequency series
+    om[k, g, n], both set at order 0, power by power of lam through t_max.
+    At each power t within the tables, adjacent(t, res_t) sets the order-t
+    frequencies in om and adjacent amplitude in amp from the lam^t
+    residual; every other band follows from that residual. x and its square
+    are carried across t, each power set once, as its coefficients are
+    solved. Returns the order solved per band."""
+    p = params.force_exponent
+    orders, width, rows = amp.shape
+    bands = _band_list(p, width - 1)
+    x = np.zeros((t_max + 1, 2 * width - 1, rows))
+    _x_put(x, p, amp, 0, 1, step)
+    x2 = np.zeros((t_max, 4 * width - 3, rows))
+    solved = {1: 0}
+    for t in range(1, t_max + 1):
+        # x is final through lam^(t-1), all that x^2 and x^p there read
+        xt = x[: t + 1]
+        x2[t - 1] = _series_mul(xt, xt, t - 1, step, min_power=t - 1)[0]
+        res_t = _eom_residual_coefficient(params, xt, om, t,
+                                          _xp_coefficient(p, xt, x2, t - 1, step))
+        if t < orders:
+            adjacent(t, res_t)
+            solved[1] = t
+            _x_put(x, p, amp, t, 1, step)
+        solved_t = _solve_bands(p, amp, res_t, t, bands, params.omega0, step)
+        for alpha, k in solved_t.items():
+            _x_put(x, p, amp, k, alpha, step)
+        solved.update(solved_t)
+    return solved
+
+
 def solve_perturbative(
     params: OscillatorParams, order: int, n_max: int
 ) -> PerturbSolution:
@@ -570,7 +610,6 @@ def solve_perturbative(
         )
     omega0, beta = params.omega0, params.beta
     _, t_max, band_eng, pad = _engine_extent(p, order)
-    bands = _band_list(p, band_eng)
     rows = n_max + 1 + pad
 
     amp = np.zeros((order + 1, band_eng + 1, rows))
@@ -578,48 +617,24 @@ def solve_perturbative(
     pot[0] = omega0 * np.arange(rows)
     levels = np.arange(rows, dtype=float)
     amp[0, 1, 1:] = beta * np.sqrt(levels[1:])
-    solved: dict[int, int] = {1: 0}
 
-    # x, its square and the frequencies are carried across t: each power is
-    # set once, as its coefficients are solved
-    x = np.zeros((t_max + 1, 2 * band_eng + 1, rows))
-    _x_put(x, p, amp, 0, 1)
-    x2 = np.zeros((t_max, 4 * band_eng + 1, rows))
-    om = np.zeros((order + 1, 2 * band_eng + 1, rows))
-    om[0] = _omega_series(pot[:1], band_eng)[0]
-    for t in range(1, t_max + 1):
-        # x is final through lam^(t-1), all that x^2 and x^p there read
-        xt = x[: t + 1]
-        x2[t - 1] = _series_mul(xt, xt, t - 1, min_power=t - 1)[0]
-        res_t = _eom_residual_coefficient(
-            params, xt, om, t, _xp_coefficient(p, xt, x2, t - 1)
-        )
-        if t <= order:
-            # adjacent band: its amplitude drops out, the frequency remains
-            a0 = amp[0, 1]
-            pot_inc = np.zeros(rows)
-            pot_inc[1:] = res_t[band_eng + 1, 1:] / (omega0 * a0[1:])
-            pot[t] = np.cumsum(pot_inc)
-            om[t] = _omega_series(pot[t : t + 1], band_eng)[0]
-            # sum rule at order t: difference equation integrated from n = 0
-            q0 = _qc_residual_coefficient(params, amp, pot, t)
-            u = -np.cumsum(q0)
-            amp[t, 1, 1:] = u[:-1] / (2.0 * math.pi * params.mass * omega0 * a0[1:])
-            solved[1] = t
-            _x_put(x, p, amp, t, 1)
-        solved_t = _solve_bands(p, amp, res_t, t, bands, omega0)
-        for alpha, k in solved_t.items():
-            _x_put(x, p, amp, k, alpha)
-        solved.update(solved_t)
+    om = _omega_series(pot, band_eng)
+    a0 = amp[0, 1]
 
+    def adjacent(t: int, res_t: np.ndarray) -> None:
+        # the adjacent band's amplitude drops out, the frequency remains
+        pot_inc = np.zeros(rows)
+        pot_inc[1:] = res_t[band_eng + 1, 1:] / (omega0 * a0[1:])
+        pot[t] = np.cumsum(pot_inc)
+        om[t] = _omega_series(pot[t : t + 1], band_eng)[0]
+        # sum rule at order t: difference equation integrated from n = 0
+        u = -np.cumsum(_qc_residual_coefficient(params, amp, pot, t))
+        amp[t, 1, 1:] = u[:-1] / (2.0 * math.pi * params.mass * omega0 * a0[1:])
+
+    solved = _march(params, amp, om, t_max, adjacent)
     coeffs = CoefficientSet(force_exponent=p, amp=amp, freq_potential=pot)
-    return PerturbSolution(
-        params=params,
-        order=order,
-        n_max=n_max,
-        coeffs=coeffs,
-        solved_orders=solved,
-    )
+    return PerturbSolution(params=params, order=order, n_max=n_max, coeffs=coeffs,
+                           solved_orders=solved)
 
 
 def sho_solve(params: OscillatorParams, n_max: int) -> PerturbSolution:

@@ -14,13 +14,19 @@ from ampmech import (
     ode_residual,
     solve_perturbative,
 )
-from ampmech import classical
+from ampmech import perturb
 from ampmech.perturb import _band_list, _engine_extent, _half, _series_mul, band_weight
 
 from conftest import assert_same_bits, xp_rebuild_reference
 
 P2 = OscillatorParams()
 EPS = np.finfo(float).eps
+
+
+def balance_bound(a1):
+    """Bound on the harmonic-balance residuals of a solve with leading
+    amplitude a1, at default units."""
+    return 1e-12 * max(1.0, a1**3)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +81,31 @@ def balance_residual_reference(params, amp, omega_coeffs, power, harmonic_max,
         hc = (xp.shape[1] - 1) // 2
         res += xp[power - 1, hc - harmonic_max : hc + harmonic_max + 1]
     return res
+
+
+def balance_residuals_per_power_reference(sol):
+    """`balance_residuals` as it was before it read `_eom_terms`: x rebuilt
+    from the tables at every power, x^2 carried across powers."""
+    params, order = sol.params, sol.order
+    p = params.force_exponent
+    _, t_max, band_eng, _ = _engine_extent(p, order)
+    amp = sol.amp[:, :, None]
+    om = np.multiply.outer(sol.omega_coeffs, np.arange(-band_eng, band_eng + 1))[:, :, None]
+    x2 = np.zeros((t_max, 4 * band_eng + 1, 1))
+    res = []
+    for t in range(t_max + 1):
+        x = perturb._x_series(p, amp, t, band_eng, step=0)
+        xp_top = None
+        if t:
+            x2[t - 1] = _series_mul(x, x, t - 1, step=0, min_power=t - 1)[0]
+            xp_top = perturb._xp_coefficient(p, x, x2, t - 1, step=0)
+        res.append(perturb._eom_residual_coefficient(params, x, om, t, xp_top))
+    out = np.zeros((order + 1, band_eng + 1))
+    for alpha in _band_list(p, band_eng):
+        w = band_weight(p, alpha)
+        for k in range(min(order, t_max - w) + 1):
+            out[k, alpha] = res[w + k][band_eng + alpha, 0] / _half(alpha)
+    return out
 
 
 def classical_solve_reference(params, order, a1, absolute=False):
@@ -155,7 +186,29 @@ class TestClassicalSolve:
     def test_balance_residuals_vanish(self, a1, order):
         sol = classical_solve(P2, order, a1=a1)
         res = balance_residuals(sol)
-        assert np.max(np.abs(res)) <= 1e-12 * max(1.0, a1**3)
+        assert np.max(np.abs(res)) <= balance_bound(a1)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_balance_residuals_read_every_harmonic(self, p):
+        # scaling a^(k)_alpha by 1 + f moves its own balance equation by
+        # |1 - alpha^2| omega0^2 f |a^(k)_alpha|, at least f |a^(k)_alpha| for
+        # alpha != 1 at default units; the one nonzero fundamental coefficient
+        # is a1 = 1, which enters the lam^0 equation of harmonic 2 as a1^2 / 2.
+        # The smallest nonzero coefficient of these solves is 9.5e-7
+        # (quartic, harmonic 9), so f = 1e-4 moves a residual by at least
+        # 9.5e-11, 95 times the bound of a clean solve (its bracket, 80, makes
+        # the least margin 7.6e3 in fact)
+        f = 1e-4
+        sol = classical_solve(OscillatorParams(force_exponent=p), 4, a1=1.0)
+        assert np.max(np.abs(balance_residuals(sol))) <= balance_bound(1.0)
+        tried = 0
+        for k, alpha in zip(*np.nonzero(sol.harmonics)):
+            amp = np.array(sol.amp, copy=True)
+            amp[k, alpha] *= 1.0 + f
+            bad = ClassicalSolution(sol.params, sol.order, amp, sol.omega_coeffs)
+            assert np.max(np.abs(balance_residuals(bad))) > balance_bound(1.0), (k, alpha)
+            tried += 1
+        assert tried > sol.harmonic_max
 
 
 class TestSharedEngine:
@@ -223,11 +276,20 @@ class TestSharedEngine:
         params = OscillatorParams(mass=1.3, omega0=0.8, lam=0.01, force_exponent=p)
         sol = classical_solve(params, order, a1=0.9)
         res = balance_residuals(sol)
-        monkeypatch.setattr(classical, "_xp_coefficient", xp_rebuild_reference)
+        monkeypatch.setattr(perturb, "_xp_coefficient", xp_rebuild_reference)
         ref = classical_solve(params, order, a1=0.9)
         assert_same_bits(sol.amp, ref.amp)
         assert_same_bits(sol.omega_coeffs, ref.omega_coeffs)
         assert_same_bits(res, balance_residuals(sol))
+
+    @pytest.mark.parametrize("units", [(1.0, 1.0, 1.0), (2.3, 0.4, 0.7)], ids=str)
+    @pytest.mark.parametrize("order", range(9))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_balance_residuals_match_per_power_rebuild(self, p, order, units):
+        m, w0, hbar = units
+        params = OscillatorParams(mass=m, omega0=w0, hbar=hbar, lam=0.01, force_exponent=p)
+        sol = classical_solve(params, order, action=40 * params.h)
+        assert_same_bits(balance_residuals(sol), balance_residuals_per_power_reference(sol))
 
     def test_order_cap_is_the_quantum_one(self):
         with pytest.raises(ValueError):

@@ -328,6 +328,12 @@ def solve_rebuild_reference(params, order, n_max):
     return amp, pot, solved
 
 
+def omega_size(pot, band_max):
+    """|Omega(n)| + |Omega(n-g)| per band, as `checks.recursion` sizes a
+    frequency."""
+    return 2.0 * np.abs(pot)[:, None, :] - _omega_series(np.abs(pot), band_max)
+
+
 def eom_terms_two_pass_reference(params, coeffs, t_max, band_max, absolute=False):
     """`_eom_terms` as it was before the residual and its size shared one
     pass: one series pass for each, from the tables alone."""
@@ -335,7 +341,7 @@ def eom_terms_two_pass_reference(params, coeffs, t_max, band_max, absolute=False
     x = _x_series(p, np.abs(coeffs.amp) if absolute else coeffs.amp, t_max, band_max)
     x2 = _series_mul(x, x, max(t_max - 1, 0))
     om = _omega_series(pot, band_max)
-    big = 2.0 * np.abs(pot)[:, None, :] - _omega_series(np.abs(pot), band_max)
+    big = omega_size(pot, band_max)
     out = []
     for t in range(t_max + 1):
         res = params.omega0**2 * x[t].copy()
@@ -382,7 +388,9 @@ class TestStackedEomTerms:
 
     @staticmethod
     def assert_matches_two_passes(params, coeffs, t_max, band_max):
-        stacked = perturb._eom_terms(params, coeffs, t_max, band_max, sizes=True)
+        pot = coeffs.freq_potential
+        stacked = perturb._eom_terms(params, coeffs.amp, _omega_series(pot, band_max), t_max,
+                                     om_size=omega_size(pot, band_max))
         signed = eom_terms_two_pass_reference(params, coeffs, t_max, band_max)
         sizes = eom_terms_two_pass_reference(params, coeffs, t_max, band_max, absolute=True)
         assert stacked.shape[:2] == (2, t_max + 1)
@@ -416,9 +424,73 @@ class TestStackedEomTerms:
 
     def test_signed_pass_alone_is_the_residual(self, sol_cubic):
         c = sol_cubic.coeffs
-        got = perturb._eom_terms(P2, c, 4, c.band_max)
+        got = perturb._eom_terms(P2, c.amp, _omega_series(c.freq_potential, c.band_max), 4)
         for res, ref in zip(got, eom_terms_two_pass_reference(P2, c, 4, c.band_max)):
             assert_same_bits(res, ref)
+
+
+def qc_residual_reference(params, amp, pot, k, absolute=False):
+    """`_qc_residual_coefficient` as it was before the residual and its size
+    shared one pass: with `absolute`, the summed size of its terms instead,
+    so that the sum-rule check called it twice per order."""
+    p = params.force_exponent
+    orders, bands, rows = amp.shape
+    res = np.zeros(rows)
+    if k == 0:
+        res += params.h if absolute else -params.h
+    for alpha in perturb._band_list(p, bands - 1):
+        rem = k - 2 * perturb.band_weight(p, alpha)
+        if rem < 0:
+            continue
+        for i in range(min(orders, rem + 1)):
+            for j in range(min(orders, rem + 1 - i)):
+                l = rem - i - j
+                if l >= pot.shape[0]:
+                    continue
+                up = np.zeros(rows)
+                m_hi = rows - alpha
+                term = amp[i, alpha, alpha:] * amp[j, alpha, alpha:]
+                if absolute:
+                    term = np.abs(term) * (np.abs(pot[l, alpha:]) + np.abs(pot[l, :m_hi]))
+                else:
+                    term *= pot[l, alpha:] - pot[l, :m_hi]
+                up[:m_hi] = term
+                down = np.zeros(rows)
+                down[alpha:] = term
+                res += math.pi * params.mass * (up + down if absolute else up - down)
+    return res
+
+
+class TestStackedSumRule:
+    """The sum-rule residual and the summed size of its terms share one
+    pass, stacked on a leading axis; the two calls the check made before are
+    the reference."""
+
+    @staticmethod
+    def assert_matches_two_calls(params, c, k):
+        amp, pot = c.amp, c.freq_potential
+        stacked = perturb._qc_residual_coefficient(params, amp, pot, k, sizes=True)
+        assert stacked.shape == (2, c.rows)
+        assert_same_bits(stacked[0], qc_residual_reference(params, amp, pot, k))
+        assert_same_bits(stacked[1], qc_residual_reference(params, amp, pot, k, absolute=True))
+        # the solver's call forms the residual alone, with the same bits
+        assert_same_bits(perturb._qc_residual_coefficient(params, amp, pot, k), stacked[0])
+
+    @pytest.mark.parametrize("n_max", [12, 200])
+    @pytest.mark.parametrize("order", range(9))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_solution_matches_two_calls(self, p, order, n_max):
+        params = OscillatorParams(force_exponent=p)
+        c = solve_perturbative(params, order, n_max).coeffs
+        for k in range(order + 1):
+            self.assert_matches_two_calls(params, c, k)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 3), st.integers(1, 6),
+           st.integers(1, 20), st.sampled_from((2, 3)), st.integers(0, 3))
+    def test_random_tables_match_two_calls(self, seed, orders, band_max, rows, p, k):
+        cs = random_tables(seed, rows=rows, band_max=band_max, orders=orders, force_exponent=p)
+        params = OscillatorParams(mass=1.7, omega0=0.6, hbar=0.8, force_exponent=p)
+        self.assert_matches_two_calls(params, cs, k)
 
 
 def parity_series(rng, orders, band_max, rows, complex_, parity):
