@@ -38,6 +38,7 @@ REFERENCE_INVOCATIONS = {
     "oracle.csv": ["oracle", "--format", "csv"],
     "sho.csv": ["sho", "--format", "csv"],
     "solve-quartic-order4.json": ["solve", "--order", "4", "--force", "3"],
+    "verify-quartic-order8.json": ["verify", "--order", "8", "--force", "3"],
 }
 
 

@@ -166,10 +166,11 @@ def recursion(sol):
     # omega(n, n-g) is sized |Omega(n)| + |Omega(n-g)|: 2 |Omega(n)| less
     # the difference of the two
     om_size = 2.0 * np.abs(pot)[:, None, :] - _omega_series(np.abs(pot), c.band_max)
-    terms = _eom_terms(params, c.amp, _omega_series(pot, c.band_max), t_max, om_size=om_size)
-    for alpha in sol.public_bands:
+    terms = _eom_terms(params, c.amp, _omega_series(pot, c.band_max), t_max, sol.public_bands,
+                       om_size=om_size)
+    for band, alpha in enumerate(sol.public_bands):
         for k in range(sol.order + 1):
-            t, band = band_weight(params.force_exponent, alpha) + k, c.band_max + alpha
+            t = band_weight(params.force_exponent, alpha) + k
             amp_scale = float(np.max(np.abs(c.amp[: k + 1, alpha, :n_hi])))
             if alpha == 1:
                 scale = max(1.0, amp_scale**2)

@@ -158,9 +158,9 @@ def classical_solve(
     g = np.arange(-band_eng, band_eng + 1)
     om = np.multiply.outer(omega_coeffs, g)[:, :, None]
 
-    def adjacent(t: int, res_t: np.ndarray) -> None:
+    def adjacent(t: int, res: np.ndarray) -> None:
         # fundamental: a1 is held fixed, the frequency correction remains
-        omega_coeffs[t] = res_t[band_eng + 1, 0] / (omega0 * a1)
+        omega_coeffs[t] = res[0] / (omega0 * a1)
         om[t, :, 0] = omega_coeffs[t] * g
 
     _march(params, amp, om, t_max, adjacent, step=0)
@@ -184,12 +184,13 @@ def balance_residuals(sol: ClassicalSolution) -> np.ndarray:
     order = sol.order
     _, t_max, band_eng, _ = _engine_extent(p, order)
     om = np.multiply.outer(sol.omega_coeffs, np.arange(-band_eng, band_eng + 1))
-    res = _eom_terms(sol.params, sol.amp[:, :, None], om[:, :, None], t_max, step=0)
+    bands = _band_list(p, band_eng)
+    res = _eom_terms(sol.params, sol.amp[:, :, None], om[:, :, None], t_max, bands, step=0)
     out = np.zeros((order + 1, band_eng + 1))
-    for alpha in _band_list(p, band_eng):
+    for i, alpha in enumerate(bands):
         w = band_weight(p, alpha)
         for k in range(min(order, t_max - w) + 1):
-            out[k, alpha] = res[w + k, band_eng + alpha, 0] / _half(alpha)
+            out[k, alpha] = res[w + k, i, 0] / _half(alpha)
     return out
 
 

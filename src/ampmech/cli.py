@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -102,7 +102,7 @@ def render_json(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         parts = [
-            f"{inner}{json.dumps(str(k))}: {render_json(v, indent + 1)}"
+            f"{inner}{encode_basestring_ascii(str(k))}: {render_json(v, indent + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
@@ -123,7 +123,7 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -120,10 +120,10 @@ def band_weight(force_exponent: int, alpha: int) -> int:
     return (a - 1) // 2
 
 
-def _band_list(force_exponent: int, band_max: int) -> tuple[int, ...]:
+def _band_list(force_exponent: int, band_max: int) -> range:
     if force_exponent == 2:
-        return tuple(range(band_max + 1))
-    return tuple(a for a in range(1, band_max + 1, 2))
+        return range(band_max + 1)
+    return range(1, band_max + 1, 2)
 
 
 def _half(alpha: int) -> float:
@@ -195,7 +195,10 @@ class CoefficientSet:
 # series arithmetic: banded arrays with one coefficient per power of lam.
 # `step` is the row shift of the product law: 1 is the two-index law of
 # transition amplitudes; 0 drops it, so that on one row a series is the
-# Fourier series of classical harmonic balance.
+# Fourier series of classical harmonic balance. A series holds the signed
+# bands -b..b unless a window says otherwise; each function forms only the
+# bands its caller reads, and every band it forms has the bits of the full
+# product, since a skipped term lands only outside the window.
 
 
 def _x_series(
@@ -225,28 +228,32 @@ def _x_put(x: np.ndarray, p: int, amp: np.ndarray, k: int, a: int, step: int = 1
 
 
 def _series_mul(
-    a: np.ndarray, b: np.ndarray, max_power: int, step: int = 1, min_power: int = 0
+    a: np.ndarray, b: np.ndarray, max_power: int, step: int = 1, min_power: int = 0,
+    bands: tuple[int, int] | None = None, a_lo: int | None = None,
 ) -> np.ndarray:
     """Product of two banded lam-series: sum over g of a(n, n-g) b(n-step*g, .).
     With step 0 on one row this is the convolution over signed harmonics.
-    Only the powers min_power..max_power are formed; out[s - min_power] is the
-    lam^s coefficient, with the same bits as in the full product. Leading
-    axes, past (powers, bands, rows), broadcast: each slice of finite
+    b holds the bands -bb..bb, a those from a_lo up (default centered too).
+    Only the powers min_power..max_power and the signed bands lo..hi of
+    bands (default all) are formed; out[s - min_power, g - lo] is the lam^s
+    coefficient on band g, with the same bits as in the full product.
+    Leading axes, past (powers, bands, rows), broadcast: each slice of finite
     series gets the bits of its own product."""
     *_, pa, wa, rows = a.shape
     pb, wb = b.shape[-3:-1]
-    ba, bb = (wa - 1) // 2, (wb - 1) // 2
-    bc = ba + bb
+    bb = (wb - 1) // 2
+    a_lo = -((wa - 1) // 2) if a_lo is None else a_lo
+    lo, hi = (a_lo - bb, a_lo + wa - 1 + bb) if bands is None else bands
     out = np.zeros(
-        (*(a.shape[:-3] or b.shape[:-3]), max_power + 1 - min_power, 2 * bc + 1, rows),
+        (*(a.shape[:-3] or b.shape[:-3]), max_power + 1 - min_power, hi + 1 - lo, rows),
         dtype=np.result_type(a, b),
     )
-    # band g of a feeds rows lo..hi. All-zero (i, g) slices of a and bands of
+    # band g of a feeds rows r0..r1. All-zero (i, g) slices of a and bands of
     # b outside h0..h1-1, the span of its nonzero ones at the powers read, add
     # only zeros (and nan from 0 * inf): out starts at +0 and never holds -0.
     # A slice or band is nonzero if it is in any stacked series.
     n = np.arange(rows)
-    shift = step * np.arange(-ba, ba + 1)[:, None]
+    shift = step * np.arange(a_lo, a_lo + wa)[:, None]
     mask = (n >= shift) & (n <= rows - 1 + shift)
     live = np.any((a != 0) & mask, axis=(*range(a.ndim - 3), -1)).tolist()
     nonzero = np.any(b != 0, axis=(*range(b.ndim - 3), -1))
@@ -266,34 +273,52 @@ def _series_mul(
             continue
         s0 = i + j0 - min_power
         for k in [k for k, on in enumerate(row) if on]:
-            g = k - ba
+            g = k + a_lo
+            # band h of b lands on band g + h - bb: keep those in lo..hi, on
+            # the parity of h0
+            g0 = g - bb - lo
+            k0, k1 = max(h0, -g0), min(h1, hi + 1 - lo - g0)
+            k0 += (k0 - h0) % hs
+            if k0 >= k1:
+                continue
             sg = step * g
-            lo, hi = max(0, sg), min(rows - 1, rows - 1 + sg)
+            r0, r1 = max(0, sg), min(rows - 1, rows - 1 + sg)
             # a stays 3-d: numpy rounds a single complex product without fma
             # when it broadcasts one factor from fewer dimensions, and with fma
             # here
-            g0 = bc + g - bb
-            out[..., s0 : s0 + j1 - j0, g0 + h0 : g0 + h1 : hs, lo : hi + 1] += (
-                a[..., i : i + 1, k : k + 1, lo : hi + 1]
-                * b[..., j0:j1, h0:h1:hs, lo - sg : hi + 1 - sg]
+            out[..., s0 : s0 + j1 - j0, g0 + k0 : g0 + k1 : hs, r0 : r1 + 1] += (
+                a[..., i : i + 1, k : k + 1, r0 : r1 + 1]
+                * b[..., j0:j1, k0:k1:hs, r0 - sg : r1 + 1 - sg]
             )
     return out
 
 
+def _x2_window(p: int, bands: range, band_max: int) -> tuple[int, int]:
+    """Signed bands lo..hi of x^2 that the bands of x^p from bands[0] through
+    bands[-1] read, for x on -band_max..band_max: those same bands for the
+    cubic force (x^p = x^2), and band_max more on each side for the quartic
+    (x^p = x^2 x)."""
+    reach = 0 if p == 2 else band_max
+    return bands[0] - reach, bands[-1] + reach
+
+
 def _xp_coefficient(
-    p: int, x: np.ndarray, x2: np.ndarray, s: int, step: int = 1,
+    p: int, x: np.ndarray, x2: np.ndarray, s: int, bands: range, step: int = 1,
     min_power: int | None = None,
 ) -> np.ndarray:
-    """lam^s coefficient of x^p over (signed band, row), from the x series
-    and x2, the coefficients of x^2, both through lam^s. Only the top power
-    of x^3 is formed, so a solver that carries x2 across powers adds one
-    power of each per step. With min_power, the coefficients
-    lam^min_power..lam^s instead, on a powers axis, in one product."""
+    """lam^s coefficient of x^p over (band, row), on the signed bands from
+    bands[0] through bands[-1], from the x series and x2, the coefficients of
+    x^2 on `_x2_window`, both through lam^s. Only the top power of x^3 is
+    formed, so a solver that carries x2 across powers adds one power of each
+    per step. With min_power, the coefficients lam^min_power..lam^s instead,
+    on a powers axis, in one product."""
     lo = s if min_power is None else min_power
     if p == 2:
         xp = x2[..., lo : s + 1, :, :]
     else:
-        xp = _series_mul(x2[..., : s + 1, :, :], x, s, step, min_power=lo)
+        xp = _series_mul(x2[..., : s + 1, :, :], x, s, step, min_power=lo,
+                         bands=(bands[0], bands[-1]),
+                         a_lo=_x2_window(p, bands, (x.shape[-2] - 1) // 2)[0])
     return xp if min_power is not None else xp[..., 0, :, :]
 
 
@@ -314,33 +339,30 @@ def _eom_residual_coefficient(
     om: np.ndarray,
     power: int,
     xp_top: np.ndarray | None,
+    bands: range,
     om_right: np.ndarray | None = None,
 ) -> np.ndarray:
     """lam^power coefficient of the equation-of-motion representative,
 
         [omega0^2 - omega^2(n, n-g)] X(n, n-g) + lam (X^p)(n, n-g),
 
-    returned as an array over (signed band g, row n), from the x series
-    through lam^power, the per-band frequency series om[k, g, n] and xp_top,
-    the lam^(power-1) coefficient of x^p (None at power 0). The second
+    returned as an array over (band, row n) on the signed bands g of `bands`,
+    from the x series through lam^power, the per-band frequency series
+    om[k, g, n], both on the same bands, and xp_top, the lam^(power-1)
+    coefficient of x^p on bands[0]..bands[-1] (None at power 0). The second
     factor of each omega_i omega_j comes from om_right (default om). Leading
     axes, before (powers, bands, rows), broadcast."""
     band_max = (x.shape[-2] - 1) // 2
+    on = slice(band_max + bands.start, band_max + bands.stop, bands.step)
     om_right = om if om_right is None else om_right
-    res = params.omega0**2 * x[..., power, :, :]
+    res = params.omega0**2 * x[..., power, on, :]
     # omega^2 acts entrywise per band; convolve the three order indices
     for i in range(min(om.shape[-3], power + 1)):
         for j in range(min(om.shape[-3], power + 1 - i)):
-            res -= om[..., i, :, :] * om_right[..., j, :, :] * x[..., power - i - j, :, :]
+            res -= om[..., i, on, :] * om_right[..., j, on, :] * x[..., power - i - j, on, :]
     if xp_top is not None:
-        res += _window(xp_top, band_max)
+        res += xp_top[..., :: bands.step, :]
     return res
-
-
-def _window(series: np.ndarray, band_max: int) -> np.ndarray:
-    """The bands -band_max..band_max of a banded array over (band, row)."""
-    bc = (series.shape[-2] - 1) // 2
-    return series[..., bc - band_max : bc + band_max + 1, :]
 
 
 def _solve_bands(
@@ -348,23 +370,22 @@ def _solve_bands(
     amp: np.ndarray,
     res: np.ndarray,
     t: int,
-    bands: tuple[int, ...],
+    bands: range,
     omega0: float,
     step: int = 1,
 ) -> dict[int, int]:
     """Solve every band alpha != 1 whose order k = t - w(alpha) is within
-    the tables from the lam^t residual, a^(k) = -res / ((1 - alpha^2)
-    omega0^2 / 2), on the rows the band reaches. Returns the order solved
-    per band."""
-    band_max = (res.shape[0] - 1) // 2
+    the tables from the lam^t residual res on `bands`, a^(k) = -res /
+    ((1 - alpha^2) omega0^2 / 2), on the rows the band reaches. Returns the
+    order solved per band."""
     solved = {}
-    for alpha in bands:
+    for i, alpha in enumerate(bands):
         k = t - band_weight(p, alpha)
         if alpha == 1 or not 0 <= k < amp.shape[0]:
             continue
         denom = (1.0 - alpha * alpha) * omega0**2 * _half(alpha)
         lo = step * alpha
-        amp[k, alpha, lo:] = -res[band_max + alpha, lo:] / denom
+        amp[k, alpha, lo:] = -res[i, lo:] / denom
         solved[alpha] = k
     return solved
 
@@ -402,7 +423,8 @@ def _qc_residual_coefficient(
     res = np.zeros((*lead, rows))
     if k == 0:
         res += h
-    for alpha in _band_list(p, bands - 1):
+    # a band as wide as the table has no entry
+    for alpha in _band_list(p, min(bands, rows) - 1):
         rem = k - 2 * band_weight(p, alpha)
         if rem < 0:
             continue
@@ -451,18 +473,17 @@ def build_recursions(
             raise UnsupportedForceError(
                 "coefficient tables were built for a different force exponent"
             )
-        band_max = max(coeffs.band_max, alpha)
-        om = _omega_series(coeffs.freq_potential, band_max)
-        return scale * _eom_terms(params, coeffs.amp, om, power)[power, band_max + alpha, :]
+        om = _omega_series(coeffs.freq_potential, max(coeffs.band_max, alpha))
+        return scale * _eom_terms(params, coeffs.amp, om, power, range(alpha, alpha + 1))[power, 0]
 
     return residual
 
 
 def _eom_terms(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max: int,
-               step: int = 1, om_size: np.ndarray | None = None) -> np.ndarray:
+               bands: range, step: int = 1, om_size: np.ndarray | None = None) -> np.ndarray:
     """The lam^t coefficients, t = 0..t_max, of the equation-of-motion
-    representative over (power t, signed band, row) at the amplitude tables
-    and the per-band frequency series om[k, g, n], whose bands these are.
+    representative over (power t, band, row) on the signed bands of `bands`,
+    at the amplitude tables and the per-band frequency series om[k, g, n].
     With om_size, the summed size of each frequency's terms, they are
     stacked on a leading axis with the summed size of their own terms,
     formed in the same pass: omega0^2 |X|, 2 |omega_i| om_size_j |X| for
@@ -473,12 +494,13 @@ def _eom_terms(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max:
         # residual's terms are
         om, om_right = np.stack([om, 2.0 * np.abs(om)]), np.stack([om, -om_size])
         amp = np.stack([amp, np.abs(amp)])
-    x = _x_series(p, amp, t_max, (om.shape[-2] - 1) // 2, step)
-    x2 = _series_mul(x, x, max(t_max - 1, 0), step)
-    xp = _xp_coefficient(p, x, x2, t_max - 1, step, min_power=0)
+    band_max = (om.shape[-2] - 1) // 2
+    x = _x_series(p, amp, t_max, band_max, step)
+    x2 = _series_mul(x, x, max(t_max - 1, 0), step, bands=_x2_window(p, bands, band_max))
+    xp = _xp_coefficient(p, x, x2, t_max - 1, bands, step, min_power=0)
     return np.stack([
         _eom_residual_coefficient(params, x, om, t, xp[..., t - 1, :, :] if t else None,
-                                  om_right)
+                                  bands, om_right)
         for t in range(t_max + 1)
     ], axis=-3)
 
@@ -533,7 +555,7 @@ class PerturbSolution:
         return out
 
     @property
-    def public_bands(self) -> tuple[int, ...]:
+    def public_bands(self) -> range:
         """Bands a solve publishes: through order + 1 for the cubic force,
         the odd ones through 2*order + 1 for the quartic."""
         return _engine_extent(self.params.force_exponent, self.order)[0]
@@ -543,7 +565,7 @@ class PerturbSolution:
         return extract_structure_constants(self)
 
 
-def _engine_extent(p: int, order: int) -> tuple[tuple[int, ...], int, int, int]:
+def _engine_extent(p: int, order: int) -> tuple[range, int, int, int]:
     """Public bands, power ceiling t_max, engine band width and row pad of
     a solve through the given order.
 
@@ -564,26 +586,28 @@ def _march(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max: int
            adjacent: Callable[[int, np.ndarray], None], step: int = 1) -> dict[int, int]:
     """Solve the tables amp[k, alpha, n] and the per-band frequency series
     om[k, g, n], both set at order 0, power by power of lam through t_max.
-    At each power t within the tables, adjacent(t, res_t) sets the order-t
-    frequencies in om and adjacent amplitude in amp from the lam^t
-    residual; every other band follows from that residual. x and its square
-    are carried across t, each power set once, as its coefficients are
-    solved. Returns the order solved per band."""
+    At each power t within the tables, adjacent(t, res) sets the order-t
+    frequencies in om and adjacent amplitude in amp from res, the lam^t
+    residual on band 1; every other band follows from that residual. x and
+    its square are carried across t, each power set once, as its
+    coefficients are solved; x^2, x^p and the residual are formed on the
+    bands the solve reads. Returns the order solved per band."""
     p = params.force_exponent
     orders, width, rows = amp.shape
     bands = _band_list(p, width - 1)
     x = np.zeros((t_max + 1, 2 * width - 1, rows))
     _x_put(x, p, amp, 0, 1, step)
-    x2 = np.zeros((t_max, 4 * width - 3, rows))
+    window = _x2_window(p, bands, width - 1)
+    x2 = np.zeros((t_max, window[1] + 1 - window[0], rows))
     solved = {1: 0}
     for t in range(1, t_max + 1):
         # x is final through lam^(t-1), all that x^2 and x^p there read
         xt = x[: t + 1]
-        x2[t - 1] = _series_mul(xt, xt, t - 1, step, min_power=t - 1)[0]
+        x2[t - 1] = _series_mul(xt, xt, t - 1, step, min_power=t - 1, bands=window)[0]
         res_t = _eom_residual_coefficient(params, xt, om, t,
-                                          _xp_coefficient(p, xt, x2, t - 1, step))
+                                          _xp_coefficient(p, xt, x2, t - 1, bands, step), bands)
         if t < orders:
-            adjacent(t, res_t)
+            adjacent(t, res_t[bands.index(1)])
             solved[1] = t
             _x_put(x, p, amp, t, 1, step)
         solved_t = _solve_bands(p, amp, res_t, t, bands, params.omega0, step)
@@ -621,10 +645,10 @@ def solve_perturbative(
     om = _omega_series(pot, band_eng)
     a0 = amp[0, 1]
 
-    def adjacent(t: int, res_t: np.ndarray) -> None:
+    def adjacent(t: int, res: np.ndarray) -> None:
         # the adjacent band's amplitude drops out, the frequency remains
         pot_inc = np.zeros(rows)
-        pot_inc[1:] = res_t[band_eng + 1, 1:] / (omega0 * a0[1:])
+        pot_inc[1:] = res[1:] / (omega0 * a0[1:])
         pot[t] = np.cumsum(pot_inc)
         om[t] = _omega_series(pot[t : t + 1], band_eng)[0]
         # sum rule at order t: difference equation integrated from n = 0

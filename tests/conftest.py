@@ -68,15 +68,29 @@ def assert_same_bits(got, ref):
     assert got.tobytes() == ref.tobytes()
 
 
-def xp_rebuild_reference(p, x, x2, s, step=1, min_power=None):
-    """lam^s coefficient of x^p formed from scratch through lam^s at every
-    call, as the engine did before it carried x^2 across powers; the carry
-    array x2 is ignored. Patched over `_xp_coefficient` it gives the old
-    per-power rebuild of the solvers. With min_power, the coefficients
+def xp_rebuild_reference(p, x, x2, s, bands, step=1, min_power=None):
+    """lam^s coefficient of x^p formed from scratch through lam^s on every
+    band at every call, as the engine did before it carried x^2 across
+    powers, then cut to the bands bands[0]..bands[-1]; the carry array x2 is
+    ignored. Patched over `_xp_coefficient` it gives the old per-power
+    rebuild of the solvers. With min_power, the coefficients
     lam^min_power..lam^s."""
     from ampmech.perturb import _series_mul
 
     xp = _series_mul(x, x, s, step)
     if p == 3:
         xp = _series_mul(xp, x, s, step)
+    bc = (xp.shape[-2] - 1) // 2
+    xp = xp[..., bc + bands[0] : bc + bands[-1] + 1, :]
     return xp[s] if min_power is None else xp[min_power : s + 1]
+
+
+def xp_full_bands(p, x, x2, s, step=1):
+    """lam^s coefficient of x^p on the bands of x, from x2, the full-band
+    x^2 through lam^s, and the unwindowed product: the x^p term of the
+    equation of motion as the engine formed it before it took band windows."""
+    from ampmech.perturb import _series_mul
+
+    xp = x2[s] if p == 2 else _series_mul(x2[: s + 1], x, s, step, min_power=s)[0]
+    bc, band_max = (xp.shape[-2] - 1) // 2, (x.shape[-2] - 1) // 2
+    return xp[bc - band_max : bc + band_max + 1]

@@ -18,7 +18,6 @@ from ampmech.perturb import (
     _omega_series,
     _series_mul,
     _x_series,
-    _xp_coefficient,
     band_weight,
     build_recursions,
     energy_diagonal_series,
@@ -27,7 +26,7 @@ from ampmech.perturb import (
     solve_perturbative,
 )
 
-from conftest import assert_same_bits
+from conftest import assert_same_bits, xp_full_bands
 
 UNITS = [(1.0, 1.0, 1.0), (2.3, 0.4, 0.7), (1.0, 0.3, 1.0)]
 
@@ -159,9 +158,10 @@ def recursion_reference(params, coeffs, alpha, order):
     x = _x_series(p, coeffs.amp, power, band_max)
     xp_top = None
     if power:
-        xp_top = _xp_coefficient(p, x, _series_mul(x, x, power - 1), power - 1)
+        xp_top = xp_full_bands(p, x, _series_mul(x, x, power - 1), power - 1)
     res = _eom_residual_coefficient(
-        params, x, _omega_series(coeffs.freq_potential, band_max), power, xp_top)
+        params, x, _omega_series(coeffs.freq_potential, band_max), power, xp_top,
+        range(-band_max, band_max + 1))
     return (2.0 if alpha else 1.0) * res[band_max + alpha, :]
 
 

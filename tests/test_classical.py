@@ -17,7 +17,7 @@ from ampmech import (
 from ampmech import perturb
 from ampmech.perturb import _band_list, _engine_extent, _half, _series_mul, band_weight
 
-from conftest import assert_same_bits, xp_rebuild_reference
+from conftest import assert_same_bits, xp_full_bands, xp_rebuild_reference
 
 P2 = OscillatorParams()
 EPS = np.finfo(float).eps
@@ -98,8 +98,9 @@ def balance_residuals_per_power_reference(sol):
         xp_top = None
         if t:
             x2[t - 1] = _series_mul(x, x, t - 1, step=0, min_power=t - 1)[0]
-            xp_top = perturb._xp_coefficient(p, x, x2, t - 1, step=0)
-        res.append(perturb._eom_residual_coefficient(params, x, om, t, xp_top))
+            xp_top = xp_full_bands(p, x, x2, t - 1, step=0)
+        res.append(perturb._eom_residual_coefficient(params, x, om, t, xp_top,
+                                                     range(-band_eng, band_eng + 1)))
     out = np.zeros((order + 1, band_eng + 1))
     for alpha in _band_list(p, band_eng):
         w = band_weight(p, alpha)

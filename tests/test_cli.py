@@ -390,6 +390,13 @@ class TestRendering:
                 (quantity, 1, None, None, values[:1])]
         assert cli.render_csv(rows) == reference_render_csv(per_value_rows(rows))
 
+    @given(st.text(), st.text())
+    def test_strings_escape_as_json_dumps(self, key, value):
+        # quotes, backslashes, control characters, non-ASCII and surrogates
+        assert cli.render_json(value) == json.dumps(value)
+        assert cli.render_json({key: value}) == "{\n  %s: %s\n}" % (json.dumps(key),
+                                                                   json.dumps(value))
+
     @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                      st.sampled_from(FINITE_EDGES)))
     def test_scalar_rule_is_the_table_rule(self, x):

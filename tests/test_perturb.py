@@ -34,7 +34,7 @@ from ampmech.perturb import (
     _x_series,
 )
 
-from conftest import assert_same_bits, xp_rebuild_reference
+from conftest import assert_same_bits, xp_full_bands, xp_rebuild_reference
 
 B = math.sqrt(2.0)  # beta in default units
 P2 = OscillatorParams()
@@ -140,6 +140,8 @@ def random_series(rng, orders, band_max, rows, complex_):
 class TestSeriesKernels:
     """The sliced series kernels reproduce the per-term loops bit for bit."""
 
+    # the inf put into b on purpose gives nan from inf * 0 in the term loop
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @settings(max_examples=300)
     @given(
         st.integers(0, 2**31 - 1),
@@ -180,6 +182,45 @@ class TestSeriesKernels:
             full = _series_mul(a, b, max_power, step)
             bounded = _series_mul(a, b, max_power, step, min_power=min_power)
         assert_same_bits(bounded, full[min_power:])
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 4), st.integers(1, 4),
+        st.integers(0, 4), st.integers(0, 4),
+        st.integers(1, 12), st.integers(0, 8), st.data(),
+        st.booleans(), st.booleans(), st.sampled_from(("a", "b", None)),
+        st.sampled_from((0, 1)), st.sampled_from((None, 2)),
+    )
+    def test_windowed_series_mul_is_band_slice_of_full(
+        self, seed, pa, pb, ba, bb, rows, max_power, data, ca, cb, nonfinite, step, lead
+    ):
+        min_power = data.draw(st.integers(0, max_power))
+        bc = ba + bb
+        lo = data.draw(st.integers(-bc, bc))
+        hi = data.draw(st.integers(lo, bc))
+        rng = np.random.default_rng(seed)
+
+        def series(orders, band_max, complex_):
+            if lead is None:
+                return random_series(rng, orders, band_max, rows, complex_)
+            return np.stack([random_series(rng, orders, band_max, rows, complex_)
+                             for _ in range(lead)])
+
+        a, b = series(pa, ba, ca), series(pb, bb, cb)
+        factor = {"a": a, "b": b}.get(nonfinite)
+        if factor is not None:
+            factor[rng.random(factor.shape) < 0.1] = np.inf
+        # a cut to the bands that reach lo..hi, held from a_lo up
+        a_lo, a_hi = max(lo - bb, -ba), min(hi + bb, ba)
+        cut = a[..., ba + a_lo : ba + a_hi + 1, :]
+        with np.errstate(invalid="ignore"):
+            full = _series_mul(a, b, max_power, step, min_power=min_power)
+            windowed = _series_mul(a, b, max_power, step, min_power=min_power, bands=(lo, hi))
+            from_cut = _series_mul(cut, b, max_power, step, min_power=min_power,
+                                   bands=(lo, hi), a_lo=a_lo)
+        assert_same_bits(windowed, full[..., bc + lo : bc + hi + 1, :])
+        assert_same_bits(from_cut, windowed)
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(1, 12), st.integers(0, 14))
     def test_omega_series_matches_gather(self, seed, orders, rows, band_max):
@@ -298,8 +339,9 @@ class TestCarriedPowers:
 
 def solve_rebuild_reference(params, order, n_max):
     """The solver as it was before it carried x and the frequencies across
-    powers: both rebuilt from the tables at every power. Returns the tables,
-    and the solved orders."""
+    powers: both rebuilt from the tables at every power, and x^2, x^p and the
+    residual formed on every band. Returns the tables, and the solved
+    orders."""
     p, omega0 = params.force_exponent, params.omega0
     _, t_max, band_eng, pad = perturb._engine_extent(p, order)
     bands = perturb._band_list(p, band_eng)
@@ -313,9 +355,9 @@ def solve_rebuild_reference(params, order, n_max):
     for t in range(1, t_max + 1):
         x = _x_series(p, amp, t, band_eng)
         x2[t - 1] = _series_mul(x, x, t - 1, min_power=t - 1)[0]
-        xp_top = perturb._xp_coefficient(p, x, x2, t - 1)
+        xp_top = xp_full_bands(p, x, x2, t - 1)
         res_t = perturb._eom_residual_coefficient(
-            params, x, _omega_series(pot, band_eng), t, xp_top)
+            params, x, _omega_series(pot, band_eng), t, xp_top, range(-band_eng, band_eng + 1))
         if t <= order:
             a0 = amp[0, 1]
             pot_inc = np.zeros(rows)
@@ -324,7 +366,8 @@ def solve_rebuild_reference(params, order, n_max):
             u = -np.cumsum(perturb._qc_residual_coefficient(params, amp, pot, t))
             amp[t, 1, 1:] = u[:-1] / (2.0 * math.pi * params.mass * omega0 * a0[1:])
             solved[1] = t
-        solved.update(perturb._solve_bands(p, amp, res_t, t, bands, omega0))
+        solved.update(perturb._solve_bands(p, amp, res_t[[band_eng + a for a in bands]], t,
+                                           bands, omega0))
     return amp, pot, solved
 
 
@@ -352,11 +395,33 @@ def eom_terms_two_pass_reference(params, coeffs, t_max, band_max, absolute=False
                 else:
                     res -= om[i] * om[j] * x[t - i - j]
         if t:
-            xp_top = perturb._xp_coefficient(p, x, x2, t - 1)
-            bc = (xp_top.shape[0] - 1) // 2
-            res += xp_top[bc - band_max : bc + band_max + 1]
+            res += xp_full_bands(p, x, x2, t - 1)
         out.append(res)
     return out
+
+
+def eom_terms_full_band_reference(params, amp, om, t_max, step=1, om_size=None):
+    """`_eom_terms` as it was before it took a band window: x^2, x^p and the
+    residual on every signed band of om, over (power, band, row)."""
+    p, om_right = params.force_exponent, om
+    if om_size is not None:
+        om, om_right = np.stack([om, 2.0 * np.abs(om)]), np.stack([om, -om_size])
+        amp = np.stack([amp, np.abs(amp)])
+    band_max = (om.shape[-2] - 1) // 2
+    x = _x_series(p, amp, t_max, band_max, step)
+    x2 = _series_mul(x, x, max(t_max - 1, 0), step)
+    xp = x2 if p == 2 else _series_mul(x2, x, max(t_max - 1, 0), step)
+    bc = (xp.shape[-2] - 1) // 2
+    out = []
+    for t in range(t_max + 1):
+        res = params.omega0**2 * x[..., t, :, :]
+        for i in range(min(om.shape[-3], t + 1)):
+            for j in range(min(om.shape[-3], t + 1 - i)):
+                res -= om[..., i, :, :] * om_right[..., j, :, :] * x[..., t - i - j, :, :]
+        if t:
+            res += xp[..., t - 1, bc - band_max : bc + band_max + 1, :]
+        out.append(res)
+    return np.stack(out, axis=-3)
 
 
 ORDERS_UNITS = [(p, order, units) for p in (2, 3) for order in range(7)
@@ -381,22 +446,54 @@ class TestIncrementalSeries:
         assert sol.solved_orders == solved
 
 
+class TestWindowedSolve:
+    """The solver forms x^2, x^p and the residual only on the bands it
+    reads; the solver on every band is the reference."""
+
+    @pytest.mark.parametrize("n_max", [12, 200])
+    @pytest.mark.parametrize("order", range(9))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_solve_matches_full_band(self, p, order, n_max):
+        params = OscillatorParams(mass=2.3, omega0=0.4, hbar=0.7, force_exponent=p)
+        sol = solve_perturbative(params, order, n_max)
+        amp, pot, solved = solve_rebuild_reference(params, order, n_max)
+        assert_same_bits(sol.coeffs.amp, amp)
+        assert_same_bits(sol.coeffs.freq_potential, pot)
+        assert sol.solved_orders == solved
+
+
 class TestStackedEomTerms:
     """The residual and the summed size of its terms share one series pass,
-    stacked on a leading axis. Two separate passes from the tables are the
-    reference."""
+    stacked on a leading axis, on the bands the caller asks for. `_eom_terms`
+    on every band, and two separate passes from the tables, are the
+    references."""
 
     @staticmethod
-    def assert_matches_two_passes(params, coeffs, t_max, band_max):
+    def assert_matches_two_passes(params, coeffs, t_max, band_max, windows):
         pot = coeffs.freq_potential
-        stacked = perturb._eom_terms(params, coeffs.amp, _omega_series(pot, band_max), t_max,
-                                     om_size=omega_size(pot, band_max))
+        om, size = _omega_series(pot, band_max), omega_size(pot, band_max)
+        full = eom_terms_full_band_reference(params, coeffs.amp, om, t_max, om_size=size)
         signed = eom_terms_two_pass_reference(params, coeffs, t_max, band_max)
         sizes = eom_terms_two_pass_reference(params, coeffs, t_max, band_max, absolute=True)
-        assert stacked.shape[:2] == (2, t_max + 1)
-        for t, (res, size) in enumerate(zip(signed, sizes)):
-            assert_same_bits(stacked[0, t], res)
-            assert_same_bits(stacked[1, t], size)
+        assert full.shape[:2] == (2, t_max + 1)
+        for t, (res, size_t) in enumerate(zip(signed, sizes)):
+            assert_same_bits(full[0, t], res)
+            assert_same_bits(full[1, t], size_t)
+        for bands in windows:
+            stacked = perturb._eom_terms(params, coeffs.amp, om, t_max, bands, om_size=size)
+            assert stacked.shape == (2, t_max + 1, len(bands), coeffs.rows)
+            for i, g in enumerate(bands):
+                assert_same_bits(stacked[:, :, i], full[:, :, band_max + g])
+
+    @classmethod
+    def assert_callers_windows_match(cls, sol):
+        c, p = sol.coeffs, sol.params.force_exponent
+        t_max = perturb._engine_extent(p, sol.order)[1]
+        # the windows of `checks.recursion`, of the solver and harmonic
+        # balance, and of `build_recursions`
+        bands = perturb._band_list(p, c.band_max)
+        windows = [sol.public_bands, bands, *(range(a, a + 1) for a in bands)]
+        cls.assert_matches_two_passes(sol.params, c, t_max, c.band_max, windows)
 
     @pytest.mark.parametrize("n_max", ["order+3", 40])
     @pytest.mark.parametrize("p, order, units", ORDERS_UNITS, ids=str)
@@ -404,16 +501,24 @@ class TestStackedEomTerms:
         m, w0, hbar = units
         params = OscillatorParams(mass=m, omega0=w0, hbar=hbar, force_exponent=p)
         sol = solve_perturbative(params, order, order + 3 if n_max == "order+3" else n_max)
-        c = sol.coeffs
-        t_max = perturb._engine_extent(p, order)[1]
-        self.assert_matches_two_passes(params, c, t_max, c.band_max)
+        self.assert_callers_windows_match(sol)
+
+    @pytest.mark.parametrize("n_max", [12, 200])
+    @pytest.mark.parametrize("order", range(9))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_high_order_solution_windows(self, p, order, n_max):
+        params = OscillatorParams(mass=2.3, omega0=0.4, hbar=0.7, force_exponent=p)
+        self.assert_callers_windows_match(solve_perturbative(params, order, n_max))
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 3), st.integers(1, 6),
-           st.integers(1, 20), st.sampled_from((2, 3)))
-    def test_random_tables_match_two_passes(self, seed, orders, band_max, rows, p):
+           st.integers(1, 20), st.sampled_from((2, 3)), st.data())
+    def test_random_tables_match_two_passes(self, seed, orders, band_max, rows, p, data):
         cs = random_tables(seed, rows=rows, band_max=band_max, orders=orders, force_exponent=p)
         params = OscillatorParams(mass=1.7, omega0=0.6, force_exponent=p)
-        self.assert_matches_two_passes(params, cs, orders + 2, band_max)
+        lo = data.draw(st.integers(-band_max, band_max))
+        hi = data.draw(st.integers(lo, band_max))
+        bands = range(lo, hi + 1, data.draw(st.sampled_from((1, 2))))
+        self.assert_matches_two_passes(params, cs, orders + 2, band_max, [bands])
 
     def test_bands_wider_than_the_table(self):
         # band 3 outgrows two rows: its mirror has no entry, and the residual
@@ -424,7 +529,8 @@ class TestStackedEomTerms:
 
     def test_signed_pass_alone_is_the_residual(self, sol_cubic):
         c = sol_cubic.coeffs
-        got = perturb._eom_terms(P2, c.amp, _omega_series(c.freq_potential, c.band_max), 4)
+        om = _omega_series(c.freq_potential, c.band_max)
+        got = perturb._eom_terms(P2, c.amp, om, 4, range(-c.band_max, c.band_max + 1))
         for res, ref in zip(got, eom_terms_two_pass_reference(P2, c, 4, c.band_max)):
             assert_same_bits(res, ref)
 
@@ -438,7 +544,7 @@ def qc_residual_reference(params, amp, pot, k, absolute=False):
     res = np.zeros(rows)
     if k == 0:
         res += params.h if absolute else -params.h
-    for alpha in perturb._band_list(p, bands - 1):
+    for alpha in perturb._band_list(p, min(bands, rows) - 1):
         rem = k - 2 * perturb.band_weight(p, alpha)
         if rem < 0:
             continue
@@ -491,6 +597,12 @@ class TestStackedSumRule:
         cs = random_tables(seed, rows=rows, band_max=band_max, orders=orders, force_exponent=p)
         params = OscillatorParams(mass=1.7, omega0=0.6, hbar=0.8, force_exponent=p)
         self.assert_matches_two_calls(params, cs, k)
+
+    def test_bands_wider_than_the_table(self):
+        # band 3 outgrows two rows and has no entry (a ValueError before)
+        cs = random_tables(0, rows=2, band_max=3, orders=0, force_exponent=3)
+        params = OscillatorParams(mass=1.7, omega0=0.6, hbar=0.8, force_exponent=3)
+        self.assert_matches_two_calls(params, cs, 2)
 
 
 def parity_series(rng, orders, band_max, rows, complex_, parity):
