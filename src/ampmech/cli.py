@@ -312,6 +312,11 @@ def cmd_classical(cfg):
     return _report(cfg, extra, results, [], rows)
 
 
+def _grid_samples(spec):
+    """The three numbers the series fits read from one spectrum."""
+    return spec.omega_exact(1, 0), spec.amplitude(1, 1), spec.amplitude(2, 0)
+
+
 def cmd_oracle(cfg):
     params = _params_from(cfg)
     if params.force_exponent == 2:
@@ -325,8 +330,7 @@ def cmd_oracle(cfg):
     eigenvalues = _values(spec.eigenvalues[:levels])
     rows.append(("eigenvalue", None, None, None, eigenvalues))
 
-    motion = motion_from_spectrum(spec)
-    trk = _values(quantum_condition_residual(motion)[:6])
+    trk = _values(quantum_condition_residual(motion_from_spectrum(spec))[:6])
     rows.append(("thomas-kuhn-residual", None, None, None, trk))
     _check(checks, rows, "thomas-kuhn-sum-rule", *registry.thomas_kuhn(trk))
 
@@ -341,21 +345,20 @@ def cmd_oracle(cfg):
 
     grid = default_lambda_grid(cfg.lam_max, cfg.grid_points)
     if params.force_exponent == 2:
-        # the grid point at lam itself is the main spectrum, already built
-        specs = [
-            spec if lam == params.lam
-            else spectrum(replace(params, lam=lam), cfg.basis_size, check_plateau=False)
+        # each grid spectrum is reduced to the three samples the fits read
+        # before the next is solved; the grid point at lam itself is the
+        # main spectrum, already built
+        omega_10, x_11, x_20 = zip(*(
+            _grid_samples(spec if lam == params.lam else spectrum(
+                replace(params, lam=lam), cfg.basis_size, check_plateau=False))
             for lam in grid
-        ]
+        ))
         fits = []
         # each target is the solver's own coefficient of that power of lam
         targets = [
-            ("omega-1-0", np.array([s.omega_exact(1, 0) for s in specs]), 2,
-             float(sol.omega_band(2, 1)[1])),
-            ("x-1-1", np.array([s.amplitude(1, 1) for s in specs]), 1,
-             float(sol.a(0, 0)[1])),
-            ("x-2-0", np.array([s.amplitude(2, 0) for s in specs]), 1,
-             0.5 * float(sol.a(0, 2)[2])),
+            ("omega-1-0", np.array(omega_10), 2, float(sol.omega_band(2, 1)[1])),
+            ("x-1-1", np.array(x_11), 1, float(sol.a(0, 0)[1])),
+            ("x-2-0", np.array(x_20), 1, 0.5 * float(sol.a(0, 2)[2])),
         ]
         for name, samples, power, target in targets:
             fit = lambda_series_fit(samples, grid, cfg.fit_order)

@@ -74,10 +74,18 @@ class TruncatedOperator:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        scale = float(np.max(np.abs(m))) or 1.0
-        if float(np.max(np.abs(m - m.T))) > 1e-14 * scale:
+        # max |m| from the extremes, which a nan or inf entry makes non-finite
+        hi, lo = float(np.max(m)), float(np.min(m))
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise ValueError("matrix has a non-finite entry")
+        scale = max(hi, -lo) or 1.0
+        # one work array: m - m.T is antisymmetric, so its max is its max
+        # magnitude; then it holds 0.5 * (m + m.T)
+        work = np.subtract(m, m.T)
+        if float(np.max(work)) > 1e-14 * scale:
             raise ValueError("matrix is not symmetric to working precision")
-        m = 0.5 * (m + m.T)
+        m = np.add(m, m.T, out=work)
+        m *= 0.5
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -215,8 +223,11 @@ def diagonalize(op: TruncatedOperator) -> SpectrumResult:
     evals = np.concatenate([e for _, e, _ in solved])
     scale = float(np.max(np.abs(evals))) or 1.0
     for block, e, v in solved:
-        residual = np.max(np.abs(block @ v - v * e))
-        if residual > 1e-10 * scale:
+        r = block @ v
+        r -= v * e
+        residual = np.max(np.abs(r, out=r))
+        # a nan residual or scale fails this test
+        if not residual <= 1e-10 * scale:
             raise NumericError(
                 f"eigenpair residual {residual:.3e} exceeds 1e-10 * {scale:.3e}"
             )
@@ -232,11 +243,12 @@ def diagonalize(op: TruncatedOperator) -> SpectrumResult:
     # deterministic phases: largest-magnitude component positive
     flips = np.sign(evecs[np.abs(evecs).argmax(axis=0), np.arange(evecs.shape[1])])
     flips[flips == 0] = 1.0
+    evecs *= flips
     return SpectrumResult(
         params=op.params,
         basis_size=op.basis_size,
         eigenvalues=evals,
-        eigenvectors=evecs * flips,
+        eigenvectors=evecs,
     )
 
 

@@ -5,7 +5,7 @@ from hypothesis import settings
 from ampmech import OscillatorParams, solve_perturbative, spectrum
 from ampmech.core import BandAmplitudeArray
 
-settings.register_profile("suite", deadline=None, max_examples=40)
+settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
 settings.load_profile("suite")
 
 

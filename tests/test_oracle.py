@@ -1,9 +1,12 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ampmech.cli
 from ampmech import (
@@ -167,6 +170,145 @@ class TestDiagonalize:
         with pytest.raises(NumericError):
             diagonalize(op)
         assert calls[call] == ((80, 80) if force == 2 else (40, 40))
+
+
+def old_symmetry_verdict(m):
+    """True when TruncatedOperator accepted m before it checked and
+    symmetrized through one work array: the old comparisons, kept as the
+    mutant the refusal tests must catch."""
+    scale = float(np.max(np.abs(m))) or 1.0
+    return not float(np.max(np.abs(m - m.T))) > 1e-14 * scale
+
+
+def old_diagonalize(op):
+    """`diagonalize` before it formed the residual and the sign flips in
+    place, with its old residual test `residual > bound`."""
+    h = op.matrix
+    n = op.basis_size
+    if n > 1 and not np.any(h[0::2, 1::2]):
+        blocks = (slice(0, None, 2), slice(1, None, 2))
+    else:
+        blocks = (slice(None),)
+    solved = []
+    for rows in blocks:
+        block = h[rows, rows]
+        evals, evecs = np.linalg.eigh(block)
+        solved.append((block, evals, evecs))
+    evals = np.concatenate([e for _, e, _ in solved])
+    scale = float(np.max(np.abs(evals))) or 1.0
+    for block, e, v in solved:
+        residual = np.max(np.abs(block @ v - v * e))
+        if residual > 1e-10 * scale:
+            raise NumericError("residual")
+    if len(solved) == 1:
+        evecs = solved[0][2]
+    else:
+        evecs = np.zeros((n, n))
+        even = solved[0][1].size
+        evecs[0::2, :even] = solved[0][2]
+        evecs[1::2, even:] = solved[1][2]
+        order = np.argsort(evals, kind="stable")
+        evals, evecs = evals[order], evecs[:, order]
+    flips = np.sign(evecs[np.abs(evecs).argmax(axis=0), np.arange(evecs.shape[1])])
+    flips[flips == 0] = 1.0
+    return SpectrumResult(params=op.params, basis_size=op.basis_size,
+                          eigenvalues=evals, eigenvectors=evecs * flips)
+
+
+@st.composite
+def symmetric_matrices(draw, min_size=1, max_size=12):
+    """Exactly symmetric matrices, some of them parity-block diagonal."""
+    n = draw(st.integers(min_size, max_size))
+    a = draw(hnp.arrays(np.float64, (n, n), elements=st.one_of(
+        st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -2.5]))))
+    m = a + a.T
+    if draw(st.booleans()):
+        m[0::2, 1::2] = 0.0
+        m[1::2, 0::2] = 0.0
+    return m
+
+
+class TestOperatorValidation:
+    @given(symmetric_matrices(), st.data())
+    def test_symmetrization_has_the_bits_of_the_mean(self, sym, data):
+        # relative asymmetries below 1e-14 pass, so each entry pair is averaged
+        rel = data.draw(hnp.arrays(np.float64, sym.shape, elements=st.floats(-4e-15, 4e-15)))
+        m = sym * (1.0 + rel)
+        assert_same_bits(TruncatedOperator(P2, m).matrix, 0.5 * (m + m.T))
+
+    @given(symmetric_matrices(min_size=2), st.integers(0, 11), st.integers(0, 10),
+           st.one_of(st.floats(0.5, 2.0), st.sampled_from([1.0 - EPS, 1.0, 1.0 + 2 * EPS])))
+    def test_symmetry_verdict_flips_at_the_same_bound(self, m, i, shift, factor):
+        # an off-diagonal entry moved by about the bound 1e-14 * max |m|
+        n = len(m)
+        i, j = i % n, (i + 1 + shift % (n - 1)) % n
+        m[i, j] += factor * 1e-14 * (np.max(np.abs(m)) or 1.0)
+        try:
+            TruncatedOperator(P2, m)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == old_symmetry_verdict(m)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("cells", [[(0, 0)], [(0, 1)], [(1, 0)], [(0, 2), (2, 0)]],
+                             ids=["diagonal", "upper", "lower", "pair"])
+    def test_nonfinite_entry_refused(self, bad, cells):
+        m = np.eye(3)
+        for cell in cells:
+            m[cell] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            TruncatedOperator(P2, m)
+        with np.errstate(invalid="ignore"):
+            assert old_symmetry_verdict(m)
+
+
+class TestDiagonalizeInPlace:
+    @given(symmetric_matrices())
+    def test_matches_the_old_function(self, m):
+        op = TruncatedOperator(P2, m)
+        got, ref = diagonalize(op), old_diagonalize(op)
+        assert_same_bits(got.eigenvalues, ref.eigenvalues)
+        assert_same_bits(got.eigenvectors, ref.eigenvectors)
+
+    @pytest.mark.parametrize("force", [2, 3])
+    def test_hamiltonians_match_the_old_function(self, force):
+        op = build_hamiltonian(OscillatorParams(force_exponent=force), 120)
+        got, ref = diagonalize(op), old_diagonalize(op)
+        assert_same_bits(got.eigenvalues, ref.eigenvalues)
+        assert_same_bits(got.eigenvectors, ref.eigenvectors)
+
+    @pytest.mark.parametrize("nan_in", ["eigenvalues", "eigenvectors"])
+    def test_nan_residual_raises(self, nan_in, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def nan_eigh(block):
+            evals, evecs = eigh(block)
+            if nan_in == "eigenvalues":
+                return np.full_like(evals, np.nan), evecs
+            return evals, np.full_like(evecs, np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+        op = build_hamiltonian(P2, 8)
+        with pytest.raises(NumericError):
+            diagonalize(op)
+        # the old test `residual > bound` is False for nan: no error
+        old_diagonalize(op)
+
+
+class TestOracleMemory:
+    def test_cubic_oracle_peaks_below_eight_matrices(self):
+        n = 200
+        argv = ["oracle", "--basis-size", str(n)]
+        ampmech.cli.run(argv, stream=io.StringIO())  # warm-up
+        tracemalloc.start()
+        try:
+            assert ampmech.cli.run(argv, stream=io.StringIO()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the padded copy of `BandAmplitudeArray.from_dense` sets it, ~7.5 N^2
+        assert peak <= 8 * n * n * 8
 
 
 class TestSpectrumVetting:
