@@ -7,18 +7,13 @@ quartic forces, a classical Fourier/action benchmark, and an independent
 number-basis diagonalization oracle.
 """
 
-from .params import OscillatorParams, PhysicalConstants, SI_CONSTANTS
+from .params import OscillatorParams
 from .core import (
     BandAmplitudeArray,
     DimensionMismatchError,
-    EmissionResult,
     FrequencyGrid,
-    LevelSpectrum,
     MotionRepresentation,
-    NotAnEmissionError,
     commutator_diagonal,
-    emission_power,
-    frequency_grid_from_levels,
     multiply,
     quantum_condition_residual,
     time_derivative,
@@ -40,7 +35,6 @@ from .perturb import (
     energy_diagonal_series,
     energy_matrix,
     extract_structure_constants,
-    quantum_condition_order_residual,
     sho_solve,
     solve_perturbative,
 )
@@ -50,7 +44,6 @@ from .classical import (
     action_integral,
     balance_residuals,
     classical_solve,
-    fourier_product,
     ode_residual,
 )
 from .oracle import (

@@ -50,7 +50,6 @@ __all__ = [
     "ClassicalSolution",
     "classical_solve",
     "balance_residuals",
-    "fourier_product",
     "action_integral",
     "ode_residual",
 ]
@@ -191,34 +190,6 @@ def balance_residuals(sol: ClassicalSolution) -> np.ndarray:
         w = band_weight(p, alpha)
         for k in range(min(order, t_max - w) + 1):
             out[k, alpha] = res[w + k, i, 0] / _half(alpha)
-    return out
-
-
-def fourier_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two cosine series, returned as a cosine series.
-
-    Maps each input to symmetric exponential coefficients (X_alpha =
-    X_{-alpha} = c_alpha / 2, X_0 = c_0), convolves over the signed
-    harmonic index, and folds back.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
-        raise ValueError("inputs must be nonempty 1-d cosine-coefficient arrays")
-
-    def to_exp(c: np.ndarray) -> np.ndarray:
-        h = c.size - 1
-        e = np.zeros(2 * h + 1)
-        e[h] = c[0]
-        for alpha in range(1, h + 1):
-            e[h + alpha] = e[h - alpha] = 0.5 * c[alpha]
-        return e
-
-    conv = np.convolve(to_exp(a), to_exp(b))
-    h = (conv.size - 1) // 2
-    out = np.empty(h + 1)
-    out[0] = conv[h]
-    out[1:] = conv[h + 1 :] + conv[h - 1 :: -1][: h]
     return out
 
 

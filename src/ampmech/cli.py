@@ -452,6 +452,9 @@ class RunConfig:
             raise UsageError("--format must be json or csv")
         if self.check not in CHECK_GROUPS:
             raise UsageError(f"--check must be one of {', '.join(CHECK_GROUPS)}")
+        if self.fit_order < 2:
+            # the fits read the lam^2 coefficient
+            raise UsageError("--fit-order must be at least 2")
         if self.grid_points < self.fit_order + 2:
             raise UsageError("--grid-points must be at least fit order + 2")
         if self.subcommand == "classical":

@@ -30,26 +30,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .params import OscillatorParams, PhysicalConstants
+from .params import OscillatorParams
 
 __all__ = [
     "DimensionMismatchError",
-    "NotAnEmissionError",
-    "LevelSpectrum",
     "FrequencyGrid",
-    "frequency_grid_from_levels",
     "BandAmplitudeArray",
     "MotionRepresentation",
     "multiply",
     "time_derivative",
     "quantum_condition_residual",
     "commutator_diagonal",
-    "EmissionResult",
-    "emission_power",
 ]
 
 
@@ -57,33 +51,10 @@ class DimensionMismatchError(ValueError):
     """Operands disagree on the stored level range."""
 
 
-class NotAnEmissionError(ValueError):
-    """Requested transition has omega <= 0 and emits nothing."""
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class LevelSpectrum:
-    """Energies W(n) for n = 0..n_max, densely indexed from the ground state."""
-
-    energies: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.energies, dtype=float)
-        if e.ndim != 1 or e.size == 0:
-            raise ValueError("energies must be a nonempty 1-d array")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("energies contain a non-finite entry")
-        object.__setattr__(self, "energies", _readonly(e))
-
-    @property
-    def n_max(self) -> int:
-        return self.energies.size - 1
 
 
 @dataclass(frozen=True)
@@ -108,23 +79,6 @@ class FrequencyGrid:
     @property
     def n_max(self) -> int:
         return self.potential.size - 1
-
-    def omega(self, n: int, m: int) -> float:
-        if not (0 <= n <= self.n_max and 0 <= m <= self.n_max):
-            raise IndexError(f"level pair ({n}, {m}) outside stored range")
-        return float(self.potential[n] - self.potential[m])
-
-    @classmethod
-    def harmonic(cls, omega0: float, n_max: int) -> "FrequencyGrid":
-        """Equally spaced grid with omega(n, m) = (n - m)*omega0."""
-        return cls(omega0 * np.arange(n_max + 1, dtype=float))
-
-
-def frequency_grid_from_levels(levels: LevelSpectrum, hbar: float) -> FrequencyGrid:
-    """Bohr frequencies omega(n, m) = (W(n) - W(m)) / hbar as a grid."""
-    if not (math.isfinite(hbar) and hbar > 0.0):
-        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
-    return FrequencyGrid(levels.energies / hbar)
 
 
 @dataclass(frozen=True)
@@ -211,21 +165,6 @@ class BandAmplitudeArray:
             lo, k = max(alpha, 0), n - abs(alpha)
             flat[lo * (n + 1) - alpha :: n + 1][:k] = self.band(alpha)[lo : lo + k]
         return out
-
-    def symmetry_defect(self) -> float:
-        """Largest violation of the symmetry (or Hermiticity) convention
-        over entry pairs that are both stored."""
-        dense = self.to_dense()
-        ref = dense.conj().T if self.hermitian else dense.T
-        return float(np.max(np.abs(dense - ref))) if dense.size else 0.0
-
-    @classmethod
-    def zeros(cls, n_max: int, band_max: int, hermitian: bool = False) -> "BandAmplitudeArray":
-        return cls(np.zeros((n_max + 1, 2 * band_max + 1)), hermitian=hermitian)
-
-    @classmethod
-    def identity(cls, n_max: int) -> "BandAmplitudeArray":
-        return cls(np.ones((n_max + 1, 1)))
 
     @classmethod
     def from_dense(
@@ -394,28 +333,3 @@ def commutator_diagonal(motion: MotionRepresentation) -> np.ndarray:
                                  * right[:, lo - a : hi + 1 - a, b - a])
     return 1j * (motion.params.mass * (diag[0] - diag[1]))
 
-
-class EmissionResult(NamedTuple):
-    rate: float
-    power: float
-
-
-def emission_power(
-    motion: MotionRepresentation, n: int, alpha: int, consts: PhysicalConstants
-) -> EmissionResult:
-    """Spontaneous-emission rate P(n, n-alpha) and radiated power for the
-    downward transition n -> n-alpha.
-
-    P = e^2 / (3*pi*eps0*hbar*c^3) * omega^3 * |X(n, n-alpha)|^2, and the
-    power is P*hbar*omega. Requires omega(n, n-alpha) > 0.
-    """
-    omega = motion.frequencies.omega(n, n - alpha)
-    if omega <= 0.0:
-        raise NotAnEmissionError(
-            f"omega({n}, {n - alpha}) = {omega!r} is not a positive emission frequency"
-        )
-    hbar = motion.params.hbar
-    amp2 = abs(motion.amplitudes.get(n, n - alpha)) ** 2
-    rate = consts.e**2 / (3.0 * math.pi * consts.eps0 * hbar * consts.c**3)
-    rate *= omega**3 * amp2
-    return EmissionResult(rate=rate, power=rate * hbar * omega)

@@ -48,20 +48,3 @@ class OscillatorParams:
         """Amplitude scale sqrt(h / (pi*m*omega0)); beta^2 = 2*hbar/(m*omega0)."""
         return math.sqrt(2.0 * self.hbar / (self.mass * self.omega0))
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Electromagnetic constants for radiated-power estimates. Defaults are SI."""
-
-    e: float = 1.602176634e-19
-    eps0: float = 8.8541878128e-12
-    c: float = 299792458.0
-
-    def __post_init__(self) -> None:
-        for name in ("e", "eps0", "c"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-SI_CONSTANTS = PhysicalConstants()

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -66,7 +65,6 @@ __all__ = [
     "build_recursions",
     "solve_perturbative",
     "sho_solve",
-    "quantum_condition_order_residual",
     "closed_form_amplitude",
     "closed_form_frequency",
     "extract_structure_constants",
@@ -166,29 +164,12 @@ class CoefficientSet:
         object.__setattr__(self, "freq_potential", pot)
 
     @property
-    def orders(self) -> int:
-        return self.amp.shape[0] - 1
-
-    @property
     def band_max(self) -> int:
         return self.amp.shape[1] - 1
 
     @property
     def rows(self) -> int:
         return self.amp.shape[2]
-
-    def amplitude(self, k: int, n: int, m: int) -> float:
-        """a^(k)(n, m) with the symmetric convention and ground-state floor."""
-        if n < 0 or m < 0:
-            return 0.0
-        lo, hi = min(n, m), max(n, m)
-        alpha = hi - lo
-        if alpha > self.band_max or hi >= self.rows:
-            return 0.0
-        return float(self.amp[k, alpha, hi])
-
-    def omega(self, k: int, n: int, m: int) -> float:
-        return float(self.freq_potential[k, n] - self.freq_potential[k, m])
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +486,6 @@ def _eom_terms(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max:
     ], axis=-3)
 
 
-def quantum_condition_order_residual(sol: "PerturbSolution", k: int) -> np.ndarray:
-    """Order-k coefficient of the quantum-condition residual at the solution."""
-    c = sol.coeffs
-    return _qc_residual_coefficient(sol.params, c.amp, c.freq_potential, k)
-
-
 # ---------------------------------------------------------------------------
 # the solver
 
@@ -559,10 +534,6 @@ class PerturbSolution:
         """Bands a solve publishes: through order + 1 for the cubic force,
         the odd ones through 2*order + 1 for the quartic."""
         return _engine_extent(self.params.force_exponent, self.order)[0]
-
-    @cached_property
-    def structure_constants(self) -> dict[int, float]:
-        return extract_structure_constants(self)
 
 
 def _engine_extent(p: int, order: int) -> tuple[range, int, int, int]:

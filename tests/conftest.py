@@ -57,6 +57,14 @@ def random_symmetric_band(rng, n_max, band_max, scale=1.0):
     return BandAmplitudeArray(data)
 
 
+def symmetry_defect(arr):
+    """Largest violation of the symmetry (or Hermiticity) convention over
+    entry pairs that are both stored."""
+    dense = arr.to_dense()
+    ref = dense.conj().T if arr.hermitian else dense.T
+    return float(np.max(np.abs(dense - ref))) if dense.size else 0.0
+
+
 def dyadic_potential(rng, size):
     """Potentials on a dyadic grid so frequency sums are exact in binary fp."""
     return rng.integers(-(2**20), 2**20, size=size).astype(float) / 1024.0

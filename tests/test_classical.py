@@ -10,7 +10,6 @@ from ampmech import (
     action_integral,
     balance_residuals,
     classical_solve,
-    fourier_product,
     ode_residual,
     solve_perturbative,
 )
@@ -59,6 +58,19 @@ def exp_mul_reference(a, b, max_power):
         for j in range(min(b.shape[0], max_power + 1 - i)):
             out[i + j] += np.convolve(a[i], b[j])
     return out
+
+
+def fourier_product(a, b):
+    """Product of two cosine series, returned as a cosine series, through the
+    step-0 `_series_mul`: each input maps to symmetric exponential
+    coefficients (X_alpha = X_{-alpha} = c_alpha / 2, X_0 = c_0), and the
+    product over signed harmonics folds back."""
+    def to_exp(c):
+        return np.concatenate([c[:0:-1] / 2, c[:1], c[1:] / 2])[None, :, None]
+
+    conv = _series_mul(to_exp(a), to_exp(b), 0, step=0)[0, :, 0]
+    h = (conv.size - 1) // 2
+    return np.concatenate([conv[h : h + 1], conv[h + 1 :] + conv[h - 1 :: -1]])
 
 
 def balance_residual_reference(params, amp, omega_coeffs, power, harmonic_max,
@@ -320,6 +332,8 @@ class TestOrderStability:
 
 
 class TestFourierProduct:
+    """The step-0 series product is the product of cosine series."""
+
     def test_double_angle(self):
         cos = np.array([0.0, 1.0])
         sq = fourier_product(cos, cos)

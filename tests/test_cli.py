@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -14,17 +15,23 @@ from hypothesis.extra import numpy as hnp
 
 from ampmech import cli
 from ampmech.cli import run
+from ampmech.core import BandAmplitudeArray
 from ampmech.perturb import solve_perturbative
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
 
-def _load_golden_script():
-    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "regenerate_goldens.py"
-    spec = importlib.util.spec_from_file_location("regenerate_goldens", path)
+def _load_file(relative):
+    path = ROOT / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_golden_script():
+    return _load_file("scripts/regenerate_goldens.py")
 
 
 # the golden script's table is the one list of reference invocations
@@ -205,6 +212,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == "usage error: --levels must be at least 1\n"
 
+    @pytest.mark.parametrize("fit_order", ["0", "1", "-1"])
+    def test_oracle_fit_order_below_two_is_a_usage_error(self, fit_order, capsys):
+        # the fits read the lam^2 coefficient
+        code, out = run_capture(["oracle", f"--fit-order={fit_order}"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "usage error: --fit-order must be at least 2\n"
+
     def test_numeric_nonconvergence(self):
         # a basis of 20 cannot plateau: a numeric failure, not a usage error
         code, out = run_capture(["oracle", "--basis-size", "20"])
@@ -262,6 +276,34 @@ class TestExitCodes:
             code, out = run_capture(argv)
             assert code == 0, name
             assert out
+
+
+class TestBenchmarkTrace:
+    """The benchmark's trace mode wraps the package's functions in place; it
+    must count their calls and leave every binding as it found it."""
+
+    @staticmethod
+    def bindings():
+        found = {(name, attr): obj for name, module in list(sys.modules.items())
+                 if name == "ampmech" or name.startswith("ampmech.")
+                 for attr, obj in vars(module).items() if inspect.isfunction(obj)}
+        found["BandAmplitudeArray", "get"] = BandAmplitudeArray.get
+        return found
+
+    def test_trace_counts_calls_and_restores_bindings(self):
+        tracer = _load_file("perfbench/tracer.py").Tracer()
+        before = self.bindings()
+        try:
+            tracer.install()
+            during = self.bindings()
+            codes = [run(argv, stream=io.StringIO()) for argv in (["verify"], ["oracle"])]
+        finally:
+            tracer.uninstall()
+        assert codes == [0, 0]
+        assert tracer.snapshot()["core.multiply.calls"] > 0
+        patched = {key for key, obj in before.items() if during[key] is not obj}
+        assert {("BandAmplitudeArray", "get"), ("ampmech.core", "multiply")} <= patched
+        assert self.bindings() == before
 
 
 class TestGoldenScript:

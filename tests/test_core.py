@@ -9,14 +9,9 @@ from ampmech import (
     BandAmplitudeArray,
     DimensionMismatchError,
     FrequencyGrid,
-    LevelSpectrum,
     MotionRepresentation,
-    NotAnEmissionError,
     OscillatorParams,
-    PhysicalConstants,
     commutator_diagonal,
-    emission_power,
-    frequency_grid_from_levels,
     motion_from_spectrum,
     multiply,
     quantum_condition_residual,
@@ -24,7 +19,8 @@ from ampmech import (
 )
 from ampmech.perturb import assemble_motion, sho_solve, solve_perturbative
 
-from conftest import assert_same_bits, dyadic_potential, random_symmetric_band
+from conftest import (assert_same_bits, dyadic_potential, random_symmetric_band,
+                      symmetry_defect)
 
 SQ2 = math.sqrt(2.0)
 
@@ -32,6 +28,20 @@ SQ2 = math.sqrt(2.0)
 def sho_motion(n_max, params=None):
     p = params or OscillatorParams(lam=0.0)
     return assemble_motion(sho_solve(p, n_max), 0.0)
+
+
+def zeros(n_max, band_max):
+    return BandAmplitudeArray(np.zeros((n_max + 1, 2 * band_max + 1)))
+
+
+def harmonic_grid(omega0, n_max):
+    """Equally spaced grid with omega(n, m) = (n - m)*omega0."""
+    return FrequencyGrid(omega0 * np.arange(n_max + 1, dtype=float))
+
+
+def omega(grid, n, m):
+    """omega(n, m) read off the grid's potential."""
+    return grid.potential[n] - grid.potential[m]
 
 
 def random_values(rng, shape, hermitian):
@@ -137,33 +147,20 @@ class TestParams:
         with pytest.raises(ValueError):
             OscillatorParams(**{field: value})
 
-    def test_constants_positive(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(e=0.0)
-
 
 class TestFrequencyGrid:
-    def test_equally_spaced_levels(self):
-        levels = LevelSpectrum((np.arange(8) + 0.5) * 1.0)
-        grid = frequency_grid_from_levels(levels, hbar=1.0)
-        assert grid.omega(5, 3) == pytest.approx(2.0, abs=0)
-
     def test_diagonal_is_zero(self):
         grid = FrequencyGrid(np.array([0.3, 1.7, 2.9]))
         for n in range(3):
-            assert grid.omega(n, n) == 0.0
+            assert omega(grid, n, n) == 0.0
 
     def test_antisymmetry(self):
         grid = FrequencyGrid(np.array([0.1, 0.9, 2.2, 3.8]))
-        assert grid.omega(3, 1) == -grid.omega(1, 3)
+        assert omega(grid, 3, 1) == -omega(grid, 1, 3)
 
     def test_rejects_nonfinite_levels(self):
         with pytest.raises(ValueError):
-            LevelSpectrum(np.array([1.0, float("nan")]))
-
-    def test_rejects_bad_hbar(self):
-        with pytest.raises(ValueError):
-            frequency_grid_from_levels(LevelSpectrum(np.ones(3)), hbar=0.0)
+            FrequencyGrid(np.array([1.0, float("nan")]))
 
     @given(st.integers(0, 2**31 - 1))
     def test_ritz_combination_exact(self, seed):
@@ -174,18 +171,15 @@ class TestFrequencyGrid:
                 for b in range(1, 4):
                     if n - a - b < 0:
                         continue
-                    lhs = grid.omega(n, n - a) + grid.omega(n - a, n - a - b)
-                    assert lhs == grid.omega(n, n - a - b)
+                    lhs = omega(grid, n, n - a) + omega(grid, n - a, n - a - b)
+                    assert lhs == omega(grid, n, n - a - b)
 
     def test_oracle_levels_soften_fundamental(self, cached_spectrum):
         # cubic anharmonicity lowers omega(1, 0) below omega0
         spec = cached_spectrum(0.05)
-        grid = frequency_grid_from_levels(
-            LevelSpectrum(spec.eigenvalues), hbar=1.0
-        )
         shift = -5.0 * 2.0 / 12.0 * 0.05**2  # second-order softening at n = 1
-        assert grid.omega(1, 0) < 1.0
-        assert grid.omega(1, 0) == pytest.approx(1.0 + shift, abs=5e-5)
+        assert spec.omega_exact(1, 0) < 1.0
+        assert spec.omega_exact(1, 0) == pytest.approx(1.0 + shift, abs=5e-5)
 
 
 class TestBandAmplitudeArray:
@@ -256,14 +250,14 @@ class TestBandAmplitudeArray:
 
     def test_symmetry_defect_zero_for_symmetric(self):
         arr = random_symmetric_band(np.random.default_rng(5), 8, 2)
-        assert arr.symmetry_defect() == 0.0
+        assert symmetry_defect(arr) == 0.0
 
 
 class TestMultiply:
     def test_identity_law(self):
         rng = np.random.default_rng(11)
         y = random_symmetric_band(rng, 10, 3)
-        ident = BandAmplitudeArray.identity(10)
+        ident = BandAmplitudeArray(np.ones((11, 1)))
         z = multiply(ident, y)
         assert np.allclose(z.to_dense(), y.to_dense(), atol=0, rtol=0)
 
@@ -283,8 +277,8 @@ class TestMultiply:
         assert np.allclose(np.diag(dense)[:10], expect, rtol=1e-14)
 
     def test_nmax_mismatch_raises(self):
-        a = BandAmplitudeArray.zeros(5, 1)
-        b = BandAmplitudeArray.zeros(6, 1)
+        a = zeros(5, 1)
+        b = zeros(6, 1)
         with pytest.raises(DimensionMismatchError):
             multiply(a, b)
 
@@ -377,7 +371,7 @@ class TestTimeDerivative:
         m = sho_motion(8)
         d = time_derivative(m)
         assert d.get(1, 0) == np.conj(d.get(0, 1))
-        assert d.symmetry_defect() <= 1e-15
+        assert symmetry_defect(d) <= 1e-15
 
     @given(st.integers(0, 2**31 - 1))
     def test_product_rule(self, seed):
@@ -437,7 +431,7 @@ class TestQuantumCondition:
     def test_all_zero_amplitudes(self):
         params = OscillatorParams(lam=0.0)
         m = MotionRepresentation(
-            BandAmplitudeArray.zeros(10, 2), FrequencyGrid.harmonic(1.0, 12), params
+            zeros(10, 2), harmonic_grid(1.0, 12), params
         )
         res = quantum_condition_residual(m)
         assert np.allclose(res, -params.h, rtol=0, atol=0)
@@ -467,7 +461,7 @@ class TestQuantumCondition:
     @pytest.mark.parametrize("n,alpha", [(5, 1), (5, 5), (9, 3), (11, 2)])
     def test_injected_violation_moves_two_rows(self, n, alpha):
         x = random_symmetric_band(np.random.default_rng(n + alpha), 11, 5)
-        grid = FrequencyGrid.harmonic(1.0, 11)
+        grid = harmonic_grid(1.0, 11)
         base = quantum_condition_residual(MotionRepresentation(x, grid, OscillatorParams()))
         data = np.array(x.data)
         data[n, 5 + alpha] = 1.0 + 2.0 * abs(data[n, 5 + alpha])  # |X(n, n-alpha)| grows
@@ -507,8 +501,8 @@ class TestCommutator:
 
     def test_zero_amplitudes_give_zero(self):
         m = MotionRepresentation(
-            BandAmplitudeArray.zeros(6, 1),
-            FrequencyGrid.harmonic(1.0, 8),
+            zeros(6, 1),
+            harmonic_grid(1.0, 8),
             OscillatorParams(),
         )
         assert np.max(np.abs(commutator_diagonal(m))) == 0.0
@@ -568,56 +562,11 @@ class TestCommutator:
         assert np.max(np.abs(comm[interior] - predicted)) <= 1e-12
 
 
-class TestEmissionPower:
-    def test_zero_amplitude_zero_rate(self):
-        m = sho_motion(6)
-        # band 2 amplitude of the pure oscillator vanishes
-        r = emission_power(m, 4, 2, PhysicalConstants())
-        assert r.rate == 0.0 and r.power == 0.0
-
-    def test_quadratic_in_amplitude(self):
-        m1 = sho_motion(6)
-        doubled = BandAmplitudeArray(2.0 * np.asarray(m1.amplitudes.data))
-        m2 = MotionRepresentation(doubled, m1.frequencies, m1.params)
-        c = PhysicalConstants()
-        assert emission_power(m2, 1, 1, c).rate == pytest.approx(
-            4.0 * emission_power(m1, 1, 1, c).rate, rel=1e-14
-        )
-
-    def test_rejects_non_emission(self):
-        m = sho_motion(6)
-        with pytest.raises(NotAnEmissionError):
-            emission_power(m, 1, -1, PhysicalConstants())
-        with pytest.raises(NotAnEmissionError):
-            emission_power(m, 1, 0, PhysicalConstants())
-
-    def test_si_magnitude_against_independent_evaluation(self):
-        mp = pytest.importorskip("mpmath")
-        mass = 9.1093837015e-31
-        omega0 = 1.0e15
-        hbar = 1.054571817e-34
-        params = OscillatorParams(mass=mass, omega0=omega0, lam=0.0, hbar=hbar)
-        m = sho_motion(4, params)
-        consts = PhysicalConstants()
-        got = emission_power(m, 1, 1, consts)
-
-        mp.mp.dps = 50
-        amp2 = mp.mpf(hbar) / (2 * mp.mpf(mass) * mp.mpf(omega0))
-        rate = (
-            mp.mpf(consts.e) ** 2
-            / (3 * mp.pi * mp.mpf(consts.eps0) * mp.mpf(hbar) * mp.mpf(consts.c) ** 3)
-            * mp.mpf(omega0) ** 3
-            * amp2
-        )
-        assert got.rate == pytest.approx(float(rate), rel=1e-12)
-        assert got.power == pytest.approx(float(rate * hbar * omega0), rel=1e-12)
-
-
 class TestMotionRepresentation:
     def test_requires_frequency_coverage(self):
         with pytest.raises(DimensionMismatchError):
             MotionRepresentation(
-                BandAmplitudeArray.zeros(10, 1),
-                FrequencyGrid.harmonic(1.0, 5),
+                zeros(10, 1),
+                harmonic_grid(1.0, 5),
                 OscillatorParams(),
             )
