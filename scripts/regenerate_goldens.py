@@ -8,8 +8,8 @@ Run from the repository root after any intentional change to CLI output:
 The reference invocations here are the single source of truth; the CLI
 determinism tests replay them and compare byte for byte. For each golden it
 overwrites, the script prints an audit of the change, value by value: a JSON
-golden is keyed by the path to each value, a CSV golden by the
-(quantity, order, band, n) of each line. The audit lists the removed and
+golden is keyed by the path to each value, a check by its id, and a CSV
+golden by the (quantity, order, band, n) of each line. The audit lists the removed and
 added keys and each changed value with its distance in units in the last
 place (ulp), so it survives a change of layout.
 """
@@ -39,6 +39,7 @@ REFERENCE_INVOCATIONS = {
     "sho.csv": ["sho", "--format", "csv"],
     "solve-quartic-order4.json": ["solve", "--order", "4", "--force", "3"],
     "verify-quartic-order8.json": ["verify", "--order", "8", "--force", "3"],
+    "oracle-quartic.json": ["oracle", "--force", "3"],
 }
 
 
@@ -52,16 +53,28 @@ class Number(str):
     """A JSON number kept as the text the golden holds."""
 
 
+def _item_key(index: int, item) -> str:
+    """A named list item keys by its name: a check entry by its "id", a
+    string (a rule of the provenance) by itself; any other by its index."""
+    if isinstance(item, dict) and isinstance(item.get("id"), str):
+        return item["id"]
+    # a Number is a str too, but keys by its index
+    return item if type(item) is str else str(index)
+
+
 def _keyed(name: str, text: str) -> dict[str, str]:
-    """The text of each value of a golden under its key: the path of keys
-    and indices for JSON, the (quantity, order, band, n) columns for CSV."""
+    """The text of each value of a golden under its key: the path of keys,
+    names and indices for JSON, the (quantity, order, band, n) columns for
+    CSV."""
     if name.endswith(".csv"):
         return {",".join(key): value for *key, value in list(csv.reader(io.StringIO(text)))[1:]}
     out = {}
 
     def walk(path: str, node) -> None:
         if isinstance(node, (dict, list)):
-            for k, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+            items = (node.items() if isinstance(node, dict)
+                     else ((_item_key(i, v), v) for i, v in enumerate(node)))
+            for k, v in items:
                 walk(f"{path}/{k}", v)
         else:
             out[path] = node if isinstance(node, Number) else json.dumps(node)

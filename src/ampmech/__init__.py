@@ -29,7 +29,6 @@ from .perturb import (
     UnimplementedOrderError,
     UnsupportedForceError,
     assemble_motion,
-    build_recursions,
     closed_form_amplitude,
     closed_form_frequency,
     energy_diagonal_series,
@@ -49,14 +48,11 @@ from .classical import (
 from .oracle import (
     NumericError,
     PlateauError,
-    SeriesFit,
     SpectrumResult,
     TruncatedOperator,
     build_hamiltonian,
     cubic_coupling_limit,
-    default_lambda_grid,
     diagonalize,
-    lambda_series_fit,
     motion_from_spectrum,
     position_matrix,
     rspt,

@@ -23,6 +23,7 @@ import numpy as np
 from .core import (BandAmplitudeArray, FrequencyGrid, MotionRepresentation,
                    commutator_diagonal, multiply, quantum_condition_residual,
                    time_derivative)
+from .oracle import PLATEAU_LEVELS
 from .perturb import (ROUNDING_C, EnergyConservationError, StructureViolationError,
                       _engine_extent, _eom_terms, _half, _omega_series,
                       _qc_residual_coefficient, assemble_motion, band_weight,
@@ -33,14 +34,13 @@ EPS = float(np.finfo(float).eps)
 # the random products of `algebra` sum up to 15 terms per entry
 C_PRODUCT = 2.0 * ROUNDING_C
 
-# Model-error bounds: they bound a truncation or a fit, not rounding.
+# Model-error bounds: they bound a truncation or a series, not rounding.
 # The oracle's finite number basis perturbs the sum rule of its lowest levels.
 THOMAS_KUHN_TOL = 1e-8
-# A cubic fit over a few couplings absorbs the orders above it only in part.
-SERIES_FIT_TOL = 1e-2
-# Halving lam cuts a lam^3 deviation 8-fold; higher orders move it by < 30 %.
-COUPLING_WINDOW = (8.0 * 0.7, 8.0 * 1.3)
-# The couplings of that check, in units of m omega0^3 / hbar.
+# Halving lam cuts a deviation of order lam^q 2^q-fold; at the couplings
+# where it is judged, the orders above q move that ratio by less than 30 %.
+HALVING_SPREAD = (0.7, 1.3)
+# The couplings of `coupling_scaling`, in units of m omega0^3 / hbar.
 COUPLING_LAMS = (0.1, 0.05)
 
 DETAILS = {
@@ -139,6 +139,11 @@ def sho(sol, rows: int):
            ROUNDING_C * EPS * size)
 
 
+def halving_window(q: int) -> tuple[float, float]:
+    """Window of the halving ratio of a deviation of order lam^q."""
+    return HALVING_SPREAD[0] * 2.0**q, HALVING_SPREAD[1] * 2.0**q
+
+
 def coupling_scaling(params, solve):
     """Deviation of the quartic commutator from i hbar under coupling halving,
     on the table solve(params, order, n_max) gives."""
@@ -149,7 +154,7 @@ def coupling_scaling(params, solve):
     for lam in COUPLING_LAMS:
         comm = commutator_diagonal(assemble_motion(sol, lam * unit))
         devs.append(float(np.max(np.abs(comm[:5] - 1j * quartic.hbar))))
-    return devs[0] / devs[1], COUPLING_WINDOW
+    return devs[0] / devs[1], halving_window(3)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +163,7 @@ def coupling_scaling(params, solve):
 
 def recursion(sol):
     """Equation-of-motion residual per public band and order, as
-    `build_recursions` gives it, over the natural size of the band's terms
+    `_eom_terms` gives it, over the natural size of the band's terms
     at default units."""
     params, c, n_hi = sol.params, sol.coeffs, sol.n_max + 1
     t_max = _engine_extent(params.force_exponent, sol.order)[1]
@@ -261,10 +266,6 @@ def thomas_kuhn(residuals):
     return float(np.max(np.abs(residuals))), THOMAS_KUHN_TOL
 
 
-def series_fit(got: float, target: float):
-    return abs(got - target) / abs(target), SERIES_FIT_TOL
-
-
 def rspt_matches_series(rspt, series, eds, lam: float):
     """RSPT level energies against the amplitude route's energy series at
     lam, both at the same order; the series' terms at level n are sized n+1
@@ -274,6 +275,84 @@ def rspt_matches_series(rspt, series, eds, lam: float):
                                 + np.abs(eds.anharmonic[k]))[n] for k in range(len(eds.kinetic)))
     return (float(np.max(np.abs(np.array(rspt) - series))),
             ROUNDING_C * EPS * float(np.max((n + 1) * size)))
+
+
+def gap_couplings(params) -> tuple[float, float]:
+    """lam_1 and lam_1/2 of the gap-order check, with
+    lam_1 = 0.05 omega0^2 (m omega0 / hbar)^((p-1)/2): lam = 0.05 in units
+    of m = omega0 = hbar = 1 for every force. For the cubic force lam_1 is
+    `cubic_coupling_limit` up to that limit's slack."""
+    p = params.force_exponent
+    lam1 = 0.05 * params.omega0**2 * (params.mass * params.omega0 / params.hbar) ** ((p - 1) / 2)
+    return lam1, lam1 / 2.0
+
+
+def _gap_entries(sol):
+    """Name and power q of lam of the order-k gap of each entry of the
+    gap-order check, by quantity: E(n) for n < PLATEAU_LEVELS, omega(n+1, n)
+    for n + 1 < PLATEAU_LEVELS, and X(alpha + r, r) for r = 0, 1 on each
+    public band alpha. q = w + k + 1, with w the band weight (0 for the
+    energies and frequencies), and one more for p even at even k: the
+    potential is then odd, so the odd orders vanish."""
+    p, k = sol.params.force_exponent, sol.order
+    q = k + 1 + (p % 2 == 0 and k % 2 == 0)
+    levels = range(PLATEAU_LEVELS)
+    rows = [(a + r, r, band_weight(p, a)) for a in sol.public_bands for r in (0, 1)]
+    return {
+        "energy": ([f"energy-{n}" for n in levels], [q] * len(levels)),
+        "frequency": ([f"omega-{n + 1}-{n}" for n in levels[:-1]], [q] * (len(levels) - 1)),
+        "amplitude": ([f"x-{n}-{m}" for n, m, _ in rows], [q + w for *_, w in rows]),
+    }
+
+
+def gap_exact(spec, sol):
+    """The exact values of the gap-order check's entries, by quantity, from
+    one spectrum."""
+    levels = range(PLATEAU_LEVELS)
+    return {
+        "energy": spec.eigenvalues[:PLATEAU_LEVELS],
+        "frequency": np.array([spec.omega_exact(n + 1, n) for n in levels[:-1]]),
+        "amplitude": np.array([spec.amplitude(a + r, r)
+                               for a in sol.public_bands for r in (0, 1)]),
+    }
+
+
+def _gap_series(sol, eds, lam: float):
+    """The gap-order check's entries from the order-k series at lam."""
+    p, orders = sol.params.force_exponent, range(sol.order + 1)
+    x = [_half(a) * lam ** band_weight(p, a) * sum(lam**k * sol.a(k, a)[a : a + 2] for k in orders)
+         for a in sol.public_bands]
+    n = np.arange(1, PLATEAU_LEVELS)
+    return {
+        "energy": eds.evaluate(lam)[:PLATEAU_LEVELS],
+        "frequency": sum(lam**k * sol.omega_band(k, 1)[n] for k in orders),
+        "amplitude": np.concatenate(x),
+    }
+
+
+def gap_order(sol, eds, lams, exact, basis_size: int):
+    """Halving ratio gap(lam_1) / gap(lam_1/2) of each entry, where a gap is
+    |exact - order-k series| and exact holds `gap_exact` at the two
+    `gap_couplings` lams. An entry is judged only where both its gaps lie
+    above the rounding c N eps |value| of its exact value. Returns the
+    judged entries and, per quantity, the check of its worst ratio against
+    the `halving_window` of its own power."""
+    lo, hi = HALVING_SPREAD
+    series = [_gap_series(sol, eds, lam) for lam in lams]
+    entries, found = [], []
+    for quantity, (names, powers) in _gap_entries(sol).items():
+        values = np.array([e[quantity] for e in exact])
+        gaps = np.abs(values - np.array([s[quantity] for s in series]))
+        judged = np.all(gaps > ROUNDING_C * basis_size * EPS * np.abs(values), axis=0)
+        ratios = [(name, q, float(g1 / g2))
+                  for name, q, (g1, g2), ok in zip(names, powers, gaps.T, judged) if ok]
+        entries += [{"quantity": name, "power": q, "ratio": r} for name, q, r in ratios]
+        # the worst is the one farthest outside its window, or nearest its
+        # edge: max(lo 2^q / r, r / (hi 2^q)) exceeds 1 exactly outside
+        _, q, worst = max(ratios, key=lambda e: max(lo * 2.0**e[1] / e[2], e[2] / (hi * 2.0**e[1])),
+                          default=(None, powers[0], None))
+        found.append((f"gap-order-{quantity}", worst, halving_window(q)))
+    return entries, found
 
 
 # ---------------------------------------------------------------------------

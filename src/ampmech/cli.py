@@ -4,7 +4,7 @@ Subcommands:
   solve      perturbative coefficient tables plus the energy series
   verify     invariant checks over the whole library; exit 1 on violation
   classical  Fourier-series orbit, action integral, correspondence ratios
-  oracle     truncated-basis diagonalization, sum rule, series fits
+  oracle     truncated-basis diagonalization, sum rule, gap-order checks
   sho        exact unperturbed-oscillator route
 
 Output is deterministic for a fixed invocation: field order is fixed and
@@ -36,8 +36,6 @@ from .oracle import (
     NumericError,
     PlateauError,
     cubic_coupling_limit,
-    default_lambda_grid,
-    lambda_series_fit,
     motion_from_spectrum,
     rspt,
     spectrum,
@@ -52,8 +50,8 @@ from .perturb import (
 )
 
 CHECK_GROUPS = ("all", *registry.GROUPS)
-# `oracle` runs RSPT and the solver at this one order; its series fits read
-# the solver's coefficients up to lam^2
+# `oracle` runs RSPT and the solver at this one order, and its gap-order
+# check judges the solver's series through this order
 ORACLE_ORDER = 2
 
 
@@ -312,22 +310,18 @@ def cmd_classical(cfg):
     return _report(cfg, extra, results, [], rows)
 
 
-def _grid_samples(spec):
-    """The three numbers the series fits read from one spectrum."""
-    return spec.omega_exact(1, 0), spec.amplitude(1, 1), spec.amplitude(2, 0)
-
-
 def cmd_oracle(cfg):
     params = _params_from(cfg)
     if params.force_exponent == 2:
         limit = cubic_coupling_limit(params)
-        if max(abs(params.lam), abs(cfg.lam_max)) > limit:
-            raise UsageError(f"--lam and --lam-max must be at most {limit:.4g} in "
-                             "absolute value for the cubic force at these units")
+        if abs(params.lam) > limit:
+            raise UsageError(f"--lam must be at most {limit:.4g} in absolute value "
+                             "for the cubic force at these units")
     checks, rows = [], []
     spec = spectrum(params, cfg.basis_size)
     levels = min(cfg.levels, cfg.basis_size)
     eigenvalues = _values(spec.eigenvalues[:levels])
+    plateau = _values(spec.plateau) if spec.plateau is not None else None
     rows.append(("eigenvalue", None, None, None, eigenvalues))
 
     trk = _values(quantum_condition_residual(motion_from_spectrum(spec))[:6])
@@ -343,47 +337,30 @@ def cmd_oracle(cfg):
     _check(checks, rows, "rspt-matches-amplitude-series",
            *registry.rspt_matches_series(rspt_total, series, eds, params.lam))
 
-    grid = default_lambda_grid(cfg.lam_max, cfg.grid_points)
-    if params.force_exponent == 2:
-        # each grid spectrum is reduced to the three samples the fits read
-        # before the next is solved; the grid point at lam itself is the
-        # main spectrum, already built
-        omega_10, x_11, x_20 = zip(*(
-            _grid_samples(spec if lam == params.lam else spectrum(
-                replace(params, lam=lam), cfg.basis_size, check_plateau=False))
-            for lam in grid
-        ))
-        fits = []
-        # each target is the solver's own coefficient of that power of lam
-        targets = [
-            ("omega-1-0", np.array(omega_10), 2, float(sol.omega_band(2, 1)[1])),
-            ("x-1-1", np.array(x_11), 1, float(sol.a(0, 0)[1])),
-            ("x-2-0", np.array(x_20), 1, 0.5 * float(sol.a(0, 2)[2])),
-        ]
-        for name, samples, power, target in targets:
-            fit = lambda_series_fit(samples, grid, cfg.fit_order)
-            got = float(fit.coefficients[power])
-            rel, tolerance = registry.series_fit(got, target)
-            fits.append({"quantity": name, "power": power, "coefficient": got,
-                         "target": target, "relative_error": rel,
-                         "condition_number": fit.condition_number,
-                         "ill_conditioned": fit.ill_conditioned})
-            _check(checks, rows, f"series-fit-{name}", rel, tolerance)
-    else:
-        fits = []
+    # the gap-order check reads spectra at lam_1 and lam_1/2, the first of
+    # them the main one where lam is lam_1; each is reduced to the values
+    # the check reads before the next is solved
+    lams = registry.gap_couplings(params)
+    exact = [registry.gap_exact(spec, sol)] if params.lam == lams[0] else []
+    del spec
+    for lam in lams[len(exact):]:
+        exact.append(registry.gap_exact(spectrum(
+            replace(params, lam=lam), cfg.basis_size, check_plateau=False), sol))
+    judged, found = registry.gap_order(sol, eds, lams, exact, cfg.basis_size)
+    for check in found:
+        _check(checks, rows, *check)
 
     results = {
         "basis_size": cfg.basis_size,
         "eigenvalues": eigenvalues,
-        "plateau": _values(spec.plateau) if spec.plateau is not None else None,
+        "plateau": plateau,
         "thomas_kuhn_residuals": trk,
         "rspt_second_order": _values(rspt_total),
         "perturbative_series": _values(series),
         "perturbative_gap": gaps,
-        "series_fits": fits,
+        "gap_order": judged,
     }
-    extra = {"basis_size": cfg.basis_size, "levels": cfg.levels, "lam_max": cfg.lam_max,
-             "grid_points": cfg.grid_points, "fit_order": cfg.fit_order}
+    extra = {"basis_size": cfg.basis_size, "levels": cfg.levels}
     return _report(cfg, extra, results, checks, rows)
 
 
@@ -423,14 +400,11 @@ class RunConfig:
     samples: int = 256
     seed: int = 0
     check: str = "all"
-    lam_max: float = 0.05
-    grid_points: int = 5
-    fit_order: int = 3
     fmt: str = "json"
     output: str | None = None
 
     def validate(self) -> None:
-        for name in ("mass", "omega0", "lam", "hbar", "a1", "action", "lam_max"):
+        for name in ("mass", "omega0", "lam", "hbar", "a1", "action"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise UsageError(f"--{name.replace('_', '-')} must be finite")
@@ -452,11 +426,6 @@ class RunConfig:
             raise UsageError("--format must be json or csv")
         if self.check not in CHECK_GROUPS:
             raise UsageError(f"--check must be one of {', '.join(CHECK_GROUPS)}")
-        if self.fit_order < 2:
-            # the fits read the lam^2 coefficient
-            raise UsageError("--fit-order must be at least 2")
-        if self.grid_points < self.fit_order + 2:
-            raise UsageError("--grid-points must be at least fit order + 2")
         if self.subcommand == "classical":
             if (self.a1 is None) == (self.action is None):
                 raise UsageError("classical needs exactly one of --a1 or --action")
@@ -506,9 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="diagonalization cross-checks")
     p_oracle.add_argument("--basis-size", type=int, default=80)
     p_oracle.add_argument("--levels", type=int, default=8)
-    p_oracle.add_argument("--lam-max", type=float, default=0.05)
-    p_oracle.add_argument("--grid-points", type=int, default=5)
-    p_oracle.add_argument("--fit-order", type=int, default=3)
 
     p_sho = sub.add_parser("sho", parents=[shared],
                            help="exact unperturbed-oscillator route")

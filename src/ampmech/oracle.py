@@ -30,14 +30,11 @@ __all__ = [
     "PlateauError",
     "TruncatedOperator",
     "SpectrumResult",
-    "SeriesFit",
     "build_hamiltonian",
     "diagonalize",
     "spectrum",
     "motion_from_spectrum",
     "rspt",
-    "lambda_series_fit",
-    "default_lambda_grid",
     "position_matrix",
     "cubic_coupling_limit",
 ]
@@ -50,9 +47,6 @@ __all__ = [
 PLATEAU_STEP = 10
 PLATEAU_TOL = 1e-8
 PLATEAU_LEVELS = 6
-# Above this condition number a fit's design amplifies the rounding of its
-# samples past 2e-6 relative, so `lambda_series_fit` flags it.
-COND_THRESHOLD = 1e10
 
 
 class NumericError(RuntimeError):
@@ -340,48 +334,3 @@ def rspt(params: OscillatorParams, levels: int, order: int) -> tuple[np.ndarray,
             rhs -= energies[i] * states[k - i]
         states[k] = rhs / gap
     return energies, states
-
-
-@dataclass(frozen=True)
-class SeriesFit:
-    """Least-squares polynomial fit in the coupling, with conditioning info."""
-
-    coefficients: np.ndarray
-    condition_number: float
-    rms_residual: float
-    ill_conditioned: bool
-
-
-def default_lambda_grid(lam0: float, count: int = 5) -> np.ndarray:
-    """Geometric grid lam0/2^(count-1) .. lam0, balancing conditioning
-    against contamination from higher orders."""
-    if count < 2:
-        raise ValueError("need at least two grid points")
-    return lam0 / 2.0 ** np.arange(count - 1, -1, -1, dtype=float)
-
-
-def lambda_series_fit(f, lambdas: np.ndarray, order: int) -> SeriesFit:
-    """Fit f(lam) = c0 + c1 lam + ... + c_order lam^order by least squares.
-
-    f may be a callable evaluated on the grid or an array of samples.
-    A condition number above COND_THRESHOLD (or a rank-deficient design)
-    marks the fit ill conditioned rather than raising.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim != 1 or lam.size < order + 2:
-        raise ValueError("need a 1-d grid of at least order + 2 couplings")
-    if np.unique(lam).size != lam.size:
-        raise ValueError("grid couplings must be distinct")
-    values = np.asarray([f(l) for l in lam] if callable(f) else f, dtype=float)
-    if values.shape != lam.shape:
-        raise ValueError("one sample per grid coupling required")
-    design = np.vander(lam, order + 1, increasing=True)
-    coeffs, _, rank, sing = np.linalg.lstsq(design, values, rcond=None)
-    cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
-    rms = float(np.sqrt(np.mean((design @ coeffs - values) ** 2)))
-    return SeriesFit(
-        coefficients=coeffs,
-        condition_number=cond,
-        rms_residual=rms,
-        ill_conditioned=bool(cond > COND_THRESHOLD or rank < order + 1),
-    )

@@ -62,7 +62,6 @@ __all__ = [
     "EnergyConservationError",
     "CoefficientSet",
     "PerturbSolution",
-    "build_recursions",
     "solve_perturbative",
     "sho_solve",
     "closed_form_amplitude",
@@ -424,40 +423,6 @@ def _qc_residual_coefficient(
                 diff[..., alpha:] -= term if sign is None else sign * term
                 res += math.pi * params.mass * diff
     return res
-
-
-# ---------------------------------------------------------------------------
-# public residual functionals
-
-
-def build_recursions(
-    params: OscillatorParams, alpha: int, order: int
-) -> Callable[[CoefficientSet], np.ndarray]:
-    """Residual functional for band alpha at the given order in lam.
-
-    The returned callable evaluates, on a CoefficientSet, the order-`order`
-    coefficient of the band-alpha component of the equation of motion,
-    normalized so that the adjacent band reads
-    [omega0^2 - omega^2(n, n-1)] a(n, n-1) + ... at order zero. It vanishes
-    identically on a solution, row by row, wherever the tables provide the
-    neighbors the band couples to.
-    """
-    p = params.force_exponent
-    _check_order(order)
-    alpha = abs(alpha)
-    w = band_weight(p, alpha)  # raises for even quartic bands
-    power = w + order
-    scale = 1.0 / _half(alpha)
-
-    def residual(coeffs: CoefficientSet) -> np.ndarray:
-        if coeffs.force_exponent != p:
-            raise UnsupportedForceError(
-                "coefficient tables were built for a different force exponent"
-            )
-        om = _omega_series(coeffs.freq_potential, max(coeffs.band_max, alpha))
-        return scale * _eom_terms(params, coeffs.amp, om, power, range(alpha, alpha + 1))[power, 0]
-
-    return residual
 
 
 def _eom_terms(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max: int,

@@ -102,3 +102,47 @@ def xp_full_bands(p, x, x2, s, step=1):
     xp = x2[s] if p == 2 else _series_mul(x2[: s + 1], x, s, step, min_power=s)[0]
     bc, band_max = (xp.shape[-2] - 1) // 2, (x.shape[-2] - 1) // 2
     return xp[bc - band_max : bc + band_max + 1]
+
+
+def build_recursions(params, alpha, order):
+    """Residual functional for band alpha at the given order in lam: the
+    returned callable evaluates, on a CoefficientSet, the order-`order`
+    coefficient of the band-alpha component of the equation of motion,
+    normalized so that the adjacent band reads
+    [omega0^2 - omega^2(n, n-1)] a(n, n-1) + ... at order zero. It vanishes
+    identically on a solution, row by row, wherever the tables provide the
+    neighbors the band couples to. The reference the recursion check and the
+    printed recursion relations are tested against."""
+    from ampmech.perturb import (UnsupportedForceError, _check_order, _eom_terms, _half,
+                                 _omega_series, band_weight)
+
+    p = params.force_exponent
+    _check_order(order)
+    alpha = abs(alpha)
+    w = band_weight(p, alpha)  # raises for even quartic bands
+    power = w + order
+    scale = 1.0 / _half(alpha)
+
+    def residual(coeffs):
+        if coeffs.force_exponent != p:
+            raise UnsupportedForceError(
+                "coefficient tables were built for a different force exponent"
+            )
+        om = _omega_series(coeffs.freq_potential, max(coeffs.band_max, alpha))
+        return scale * _eom_terms(params, coeffs.amp, om, power, range(alpha, alpha + 1))[power, 0]
+
+    return residual
+
+
+def default_lambda_grid(lam0, count=5):
+    """Geometric grid lam0/2^(count-1) .. lam0 of the series-fit references."""
+    return lam0 / 2.0 ** np.arange(count - 1, -1, -1, dtype=float)
+
+
+def lambda_series_fit(samples, lambdas, order):
+    """Coefficients c0..c_order of the least-squares fit of the samples by
+    c0 + c1 lam + ... + c_order lam^order over the grid of couplings: the
+    coefficient of a power of lam read off exact spectra, as the oracle's
+    series fits read it before the gap-order check replaced them."""
+    design = np.vander(lambdas, order + 1, increasing=True)
+    return np.linalg.lstsq(design, samples, rcond=None)[0]

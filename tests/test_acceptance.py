@@ -34,8 +34,9 @@ from ampmech import (
     solve_perturbative,
 )
 from ampmech.cli import run
-from ampmech.oracle import default_lambda_grid, lambda_series_fit
 from ampmech.perturb import closed_form_amplitude, closed_form_frequency
+
+from conftest import default_lambda_grid, lambda_series_fit
 
 B = math.sqrt(2.0)
 P2 = OscillatorParams()
@@ -183,8 +184,8 @@ def test_criterion_6_series_fits(cached_spectrum):
     ]
     worst = 0.0
     for _, samples, power, target in targets:
-        fit = lambda_series_fit(np.array(samples), grid, 3)
-        worst = max(worst, abs(fit.coefficients[power] - target) / abs(target))
+        coefficients = lambda_series_fit(np.array(samples), grid, 3)
+        worst = max(worst, abs(coefficients[power] - target) / abs(target))
     assert report(6, worst <= 1e-2, f"worst fit error {worst:.2%}")
 
 

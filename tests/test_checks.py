@@ -10,6 +10,7 @@ import pytest
 
 from ampmech import OscillatorParams, checks, rspt
 from ampmech.cli import run
+from ampmech.oracle import cubic_coupling_limit
 from ampmech.perturb import (
     CoefficientSet,
     EnergyConservationError,
@@ -19,14 +20,13 @@ from ampmech.perturb import (
     _series_mul,
     _x_series,
     band_weight,
-    build_recursions,
     energy_diagonal_series,
     energy_matrix,
     sho_solve,
     solve_perturbative,
 )
 
-from conftest import assert_same_bits, xp_full_bands
+from conftest import assert_same_bits, build_recursions, xp_full_bands
 
 UNITS = [(1.0, 1.0, 1.0), (2.3, 0.4, 0.7), (1.0, 0.3, 1.0)]
 
@@ -134,6 +134,57 @@ def test_offdiag_check_covers_every_band():
         worst = max(float(np.max(np.abs(em.total(k, a)))) for a in range(1, em.band_max + 1))
         assert (check_id, observed) == (f"offdiag-energy-order{k}", worst)
         assert 0.0 < tolerance < 1e-10 and math.isfinite(tolerance)
+
+
+@pytest.mark.parametrize("units", UNITS + [(1.3, 0.8, 0.7)], ids=str)
+def test_gap_couplings_follow_the_units(units):
+    m, w0, hbar = units
+    cubic = OscillatorParams(mass=m, omega0=w0, hbar=hbar)
+    lam1, lam2 = checks.gap_couplings(cubic)
+    # the cubic lam_1 is the cap of the metastable regime, up to its slack
+    assert lam1 == pytest.approx(cubic_coupling_limit(cubic), rel=2e-12)
+    assert lam1 <= cubic_coupling_limit(cubic) and lam2 == lam1 / 2.0
+    quartic = OscillatorParams(mass=m, omega0=w0, hbar=hbar, force_exponent=3)
+    assert checks.gap_couplings(quartic)[0] == pytest.approx(0.05 * m * w0**3 / hbar, rel=1e-15)
+
+
+def _gap_inputs(force):
+    params = OscillatorParams(force_exponent=force)
+    sol = solve_perturbative(params, 2, 12)
+    return sol, energy_diagonal_series(sol), checks.gap_couplings(params)
+
+
+@pytest.mark.parametrize("force", [2, 3])
+def test_gap_order_judges_no_gap_at_rounding(force):
+    # exact values equal to the series leave nothing to judge: each check
+    # reports no observed value, which `cli` records as a failure
+    sol, eds, lams = _gap_inputs(force)
+    exact = [checks._gap_series(sol, eds, lam) for lam in lams]
+    entries, found = checks.gap_order(sol, eds, lams, exact, 80)
+    assert entries == [] and failing(found) == [c for c, _, _ in found]
+    assert [observed for _, observed, _ in found] == [None] * 3
+
+
+def test_gap_order_reports_the_entry_outside_its_window():
+    # rho = ratio / 2^q: 0.71 lies inside (0.7, 1.3) though farther from 1
+    # on a log scale than 1.31, which lies outside
+    sol, eds, lams = _gap_inputs(2)
+    series = [checks._gap_series(sol, eds, lam) for lam in lams]
+    exact = [{}, {}]
+    for quantity, (_, powers) in checks._gap_entries(sol).items():
+        rho = np.ones(len(powers))
+        if quantity == "frequency":
+            rho[1:3] = 0.71, 1.31
+        gap = 1e-3 * np.abs(series[0][quantity])
+        exact[0][quantity] = series[0][quantity] + gap
+        exact[1][quantity] = series[1][quantity] + gap / (rho * 2.0 ** np.array(powers))
+    entries, found = checks.gap_order(sol, eds, lams, exact, 80)
+    assert [(c, obs > hi) for c, obs, (lo, hi) in found if not lo <= obs <= hi] == [
+        ("gap-order-frequency", True)]
+    # the order-2 cubic frequency gaps are of order lam^4
+    assert found[1][1:] == (pytest.approx(1.31 * 16.0, rel=1e-9), checks.halving_window(4))
+    ratios = [e["ratio"] for e in entries if e["quantity"].startswith("omega")]
+    assert ratios == pytest.approx([16.0, 0.71 * 16.0, 1.31 * 16.0, 16.0, 16.0], rel=1e-9)
 
 
 @pytest.mark.parametrize("units", UNITS, ids=str)

@@ -60,7 +60,7 @@ NON_FINITE_INPUT_ARGV = [
     ["solve", "--lam", "inf"],
     ["verify", "--mass", "nan"],
     ["oracle", "--omega0", "inf"],
-    ["oracle", "--lam-max", "nan"],
+    ["oracle", "--lam", "nan"],
     ["sho", "--hbar=-inf"],
     ["classical", "--a1", "nan"],
     ["classical", "--action", "inf"],
@@ -193,14 +193,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, limit", [
         (["oracle", "--omega0", "0.3"], "0.002465"),
         (["oracle", "--mass", "2.3", "--omega0", "0.4", "--hbar", "0.7"], "0.009171"),
-        (["oracle", "--lam", "0.01", "--lam-max", "0.2"], "0.05"),
+        (["oracle", "--lam", "0.2"], "0.05"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_deep_oracle_coupling_is_a_usage_error(self, argv, limit, capsys):
         code, out = run_capture(argv)
         assert code == 2 and out == ""
         assert capsys.readouterr().err == (
-            f"usage error: --lam and --lam-max must be at most {limit} in absolute "
-            "value for the cubic force at these units\n")
+            f"usage error: --lam must be at most {limit} in absolute value for the "
+            "cubic force at these units\n")
 
     @pytest.mark.parametrize("levels", ["0", "-3"])
     def test_oracle_levels_below_one_is_a_usage_error(self, levels, capsys, monkeypatch):
@@ -212,12 +212,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == "usage error: --levels must be at least 1\n"
 
+    # the series fits and their options --lam-max, --grid-points and
+    # --fit-order are gone: argparse refuses each of them
     @pytest.mark.parametrize("fit_order", ["0", "1", "-1"])
     def test_oracle_fit_order_below_two_is_a_usage_error(self, fit_order, capsys):
-        # the fits read the lam^2 coefficient
         code, out = run_capture(["oracle", f"--fit-order={fit_order}"])
         assert code == 2 and out == ""
-        assert capsys.readouterr().err == "usage error: --fit-order must be at least 2\n"
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: --fit-order={fit_order}\n")
+
+    @pytest.mark.parametrize("option", ["--lam-max", "--grid-points"])
+    def test_removed_fit_options_are_usage_errors(self, option, capsys):
+        code, out = run_capture(["oracle", option, "5"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: {option} 5\n")
 
     def test_numeric_nonconvergence(self):
         # a basis of 20 cannot plateau: a numeric failure, not a usage error
@@ -336,6 +345,19 @@ class TestGoldenScript:
             "  + /b/0: 1.5", "  + /b/1: -2", "  + /b/2: 0.10000000000000001",
         ]
         assert "  ~ /c: \"x\" -> null" in audit("g.json", '{"c": "x"}', '{"c": null}')
+
+    def test_audit_keys_checks_and_rules_by_name(self):
+        audit = _load_golden_script().audit
+        old = ('{"checks": [{"id": "a", "observed": 1}, {"id": "b", "observed": 2}], '
+               '"rules": ["a", "b"], "v": [3]}\n')
+        new = ('{"checks": [{"id": "a", "observed": 1}, {"id": "c", "observed": 2}], '
+               '"rules": ["a", "c"], "v": [3]}\n')
+        # a check that gives way to another is removed and added, not changed
+        assert audit("g.json", old, new).splitlines() == [
+            "0 of 7 values changed; 3 keys removed, 3 added",
+            "  - /checks/b/id: \"b\"", "  - /checks/b/observed: 2", "  - /rules/b: \"b\"",
+            "  + /checks/c/id: \"c\"", "  + /checks/c/observed: 2", "  + /rules/c: \"c\"",
+        ]
 
     def test_audit_keys_csv_lines_by_quantity_order_band_n(self):
         audit = _load_golden_script().audit
@@ -545,10 +567,15 @@ class TestPayloadShape:
     def test_oracle_schema(self):
         _, out = run_capture(["oracle"])
         doc = json.loads(out)
-        fits = {f["quantity"]: f for f in doc["results"]["series_fits"]}
-        assert fits["omega-1-0"]["relative_error"] <= 1e-2
-        assert fits["x-1-1"]["relative_error"] <= 1e-2
-        assert fits["x-2-0"]["relative_error"] <= 1e-2
+        judged = {e["quantity"]: e for e in doc["results"]["gap_order"]}
+        # six energies, five frequencies, rows 0 and 1 of bands 0..3
+        assert len(judged) == 6 + 5 + 8
+        # the cubic order-2 gaps are of order lam^4, and lam^(4 + w) on band w
+        assert judged["omega-1-0"]["power"] == 4 and judged["x-3-0"]["power"] == 6
+        for entry in judged.values():
+            assert 0.7 <= entry["ratio"] / 2.0 ** entry["power"] <= 1.3
+        assert {c["id"] for c in doc["checks"]} >= {
+            "gap-order-energy", "gap-order-frequency", "gap-order-amplitude"}
         assert max(doc["results"]["thomas_kuhn_residuals"], key=abs) <= 1e-8
 
     def test_csv_flat_table(self):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,17 +18,15 @@ from ampmech import (
     SpectrumResult,
     TruncatedOperator,
     build_hamiltonian,
-    default_lambda_grid,
     diagonalize,
     energy_diagonal_series,
-    lambda_series_fit,
     motion_from_spectrum,
     position_matrix,
     quantum_condition_residual,
     rspt,
     spectrum,
 )
-from conftest import assert_same_bits
+from conftest import assert_same_bits, default_lambda_grid, lambda_series_fit
 
 P2 = OscillatorParams()  # lam = 0.05, cubic force
 B = math.sqrt(2.0)
@@ -296,19 +295,43 @@ class TestDiagonalizeInPlace:
         old_diagonalize(op)
 
 
+def oracle_peak_bytes(argv):
+    """tracemalloc's peak over one in-process run of argv, after a warm-up."""
+    ampmech.cli.run(argv, stream=io.StringIO())
+    tracemalloc.start()
+    try:
+        assert ampmech.cli.run(argv, stream=io.StringIO()) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestOracleMemory:
+    # the padded copy of `BandAmplitudeArray.from_dense` sets the peak, ~7.5 N^2
     def test_cubic_oracle_peaks_below_eight_matrices(self):
         n = 200
-        argv = ["oracle", "--basis-size", str(n)]
-        ampmech.cli.run(argv, stream=io.StringIO())  # warm-up
-        tracemalloc.start()
-        try:
-            assert ampmech.cli.run(argv, stream=io.StringIO()) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the padded copy of `BandAmplitudeArray.from_dense` sets it, ~7.5 N^2
+        assert oracle_peak_bytes(["oracle", "--basis-size", str(n)]) <= 8 * n * n * 8
+
+    def test_quartic_oracle_peaks_below_eight_matrices(self):
+        n = 200
+        peak = oracle_peak_bytes(["oracle", "--basis-size", str(n), "--force", "3"])
         assert peak <= 8 * n * n * 8
+
+    @pytest.mark.parametrize("argv", [["oracle"], ["oracle", "--force", "3"],
+                                      ["oracle", "--lam", "0.01"]], ids=" ".join)
+    def test_each_spectrum_is_freed_before_the_next(self, argv, monkeypatch):
+        refs = []
+
+        def recorded(*args, **kwargs):
+            assert all(ref() is None for ref in refs)
+            result = spectrum(*args, **kwargs)
+            refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(ampmech.cli, "spectrum", recorded)
+        assert ampmech.cli.run(argv, stream=io.StringIO()) == 0
+        # away from lam_1 the check solves both of its couplings
+        assert len(refs) == (3 if "--lam" in argv else 2)
 
 
 class TestSpectrumVetting:
@@ -321,9 +344,10 @@ class TestSpectrumVetting:
 
         monkeypatch.setattr(ampmech.cli, "spectrum", recorded)
         assert ampmech.cli.run(["oracle"], stream=io.StringIO()) == 0
-        main, *grid = made
-        assert "amplitudes" in vars(main) and len(grid) == 4
-        assert all("amplitudes" not in vars(s) for s in grid)
+        # the main spectrum serves lam_1 = lam; the one extra is at lam/2
+        main, half = made
+        assert "amplitudes" in vars(main) and half.params.lam == 0.025
+        assert "amplitudes" not in vars(half)
 
     def test_plateau_reported(self, cached_spectrum):
         spec = cached_spectrum(0.05)
@@ -353,28 +377,70 @@ def _scaled_amplitudes(spec):
     return amps
 
 
-class TestInjectedViolations:
-    """Each check of `oracle` whose observed value the banded build moved
-    still fails when its input is tampered with."""
+def _one_coefficient(accessor, order, band, row, factor):
+    """The solver accessor `accessor` with its lam^order table of `band`
+    scaled by `factor` at one row."""
+    def tampered(self, k, alpha=1):
+        out = accessor(self, k, alpha)
+        if (k, alpha) == (order, band):
+            out = out.copy()
+            out[row] *= factor
+        return out
 
-    @pytest.mark.parametrize("owner, name, tamper, failing", [
-        (SpectrumResult, "amplitudes", property(_scaled_amplitudes), {"thomas-kuhn-sum-rule"}),
-        (SpectrumResult, "amplitude",
-         lambda self, k, n, one=SpectrumResult.amplitude: 1.05 * one(self, k, n),
-         {"series-fit-x-1-1", "series-fit-x-2-0"}),
-        (SpectrumResult, "omega_exact",
-         lambda self, n, m: 1.05 * (self.eigenvalues[n] - self.eigenvalues[m]),
-         {"series-fit-omega-1-0"}),
-        # the fit target is the solver's lam^2 frequency, not a copy of it
-        (PerturbSolution, "omega_band",
-         lambda self, k, alpha=1, one=PerturbSolution.omega_band:
-             (1.1 if k == 2 else 1.0) * one(self, k, alpha),
-         {"series-fit-omega-1-0"}),
-    ], ids=["thomas-kuhn", "amplitude-fits", "frequency-fit", "frequency-target"])
-    def test_tampered_input_fails_its_check(self, owner, name, tamper, failing, monkeypatch):
+    return tampered
+
+
+_AMPLITUDE = (SpectrumResult, "amplitude",
+              lambda self, k, n, one=SpectrumResult.amplitude: 1.05 * one(self, k, n),
+              {"gap-order-amplitude"})
+_FREQUENCY = (SpectrumResult, "omega_exact",
+              lambda self, n, m: 1.05 * (self.eigenvalues[n] - self.eigenvalues[m]),
+              {"gap-order-frequency"})
+# the series read the solver's lam^2 frequency, not a copy of it
+_FREQUENCY_TARGET = (PerturbSolution, "omega_band",
+                     lambda self, k, alpha=1, one=PerturbSolution.omega_band:
+                         (1.1 if k == 2 else 1.0) * one(self, k, alpha),
+                     {"gap-order-frequency"})
+CUBIC, QUARTIC = ["oracle"], ["oracle", "--force", "3"]
+
+
+class TestInjectedViolations:
+    """Each check of `oracle` fails when its input is tampered with, and
+    only the check of the quantity tampered with fails."""
+
+    # the ids "amplitude-fits" and "frequency-fit" name the series-fit checks
+    # these cases failed before the gap-order check replaced the fits
+    @pytest.mark.parametrize("argv, owner, name, tamper, failing", [
+        (CUBIC, SpectrumResult, "amplitudes", property(_scaled_amplitudes),
+         {"thomas-kuhn-sum-rule"}),
+        (CUBIC, *_AMPLITUDE),
+        (CUBIC, *_FREQUENCY),
+        (CUBIC, *_FREQUENCY_TARGET),
+        (QUARTIC, *_FREQUENCY_TARGET),
+        (QUARTIC, *_AMPLITUDE),
+        (QUARTIC, *_FREQUENCY),
+        # +2 % on one coefficient of the solver: omega(1, 0) at lam^2, and
+        # X(1, 1) = lam a(1, 1) and X(2, 0) = lam a(2, 0) / 2 at lam^1
+        (CUBIC, PerturbSolution, "omega_band",
+         _one_coefficient(PerturbSolution.omega_band, 2, 1, 1, 1.02), {"gap-order-frequency"}),
+        (CUBIC, PerturbSolution, "a", _one_coefficient(PerturbSolution.a, 0, 0, 1, 1.02),
+         {"gap-order-amplitude"}),
+        (CUBIC, PerturbSolution, "a", _one_coefficient(PerturbSolution.a, 0, 2, 2, 1.02),
+         {"gap-order-amplitude"}),
+        # +2 % at lam^1 on omega(1, 0) and on X(1, 0)
+        (QUARTIC, PerturbSolution, "omega_band",
+         _one_coefficient(PerturbSolution.omega_band, 1, 1, 1, 1.02), {"gap-order-frequency"}),
+        (QUARTIC, PerturbSolution, "a", _one_coefficient(PerturbSolution.a, 1, 1, 1, 1.02),
+         {"gap-order-amplitude"}),
+    ], ids=["thomas-kuhn", "amplitude-fits", "frequency-fit", "frequency-target",
+            "quartic-frequency-target", "quartic-amplitude", "quartic-frequency",
+            "omega-1-0-lam2", "x-1-1-lam1", "x-2-0-lam1",
+            "quartic-omega-1-0-lam1", "quartic-x-1-0-lam1"])
+    def test_tampered_input_fails_its_check(self, argv, owner, name, tamper, failing,
+                                            monkeypatch):
         monkeypatch.setattr(owner, name, tamper)
         out = io.StringIO()
-        assert ampmech.cli.run(["oracle"], stream=out) == 1
+        assert ampmech.cli.run(argv, stream=out) == 1
         checks = json.loads(out.getvalue())["checks"]
         assert {c["id"] for c in checks if not c["pass"]} == failing
 
@@ -453,26 +519,8 @@ class TestRsptEnergy:
 
 
 class TestSeriesFit:
-    def test_pure_quadratic(self):
-        fit = lambda_series_fit(
-            lambda l: 3.0 * l**2, np.array([0.01, 0.02, 0.03, 0.04, 0.05]), 2
-        )
-        assert fit.coefficients[0] == pytest.approx(0.0, abs=1e-8)
-        assert fit.coefficients[1] == pytest.approx(0.0, abs=1e-8)
-        assert fit.coefficients[2] == pytest.approx(3.0, abs=1e-8)
-        assert not fit.ill_conditioned
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            lambda_series_fit(lambda l: l, np.array([0.01, 0.02]), 2)
-        with pytest.raises(ValueError):
-            lambda_series_fit(lambda l: l, np.array([0.01, 0.01, 0.02, 0.03]), 1)
-
-    def test_default_grid_geometric(self):
-        grid = default_lambda_grid(0.05)
-        assert grid[-1] == 0.05
-        assert np.allclose(grid[1:] / grid[:-1], 2.0)
-        assert grid[0] == pytest.approx(0.05 / 16.0)
+    """Coefficients of the exact spectrum in lam, fitted over a grid of
+    couplings, against the solver's closed forms."""
 
     def test_frequency_softening_coefficient(self, cached_spectrum):
         grid = default_lambda_grid(0.05)
@@ -482,27 +530,27 @@ class TestSeriesFit:
                 for lam in grid
             ]
         )
-        fit = lambda_series_fit(samples, grid, 3)
+        coefficients = lambda_series_fit(samples, grid, 3)
         target = -5.0 * B**2 / 12.0
-        assert abs(fit.coefficients[2] - target) / abs(target) <= 1e-2
+        assert abs(coefficients[2] - target) / abs(target) <= 1e-2
 
     def test_diagonal_amplitude_coefficient(self, cached_spectrum):
         grid = default_lambda_grid(0.05)
         samples = np.array(
             [cached_spectrum(lam, check_plateau=False).amplitudes[1, 1] for lam in grid]
         )
-        fit = lambda_series_fit(samples, grid, 3)
+        coefficients = lambda_series_fit(samples, grid, 3)
         target = -3.0 * B**2 / 4.0
-        assert abs(fit.coefficients[1] - target) / abs(target) <= 1e-2
+        assert abs(coefficients[1] - target) / abs(target) <= 1e-2
 
     def test_two_step_amplitude_coefficient(self, cached_spectrum):
         grid = default_lambda_grid(0.05)
         samples = np.array(
             [cached_spectrum(lam, check_plateau=False).amplitudes[2, 0] for lam in grid]
         )
-        fit = lambda_series_fit(samples, grid, 3)
+        coefficients = lambda_series_fit(samples, grid, 3)
         target = B**2 * math.sqrt(2.0) / 12.0
-        assert abs(fit.coefficients[1] - target) / abs(target) <= 1e-2
+        assert abs(coefficients[1] - target) / abs(target) <= 1e-2
 
 
 class TestSumRule:

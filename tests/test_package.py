@@ -46,7 +46,7 @@ UNCALLED = {"balance_residuals"}
 def program_references() -> Counter:
     """Names the program reads: each bare name, each attribute and each part
     of a dotted name in a string, as the benchmark's tracer keys its hooks
-    ("perturb.build_recursions"). A definition, a docstring and an entry of
+    ("perturb.solve_perturbative"). A definition, a docstring and an entry of
     `__all__` are not references."""
     refs = Counter()
     for path in PROGRAM:

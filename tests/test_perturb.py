@@ -20,7 +20,6 @@ from ampmech.perturb import (
     CoefficientSet,
     PerturbSolution,
     assemble_motion,
-    build_recursions,
     closed_form_amplitude,
     closed_form_frequency,
     energy_diagonal_series,
@@ -33,7 +32,8 @@ from ampmech.perturb import (
     _x_series,
 )
 
-from conftest import assert_same_bits, symmetry_defect, xp_full_bands, xp_rebuild_reference
+from conftest import (assert_same_bits, build_recursions, symmetry_defect, xp_full_bands,
+                      xp_rebuild_reference)
 
 B = math.sqrt(2.0)  # beta in default units
 P2 = OscillatorParams()
