@@ -53,6 +53,7 @@ from .oracle import (
     build_hamiltonian,
     cubic_coupling_limit,
     diagonalize,
+    lowest_eigenpairs,
     motion_from_spectrum,
     position_matrix,
     rspt,

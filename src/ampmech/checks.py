@@ -297,23 +297,33 @@ def _gap_entries(sol):
     p, k = sol.params.force_exponent, sol.order
     q = k + 1 + (p % 2 == 0 and k % 2 == 0)
     levels = range(PLATEAU_LEVELS)
-    rows = [(a + r, r, band_weight(p, a)) for a in sol.public_bands for r in (0, 1)]
     return {
         "energy": ([f"energy-{n}" for n in levels], [q] * len(levels)),
         "frequency": ([f"omega-{n + 1}-{n}" for n in levels[:-1]], [q] * (len(levels) - 1)),
-        "amplitude": ([f"x-{n}-{m}" for n, m, _ in rows], [q + w for *_, w in rows]),
+        "amplitude": ([f"x-{n}-{m}" for n, m in _gap_pairs(sol)],
+                      [q + band_weight(p, n - m) for n, m in _gap_pairs(sol)]),
     }
+
+
+def _gap_pairs(sol):
+    """(alpha + r, r) of each amplitude X(alpha + r, r) of the gap-order
+    check: r = 0, 1 on each public band alpha."""
+    return [(a + r, r) for a in sol.public_bands for r in (0, 1)]
+
+
+def gap_states(sol) -> int:
+    """How many of the lowest eigenstates `gap_exact` reads."""
+    return max(PLATEAU_LEVELS, 1 + max(n for n, _ in _gap_pairs(sol)))
 
 
 def gap_exact(spec, sol):
     """The exact values of the gap-order check's entries, by quantity, from
-    one spectrum."""
+    one spectrum that holds at least the `gap_states` lowest states."""
     levels = range(PLATEAU_LEVELS)
     return {
         "energy": spec.eigenvalues[:PLATEAU_LEVELS],
         "frequency": np.array([spec.omega_exact(n + 1, n) for n in levels[:-1]]),
-        "amplitude": np.array([spec.amplitude(a + r, r)
-                               for a in sol.public_bands for r in (0, 1)]),
+        "amplitude": np.array([spec.amplitude(n, m) for n, m in _gap_pairs(sol)]),
     }
 
 

@@ -36,6 +36,7 @@ from .oracle import (
     NumericError,
     PlateauError,
     cubic_coupling_limit,
+    lowest_eigenpairs,
     motion_from_spectrum,
     rspt,
     spectrum,
@@ -321,7 +322,7 @@ def cmd_oracle(cfg):
     spec = spectrum(params, cfg.basis_size)
     levels = min(cfg.levels, cfg.basis_size)
     eigenvalues = _values(spec.eigenvalues[:levels])
-    plateau = _values(spec.plateau) if spec.plateau is not None else None
+    plateau = _values(spec.plateau)
     rows.append(("eigenvalue", None, None, None, eigenvalues))
 
     trk = _values(quantum_condition_residual(motion_from_spectrum(spec))[:6])
@@ -339,13 +340,14 @@ def cmd_oracle(cfg):
 
     # the gap-order check reads spectra at lam_1 and lam_1/2, the first of
     # them the main one where lam is lam_1; each is reduced to the values
-    # the check reads before the next is solved
+    # the check reads before the next is solved. The others need only the
+    # lowest states, which a verified block of the basis gives
     lams = registry.gap_couplings(params)
     exact = [registry.gap_exact(spec, sol)] if params.lam == lams[0] else []
     del spec
     for lam in lams[len(exact):]:
-        exact.append(registry.gap_exact(spectrum(
-            replace(params, lam=lam), cfg.basis_size, check_plateau=False), sol))
+        exact.append(registry.gap_exact(lowest_eigenpairs(
+            replace(params, lam=lam), cfg.basis_size, registry.gap_states(sol)), sol))
     judged, found = registry.gap_order(sol, eds, lams, exact, cfg.basis_size)
     for check in found:
         _check(checks, rows, *check)

@@ -6,12 +6,18 @@ Rayleigh-Schrodinger perturbation theory at any order. None of it shares
 code paths with the banded perturbation solver, so agreement between the
 two is a real cross-check.
 
-For the cubic force (p = 2) the potential is unbounded below and the
-truncated eigenvalues are metastable approximants. They are trustworthy
-only while they sit on a plateau under basis growth, which `spectrum`
-verifies before reporting; the default coupling cap corresponds to
-lam = 0.05 in units where m = omega0 = hbar = 1, where tunneling effects
-are far below every tolerance used in this package.
+Where the potential is unbounded below (the cubic force, p = 2, and the
+quartic force at lam < 0) the truncated eigenvalues are metastable
+approximants. They are trustworthy only while they sit on a plateau under
+basis growth, which `spectrum` verifies before reporting; the cubic
+coupling cap corresponds to lam = 0.05 in units where
+m = omega0 = hbar = 1, where tunneling effects are far below every
+tolerance used in this package.
+
+`lowest_eigenpairs` solves only the lowest few levels: Rayleigh-Ritz on a
+leading block of the number basis, grown until every returned pair is an
+eigenpair of the full truncated Hamiltonian to rounding. Growing the block
+until the pairs no longer move is the plateau rule applied to the block.
 """
 
 from __future__ import annotations
@@ -33,20 +39,27 @@ __all__ = [
     "build_hamiltonian",
     "diagonalize",
     "spectrum",
+    "lowest_eigenpairs",
     "motion_from_spectrum",
     "rspt",
     "position_matrix",
     "cubic_coupling_limit",
 ]
 
-# The cubic force's plateau rule in `spectrum`: a truncated eigenvalue
-# stands for a metastable level only while the basis no longer moves it. The
-# lowest PLATEAU_LEVELS, the ones the Thomas-Kuhn check reads, may move at
-# most PLATEAU_TOL, the size of that check's truncation bound, when the basis
-# loses PLATEAU_STEP states, several times the reach p + 1 of the potential.
+# The plateau rule of `spectrum` for a potential unbounded below (p even, or
+# lam < 0): a truncated eigenvalue stands for a metastable level only while
+# the basis no longer moves it. The lowest PLATEAU_LEVELS, the ones the
+# Thomas-Kuhn check reads, may move at most PLATEAU_TOL, the size of that
+# check's truncation bound, when the basis loses PLATEAU_STEP states, several
+# times the reach p + 1 of the potential.
 PLATEAU_STEP = 10
 PLATEAU_TOL = 1e-8
 PLATEAU_LEVELS = 6
+# `lowest_eigenpairs` starts from a block of BLOCK_START states per pair and
+# doubles it until every pair passes; the gap-order check's blocks at lam_1/2
+# pass at the first size for either force
+BLOCK_START = 8
+EPS = float(np.finfo(float).eps)
 
 
 class NumericError(RuntimeError):
@@ -253,39 +266,74 @@ def cubic_coupling_limit(params: OscillatorParams) -> float:
     return 0.05 * math.sqrt(2.0) * (1.0 + 1e-12) * params.omega0**2 / params.beta
 
 
+def _refuse_deep_cubic(params: OscillatorParams) -> None:
+    if params.force_exponent == 2:
+        limit = cubic_coupling_limit(params)
+        if abs(params.lam) > limit:
+            raise ValueError(f"cubic-force coupling |lam| = {abs(params.lam):.4g} beyond "
+                             f"{limit:.4g}, the metastable-spectrum regime at these units")
+
+
+def _unbounded_below(params: OscillatorParams) -> bool:
+    """Whether m lam x^(p+1)/(p+1) is unbounded below: p even, or lam < 0."""
+    return params.force_exponent % 2 == 0 or params.lam < 0
+
+
 def spectrum(
     params: OscillatorParams,
     basis_size: int,
     *,
-    check_plateau: bool = True,
     allow_deep_coupling: bool = False,
 ) -> SpectrumResult:
     """Diagonalize the truncated Hamiltonian and vet the result.
 
-    For the cubic force this enforces the default coupling cap and (unless
-    disabled) requires the lowest PLATEAU_LEVELS eigenvalues to move less
-    than PLATEAU_TOL when the basis shrinks by PLATEAU_STEP, since those
-    eigenvalues only approximate metastable levels of an unbounded
-    potential.
+    For the cubic force this enforces the coupling cap unless
+    `allow_deep_coupling`. Where the potential is unbounded below it
+    requires the lowest PLATEAU_LEVELS eigenvalues to move less than
+    PLATEAU_TOL when the basis shrinks by PLATEAU_STEP, since those
+    eigenvalues only approximate metastable levels.
     """
-    if params.force_exponent == 2 and not allow_deep_coupling:
-        limit = cubic_coupling_limit(params)
-        if abs(params.lam) > limit:
-            raise ValueError(f"cubic-force coupling |lam| = {abs(params.lam):.4g} beyond "
-                             f"{limit:.4g}, the metastable-spectrum regime at these "
-                             "units; pass allow_deep_coupling=True to override")
+    if not allow_deep_coupling:
+        _refuse_deep_cubic(params)
     result = diagonalize(build_hamiltonian(params, basis_size))
-    if not check_plateau:
-        return result
     smaller = diagonalize(build_hamiltonian(params, basis_size - PLATEAU_STEP))
     levels = min(PLATEAU_LEVELS, basis_size - PLATEAU_STEP)
     drift = np.abs(result.eigenvalues[:levels] - smaller.eigenvalues[:levels])
-    if params.force_exponent == 2 and np.any(drift > PLATEAU_TOL):
+    if _unbounded_below(params) and np.any(drift > PLATEAU_TOL):
         raise PlateauError(
             f"eigenvalue drift {np.max(drift):.3e} over basis step "
             f"{PLATEAU_STEP} exceeds {PLATEAU_TOL:.1e}"
         )
     return replace(result, plateau=drift)
+
+
+def lowest_eigenpairs(params: OscillatorParams, basis_size: int, count: int) -> SpectrumResult:
+    """The `count` lowest eigenpairs of the Hamiltonian truncated to
+    N = basis_size states, by Rayleigh-Ritz on its leading M states.
+
+    H has band reach w = p + 1, and the leading M + w rows of H built on
+    M + 2w states are those of H_N, so the M x M block is solved without
+    forming H_N. A Ritz pair (e, v), with v padded by zeros, leaves
+    H_N v - e v = block residual + the tail t = H_N[M:M+w, M-w:M] v[M-w:].
+    The pairs are accepted when every max |t| <= eps times the block's
+    largest |eigenvalue|, below the rounding of the block's own eigensolve;
+    otherwise M doubles. At M = N this is
+    `diagonalize(build_hamiltonian(params, N))`, bit for bit. Only the
+    accepted pairs are kept: reading pair `count` or past raises
+    IndexError. The cubic coupling cap is enforced as in `spectrum`."""
+    _refuse_deep_cubic(params)
+    w = params.force_exponent + 1
+    m = BLOCK_START * count
+    while True:
+        m = min(m, basis_size)
+        op = build_hamiltonian(params, min(basis_size, m + 2 * w))
+        h = op.matrix
+        block = diagonalize(op if m == op.basis_size else TruncatedOperator(params, h[:m, :m]))
+        evals, evecs = block.eigenvalues, block.eigenvectors[:, :count].copy()
+        tail = h[m : m + w, m - w : m] @ evecs[m - w :]
+        if m == basis_size or np.max(np.abs(tail)) <= EPS * np.max(np.abs(evals)):
+            return replace(block, eigenvalues=evals[:count], eigenvectors=evecs)
+        m *= 2
 
 
 def motion_from_spectrum(spec: SpectrumResult) -> MotionRepresentation:

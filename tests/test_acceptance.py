@@ -176,7 +176,7 @@ def test_criterion_5_gap_scaling(sol_cubic, cached_spectrum):
 
 def test_criterion_6_series_fits(cached_spectrum):
     grid = default_lambda_grid(0.05)
-    specs = [cached_spectrum(lam, check_plateau=False) for lam in grid]
+    specs = [cached_spectrum(lam) for lam in grid]
     targets = [
         ("omega(1,0)", [s.omega_exact(1, 0) for s in specs], 2, -5.0 * B**2 / 12.0),
         ("X(1,1)", [s.amplitudes[1, 1] for s in specs], 1, -3.0 * B**2 / 4.0),

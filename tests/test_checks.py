@@ -10,7 +10,7 @@ import pytest
 
 from ampmech import OscillatorParams, checks, rspt
 from ampmech.cli import run
-from ampmech.oracle import cubic_coupling_limit
+from ampmech.oracle import cubic_coupling_limit, lowest_eigenpairs
 from ampmech.perturb import (
     CoefficientSet,
     EnergyConservationError,
@@ -163,6 +163,17 @@ def test_gap_order_judges_no_gap_at_rounding(force):
     entries, found = checks.gap_order(sol, eds, lams, exact, 80)
     assert entries == [] and failing(found) == [c for c, _, _ in found]
     assert [observed for _, observed, _ in found] == [None] * 3
+
+
+@pytest.mark.parametrize("force, states", [(2, 6), (3, 7)])
+def test_gap_states_are_the_states_gap_exact_reads(force, states):
+    # six levels for the energies; X(4, 1) on cubic band 3, X(6, 1) on quartic band 5
+    sol = _gap_inputs(force)[0]
+    assert checks.gap_states(sol) == states
+    params = OscillatorParams(lam=0.025, force_exponent=force)
+    assert checks.gap_exact(lowest_eigenpairs(params, 80, states), sol)
+    with pytest.raises(IndexError):
+        checks.gap_exact(lowest_eigenpairs(params, 80, states - 1), sol)
 
 
 def test_gap_order_reports_the_entry_outside_its_window():

@@ -20,12 +20,14 @@ from ampmech import (
     build_hamiltonian,
     diagonalize,
     energy_diagonal_series,
+    lowest_eigenpairs,
     motion_from_spectrum,
     position_matrix,
     quantum_condition_residual,
     rspt,
     spectrum,
 )
+from ampmech.oracle import PLATEAU_STEP
 from conftest import assert_same_bits, default_lambda_grid, lambda_series_fit
 
 P2 = OscillatorParams()  # lam = 0.05, cubic force
@@ -320,34 +322,62 @@ class TestOracleMemory:
     @pytest.mark.parametrize("argv", [["oracle"], ["oracle", "--force", "3"],
                                       ["oracle", "--lam", "0.01"]], ids=" ".join)
     def test_each_spectrum_is_freed_before_the_next(self, argv, monkeypatch):
-        refs = []
+        refs, solves = [], []
 
-        def recorded(*args, **kwargs):
-            assert all(ref() is None for ref in refs)
-            result = spectrum(*args, **kwargs)
-            refs.append(weakref.ref(result))
-            return result
+        def recorder(solve):
+            def recorded(*args, **kwargs):
+                assert all(ref() is None for ref in refs)
+                result = solve(*args, **kwargs)
+                refs.append(weakref.ref(result))
+                solves.append(solve)
+                return result
+            return recorded
 
-        monkeypatch.setattr(ampmech.cli, "spectrum", recorded)
+        monkeypatch.setattr(ampmech.cli, "spectrum", recorder(spectrum))
+        monkeypatch.setattr(ampmech.cli, "lowest_eigenpairs", recorder(lowest_eigenpairs))
         assert ampmech.cli.run(argv, stream=io.StringIO()) == 0
-        # away from lam_1 the check solves both of its couplings
-        assert len(refs) == (3 if "--lam" in argv else 2)
+        # the main spectrum, then the gap spectra: away from lam_1 the check
+        # solves both of its couplings
+        assert solves == [spectrum] + [lowest_eigenpairs] * (2 if "--lam" in argv else 1)
 
 
 class TestSpectrumVetting:
     def test_grid_spectra_never_form_amplitudes(self, monkeypatch):
         made = []
 
-        def recorded(*args, **kwargs):
-            made.append(spectrum(*args, **kwargs))
-            return made[-1]
+        def recorder(solve):
+            def recorded(*args, **kwargs):
+                made.append(solve(*args, **kwargs))
+                return made[-1]
+            return recorded
 
-        monkeypatch.setattr(ampmech.cli, "spectrum", recorded)
+        monkeypatch.setattr(ampmech.cli, "spectrum", recorder(spectrum))
+        monkeypatch.setattr(ampmech.cli, "lowest_eigenpairs", recorder(lowest_eigenpairs))
         assert ampmech.cli.run(["oracle"], stream=io.StringIO()) == 0
-        # the main spectrum serves lam_1 = lam; the one extra is at lam/2
+        # the main spectrum serves lam_1 = lam; the one extra is at lam/2,
+        # a block of the lowest states
         main, half = made
         assert "amplitudes" in vars(main) and half.params.lam == 0.025
         assert "amplitudes" not in vars(half)
+        assert main.basis_size == 80 and half.basis_size < 80
+
+    @pytest.mark.parametrize("argv", [[], ["--force", "3"], ["--lam", "0.01"],
+                                      ["--lam", "0.01", "--force", "3"]],
+                             ids=lambda argv: " ".join(["oracle", *argv]))
+    def test_only_the_main_and_plateau_spectra_build_the_full_basis(self, argv, monkeypatch):
+        n, sizes = 300, []
+
+        def recorded(params, basis_size):
+            sizes.append(basis_size)
+            return build_hamiltonian(params, basis_size)
+
+        monkeypatch.setattr(ampmech.oracle, "build_hamiltonian", recorded)
+        assert ampmech.cli.run(["oracle", "--basis-size", str(n), *argv],
+                               stream=io.StringIO()) == 0
+        # N for the main spectrum, N - PLATEAU_STEP for its plateau, and
+        # blocks well below both for the gap spectra
+        assert sizes[:2] == [n, n - PLATEAU_STEP]
+        assert len(sizes) > 2 and max(sizes[2:]) < n - PLATEAU_STEP
 
     def test_plateau_reported(self, cached_spectrum):
         spec = cached_spectrum(0.05)
@@ -368,6 +398,161 @@ class TestSpectrumVetting:
         # a coupling this deep has no stable plateau at modest bases
         with pytest.raises(PlateauError):
             spectrum(OscillatorParams(lam=0.35), 40, allow_deep_coupling=True)
+
+    def test_negative_quartic_coupling_needs_a_plateau(self):
+        # m lam x^4 / 4 at lam < 0 is unbounded below, as the cubic force is
+        with pytest.raises(PlateauError):
+            spectrum(OscillatorParams(lam=-0.05, force_exponent=3), 80)
+        assert np.max(spectrum(OscillatorParams(lam=-0.001, force_exponent=3), 80).plateau) <= 1e-8
+
+    @pytest.mark.parametrize("argv", [["--lam", "-0.05"], ["--lam", "-0.005", "--basis-size", "300"]],
+                             ids=" ".join)
+    def test_negative_quartic_drift_is_a_numeric_error(self, argv, capsys):
+        out = io.StringIO()
+        assert ampmech.cli.run(["oracle", "--force", "3", *argv], stream=out) == 3
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err.startswith("numeric error: eigenvalue drift")
+
+    def test_small_negative_quartic_coupling_passes(self):
+        out = io.StringIO()
+        assert ampmech.cli.run(["oracle", "--force", "3", "--lam", "-0.001"], stream=out) == 0
+        assert max(json.loads(out.getvalue())["results"]["plateau"]) <= 1e-12
+
+
+def full_spectrum_pairs(params, n, count):
+    spec = diagonalize(build_hamiltonian(params, n))
+    return spec.eigenvalues[:count], spec.eigenvectors[:, :count]
+
+
+def amplitude_table(spec, count):
+    return np.array([[spec.amplitude(k, m) for m in range(count)] for k in range(count)])
+
+
+# the sweep of `TestLowestEigenpairs`: both forces, lam_1/2, lam_1 and a deep
+# quartic coupling, in default units and in units (1.3, 0.8, 0.7), where
+# the cubic cap refuses lam = 0.05
+_BLOCK_CASES = [
+    (force, units, lam, n)
+    for force in (2, 3)
+    for units in ({}, {"mass": 1.3, "omega0": 0.8, "hbar": 0.7})
+    for lam in ((0.025,) if force == 2 and units else (0.025, 0.05) if force == 2
+                else (0.025, 0.05, 1.0))
+    for n in (80, 300, 600)
+    # at N = 600 the full solve at lam = 0.05 holds truncation states below
+    # the metastable levels: see test_block_keeps_the_metastable_levels
+    if not (force == 2 and lam == 0.05 and n == 600)
+]
+
+
+class TestLowestEigenpairs:
+    COUNT = 7
+
+    @pytest.mark.parametrize("force, units, lam, n", _BLOCK_CASES,
+                             ids=lambda v: str(v) if not isinstance(v, dict) else
+                             ("units" if v else "default"))
+    def test_agrees_with_the_full_solve(self, force, units, lam, n):
+        params = OscillatorParams(lam=lam, force_exponent=force, **units)
+        block = lowest_eigenpairs(params, n, self.COUNT)
+        evals, evecs = full_spectrum_pairs(params, n, self.COUNT)
+        full = SpectrumResult(params, n, evals, evecs)
+        bound = 4 * n * EPS
+        assert np.all(np.abs(block.eigenvalues - evals) <= bound * np.abs(evals))
+        # an amplitude is a sum over O(1) eigenvector entries: its rounding
+        # is sized by the largest amplitude of the table
+        x_full = amplitude_table(full, self.COUNT)
+        x_block = amplitude_table(block, self.COUNT)
+        assert np.max(np.abs(x_block - x_full)) <= bound * np.max(np.abs(x_full))
+
+    def test_block_keeps_the_metastable_levels(self):
+        # the full N = 600 solve of the cubic force at lam = 0.05 returns
+        # truncation states; the block returns the levels that plateau at N = 80
+        block = lowest_eigenpairs(P2, 600, self.COUNT)
+        assert full_spectrum_pairs(P2, 600, 1)[0][0] < -70.0
+        plateaued = spectrum(P2, 80).eigenvalues[: self.COUNT]
+        assert np.all(np.abs(block.eigenvalues - plateaued) <= 4 * 600 * EPS * plateaued)
+
+    def test_has_the_bits_of_the_full_solve_when_the_block_reaches_n(self):
+        # quartic lam = 0.05 doubles 56 -> 80
+        params = OscillatorParams(force_exponent=3)
+        block = lowest_eigenpairs(params, 80, self.COUNT)
+        assert block.basis_size == 80
+        evals, evecs = full_spectrum_pairs(params, 80, self.COUNT)
+        assert_same_bits(block.eigenvalues, evals)
+        assert_same_bits(block.eigenvectors, evecs)
+
+    def test_unverified_pairs_cannot_be_read(self):
+        block = lowest_eigenpairs(P2, 300, self.COUNT)
+        assert block.basis_size < 300 and block.eigenvectors.shape[1] == self.COUNT
+        for read in (lambda: block.eigenvalues[self.COUNT],
+                     lambda: block.eigenvectors[:, self.COUNT],
+                     lambda: block.omega_exact(self.COUNT, 0),
+                     lambda: block.amplitude(self.COUNT, 0),
+                     lambda: block.amplitude(0, self.COUNT + 3)):
+            with pytest.raises(IndexError):
+                read()
+
+    def test_cubic_cap(self):
+        with pytest.raises(ValueError):
+            lowest_eigenpairs(OscillatorParams(lam=0.2), 80, self.COUNT)
+
+    @pytest.mark.parametrize("force", [2, 3])
+    @pytest.mark.parametrize("m", [48, 56])
+    def test_leading_rows_are_those_of_the_full_basis(self, force, m):
+        params = OscillatorParams(force_exponent=force)
+        w = force + 1
+        small = build_hamiltonian(params, m + 2 * w).matrix
+        full = build_hamiltonian(params, 300).matrix
+        assert np.array_equal(small[: m + w, : m + w], full[: m + w, : m + w])
+        assert not np.array_equal(small[-1], full[m + 2 * w - 1, : m + 2 * w])
+
+
+def _verdict(argv, code, failing=()):
+    return pytest.param(argv, code, set(failing), id=" ".join(["oracle", *argv]))
+
+
+_UNITS = ["--mass", "1.3", "--omega0", "0.8", "--hbar", "0.7"]
+_TK = ["thomas-kuhn-sum-rule"]
+
+
+class TestOracleVerdicts:
+    """Exit code and failing checks of `oracle` over basis sizes, levels,
+    couplings and units of both forces."""
+
+    @pytest.mark.parametrize("argv, code, failing", [
+        # a basis too small for the cubic plateau, and one large enough to
+        # hold truncation states below the metastable levels
+        _verdict(["--basis-size", "18"], 3),
+        _verdict(["--basis-size", "24"], 3),
+        _verdict(["--basis-size", "30"], 0),
+        _verdict(["--basis-size", "80"], 0),
+        _verdict(["--basis-size", "300"], 0),
+        _verdict(["--basis-size", "600"], 3),
+        _verdict(["--lam", "0.01"], 0),
+        # the main spectrum plateaus at lam = 0.01; the gap spectra are the
+        # verified blocks of metastable levels
+        _verdict(["--lam", "0.01", "--basis-size", "600"], 0),
+        _verdict(["--levels", "1"], 0),
+        _verdict(["--levels", "20"], 0),
+        _verdict(_UNITS, 2),
+        _verdict([*_UNITS, "--lam", "0.01"], 0),
+        _verdict(["--force", "3", "--basis-size", "18"], 1, _TK),
+        *(_verdict(["--force", "3", "--basis-size", n], 0) for n in ("24", "30", "80", "300", "600")),
+        _verdict(["--force", "3", "--lam", "0.01"], 0),
+        _verdict(["--force", "3", "--lam", "0.01", "--basis-size", "600"], 0),
+        _verdict(["--force", "3", "--levels", "1"], 0),
+        _verdict(["--force", "3", "--levels", "20"], 0),
+        _verdict(["--force", "3", *_UNITS], 0),
+        _verdict(["--force", "3", *_UNITS, "--lam", "0.01"], 0),
+        _verdict(["--force", "3", "--lam", "0.2"], 0),
+        _verdict(["--force", "3", "--lam", "0.5"], 0),
+        _verdict(["--force", "3", "--lam", "-0.05"], 3),
+        _verdict(["--force", "3", "--lam", "1.0", "--basis-size", "200"], 0),
+    ])
+    def test_exit_code_and_failing_checks(self, argv, code, failing):
+        out = io.StringIO()
+        assert ampmech.cli.run(["oracle", *argv], stream=out) == code
+        checks = json.loads(out.getvalue())["checks"] if code < 2 else []
+        assert {c["id"] for c in checks if not c["pass"]} == failing
 
 
 def _scaled_amplitudes(spec):
@@ -483,7 +668,7 @@ class TestRsptState:
         n = 2
         deficits = []
         for lam in (0.01, 0.005):
-            spec = cached_spectrum(lam, basis_size=80, check_plateau=False)
+            spec = cached_spectrum(lam, basis_size=80)
             c = np.zeros(80)
             first = rspt_state(OscillatorParams(lam=lam), n)
             c[: first.size] = first / np.linalg.norm(first)
@@ -526,7 +711,7 @@ class TestSeriesFit:
         grid = default_lambda_grid(0.05)
         samples = np.array(
             [
-                cached_spectrum(lam, check_plateau=False).omega_exact(1, 0)
+                cached_spectrum(lam).omega_exact(1, 0)
                 for lam in grid
             ]
         )
@@ -537,7 +722,7 @@ class TestSeriesFit:
     def test_diagonal_amplitude_coefficient(self, cached_spectrum):
         grid = default_lambda_grid(0.05)
         samples = np.array(
-            [cached_spectrum(lam, check_plateau=False).amplitudes[1, 1] for lam in grid]
+            [cached_spectrum(lam).amplitudes[1, 1] for lam in grid]
         )
         coefficients = lambda_series_fit(samples, grid, 3)
         target = -3.0 * B**2 / 4.0
@@ -546,7 +731,7 @@ class TestSeriesFit:
     def test_two_step_amplitude_coefficient(self, cached_spectrum):
         grid = default_lambda_grid(0.05)
         samples = np.array(
-            [cached_spectrum(lam, check_plateau=False).amplitudes[2, 0] for lam in grid]
+            [cached_spectrum(lam).amplitudes[2, 0] for lam in grid]
         )
         coefficients = lambda_series_fit(samples, grid, 3)
         target = B**2 * math.sqrt(2.0) / 12.0
