@@ -18,6 +18,9 @@ tolerance used in this package.
 leading block of the number basis, grown until every returned pair is an
 eigenpair of the full truncated Hamiltonian to rounding. Growing the block
 until the pairs no longer move is the plateau rule applied to the block.
+It serves the gap-order check's spectra and, above
+2 * BLOCK_START * PLATEAU_LEVELS = 96 states, the plateau partner of
+`spectrum`, whose rule reads only the lowest PLATEAU_LEVELS levels.
 """
 
 from __future__ import annotations
@@ -57,7 +60,9 @@ PLATEAU_TOL = 1e-8
 PLATEAU_LEVELS = 6
 # `lowest_eigenpairs` starts from a block of BLOCK_START states per pair and
 # doubles it until every pair passes; the gap-order check's blocks at lam_1/2
-# pass at the first size for either force
+# pass at the first size for either force. The plateau partner's block at
+# lam_1 passes at the first size, 48 states, for the cubic force and doubles
+# to 96 for the quartic one
 BLOCK_START = 8
 EPS = float(np.finfo(float).eps)
 
@@ -279,25 +284,25 @@ def _unbounded_below(params: OscillatorParams) -> bool:
     return params.force_exponent % 2 == 0 or params.lam < 0
 
 
-def spectrum(
-    params: OscillatorParams,
-    basis_size: int,
-    *,
-    allow_deep_coupling: bool = False,
-) -> SpectrumResult:
+def spectrum(params: OscillatorParams, basis_size: int) -> SpectrumResult:
     """Diagonalize the truncated Hamiltonian and vet the result.
 
-    For the cubic force this enforces the coupling cap unless
-    `allow_deep_coupling`. Where the potential is unbounded below it
-    requires the lowest PLATEAU_LEVELS eigenvalues to move less than
-    PLATEAU_TOL when the basis shrinks by PLATEAU_STEP, since those
-    eigenvalues only approximate metastable levels.
+    For the cubic force this enforces the coupling cap. Where the potential
+    is unbounded below it requires the lowest PLATEAU_LEVELS eigenvalues to
+    move less than PLATEAU_TOL when the basis shrinks by PLATEAU_STEP, since
+    those eigenvalues only approximate metastable levels. The smaller basis
+    is solved only for those levels, by `lowest_eigenpairs`, once it holds
+    more than 2 * BLOCK_START * PLATEAU_LEVELS states; below that the
+    block's first doubling would already reach it, and it is solved in full.
     """
-    if not allow_deep_coupling:
-        _refuse_deep_cubic(params)
+    _refuse_deep_cubic(params)
     result = diagonalize(build_hamiltonian(params, basis_size))
-    smaller = diagonalize(build_hamiltonian(params, basis_size - PLATEAU_STEP))
-    levels = min(PLATEAU_LEVELS, basis_size - PLATEAU_STEP)
+    smaller_size = basis_size - PLATEAU_STEP
+    levels = min(PLATEAU_LEVELS, smaller_size)
+    if smaller_size > 2 * BLOCK_START * PLATEAU_LEVELS:
+        smaller = lowest_eigenpairs(params, smaller_size, levels)
+    else:
+        smaller = diagonalize(build_hamiltonian(params, smaller_size))
     drift = np.abs(result.eigenvalues[:levels] - smaller.eigenvalues[:levels])
     if _unbounded_below(params) and np.any(drift > PLATEAU_TOL):
         raise PlateauError(

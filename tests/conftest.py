@@ -35,11 +35,11 @@ _SPECTRA: dict = {}
 def cached_spectrum():
     """Memoized diagonalizations keyed by (lam, force, basis)."""
 
-    def get(lam, force_exponent=2, basis_size=80, **kw):
-        key = (lam, force_exponent, basis_size, tuple(sorted(kw.items())))
+    def get(lam, force_exponent=2, basis_size=80):
+        key = (lam, force_exponent, basis_size)
         if key not in _SPECTRA:
             p = OscillatorParams(lam=lam, force_exponent=force_exponent)
-            _SPECTRA[key] = spectrum(p, basis_size, **kw)
+            _SPECTRA[key] = spectrum(p, basis_size)
         return _SPECTRA[key]
 
     return get

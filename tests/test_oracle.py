@@ -364,20 +364,27 @@ class TestSpectrumVetting:
     @pytest.mark.parametrize("argv", [[], ["--force", "3"], ["--lam", "0.01"],
                                       ["--lam", "0.01", "--force", "3"]],
                              ids=lambda argv: " ".join(["oracle", *argv]))
-    def test_only_the_main_and_plateau_spectra_build_the_full_basis(self, argv, monkeypatch):
-        n, sizes = 300, []
+    def test_the_plateau_partner_is_a_block_above_96_states(self, argv, monkeypatch):
+        def sizes_built(n):
+            sizes = []
 
-        def recorded(params, basis_size):
-            sizes.append(basis_size)
-            return build_hamiltonian(params, basis_size)
+            def recorded(params, basis_size):
+                sizes.append(basis_size)
+                return build_hamiltonian(params, basis_size)
 
-        monkeypatch.setattr(ampmech.oracle, "build_hamiltonian", recorded)
-        assert ampmech.cli.run(["oracle", "--basis-size", str(n), *argv],
-                               stream=io.StringIO()) == 0
-        # N for the main spectrum, N - PLATEAU_STEP for its plateau, and
-        # blocks well below both for the gap spectra
-        assert sizes[:2] == [n, n - PLATEAU_STEP]
-        assert len(sizes) > 2 and max(sizes[2:]) < n - PLATEAU_STEP
+            monkeypatch.setattr(ampmech.oracle, "build_hamiltonian", recorded)
+            assert ampmech.cli.run(["oracle", "--basis-size", str(n), *argv],
+                                   stream=io.StringIO()) == 0
+            return sizes
+
+        # N for the main spectrum, then blocks well below N - PLATEAU_STEP
+        # for its plateau partner and the gap spectra
+        sizes = sizes_built(300)
+        assert sizes[0] == 300
+        assert len(sizes) > 2 and max(sizes[1:]) < 300 - PLATEAU_STEP
+        # at N - PLATEAU_STEP <= 96 the block's first doubling would reach
+        # it, so the plateau partner is the full solve
+        assert sizes_built(80)[:2] == [80, 80 - PLATEAU_STEP]
 
     def test_plateau_reported(self, cached_spectrum):
         spec = cached_spectrum(0.05)
@@ -393,11 +400,6 @@ class TestSpectrumVetting:
     def test_deep_cubic_coupling_rejected(self):
         with pytest.raises(ValueError):
             spectrum(OscillatorParams(lam=0.2), 80)
-
-    def test_deep_coupling_override_plateau_guard(self):
-        # a coupling this deep has no stable plateau at modest bases
-        with pytest.raises(PlateauError):
-            spectrum(OscillatorParams(lam=0.35), 40, allow_deep_coupling=True)
 
     def test_negative_quartic_coupling_needs_a_plateau(self):
         # m lam x^4 / 4 at lam < 0 is unbounded below, as the cubic force is
@@ -430,7 +432,8 @@ def amplitude_table(spec, count):
 
 # the sweep of `TestLowestEigenpairs`: both forces, lam_1/2, lam_1 and a deep
 # quartic coupling, in default units and in units (1.3, 0.8, 0.7), where
-# the cubic cap refuses lam = 0.05
+# the cubic cap refuses lam = 0.05; then a negative coupling of each force
+# at which the full solve plateaus
 _BLOCK_CASES = [
     (force, units, lam, n)
     for force in (2, 3)
@@ -441,7 +444,7 @@ _BLOCK_CASES = [
     # at N = 600 the full solve at lam = 0.05 holds truncation states below
     # the metastable levels: see test_block_keeps_the_metastable_levels
     if not (force == 2 and lam == 0.05 and n == 600)
-]
+] + [(force, {}, lam, n) for force, lam in ((2, -0.05), (3, -0.001)) for n in (80, 300)]
 
 
 class TestLowestEigenpairs:
