@@ -11,7 +11,9 @@ overwrites, the script prints an audit of the change, value by value: a JSON
 golden is keyed by the path to each value, a check by its id, and a CSV
 golden by the (quantity, order, band, n) of each line. The audit lists the removed and
 added keys and each changed value with its distance in units in the last
-place (ulp), so it survives a change of layout.
+place (ulp) and its absolute change, so it survives a change of layout. The
+ulp distance of a value near zero can be huge for a change of rounding size,
+which the absolute change shows.
 """
 
 import csv
@@ -83,12 +85,14 @@ def _keyed(name: str, text: str) -> dict[str, str]:
     return out
 
 
-def _ulp(a: str, b: str) -> int | None:
-    """ulp distance of two numbers given as text; None unless both are."""
+def _distance(a: str, b: str) -> tuple[int, float] | None:
+    """ulp distance and absolute difference of two numbers given as text;
+    None unless both are."""
     try:
-        return abs(_ordinal(float(a)) - _ordinal(float(b)))
+        x, y = float(a), float(b)
     except ValueError:
         return None
+    return abs(_ordinal(x) - _ordinal(y)), abs(y - x)
 
 
 def audit(name: str, old: str, new: str) -> str:
@@ -101,17 +105,20 @@ def audit(name: str, old: str, new: str) -> str:
     removed = [f"  - {k}: {v}" for k, v in before.items() if k not in after]
     added = [f"  + {k}: {v}" for k, v in after.items() if k not in before]
     # a number counts as changed when its value does, not its spelling
-    changed = [(k, before[k], v, _ulp(before[k], v))
+    changed = [(k, before[k], v, _distance(before[k], v))
                for k, v in after.items() if k in before and before[k] != v]
-    changed = [c for c in changed if c[3] != 0]
+    changed = [c for c in changed if c[3] is None or c[3][0] != 0]
     summary = f"{len(changed)} of {len(after)} values changed"
-    ulps = [(u, a, b) for _, a, b, u in changed if u is not None]
-    if ulps:
-        u, a, b = max(ulps, key=lambda c: c[0])  # the first of equals
+    numbers = [(d, a, b) for _, a, b, d in changed if d is not None]
+    if numbers:
+        # the first of equals
+        (u, _), a, b = max(numbers, key=lambda c: c[0][0])
         summary += f", largest distance {u} ulp ({a} -> {b})"
+        (_, e), a, b = max(numbers, key=lambda c: c[0][1])
+        summary += f", largest change {e:.3g} ({a} -> {b})"
     summary += f"; {len(removed)} keys removed, {len(added)} added"
-    lines = [f"  ~ {k}: {a} -> {b}" + ("" if u is None else f" ({u} ulp)")
-             for k, a, b, u in changed]
+    lines = [f"  ~ {k}: {a} -> {b}" + ("" if d is None else f" ({d[0]} ulp, |d| {d[1]:.3g})")
+             for k, a, b, d in changed]
     return "\n".join([summary, *removed, *added, *lines])
 
 

@@ -54,7 +54,6 @@ from .oracle import (
     cubic_coupling_limit,
     diagonalize,
     lowest_eigenpairs,
-    motion_from_spectrum,
     position_matrix,
     rspt,
     spectrum,

@@ -262,6 +262,17 @@ def offdiag_energy(sol):
 # the oracle
 
 
+def thomas_kuhn_residuals(spec) -> np.ndarray:
+    """Residual 4 pi m sum_k X(k, n)^2 omega(k, n) - h of the Thomas-Kuhn
+    sum rule at each of the lowest PLATEAU_LEVELS levels n of a spectrum,
+    with omega(k, n) = (E_k - E_n) / hbar; the sum runs over every level k
+    the spectrum holds."""
+    x = spec.position_columns(PLATEAU_LEVELS)
+    pot = spec.eigenvalues / spec.params.hbar
+    omega = pot[:, None] - pot[:PLATEAU_LEVELS]
+    return 4.0 * math.pi * spec.params.mass * np.sum(x * x * omega, axis=0) - spec.params.h
+
+
 def thomas_kuhn(residuals):
     return float(np.max(np.abs(residuals))), THOMAS_KUHN_TOL
 
@@ -320,10 +331,11 @@ def gap_exact(spec, sol):
     """The exact values of the gap-order check's entries, by quantity, from
     one spectrum that holds at least the `gap_states` lowest states."""
     levels = range(PLATEAU_LEVELS)
+    rows, cols = np.array(_gap_pairs(sol)).T
     return {
         "energy": spec.eigenvalues[:PLATEAU_LEVELS],
         "frequency": np.array([spec.omega_exact(n + 1, n) for n in levels[:-1]]),
-        "amplitude": np.array([spec.amplitude(n, m) for n, m in _gap_pairs(sol)]),
+        "amplitude": spec.position_columns(cols.max() + 1)[rows, cols],
     }
 
 

@@ -166,30 +166,6 @@ class BandAmplitudeArray:
             flat[lo * (n + 1) - alpha :: n + 1][:k] = self.band(alpha)[lo : lo + k]
         return out
 
-    @classmethod
-    def from_dense(
-        cls, dense: np.ndarray, band_max: int | None = None, hermitian: bool = False
-    ) -> "BandAmplitudeArray":
-        dense = np.asarray(dense)
-        n = dense.shape[0]
-        if dense.shape != (n, n):
-            raise ValueError("dense input must be square")
-        if band_max is None:
-            band_max = n - 1
-        # with band_max zeros on each side of every row, X(r, c) sits at column
-        # band_max + c, and row r's band X(r, r + band_max) .. X(r, r - band_max)
-        # is the window from column r: the windows lie n + 2 band_max + 1
-        # apart in flat, as the diagonals of `to_dense` lie n + 1 apart. They
-        # are read backwards through a plain ndarray view: numpy's stride_tricks
-        # keep some memory from every call (about 19 bytes with numpy 2.4)
-        width = n + 2 * band_max
-        padded = np.zeros((n, width), dtype=dense.dtype)
-        padded[:, band_max : band_max + n] = dense
-        step = padded.itemsize
-        windows = np.ndarray((n, 2 * band_max + 1), padded.dtype, padded,
-                             2 * band_max * step, ((width + 1) * step, -step))
-        return cls(windows, hermitian=hermitian)
-
 
 @dataclass(frozen=True)
 class MotionRepresentation:
@@ -260,8 +236,9 @@ def time_derivative(motion: MotionRepresentation) -> BandAmplitudeArray:
     b, n_rows = x.band_max, x.n_max + 1
     # omega(n, n-alpha) for every band at once, zero where n-alpha is off the
     # grid: row n of a strided view of the zero-padded potential holds
-    # Omega(n+b) .. Omega(n-b), so Omega(n-alpha) at column b + alpha (a plain
-    # ndarray view, as in `BandAmplitudeArray.from_dense`)
+    # Omega(n+b) .. Omega(n-b), so Omega(n-alpha) at column b + alpha. It is
+    # a plain ndarray view: numpy's stride_tricks keep some memory from every
+    # call (about 19 bytes with numpy 2.4)
     padded = np.zeros(pot.size + 2 * b)
     padded[b : b + pot.size] = pot
     step = padded.itemsize

@@ -4,7 +4,9 @@ Everything here is built the conventional way: ladder-operator matrices in
 the truncated number basis, a dense symmetric eigensolve, and textbook
 Rayleigh-Schrodinger perturbation theory at any order. None of it shares
 code paths with the banded perturbation solver, so agreement between the
-two is a real cross-check.
+two is a real cross-check. `SpectrumResult.position_columns` is the one
+path from eigenvectors to the position amplitudes <k|x|n>; each reader
+forms only the few columns n it reads, never the N x N matrix.
 
 Where the potential is unbounded below (the cubic force, p = 2, and the
 quartic force at lam < 0) the truncated eigenvalues are metastable
@@ -27,11 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
-from .core import BandAmplitudeArray, FrequencyGrid, MotionRepresentation
 from .params import OscillatorParams
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "diagonalize",
     "spectrum",
     "lowest_eigenpairs",
-    "motion_from_spectrum",
     "rspt",
     "position_matrix",
     "cubic_coupling_limit",
@@ -108,14 +107,11 @@ class TruncatedOperator:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenvalues, eigenvectors and exact position amplitudes.
-
-    amplitudes[k, n] = <k|x|n> between exact (truncated-basis) eigenstates,
-    with each eigenvector's largest component made positive. The matrix is
-    formed on first read; `amplitude(k, n)` gives one entry without it.
-    plateau holds |E(N) - E(N - PLATEAU_STEP)| for the lowest
-    PLATEAU_LEVELS levels when a basis-growth check was run.
-    """
+    """Eigenvalues and eigenvectors of a truncated Hamiltonian, each
+    eigenvector's largest component positive; `position_columns` gives the
+    exact position amplitudes between them. plateau holds
+    |E(N) - E(N - PLATEAU_STEP)| for the lowest PLATEAU_LEVELS levels when
+    a basis-growth check was run."""
 
     params: OscillatorParams
     basis_size: int
@@ -128,18 +124,19 @@ class SpectrumResult:
             (self.eigenvalues[n] - self.eigenvalues[m]) / self.params.hbar
         )
 
-    @cached_property
-    def amplitudes(self) -> np.ndarray:
+    def position_columns(self, count: int) -> np.ndarray:
+        """X[k, n] = <k|x|n> = v_k^T (x v_n) for every held pair k and
+        n < count: x v_n through the two off-diagonals of x, then one
+        product. Only held pairs are formed: reading past them raises
+        IndexError."""
         v = self.eigenvectors
-        amps = v.T @ position_matrix(self.params, self.basis_size) @ v
-        return 0.5 * (amps + amps.T)
-
-    def amplitude(self, k: int, n: int) -> float:
-        """amplitudes[k, n], to rounding, at O(basis_size) cost."""
-        vk, vn = self.eigenvectors[:, k], self.eigenvectors[:, n]
-        off = _position_offdiag(self.params, self.basis_size)
-        # sum_r <r|x|r+1> (vk[r] vn[r+1] + vk[r+1] vn[r]): symmetric in k, n
-        return float(off @ (vk[:-1] * vn[1:] + vk[1:] * vn[:-1]))
+        off = _position_offdiag(self.params, self.basis_size)[:, None]
+        cols = v[:, :count]
+        # (x v)[r] = <r|x|r+1> v[r+1] + <r-1|x|r> v[r-1]
+        xv = np.zeros_like(cols)
+        xv[:-1] = off * cols[1:]
+        xv[1:] += off * cols[:-1]
+        return v.T @ xv
 
 
 def _position_offdiag(params: OscillatorParams, n: int) -> np.ndarray:
@@ -339,16 +336,6 @@ def lowest_eigenpairs(params: OscillatorParams, basis_size: int, count: int) -> 
         if m == basis_size or np.max(np.abs(tail)) <= EPS * np.max(np.abs(evals)):
             return replace(block, eigenvalues=evals[:count], eigenvectors=evecs)
         m *= 2
-
-
-def motion_from_spectrum(spec: SpectrumResult) -> MotionRepresentation:
-    """Exact amplitudes and frequencies repackaged as a motion
-    representation, so the kinematic checks run unchanged on oracle data."""
-    amps = BandAmplitudeArray.from_dense(spec.amplitudes)
-    grid = FrequencyGrid(spec.eigenvalues / spec.params.hbar)
-    return MotionRepresentation(
-        amplitudes=amps, frequencies=grid, params=spec.params
-    )
 
 
 def rspt(params: OscillatorParams, levels: int, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ampmech import OscillatorParams, solve_perturbative, spectrum
+from ampmech import (FrequencyGrid, MotionRepresentation, OscillatorParams, position_matrix,
+                     solve_perturbative, spectrum)
 from ampmech.core import BandAmplitudeArray
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
@@ -55,6 +56,34 @@ def random_symmetric_band(rng, n_max, band_max, scale=1.0):
         if a:
             data[: n_max + 1 - a, band_max - a] = vals[a:]
     return BandAmplitudeArray(data)
+
+
+def band_from_dense(dense, band_max=None, hermitian=False):
+    """The band array of a square matrix: X(r, r - alpha) = dense[r, r - alpha]
+    for |alpha| <= band_max (every band by default)."""
+    n = dense.shape[0]
+    band_max = n - 1 if band_max is None else band_max
+    data = np.zeros((n, 2 * band_max + 1), dtype=dense.dtype)
+    for alpha in range(-min(band_max, n - 1), min(band_max, n - 1) + 1):
+        data[max(alpha, 0) : n + min(alpha, 0), band_max + alpha] = np.diagonal(dense, -alpha)
+    return BandAmplitudeArray(data, hermitian=hermitian)
+
+
+def dense_amplitudes(spec):
+    """<k|x|n> between every two held eigenstates as one dense matrix,
+    v^T x v symmetrized."""
+    v = spec.eigenvectors
+    amps = v.T @ position_matrix(spec.params, spec.basis_size) @ v
+    return 0.5 * (amps + amps.T)
+
+
+def motion_from_spectrum(spec):
+    """The exact amplitudes and frequencies of a spectrum as a motion
+    representation of every band, so that the kinematic checks of `core`
+    run on oracle data: with `quantum_condition_residual`, the reference
+    of the oracle's Thomas-Kuhn rows."""
+    return MotionRepresentation(band_from_dense(dense_amplitudes(spec)),
+                                FrequencyGrid(spec.eigenvalues / spec.params.hbar), spec.params)
 
 
 def symmetry_defect(arr):

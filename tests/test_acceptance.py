@@ -26,7 +26,6 @@ from ampmech import (
     energy_diagonal_series,
     energy_matrix,
     extract_structure_constants,
-    motion_from_spectrum,
     ode_residual,
     quantum_condition_residual,
     rspt,
@@ -36,7 +35,7 @@ from ampmech import (
 from ampmech.cli import run
 from ampmech.perturb import closed_form_amplitude, closed_form_frequency
 
-from conftest import default_lambda_grid, lambda_series_fit
+from conftest import default_lambda_grid, lambda_series_fit, motion_from_spectrum
 
 B = math.sqrt(2.0)
 P2 = OscillatorParams()
@@ -179,8 +178,8 @@ def test_criterion_6_series_fits(cached_spectrum):
     specs = [cached_spectrum(lam) for lam in grid]
     targets = [
         ("omega(1,0)", [s.omega_exact(1, 0) for s in specs], 2, -5.0 * B**2 / 12.0),
-        ("X(1,1)", [s.amplitudes[1, 1] for s in specs], 1, -3.0 * B**2 / 4.0),
-        ("X(2,0)", [s.amplitudes[2, 0] for s in specs], 1, B**2 * math.sqrt(2) / 12.0),
+        ("X(1,1)", [s.position_columns(2)[1, 1] for s in specs], 1, -3.0 * B**2 / 4.0),
+        ("X(2,0)", [s.position_columns(1)[2, 0] for s in specs], 1, B**2 * math.sqrt(2) / 12.0),
     ]
     worst = 0.0
     for _, samples, power, target in targets:

@@ -330,12 +330,13 @@ class TestGoldenScript:
         assert audit("g.json", old, old) == "unchanged"
         new = old.replace("1.5", "1.5000000000000002").replace("3e-17", "3.0000000000000006e-17")
         assert audit("g.json", old, new).splitlines() == [
-            "2 of 4 values changed, largest distance 1 ulp (1.5 -> 1.5000000000000002); "
-            "0 keys removed, 0 added",
-            "  ~ /a/0: 1.5 -> 1.5000000000000002 (1 ulp)",
-            "  ~ /x-1-1: 3e-17 -> 3.0000000000000006e-17 (1 ulp)",
+            "2 of 4 values changed, largest distance 1 ulp (1.5 -> 1.5000000000000002), "
+            "largest change 2.22e-16 (1.5 -> 1.5000000000000002); 0 keys removed, 0 added",
+            "  ~ /a/0: 1.5 -> 1.5000000000000002 (1 ulp, |d| 2.22e-16)",
+            "  ~ /x-1-1: 3e-17 -> 3.0000000000000006e-17 (1 ulp, |d| 6.16e-33)",
         ]
-        assert "ulp (-2 -> 2);" in audit("g.json", old, new.replace("-2", "2"))
+        assert "ulp (-2 -> 2), largest change 4 (-2 -> 2);" in audit(
+            "g.json", old, new.replace("-2", "2"))
         # another spelling of the same number is no change
         assert audit("g.json", old, old.replace("1.5", "1.50")).startswith("0 of 4 values")
         # a layout change is audited key by key
@@ -366,10 +367,24 @@ class TestGoldenScript:
         # reordered lines move no key; the removed and changed ones are listed
         new = head + "gap,,,3,1.0000000000000002\nomega,1,,,0.5\n"
         assert audit("g.csv", old, new).splitlines() == [
-            "1 of 2 values changed, largest distance 1 ulp (1 -> 1.0000000000000002); "
-            "1 keys removed, 0 added",
+            "1 of 2 values changed, largest distance 1 ulp (1 -> 1.0000000000000002), "
+            "largest change 2.22e-16 (1 -> 1.0000000000000002); 1 keys removed, 0 added",
             "  - harmonic,0,4,: 0",
-            "  ~ gap,,,3: 1 -> 1.0000000000000002 (1 ulp)",
+            "  ~ gap,,,3: 1 -> 1.0000000000000002 (1 ulp, |d| 2.22e-16)",
+        ]
+
+    def test_audit_gives_the_absolute_change_beside_the_ulp_distance(self):
+        # a residual near zero that moves by rounding is ~2^52 ulp away; the
+        # largest change is that of another value, 1 ulp of 1000
+        audit = _load_golden_script().audit
+        old = '{"residuals": [-1.7e-14, 1000]}\n'
+        new = '{"residuals": [-4.7e-14, 1000.0000000000001]}\n'
+        assert audit("g.json", old, new).splitlines() == [
+            "2 of 2 values changed, largest distance 6563531852741369 ulp "
+            "(-1.7e-14 -> -4.7e-14), largest change 1.14e-13 (1000 -> 1000.0000000000001); "
+            "0 keys removed, 0 added",
+            "  ~ /residuals/0: -1.7e-14 -> -4.7e-14 (6563531852741369 ulp, |d| 3e-14)",
+            "  ~ /residuals/1: 1000 -> 1000.0000000000001 (1 ulp, |d| 1.14e-13)",
         ]
 
     def test_audit_of_classical_extent_regeneration(self):
@@ -390,19 +405,20 @@ class TestGoldenScript:
         audit = _load_golden_script().audit
         assert audit("classical.json", old, new).splitlines() == [
             "5 of 40 values changed, largest distance 41699996549727 ulp "
-            "(0.033998842592592594 -> 0.034288194444444448); 3 keys removed, 0 added",
+            "(0.033998842592592594 -> 0.034288194444444448), largest change 0.00229 "
+            "(8.6025268070015937 -> 8.6048166074988188); 3 keys removed, 0 added",
             "  - /results/harmonic_coefficients/0/values/4: 0",
             "  - /results/harmonic_coefficients/1/values/4: 0",
             "  - /results/harmonic_coefficients/2/values/4: 0",
             "  ~ /results/harmonic_coefficients/2/values/3: "
-            "0.033998842592592594 -> 0.034288194444444448 (41699996549727 ulp)",
-            "  ~ /results/action: 3.1414966648700426 -> 3.1414966648700435 (2 ulp)",
+            "0.033998842592592594 -> 0.034288194444444448 (41699996549727 ulp, |d| 0.000289)",
+            "  ~ /results/action: 3.1414966648700426 -> 3.1414966648700435 (2 ulp, |d| 8.88e-16)",
             "  ~ /results/ode_residual: 4.0350012268930424e-08 -> 4.0373216044636839e-08 "
-            "(3506455445504 ulp)",
+            "(3506455445504 ulp, |d| 2.32e-11)",
             "  ~ /results/ode_residual_half_coupling: 4.6904837583405801e-09 -> "
-            "4.691932191727699e-09 (1751048519680 ulp)",
+            "4.691932191727699e-09 (1751048519680 ulp, |d| 1.45e-12)",
             "  ~ /results/ode_residual_ratio: 8.6025268070015937 -> 8.6048166074988188 "
-            "(1289043083257 ulp)",
+            "(1289043083257 ulp, |d| 0.00229)",
         ]
 
 
