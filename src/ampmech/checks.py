@@ -35,7 +35,8 @@ EPS = float(np.finfo(float).eps)
 C_PRODUCT = 2.0 * ROUNDING_C
 
 # Model-error bounds: they bound a truncation or a series, not rounding.
-# The oracle's finite number basis perturbs the sum rule of its lowest levels.
+# The oracle's finite number basis perturbs the sum rule of its lowest
+# levels; the residual is an action, so the bound is THOMAS_KUHN_TOL * hbar.
 THOMAS_KUHN_TOL = 1e-8
 # Halving lam cuts a deviation of order lam^q 2^q-fold; at the couplings
 # where it is judged, the orders above q move that ratio by less than 30 %.
@@ -264,17 +265,18 @@ def offdiag_energy(sol):
 
 def thomas_kuhn_residuals(spec) -> np.ndarray:
     """Residual 4 pi m sum_k X(k, n)^2 omega(k, n) - h of the Thomas-Kuhn
-    sum rule at each of the lowest PLATEAU_LEVELS levels n of a spectrum,
-    with omega(k, n) = (E_k - E_n) / hbar; the sum runs over every level k
-    the spectrum holds."""
-    x = spec.position_columns(PLATEAU_LEVELS)
-    pot = spec.eigenvalues / spec.params.hbar
-    omega = pot[:, None] - pot[:PLATEAU_LEVELS]
-    return 4.0 * math.pi * spec.params.mass * np.sum(x * x * omega, axis=0) - spec.params.h
+    sum rule at each of the lowest PLATEAU_LEVELS levels n of a spectrum of
+    H_N, with omega(k, n) = (E_k - E_n) / hbar and the sum over every level
+    k of H_N, by closure (`SpectrumResult.closure_sums`): it reads only the
+    pairs n."""
+    params = spec.params
+    sums = spec.closure_sums(PLATEAU_LEVELS)
+    return 4.0 * math.pi * params.mass / params.hbar * sums - params.h
 
 
-def thomas_kuhn(residuals):
-    return float(np.max(np.abs(residuals))), THOMAS_KUHN_TOL
+def thomas_kuhn(residuals, params):
+    """The largest residual, against THOMAS_KUHN_TOL in units of hbar."""
+    return float(np.max(np.abs(residuals))), THOMAS_KUHN_TOL * params.hbar
 
 
 def rspt_matches_series(rspt, series, eds, lam: float):

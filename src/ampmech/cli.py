@@ -317,19 +317,22 @@ def cmd_oracle(cfg):
             raise UsageError(f"--lam must be at most {limit:.4g} in absolute value "
                              "for the cubic force at these units")
     checks, rows = [], []
-    spec = spectrum(params, cfg.basis_size)
     levels = min(cfg.levels, cfg.basis_size)
+    # the solver's table first: it fixes how many of the lowest states the
+    # gap-order check reads, and so how many pairs the main spectrum holds
+    sol = solve_perturbative(params, ORACLE_ORDER, max(12, levels + 4))
+    spec = spectrum(params, cfg.basis_size, max(levels, registry.gap_states(sol)))
     eigenvalues = _values(spec.eigenvalues[:levels])
     plateau = _values(spec.plateau)
     rows.append(("eigenvalue", None, None, None, eigenvalues))
 
-    # the rows of the levels the plateau rule vets, each a sum over all of spec
+    # the rows of the levels the plateau rule vets, each a sum over every
+    # level of H_N by closure
     trk = _values(registry.thomas_kuhn_residuals(spec))
     rows.append(("thomas-kuhn-residual", None, None, None, trk))
-    _check(checks, rows, "thomas-kuhn-sum-rule", *registry.thomas_kuhn(trk))
+    _check(checks, rows, "thomas-kuhn-sum-rule", *registry.thomas_kuhn(trk, params))
 
     rspt_total = rspt(params, levels, ORACLE_ORDER)[0].sum(axis=0)
-    sol = solve_perturbative(params, ORACLE_ORDER, max(12, levels + 4))
     eds = energy_diagonal_series(sol)
     series = eds.evaluate(params.lam)[:levels]
     gaps = np.abs(eigenvalues - series)

@@ -18,11 +18,22 @@ tolerance used in this package.
 
 `lowest_eigenpairs` solves only the lowest few levels: Rayleigh-Ritz on a
 leading block of the number basis, grown until every returned pair is an
-eigenpair of the full truncated Hamiltonian to rounding. Growing the block
-until the pairs no longer move is the plateau rule applied to the block.
-It serves the gap-order check's spectra and, above
-2 * BLOCK_START * PLATEAU_LEVELS = 96 states, the plateau partner of
-`spectrum`, whose rule reads only the lowest PLATEAU_LEVELS levels.
+eigenpair of the full truncated Hamiltonian H_N to rounding. Growing the
+block until the pairs no longer move is the plateau rule applied to the
+block. The pairs are the lowest of the block, not shown to be the lowest of
+H_N. `spectrum`, the main spectrum of the oracle, adds that proof: a
+Cholesky factorization of H_N shifted between the block's levels and the
+next, which costs a sixth of a full eigensolve or less. Where it fails, as
+where H_N holds truncation states far below the metastable levels,
+`spectrum` solves H_N in full. The Thomas-Kuhn sum over every level of H_N
+needs no full solve either: closure forms it from the lowest pairs alone
+(`SpectrumResult.closure_sums`).
+
+The gap-order check's other spectra, at lam_1/2 and at lam_1 away from the
+default --lam, are blocks of `lowest_eigenpairs` with no certificate: they
+stand for the metastable levels the series describes. At cubic lam_1 and
+N = 600, H_N holds 11 eigenvalues besides the block's six below sigma,
+truncation states down to E = -74.85, which a certificate would refuse.
 """
 
 from __future__ import annotations
@@ -51,17 +62,17 @@ __all__ = [
 # The plateau rule of `spectrum` for a potential unbounded below (p even, or
 # lam < 0): a truncated eigenvalue stands for a metastable level only while
 # the basis no longer moves it. The lowest PLATEAU_LEVELS, the ones the
-# Thomas-Kuhn check reads, may move at most PLATEAU_TOL, the size of that
-# check's truncation bound, when the basis loses PLATEAU_STEP states, several
-# times the reach p + 1 of the potential.
+# Thomas-Kuhn check reads, may move at most PLATEAU_TOL * hbar * omega0, the
+# size of that check's truncation bound in units of the level spacing, when
+# the basis loses PLATEAU_STEP states, several times the reach p + 1 of the
+# potential.
 PLATEAU_STEP = 10
 PLATEAU_TOL = 1e-8
 PLATEAU_LEVELS = 6
 # `lowest_eigenpairs` starts from a block of BLOCK_START states per pair and
-# doubles it until every pair passes; the gap-order check's blocks at lam_1/2
-# pass at the first size for either force. The plateau partner's block at
-# lam_1 passes at the first size, 48 states, for the cubic force and doubles
-# to 96 for the quartic one
+# doubles it until every pair passes. At the default --levels the main
+# spectrum holds 8 pairs and passes at the first size, 64 states, for either
+# force at lam_1; so do the gap-order check's blocks at lam_1/2
 BLOCK_START = 8
 EPS = float(np.finfo(float).eps)
 
@@ -124,19 +135,28 @@ class SpectrumResult:
             (self.eigenvalues[n] - self.eigenvalues[m]) / self.params.hbar
         )
 
+    def _position_images(self, count: int) -> np.ndarray:
+        """x v_n for n < count, with x truncated to the basis, through its
+        two off-diagonals."""
+        x = _ladder_bands(_position_offdiag(self.params, self.basis_size), 1.0)
+        return _apply_bands(x, self.eigenvectors[:, :count])
+
     def position_columns(self, count: int) -> np.ndarray:
         """X[k, n] = <k|x|n> = v_k^T (x v_n) for every held pair k and
-        n < count: x v_n through the two off-diagonals of x, then one
-        product. Only held pairs are formed: reading past them raises
-        IndexError."""
-        v = self.eigenvectors
-        off = _position_offdiag(self.params, self.basis_size)[:, None]
-        cols = v[:, :count]
-        # (x v)[r] = <r|x|r+1> v[r+1] + <r-1|x|r> v[r-1]
-        xv = np.zeros_like(cols)
-        xv[:-1] = off * cols[1:]
-        xv[1:] += off * cols[:-1]
-        return v.T @ xv
+        n < count, in one product. Only held pairs are formed: reading past
+        them raises IndexError."""
+        return self.eigenvectors.T @ self._position_images(count)
+
+    def closure_sums(self, count: int) -> np.ndarray:
+        """sum_k X(k, n)^2 (E_k - E_n) for n < count, the sum running over
+        a complete eigenbasis of H_N, by closure:
+        (x v_n)^T (H_N - E_n) (x v_n), with the x of `position_columns`
+        and H_N applied through its diagonals. It reads only the pairs
+        n < count."""
+        xv = self._position_images(count)
+        hxv = _apply_bands(_hamiltonian_bands(self.params, self.basis_size), xv)
+        hxv -= self.eigenvalues[:count] * xv
+        return np.sum(xv * hxv, axis=0)
 
 
 def _position_offdiag(params: OscillatorParams, n: int) -> np.ndarray:
@@ -170,6 +190,29 @@ def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _apply_bands(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for an operator M stored by diagonals, as in `_band_product`,
+    and each column of v."""
+    w = bands.shape[0] // 2
+    out = bands[w, :, None] * v
+    for k in range(1, w + 1):
+        out[:-k] += bands[w + k, :-k, None] * v[k:]
+        out[k:] += bands[w - k, k:, None] * v[:-k]
+    return out
+
+
+def _dense(bands: np.ndarray) -> np.ndarray:
+    """The dense matrix of an operator stored by diagonals."""
+    w, n = bands.shape[0] // 2, bands.shape[1]
+    h = np.zeros((n, n))
+    flat = h.reshape(-1)
+    for k in range(-w, w + 1):
+        # the cells (r, r+k) of rows r = lo..lo+m-1 lie n+1 apart in flat
+        lo, m = max(-k, 0), n - abs(k)
+        flat[lo * (n + 1) + k :: n + 1][:m] = bands[w + k, lo : lo + m]
+    return h
+
+
 def _ladder_bands(up: np.ndarray, sign: float) -> np.ndarray:
     """c (a + sign a^dagger) by diagonals, from up[r] = c sqrt(r+1) =
     <r|c a|r+1>."""
@@ -179,16 +222,11 @@ def _ladder_bands(up: np.ndarray, sign: float) -> np.ndarray:
     return bands
 
 
-def build_hamiltonian(params: OscillatorParams, basis_size: int) -> TruncatedOperator:
-    """H = p^2/2m + m omega0^2 x^2 / 2 + m lam x^(p+1)/(p+1), with every
-    operator product formed inside the truncated basis.
-
-    The ladder operators are tridiagonal, so each product is formed
-    diagonal by diagonal, and H is written into the dense matrix as its
-    2p + 3 diagonals."""
-    if basis_size < 8:
-        raise ValueError("basis_size must be at least 8")
-    n = basis_size
+def _hamiltonian_bands(params: OscillatorParams, n: int) -> np.ndarray:
+    """The 2p + 3 diagonals of H = p^2/2m + m omega0^2 x^2 / 2
+    + m lam x^(p+1)/(p+1) on n states, with every operator product formed
+    inside the truncated basis, diagonal by diagonal, since the ladder
+    operators are tridiagonal."""
     x = _ladder_bands(_position_offdiag(params, n), 1.0)
     # p = i P with real P = sqrt(m hbar omega0 / 2) (a^dagger - a)
     p_scale = math.sqrt(params.mass * params.hbar * params.omega0 / 2.0)
@@ -201,13 +239,14 @@ def build_hamiltonian(params: OscillatorParams, basis_size: int) -> TruncatedOpe
     w = params.force_exponent + 1
     bands[w - 2 : w + 3] = (-_band_product(p_over_i, p_over_i) / (2.0 * params.mass)
                             + 0.5 * params.mass * params.omega0**2 * x2) + bands[w - 2 : w + 3]
-    h = np.zeros((n, n))
-    flat = h.reshape(-1)
-    for k in range(-w, w + 1):
-        # the cells (r, r+k) of rows r = lo..lo+m-1 lie n+1 apart in flat
-        lo, m = max(-k, 0), n - abs(k)
-        flat[lo * (n + 1) + k :: n + 1][:m] = bands[w + k, lo : lo + m]
-    return TruncatedOperator(params=params, matrix=h)
+    return bands
+
+
+def build_hamiltonian(params: OscillatorParams, basis_size: int) -> TruncatedOperator:
+    """The truncated Hamiltonian of `_hamiltonian_bands` as a dense matrix."""
+    if basis_size < 8:
+        raise ValueError("basis_size must be at least 8")
+    return TruncatedOperator(params=params, matrix=_dense(_hamiltonian_bands(params, basis_size)))
 
 
 def diagonalize(op: TruncatedOperator) -> SpectrumResult:
@@ -281,49 +320,97 @@ def _unbounded_below(params: OscillatorParams) -> bool:
     return params.force_exponent % 2 == 0 or params.lam < 0
 
 
-def spectrum(params: OscillatorParams, basis_size: int) -> SpectrumResult:
-    """Diagonalize the truncated Hamiltonian and vet the result.
+def spectrum(params: OscillatorParams, basis_size: int, count: int) -> SpectrumResult:
+    """The `count` lowest eigenpairs of the truncated Hamiltonian H_N,
+    N = basis_size, certified and vetted.
+
+    The pairs are the Rayleigh-Ritz block of `lowest_eigenpairs`, which
+    shows that each is an eigenpair of H_N. `_certified` then shows that
+    no other eigenvalue of H_N lies below them; where it cannot, the block
+    grows to N, which is `diagonalize(build_hamiltonian(params, N))` bit
+    for bit.
 
     For the cubic force this enforces the coupling cap. Where the potential
     is unbounded below it requires the lowest PLATEAU_LEVELS eigenvalues to
-    move less than PLATEAU_TOL when the basis shrinks by PLATEAU_STEP, since
-    those eigenvalues only approximate metastable levels. The smaller basis
-    is solved only for those levels, by `lowest_eigenpairs`, once it holds
-    more than 2 * BLOCK_START * PLATEAU_LEVELS states; below that the
-    block's first doubling would already reach it, and it is solved in full.
+    move at most PLATEAU_TOL * hbar * omega0 when the basis shrinks by
+    PLATEAU_STEP, since those eigenvalues only approximate metastable
+    levels; count must be at least PLATEAU_LEVELS. The smaller basis needs
+    no solve of its own where the accepted block of M states has
+    M + 2(p + 1) <= N - PLATEAU_STEP: its Ritz problem is then the same
+    matrix, with the same tail, so the pairs are eigenpairs of H(N -
+    PLATEAU_STEP) as well and the drift is 0. By Cauchy interlacing the
+    certificate carries over to the leading N - PLATEAU_STEP states of H_N,
+    which differ from H(N - PLATEAU_STEP) only in the last rows, where the
+    smaller basis cuts its operator products; a partner of
+    `lowest_eigenpairs` is not certified either. Otherwise it is solved for
+    those levels by `lowest_eigenpairs` once it holds more than
+    2 * BLOCK_START * PLATEAU_LEVELS states, and in full below that, where
+    the block's first doubling would already reach it.
     """
     _refuse_deep_cubic(params)
-    result = diagonalize(build_hamiltonian(params, basis_size))
+    w = params.force_exponent + 1
     smaller_size = basis_size - PLATEAU_STEP
+    # a first block too large to stand in for the plateau partner saves no
+    # solve, so the spectrum is then solved in full at once
+    block = None
+    if BLOCK_START * count + 2 * w <= smaller_size:
+        block = _ritz_block(params, basis_size, count)
+    if block is None or (block.basis_size < basis_size
+                         and not _certified(params, basis_size, block, count)):
+        block = diagonalize(build_hamiltonian(params, basis_size))
+    result = _held(block, basis_size, count)
     levels = min(PLATEAU_LEVELS, smaller_size)
-    if smaller_size > 2 * BLOCK_START * PLATEAU_LEVELS:
+    if block.basis_size + 2 * w <= smaller_size:
+        smaller = result
+    elif smaller_size > 2 * BLOCK_START * PLATEAU_LEVELS:
         smaller = lowest_eigenpairs(params, smaller_size, levels)
     else:
         smaller = diagonalize(build_hamiltonian(params, smaller_size))
     drift = np.abs(result.eigenvalues[:levels] - smaller.eigenvalues[:levels])
-    if _unbounded_below(params) and np.any(drift > PLATEAU_TOL):
+    bound = PLATEAU_TOL * params.hbar * params.omega0
+    if _unbounded_below(params) and np.any(drift > bound):
         raise PlateauError(
             f"eigenvalue drift {np.max(drift):.3e} over basis step "
-            f"{PLATEAU_STEP} exceeds {PLATEAU_TOL:.1e}"
+            f"{PLATEAU_STEP} exceeds {bound:.1e}"
         )
     return replace(result, plateau=drift)
 
 
-def lowest_eigenpairs(params: OscillatorParams, basis_size: int, count: int) -> SpectrumResult:
-    """The `count` lowest eigenpairs of the Hamiltonian truncated to
-    N = basis_size states, by Rayleigh-Ritz on its leading M states.
+def _certified(params: OscillatorParams, basis_size: int, block: SpectrumResult,
+               count: int) -> bool:
+    """Whether H_N has no eigenvalue below sigma but the `count` lowest
+    pairs of an accepted Ritz block, with sigma midway between the block's
+    count-th and next Ritz value.
 
-    H has band reach w = p + 1, and the leading M + w rows of H built on
-    M + 2w states are those of H_N, so the M x M block is solved without
-    forming H_N. A Ritz pair (e, v), with v padded by zeros, leaves
-    H_N v - e v = block residual + the tail t = H_N[M:M+w, M-w:M] v[M-w:].
-    The pairs are accepted when every max |t| <= eps times the block's
-    largest |eigenvalue|, below the rounding of the block's own eigensolve;
-    otherwise M doubles. At M = N this is
-    `diagonalize(build_hamiltonian(params, N))`, bit for bit. Only the
-    accepted pairs are kept: reading pair `count` or past raises
-    IndexError. The cubic coupling cap is enforced as in `spectrum`."""
-    _refuse_deep_cubic(params)
+    Those pairs (E_i, v_i) are eigenpairs of H_N, so A = H_N - sigma I
+    + c V V^T with c = 2 (sigma - E_0) has the eigenvalues
+    E_i - sigma + c > 0 on them and lambda - sigma on every other
+    eigenvalue lambda of H_N. A is positive definite, which
+    `np.linalg.cholesky` tests in N^3/3 operations, exactly when no such
+    lambda lies below sigma, up to rounding of order N eps max |H_N|. An
+    operator that couples no even level to an odd one, as the quartic H,
+    is tested as its two parity blocks, as `diagonalize` solves it."""
+    e = block.eigenvalues
+    sigma = 0.5 * (e[count - 1] + e[count])
+    c = 2.0 * (sigma - e[0])
+    bands = _hamiltonian_bands(params, basis_size)
+    w = params.force_exponent + 1
+    step = 1 if bands[(w + 1) % 2 :: 2].any() else 2
+    for start in range(step):
+        a = _dense(bands[w % step :: step, start::step])
+        a.flat[:: a.shape[0] + 1] -= sigma
+        v = block.eigenvectors[start::step, :count]
+        a[: len(v), : len(v)] += (c * v) @ v.T
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return False
+    return True
+
+
+def _ritz_block(params: OscillatorParams, basis_size: int, count: int) -> SpectrumResult:
+    """The accepted Rayleigh-Ritz block of `lowest_eigenpairs`, every one
+    of its pairs."""
     w = params.force_exponent + 1
     m = BLOCK_START * count
     while True:
@@ -331,11 +418,40 @@ def lowest_eigenpairs(params: OscillatorParams, basis_size: int, count: int) -> 
         op = build_hamiltonian(params, min(basis_size, m + 2 * w))
         h = op.matrix
         block = diagonalize(op if m == op.basis_size else TruncatedOperator(params, h[:m, :m]))
-        evals, evecs = block.eigenvalues, block.eigenvectors[:, :count].copy()
-        tail = h[m : m + w, m - w : m] @ evecs[m - w :]
-        if m == basis_size or np.max(np.abs(tail)) <= EPS * np.max(np.abs(evals)):
-            return replace(block, eigenvalues=evals[:count], eigenvectors=evecs)
+        tail = h[m : m + w, m - w : m] @ block.eigenvectors[m - w :, :count]
+        if m == basis_size or np.max(np.abs(tail)) <= EPS * np.max(np.abs(block.eigenvalues)):
+            return block
         m *= 2
+
+
+def _held(block: SpectrumResult, basis_size: int, count: int) -> SpectrumResult:
+    """The `count` lowest pairs of a Ritz block as eigenpairs of H_N: each
+    eigenvector padded with zeros to the N states."""
+    v = np.zeros((basis_size, count))
+    v[: block.basis_size] = block.eigenvectors[:, :count]
+    return replace(block, basis_size=basis_size, eigenvalues=block.eigenvalues[:count],
+                   eigenvectors=v)
+
+
+def lowest_eigenpairs(params: OscillatorParams, basis_size: int, count: int) -> SpectrumResult:
+    """`count` eigenpairs of the Hamiltonian truncated to N = basis_size
+    states, by Rayleigh-Ritz on its leading M states: the lowest of the
+    M x M block, not shown to be the lowest of H_N (`spectrum` certifies
+    that).
+
+    H has band reach w = p + 1, and the leading M + w rows of H built on
+    M + 2w states are those of H_N, so the M x M block is solved without
+    forming H_N. A Ritz pair (e, v), with v padded by zeros, leaves
+    H_N v - e v = block residual + the tail t = H_N[M:M+w, M-w:M] v[M-w:].
+    The pairs are accepted when every max |t| <= eps times the block's
+    largest |eigenvalue|, below the rounding of the block's own eigensolve,
+    so each is an eigenpair of H_N to rounding; otherwise M doubles. At
+    M = N this is `diagonalize(build_hamiltonian(params, N))`, bit for
+    bit. Only the accepted pairs are kept, their eigenvectors padded to the
+    N states: reading pair `count` or past raises IndexError. The cubic
+    coupling cap is enforced as in `spectrum`."""
+    _refuse_deep_cubic(params)
+    return _held(_ritz_block(params, basis_size, count), basis_size, count)
 
 
 def rspt(params: OscillatorParams, levels: int, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -40,10 +43,20 @@ def cached_spectrum():
         key = (lam, force_exponent, basis_size)
         if key not in _SPECTRA:
             p = OscillatorParams(lam=lam, force_exponent=force_exponent)
-            _SPECTRA[key] = spectrum(p, basis_size)
+            _SPECTRA[key] = spectrum(p, basis_size, basis_size)
         return _SPECTRA[key]
 
     return get
+
+
+def load_script(relative):
+    """A script of the repository, e.g. "scripts/oracle_sweep.py", loaded
+    as a module."""
+    path = pathlib.Path(__file__).resolve().parent.parent / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_symmetric_band(rng, n_max, band_max, scale=1.0):

@@ -1,4 +1,3 @@
-import importlib.util
 import inspect
 import io
 import json
@@ -17,21 +16,13 @@ from ampmech import cli
 from ampmech.cli import run
 from ampmech.core import BandAmplitudeArray
 from ampmech.perturb import solve_perturbative
+from conftest import load_script
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
 
-def _load_file(relative):
-    path = ROOT / relative
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _load_golden_script():
-    return _load_file("scripts/regenerate_goldens.py")
+    return load_script("scripts/regenerate_goldens.py")
 
 
 # the golden script's table is the one list of reference invocations
@@ -300,7 +291,7 @@ class TestBenchmarkTrace:
         return found
 
     def test_trace_counts_calls_and_restores_bindings(self):
-        tracer = _load_file("perfbench/tracer.py").Tracer()
+        tracer = load_script("perfbench/tracer.py").Tracer()
         before = self.bindings()
         try:
             tracer.install()

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ from ampmech import (
     spectrum,
 )
 from ampmech.checks import _gap_pairs, gap_exact, thomas_kuhn_residuals
-from ampmech.oracle import PLATEAU_LEVELS, PLATEAU_STEP
+from ampmech.oracle import BLOCK_START, PLATEAU_LEVELS, PLATEAU_STEP
 from ampmech.perturb import ROUNDING_C
 from conftest import (assert_same_bits, default_lambda_grid, dense_amplitudes,
-                      lambda_series_fit, motion_from_spectrum)
+                      lambda_series_fit, load_script, motion_from_spectrum)
+
+SWEEP = load_script("scripts/oracle_sweep.py")
 
 P2 = OscillatorParams()  # lam = 0.05, cubic force
 B = math.sqrt(2.0)
@@ -325,24 +328,24 @@ def oracle_peak_bytes(argv):
 
 
 class TestOracleMemory:
-    # The phase fix of the main spectrum's `diagonalize` sets the peak: |V|
-    # and the copy its column argmax reads, while H, V and the residual's
-    # work array are held. Measured at N = 200: 5.02 N^2 float64 for the
-    # cubic force, 3.79 N^2 for the quartic one, whose H is solved as two
-    # parity blocks. The bounds leave 10 % above that
-    def test_cubic_oracle_peaks_near_five_matrices(self):
+    # The certificate of the main spectrum sets the peak: the dense
+    # H_N - sigma I + c V V^T and its Cholesky factor, N^2 each for the
+    # cubic force and N^2 / 4 each for each parity block of the quartic one.
+    # Measured at N = 200: 2.17 N^2 float64 for the cubic force, 0.68 N^2
+    # for the quartic one. The bounds leave 10 % above that
+    def test_cubic_oracle_peaks_near_two_matrices(self):
         n = 200
-        assert oracle_peak_bytes(["oracle", "--basis-size", str(n)]) <= 5.5 * n * n * 8
+        assert oracle_peak_bytes(["oracle", "--basis-size", str(n)]) <= 2.4 * n * n * 8
 
-    def test_quartic_oracle_peaks_near_four_matrices(self):
+    def test_quartic_oracle_peaks_below_one_matrix(self):
         n = 200
         peak = oracle_peak_bytes(["oracle", "--basis-size", str(n), "--force", "3"])
-        assert peak <= 4.2 * n * n * 8
+        assert peak <= 0.75 * n * n * 8
 
     @pytest.mark.parametrize("argv", [["oracle"], ["oracle", "--force", "3"],
                                       ["oracle", "--lam", "0.01"]], ids=" ".join)
     def test_each_spectrum_is_freed_before_the_next(self, argv, monkeypatch):
-        refs, solves = [], []
+        refs, solves, shapes = [], [], []
 
         def recorder(solve):
             def recorded(*args, **kwargs):
@@ -350,6 +353,7 @@ class TestOracleMemory:
                 result = solve(*args, **kwargs)
                 refs.append(weakref.ref(result))
                 solves.append(solve)
+                shapes.append(result.eigenvectors.shape)
                 return result
             return recorded
 
@@ -359,6 +363,10 @@ class TestOracleMemory:
         # the main spectrum, then the gap spectra: away from lam_1 the check
         # solves both of its couplings
         assert solves == [spectrum] + [lowest_eigenpairs] * (2 if "--lam" in argv else 1)
+        # each holds only the pairs the run reads, as eigenvectors of H_80:
+        # the main one the 8 levels reported, the others the gap states
+        states = 7 if "--force" in argv else 6
+        assert shapes == [(80, 8)] + [(80, states)] * (len(shapes) - 1)
 
 
 class TestSpectrumVetting:
@@ -379,41 +387,69 @@ class TestSpectrumVetting:
         monkeypatch.setattr(ampmech.cli, "lowest_eigenpairs", recorder(lowest_eigenpairs))
         monkeypatch.setattr(SpectrumResult, "position_columns", columns)
         assert ampmech.cli.run(["oracle"], stream=io.StringIO()) == 0
-        # the main spectrum serves lam_1 = lam; the one extra is at lam/2,
-        # a block of the lowest states
+        # the main spectrum serves lam_1 = lam; the one extra is at lam/2.
+        # Both are blocks of the lowest states
         main, half = made
         assert half.params.lam == 0.025
-        assert main.basis_size == 80 and half.basis_size < 80
-        # the Thomas-Kuhn rows and the gap-order entries at lam_1 read the
-        # main spectrum, the entries at lam/2 the block: a few columns each
+        assert main.eigenvectors.shape == (80, 8) and half.eigenvectors.shape == (80, 6)
+        # the gap-order entries read two columns of each; the Thomas-Kuhn
+        # rows read none, since closure needs only x v_n
         assert [(spec is main, spec is half) for spec, _ in read] == [
-            (True, False), (True, False), (False, True)]
-        assert max(count for _, count in read) == PLATEAU_LEVELS
+            (True, False), (False, True)]
+        assert max(count for _, count in read) == 2
 
     @pytest.mark.parametrize("argv", [[], ["--force", "3"], ["--lam", "0.01"],
                                       ["--lam", "0.01", "--force", "3"]],
                              ids=lambda argv: " ".join(["oracle", *argv]))
     def test_the_plateau_partner_is_a_block_above_96_states(self, argv, monkeypatch):
-        def sizes_built(n):
-            sizes = []
+        def built(n):
+            sizes, out = [], io.StringIO()
 
             def recorded(params, basis_size):
                 sizes.append(basis_size)
                 return build_hamiltonian(params, basis_size)
 
             monkeypatch.setattr(ampmech.oracle, "build_hamiltonian", recorded)
-            assert ampmech.cli.run(["oracle", "--basis-size", str(n), *argv],
-                                   stream=io.StringIO()) == 0
-            return sizes
+            assert ampmech.cli.run(["oracle", "--basis-size", str(n), *argv], stream=out) == 0
+            return sizes, json.loads(out.getvalue())["results"]["plateau"]
 
-        # N for the main spectrum, then blocks well below N - PLATEAU_STEP
-        # for its plateau partner and the gap spectra
-        sizes = sizes_built(300)
-        assert sizes[0] == 300
-        assert len(sizes) > 2 and max(sizes[1:]) < 300 - PLATEAU_STEP
-        # at N - PLATEAU_STEP <= 96 the block's first doubling would reach
-        # it, so the plateau partner is the full solve
-        assert sizes_built(80)[:2] == [80, 80 - PLATEAU_STEP]
+        # every spectrum is a block well below N - PLATEAU_STEP: the main
+        # one is certified without an eigensolve of H_N, and it stands in
+        # for its plateau partner, whose drift is then 0
+        sizes, plateau = built(300)
+        assert max(sizes) < 300 - PLATEAU_STEP
+        assert plateau == [0] * PLATEAU_LEVELS
+        # at N = 80 the first block, 64 states, stands in for the partner on
+        # 70 only where 64 + 2(p + 1) <= 70: for the cubic force. The quartic
+        # spectrum and its partner are then solved in full
+        sizes, plateau = built(80)
+        w = 4 if "--force" in argv else 3
+        if BLOCK_START * 8 + 2 * w <= 80 - PLATEAU_STEP:
+            assert sizes[0] == BLOCK_START * 8 + 2 * w and plateau == [0] * PLATEAU_LEVELS
+        else:
+            assert sizes[:2] == [80, 80 - PLATEAU_STEP]
+
+    def test_a_skipped_certificate_passes_deep_truncation_states(self, monkeypatch):
+        # H_600 of the cubic force holds truncation states far below the
+        # metastable levels, which the block finds; the certificate sees
+        # them, the full solve follows and the plateau rule refuses the run
+        argv = ["oracle", "--basis-size", "600"]
+        assert ampmech.cli.run(argv, stream=io.StringIO()) == 3
+        monkeypatch.setattr(ampmech.oracle, "_certified", lambda *args: True)
+        assert ampmech.cli.run(argv, stream=io.StringIO()) == 0
+
+    @pytest.mark.parametrize("force, lam, n, certified", [
+        (2, 0.05, 300, True), (2, 0.05, 600, False), (2, 0.025, 600, True),
+        (3, 0.05, 600, True), (3, -0.005, 300, False), (3, -0.001, 300, True)])
+    def test_the_certificate_counts_the_levels_below_sigma(self, force, lam, n, certified):
+        # against the eigenvalues of H_N below sigma, counted by a full solve
+        params = OscillatorParams(lam=lam, force_exponent=force)
+        block = ampmech.oracle._ritz_block(params, n, 8)
+        assert block.basis_size < n
+        sigma = 0.5 * (block.eigenvalues[7] + block.eigenvalues[8])
+        below = np.sum(np.linalg.eigvalsh(build_hamiltonian(params, n).matrix) < sigma)
+        assert (below == 8) == certified
+        assert ampmech.oracle._certified(params, n, block, 8) == certified
 
     def test_plateau_reported(self, cached_spectrum):
         spec = cached_spectrum(0.05)
@@ -428,13 +464,14 @@ class TestSpectrumVetting:
 
     def test_deep_cubic_coupling_rejected(self):
         with pytest.raises(ValueError):
-            spectrum(OscillatorParams(lam=0.2), 80)
+            spectrum(OscillatorParams(lam=0.2), 80, PLATEAU_LEVELS)
 
     def test_negative_quartic_coupling_needs_a_plateau(self):
         # m lam x^4 / 4 at lam < 0 is unbounded below, as the cubic force is
         with pytest.raises(PlateauError):
-            spectrum(OscillatorParams(lam=-0.05, force_exponent=3), 80)
-        assert np.max(spectrum(OscillatorParams(lam=-0.001, force_exponent=3), 80).plateau) <= 1e-8
+            spectrum(OscillatorParams(lam=-0.05, force_exponent=3), 80, PLATEAU_LEVELS)
+        spec = spectrum(OscillatorParams(lam=-0.001, force_exponent=3), 80, PLATEAU_LEVELS)
+        assert np.max(spec.plateau) <= 1e-8
 
     @pytest.mark.parametrize("argv", [["--lam", "-0.05"], ["--lam", "-0.005", "--basis-size", "300"]],
                              ids=" ".join)
@@ -500,7 +537,7 @@ class TestLowestEigenpairs:
         # truncation states; the block returns the levels that plateau at N = 80
         block = lowest_eigenpairs(P2, 600, self.COUNT)
         assert full_spectrum_pairs(P2, 600, 1)[0][0] < -70.0
-        plateaued = spectrum(P2, 80).eigenvalues[: self.COUNT]
+        plateaued = spectrum(P2, 80, self.COUNT).eigenvalues
         assert np.all(np.abs(block.eigenvalues - plateaued) <= 4 * 600 * EPS * plateaued)
 
     def test_has_the_bits_of_the_full_solve_when_the_block_reaches_n(self):
@@ -514,7 +551,9 @@ class TestLowestEigenpairs:
 
     def test_unverified_pairs_cannot_be_read(self):
         block = lowest_eigenpairs(P2, 300, self.COUNT)
-        assert block.basis_size < 300 and block.eigenvectors.shape[1] == self.COUNT
+        # a block of BLOCK_START states per pair, padded to the 300 states
+        assert block.eigenvectors.shape == (300, self.COUNT)
+        assert not block.eigenvectors[BLOCK_START * self.COUNT :].any()
         for read in (lambda: block.eigenvalues[self.COUNT],
                      lambda: block.eigenvectors[:, self.COUNT],
                      lambda: block.omega_exact(self.COUNT, 0),
@@ -546,54 +585,82 @@ _UNITS = ["--mass", "1.3", "--omega0", "0.8", "--hbar", "0.7"]
 _TK = ["thomas-kuhn-sum-rule"]
 
 
+# exit code and failing checks of `oracle` over basis sizes, levels,
+# couplings and units of both forces
+_VERDICTS = [
+    # a basis too small for the cubic plateau, and one large enough to
+    # hold truncation states below the metastable levels
+    _verdict(["--basis-size", "18"], 3),
+    _verdict(["--basis-size", "24"], 3),
+    _verdict(["--basis-size", "30"], 0),
+    _verdict(["--basis-size", "80"], 0),
+    _verdict(["--basis-size", "300"], 0),
+    _verdict(["--basis-size", "600"], 3),
+    _verdict(["--lam", "0.01"], 0),
+    # the main spectrum plateaus at lam = 0.01; the gap spectra are the
+    # verified blocks of metastable levels
+    _verdict(["--lam", "0.01", "--basis-size", "600"], 0),
+    _verdict(["--levels", "1"], 0),
+    _verdict(["--levels", "20"], 0),
+    _verdict(_UNITS, 2),
+    _verdict([*_UNITS, "--lam", "0.01"], 0),
+    _verdict(["--force", "3", "--basis-size", "18"], 1, _TK),
+    *(_verdict(["--force", "3", "--basis-size", n], 0) for n in ("24", "30", "80", "300", "600")),
+    _verdict(["--force", "3", "--lam", "0.01"], 0),
+    _verdict(["--force", "3", "--lam", "0.01", "--basis-size", "600"], 0),
+    _verdict(["--force", "3", "--levels", "1"], 0),
+    _verdict(["--force", "3", "--levels", "20"], 0),
+    _verdict(["--force", "3", *_UNITS], 0),
+    _verdict(["--force", "3", *_UNITS, "--lam", "0.01"], 0),
+    _verdict(["--force", "3", "--lam", "0.2"], 0),
+    _verdict(["--force", "3", "--lam", "0.5"], 0),
+    _verdict(["--force", "3", "--lam", "-0.05"], 3),
+    _verdict(["--force", "3", "--lam", "1.0", "--basis-size", "200"], 0),
+]
+
+
 class TestOracleVerdicts:
     """Exit code and failing checks of `oracle` over basis sizes, levels,
     couplings and units of both forces."""
 
-    @pytest.mark.parametrize("argv, code, failing", [
-        # a basis too small for the cubic plateau, and one large enough to
-        # hold truncation states below the metastable levels
-        _verdict(["--basis-size", "18"], 3),
-        _verdict(["--basis-size", "24"], 3),
-        _verdict(["--basis-size", "30"], 0),
-        _verdict(["--basis-size", "80"], 0),
-        _verdict(["--basis-size", "300"], 0),
-        _verdict(["--basis-size", "600"], 3),
-        _verdict(["--lam", "0.01"], 0),
-        # the main spectrum plateaus at lam = 0.01; the gap spectra are the
-        # verified blocks of metastable levels
-        _verdict(["--lam", "0.01", "--basis-size", "600"], 0),
-        _verdict(["--levels", "1"], 0),
-        _verdict(["--levels", "20"], 0),
-        _verdict(_UNITS, 2),
-        _verdict([*_UNITS, "--lam", "0.01"], 0),
-        _verdict(["--force", "3", "--basis-size", "18"], 1, _TK),
-        *(_verdict(["--force", "3", "--basis-size", n], 0) for n in ("24", "30", "80", "300", "600")),
-        _verdict(["--force", "3", "--lam", "0.01"], 0),
-        _verdict(["--force", "3", "--lam", "0.01", "--basis-size", "600"], 0),
-        _verdict(["--force", "3", "--levels", "1"], 0),
-        _verdict(["--force", "3", "--levels", "20"], 0),
-        _verdict(["--force", "3", *_UNITS], 0),
-        _verdict(["--force", "3", *_UNITS, "--lam", "0.01"], 0),
-        _verdict(["--force", "3", "--lam", "0.2"], 0),
-        _verdict(["--force", "3", "--lam", "0.5"], 0),
-        _verdict(["--force", "3", "--lam", "-0.05"], 3),
-        _verdict(["--force", "3", "--lam", "1.0", "--basis-size", "200"], 0),
-    ])
+    @pytest.mark.parametrize("argv, code, failing", _VERDICTS)
     def test_exit_code_and_failing_checks(self, argv, code, failing):
         out = io.StringIO()
         assert ampmech.cli.run(["oracle", *argv], stream=out) == code
         checks = json.loads(out.getvalue())["checks"] if code < 2 else []
         assert {c["id"] for c in checks if not c["pass"]} == failing
 
+    @pytest.mark.parametrize("argv, code, failing", _VERDICTS)
+    def test_verdict_is_the_same_in_any_units(self, argv, code, failing):
+        # hbar and m scaled together leave every unit-free coupling as it
+        # is, and each model bound scales with its residual
+        for j in range(-4, 9):
+            assert SWEEP.verdict(SWEEP.scaled(argv, j)) == (code, sorted(failing))
 
-def _scaled_entry(self, count, one=SpectrumResult.position_columns):
-    """The columns with X(7, 5), which the gap-order check does not read,
-    grown by 1e-6."""
-    x = one(self, count)
-    if count > 5:
-        x[7, 5] *= 1.0 + 1e-6
-    return x
+    def test_the_sweep_runs_these_argv(self):
+        assert [list(argv) for argv in SWEEP.VERDICT_ARGV] == [p.values[0] for p in _VERDICTS]
+
+    @pytest.mark.parametrize("argv", [
+        # an absolute Thomas-Kuhn bound fails this at 3.2e-7, rounding of a
+        # sum of order h = 6.3e6
+        ["--force", "3", "--basis-size", "600", "--hbar", "1e6", "--mass", "1e6"],
+        ["--force", "2", "--basis-size", "300", "--hbar", "1e5", "--mass", "1e5"],
+        # an absolute plateau bound refuses this on a drift of 3e-8, with
+        # hbar omega0 = 1e7
+        ["--force", "2", "--basis-size", "300", "--hbar", "1e7", "--mass", "1e7"],
+    ], ids=" ".join)
+    def test_model_bounds_are_in_the_units_of_the_run(self, argv):
+        assert SWEEP.verdict(argv) == (0, [])
+
+
+def _tampered_state(params, basis_size, count, one=spectrum):
+    """The main spectrum with the largest entry of v_5 grown by 1e-6: the
+    Thomas-Kuhn rows read v_5, the cubic gap-order check only the states
+    below it."""
+    spec = one(params, basis_size, count)
+    v = spec.eigenvectors.copy()
+    v[np.argmax(np.abs(v[:, 5])), 5] *= 1.0 + 1e-6
+    return replace(spec, eigenvectors=v)
 
 
 def _one_coefficient(accessor, order, band, row, factor):
@@ -633,7 +700,7 @@ class TestInjectedViolations:
     # the ids "amplitude-fits" and "frequency-fit" name the series-fit checks
     # these cases failed before the gap-order check replaced the fits
     @pytest.mark.parametrize("argv, owner, name, tamper, failing", [
-        (CUBIC, SpectrumResult, "position_columns", _scaled_entry, {"thomas-kuhn-sum-rule"}),
+        (CUBIC, ampmech.cli, "spectrum", _tampered_state, {"thomas-kuhn-sum-rule"}),
         (CUBIC, *_AMPLITUDE),
         (CUBIC, *_FREQUENCY),
         (CUBIC, *_FREQUENCY_TARGET),
@@ -801,6 +868,21 @@ class TestSumRule:
         size = 4.0 * math.pi * spec.params.mass * np.sum(x * x * np.abs(omega), axis=0)
         bound = ROUNDING_C * n * EPS * (size + spec.params.h)
         assert np.all(np.abs(thomas_kuhn_residuals(spec) - reference) <= bound)
+
+
+class TestClosure:
+    @pytest.mark.parametrize("n", [80, 300])
+    @pytest.mark.parametrize("force", [2, 3])
+    def test_rows_equal_the_full_spectrum_sum(self, force, n):
+        # the oracle's rows, by closure over its main spectrum, against the
+        # sum over every eigenpair of the full solve
+        params = OscillatorParams(force_exponent=force)
+        full = diagonalize(build_hamiltonian(params, n))
+        x = full.position_columns(PLATEAU_LEVELS)
+        omega = (full.eigenvalues[:, None] - full.eigenvalues[:PLATEAU_LEVELS]) / params.hbar
+        summed = 4.0 * math.pi * params.mass * np.sum(x * x * omega, axis=0) - params.h
+        rows = thomas_kuhn_residuals(spectrum(params, n, 8))
+        assert np.all(np.abs(rows - summed) <= 4 * n * EPS * params.h)
 
 
 class TestSolverAgreement:
