@@ -14,7 +14,6 @@ from .core import (
     FrequencyGrid,
     MotionRepresentation,
     commutator_diagonal,
-    multiply,
     quantum_condition_residual,
     time_derivative,
 )

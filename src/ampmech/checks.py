@@ -21,12 +21,11 @@ from dataclasses import replace
 import numpy as np
 
 from .core import (BandAmplitudeArray, FrequencyGrid, MotionRepresentation,
-                   commutator_diagonal, multiply, quantum_condition_residual,
-                   time_derivative)
-from .oracle import PLATEAU_LEVELS
+                   commutator_diagonal, quantum_condition_residual, time_derivative)
+from .oracle import PLATEAU_LEVELS, _dense
 from .perturb import (ROUNDING_C, EnergyConservationError, StructureViolationError,
                       _engine_extent, _eom_terms, _half, _omega_series,
-                      _qc_residual_coefficient, assemble_motion, band_weight,
+                      _qc_residual_coefficient, _series_mul, assemble_motion, band_weight,
                       closed_form_amplitude, closed_form_frequency, energy_matrix,
                       extract_structure_constants, sho_solve)
 
@@ -55,15 +54,22 @@ DETAILS = {
 # the product law on random banded arrays
 
 
-def _random_symmetric_band(rng, n_max: int, band_max: int) -> BandAmplitudeArray:
-    data = np.zeros((n_max + 1, 2 * band_max + 1))
+def _random_symmetric_band(rng, n_max: int, band_max: int) -> np.ndarray:
+    """A random real-symmetric band array as a one-power series of
+    `_series_mul`: s[0, band_max + alpha, n] = X(n, n-alpha)."""
+    s = np.zeros((1, 2 * band_max + 1, n_max + 1))
     for a in range(band_max + 1):
         vals = rng.normal(size=n_max + 1)
         vals[:a] = 0.0
-        data[:, band_max + a] = vals
+        s[0, band_max + a] = vals
         if a:
-            data[: n_max + 1 - a, band_max - a] = vals[a:]
-    return BandAmplitudeArray(data)
+            s[0, band_max - a, : n_max + 1 - a] = vals[a:]
+    return s
+
+
+def _dense_series(s: np.ndarray) -> np.ndarray:
+    """The dense matrix of a one-power series: band g is diagonal -g."""
+    return _dense(s[0, ::-1])
 
 
 def _relative(got, want, size):
@@ -74,38 +80,47 @@ def _relative(got, want, size):
 
 
 def algebra(params, seed: int):
-    """Ritz rule, product law and derivative on random banded arrays."""
+    """Ritz rule, product law and derivative on random banded arrays, as the
+    solver forms them: frequencies by `_omega_series`, products by
+    `_series_mul` at one power."""
     rng = np.random.default_rng(seed)
     n_max = 14
     x, y, z = (_random_symmetric_band(rng, n_max, b) for b in (2, 3, 2))
     # dyadic rationals keep potential differences exact in binary floating point
     pot = rng.integers(-(2**20), 2**20, size=n_max + 8).astype(float) / 1024.0
+    om = _omega_series(pot[None], 6)[0]  # omega(n, n-g) on the bands g through a + b = 6
     worst = 0.0
     for a in range(1, 4):
         for b in range(1, 4):
             n = np.arange(a + b, n_max)
-            ritz = (pot[n] - pot[n - a]) + (pot[n - a] - pot[n - a - b]) - (pot[n] - pot[n - a - b])
+            ritz = om[6 + a, n] + om[6 + b, n - a] - om[6 + a + b, n]
             worst = max(worst, float(np.max(np.abs(ritz), initial=0.0)))
     yield "ritz-combination", worst, 0.0
 
     # each product and dense form is made once and read by every check
-    xy = multiply(x, y)
-    dense_xy = xy.to_dense()
-    dense_x, dense_y = x.to_dense(), y.to_dense()
-    ax, ay, az = np.abs(dense_x), np.abs(dense_y), np.abs(z.to_dense())
+    xy = _series_mul(x, y, 0)
+    dense_xy = _dense_series(xy)
+    dense_x, dense_y = _dense_series(x), _dense_series(y)
+    ax, ay, az = np.abs(dense_x), np.abs(dense_y), np.abs(_dense_series(z))
     axy = ax @ ay
     yield "multiply-matches-dense-product", *_relative(dense_xy, dense_x @ dense_y, axy)
-    left = multiply(xy, z).to_dense()
-    right = multiply(x, multiply(y, z)).to_dense()
+    left = _dense_series(_series_mul(xy, z, 0))
+    right = _dense_series(_series_mul(x, _series_mul(y, z, 0), 0))
     yield "multiply-associative", *_relative(right, left, axy @ az)
     yield "product-transpose-reverses-order", *_relative(
-        dense_xy.T, multiply(y, x).to_dense(), ay @ ax)
+        dense_xy.T, _dense_series(_series_mul(y, x, 0)), ay @ ax)
 
     grid = FrequencyGrid(pot)
-    dx, dy = (time_derivative(MotionRepresentation(m, grid, params)) for m in (x, y))
-    lhs = time_derivative(MotionRepresentation(xy, grid, params)).to_dense()
-    rhs = multiply(dx, y).to_dense() + multiply(x, dy).to_dense()
-    size = np.abs(dx.to_dense()) @ ay + ax @ np.abs(dy.to_dense())
+
+    def rate(s):
+        """omega X of a series, the real factor of its time derivative."""
+        motion = MotionRepresentation(BandAmplitudeArray(s[0].T), grid, params)
+        return time_derivative(motion).data.T[None]
+
+    dx, dy = rate(x), rate(y)
+    lhs = _dense_series(rate(xy))
+    rhs = _dense_series(_series_mul(dx, y, 0)) + _dense_series(_series_mul(x, dy, 0))
+    size = np.abs(_dense_series(dx)) @ ay + ax @ np.abs(_dense_series(dy))
     yield "derivative-product-rule", *_relative(lhs, rhs, size)
 
 

@@ -11,9 +11,8 @@ potential Omega(n) so that the Ritz combination rule
 holds exactly by construction, not merely to rounding.
 
 Conventions:
-  * real-symmetric mode (the cosine convention): X(n, m) = X(m, n);
-  * complex-Hermitian mode: X(n, m) = conj(X(m, n)), used for time
-    derivatives where entries pick up a factor i*omega(n, m);
+  * amplitudes are real and symmetric (the cosine convention):
+    X(n, m) = X(m, n);
   * any entry referencing a negative level index is identically zero
     (no transitions below the ground state).
 
@@ -21,9 +20,9 @@ Products follow the two-index multiplication law
 
     (X*Y)(n, n-beta) = sum_alpha X(n, n-alpha) * Y(n-alpha, n-beta),
 
-i.e. matrix multiplication over the stored level range. Intermediate
-levels above the truncation ceiling are dropped; `multiply` records which
-rows such discarded terms could have affected.
+i.e. matrix multiplication over the stored level range, dropping
+intermediate levels above the truncation ceiling. The solver forms it as
+`perturb._series_mul`, and `checks.algebra` checks it there.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "FrequencyGrid",
     "BandAmplitudeArray",
     "MotionRepresentation",
-    "multiply",
     "time_derivative",
     "quantum_condition_residual",
     "commutator_diagonal",
@@ -85,24 +83,17 @@ class FrequencyGrid:
 class BandAmplitudeArray:
     """Banded two-index amplitude array X(n, n-alpha).
 
-    data[n, band_max + alpha] holds X(n, n-alpha) for 0 <= n <= n_max and
-    |alpha| <= band_max. Entries whose column index n-alpha is negative
-    are forced to zero. hermitian=False stores real amplitudes with the
-    symmetric convention, hermitian=True stores complex ones with the
-    conjugate convention.
-
-    edge_touched flags rows whose content depended on levels above the
-    truncation ceiling; it is propagated by `multiply`.
+    data[n, band_max + alpha] holds the real X(n, n-alpha) for
+    0 <= n <= n_max and |alpha| <= band_max. Entries whose column index
+    n-alpha is negative are forced to zero.
     """
 
     data: np.ndarray
-    hermitian: bool = False
-    edge_touched: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not self.hermitian and np.iscomplexobj(self.data):
-            raise ValueError("real-symmetric mode cannot hold complex data")
-        d = np.array(self.data, dtype=np.complex128 if self.hermitian else np.float64)
+        if np.iscomplexobj(self.data):
+            raise ValueError("amplitudes are real: complex data is refused")
+        d = np.array(self.data, dtype=np.float64)
         if d.ndim != 2 or d.shape[1] % 2 != 1:
             raise ValueError("data must be 2-d with an odd number of band columns")
         n_rows, n_cols = d.shape
@@ -113,14 +104,6 @@ class BandAmplitudeArray:
         d[:bmax, bmax + 1 :][floor] = 0.0
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
-        flags = self.edge_touched
-        if flags is None:
-            flags = np.zeros(n_rows, dtype=bool)
-        else:
-            flags = np.asarray(flags, dtype=bool)
-            if flags.shape != (n_rows,):
-                raise ValueError("edge_touched must have one flag per row")
-        object.__setattr__(self, "edge_touched", _readonly(flags))
 
     @property
     def n_max(self) -> int:
@@ -130,41 +113,26 @@ class BandAmplitudeArray:
     def band_max(self) -> int:
         return (self.data.shape[1] - 1) // 2
 
-    def get(self, n: int, m: int) -> complex | float:
-        """Entry X(n, m), using the symmetry convention when only the
-        mirrored orientation is stored. Out-of-band and negative-level
-        entries are zero."""
-        zero = 0j if self.hermitian else 0.0
+    def get(self, n: int, m: int) -> float:
+        """Entry X(n, m), read from the mirrored orientation X(m, n) when
+        only that one is stored. Out-of-band and negative-level entries are
+        zero."""
         if n < 0 or m < 0:
-            return zero
+            return 0.0
         alpha = n - m
         if abs(alpha) > self.band_max:
-            return zero
+            return 0.0
         if n <= self.n_max:
             return self.data[n, self.band_max + alpha].item()
         if m <= self.n_max:
-            mirrored = self.data[m, self.band_max - alpha].item()
-            return mirrored.conjugate() if self.hermitian else mirrored
-        return zero
+            return self.data[m, self.band_max - alpha].item()
+        return 0.0
 
     def band(self, alpha: int) -> np.ndarray:
         """Values X(n, n-alpha) indexed by n."""
         if abs(alpha) > self.band_max:
             raise IndexError(f"band {alpha} outside band_max {self.band_max}")
         return self.data[:, self.band_max + alpha]
-
-    def to_dense(self) -> np.ndarray:
-        """Dense (n_max+1) x (n_max+1) block; columns beyond n_max are dropped."""
-        n = self.n_max + 1
-        dtype = np.complex128 if self.hermitian else np.float64
-        out = np.zeros((n, n), dtype=dtype)
-        flat = out.reshape(-1)
-        width = min(self.band_max, n - 1)
-        for alpha in range(-width, width + 1):
-            # the cells (r, r-alpha) of rows r = lo..lo+k-1 lie n+1 apart in flat
-            lo, k = max(alpha, 0), n - abs(alpha)
-            flat[lo * (n + 1) - alpha :: n + 1][:k] = self.band(alpha)[lo : lo + k]
-        return out
 
 
 @dataclass(frozen=True)
@@ -184,51 +152,12 @@ class MotionRepresentation:
             )
 
 
-def multiply(
-    x: BandAmplitudeArray, y: BandAmplitudeArray, trust_margin: int = 0
-) -> BandAmplitudeArray:
-    """Two-index product Z(n, n-beta) = sum_alpha X(n, n-alpha)*Y(n-alpha, n-beta).
-
-    The sum runs over intermediate levels inside the stored range
-    0..n_max; the result band width is the sum of the operand widths.
-    Rows whose full (untruncated) sum would have reached a level above
-    n_max - trust_margin are flagged in edge_touched, as are rows that
-    depended on already-flagged rows of either operand.
-    """
-    if x.n_max != y.n_max:
-        raise DimensionMismatchError(
-            f"operand n_max mismatch: {x.n_max} != {y.n_max}"
-        )
-    n_rows = x.n_max + 1
-    bz = x.band_max + y.band_max
-    hermitian = x.hermitian or y.hermitian
-    out = np.zeros((n_rows, 2 * bz + 1), dtype=np.complex128 if hermitian else np.float64)
-    xd = x.data.astype(out.dtype)
-    yd = y.data.astype(out.dtype)
-    by = y.band_max
-    width = min(x.band_max, n_rows - 1)
-    for a in range(-width, width + 1):
-        lo = max(0, a)
-        hi = min(n_rows - 1, n_rows - 1 + a)
-        out[lo : hi + 1, bz + a - by : bz + a + by + 1] += (
-            xd[lo : hi + 1, x.band_max + a, None] * yd[lo - a : hi + 1 - a, :]
-        )
-
-    rows = np.arange(n_rows)
-    flagged = rows + x.band_max > x.n_max - trust_margin
-    flagged |= x.edge_touched
-    # row n depends on the flags of y in the window n-band_max..n+band_max
-    seen = np.concatenate(([0], np.cumsum(y.edge_touched)))
-    lo = np.maximum(rows - x.band_max, 0)
-    hi = np.minimum(rows + x.band_max, x.n_max) + 1
-    flagged |= seen[hi] > seen[lo]
-    return BandAmplitudeArray(out, hermitian=hermitian, edge_touched=flagged)
-
-
 def time_derivative(motion: MotionRepresentation) -> BandAmplitudeArray:
-    """Entry-wise derivative: (d/dt X)(n, m) = i*omega(n, m)*X(n, m).
+    """Real factor omega(n, m)*X(n, m) of the entry-wise derivative
+    (d/dt X)(n, m) = i*omega(n, m)*X(n, m).
 
-    The result is complex-Hermitian. Entries whose column level lies
+    The result is antisymmetric, omega(m, n)*X(m, n) = -omega(n, m)*X(n, m),
+    so `get`'s mirror does not hold for it. Entries whose column level lies
     beyond the frequency grid are zeroed (truncation edge).
     """
     x = motion.amplitudes
@@ -246,8 +175,7 @@ def time_derivative(motion: MotionRepresentation) -> BandAmplitudeArray:
     col = np.arange(n_rows)[:, None] - np.arange(-b, b + 1)
     keep = (col >= 0) & (col < pot.size)
     omega = np.where(keep, pot[:n_rows, None] - lower, 0.0)
-    out = 1j * omega * np.where(keep, x.data, 0.0)
-    return BandAmplitudeArray(out, hermitian=True, edge_touched=x.edge_touched)
+    return BandAmplitudeArray(omega * np.where(keep, x.data, 0.0))
 
 
 def quantum_condition_residual(motion: MotionRepresentation) -> np.ndarray:
@@ -295,11 +223,11 @@ def commutator_diagonal(motion: MotionRepresentation) -> np.ndarray:
     amplitudes are real (the cosine convention), so the products are real.
     """
     # dx/dt = i omega X; the products run on the real omega X, i taken out.
-    # Only band 0 of X*wX and wX*X is formed, summed over alpha in the order
-    # of `multiply`: stacked, row 0 is X(n, n-alpha) wX(n-alpha, n), row 1
+    # Only band 0 of X*wX and wX*X is formed, summed over ascending alpha:
+    # stacked, row 0 is X(n, n-alpha) wX(n-alpha, n), row 1
     # wX(n, n-alpha) X(n-alpha, n)
     x = motion.amplitudes.data
-    wx = time_derivative(motion).data.imag
+    wx = time_derivative(motion).data
     left, right = np.stack([x, wx]), np.stack([wx, x])
     n_rows, b = x.shape[0], (x.shape[1] - 1) // 2
     diag = np.zeros((2, n_rows))

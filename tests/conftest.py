@@ -8,6 +8,7 @@ from hypothesis import settings
 from ampmech import (FrequencyGrid, MotionRepresentation, OscillatorParams, position_matrix,
                      solve_perturbative, spectrum)
 from ampmech.core import BandAmplitudeArray
+from ampmech.oracle import _dense
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
 settings.load_profile("suite")
@@ -71,7 +72,7 @@ def random_symmetric_band(rng, n_max, band_max, scale=1.0):
     return BandAmplitudeArray(data)
 
 
-def band_from_dense(dense, band_max=None, hermitian=False):
+def band_from_dense(dense, band_max=None):
     """The band array of a square matrix: X(r, r - alpha) = dense[r, r - alpha]
     for |alpha| <= band_max (every band by default)."""
     n = dense.shape[0]
@@ -79,7 +80,23 @@ def band_from_dense(dense, band_max=None, hermitian=False):
     data = np.zeros((n, 2 * band_max + 1), dtype=dense.dtype)
     for alpha in range(-min(band_max, n - 1), min(band_max, n - 1) + 1):
         data[max(alpha, 0) : n + min(alpha, 0), band_max + alpha] = np.diagonal(dense, -alpha)
-    return BandAmplitudeArray(data, hermitian=hermitian)
+    return BandAmplitudeArray(data)
+
+
+def dense_of(arr):
+    """The dense (n_max+1) x (n_max+1) block of a band array, by
+    `oracle._dense`: band alpha is diagonal -alpha, and bands wider than
+    n_max reach no cell."""
+    w = min(arr.band_max, arr.n_max)
+    return _dense(arr.data.T[arr.band_max - w : arr.band_max + w + 1][::-1])
+
+
+def series_product(x, y):
+    """The two-index product of two band arrays by `_series_mul` at one
+    power, on its series layout data.T[None]."""
+    from ampmech.perturb import _series_mul
+
+    return BandAmplitudeArray(_series_mul(x.data.T[None], y.data.T[None], 0)[0].T)
 
 
 def dense_amplitudes(spec):
@@ -100,11 +117,10 @@ def motion_from_spectrum(spec):
 
 
 def symmetry_defect(arr):
-    """Largest violation of the symmetry (or Hermiticity) convention over
-    entry pairs that are both stored."""
-    dense = arr.to_dense()
-    ref = dense.conj().T if arr.hermitian else dense.T
-    return float(np.max(np.abs(dense - ref))) if dense.size else 0.0
+    """Largest violation of the symmetry convention over entry pairs that
+    are both stored."""
+    dense = dense_of(arr)
+    return float(np.max(np.abs(dense - dense.T))) if dense.size else 0.0
 
 
 def dyadic_potential(rng, size):

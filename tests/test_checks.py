@@ -10,6 +10,7 @@ import pytest
 
 from ampmech import OscillatorParams, checks, rspt
 from ampmech.cli import run
+from ampmech.core import BandAmplitudeArray, time_derivative
 from ampmech.oracle import cubic_coupling_limit, lowest_eigenpairs
 from ampmech.perturb import (
     CoefficientSet,
@@ -115,6 +116,47 @@ def test_tampered_sho_row_fails(units):
     assert not failing(checks.sho(sol, 998))
     assert failing(checks.sho(tampered(sol, 0, 1, 500), 998)) == [
         "sho-quantum-condition", "sho-commutator"]
+
+
+def _series_mul_without_band_one(a, b, *args, **kwargs):
+    """`_series_mul` with band +1 of its (centered) first factor dropped."""
+    a = np.array(a, copy=True)
+    a[..., (a.shape[-2] - 1) // 2 + 1, :] = 0.0
+    return _series_mul(a, b, *args, **kwargs)
+
+
+def _omega_series_band_one_scaled(pot, band_max):
+    om = _omega_series(pot, band_max)
+    om[:, band_max + 1] *= 1.0 + 1e-9
+    return om
+
+
+def _time_derivative_band_one_scaled(motion):
+    data = np.array(time_derivative(motion).data)
+    data[:, (data.shape[1] - 1) // 2 + 1] *= 1.0 + 1e-9
+    return BandAmplitudeArray(data)
+
+
+@pytest.mark.parametrize("kernel, mutant, caught", [
+    ("_series_mul", _series_mul_without_band_one,
+     ["multiply-matches-dense-product", "multiply-associative",
+      "product-transpose-reverses-order"]),
+    ("_omega_series", _omega_series_band_one_scaled, ["ritz-combination"]),
+    ("time_derivative", _time_derivative_band_one_scaled, ["derivative-product-rule"]),
+], ids=["series-mul", "omega-series", "time-derivative"])
+def test_algebra_checks_catch_a_mutant_of_the_kernel_they_run(monkeypatch, kernel, mutant,
+                                                              caught):
+    # the algebra checks run the solver's own kernels, so a wrong band there
+    # fails them; the product rule holds for any product law, so a dropped
+    # band of the product does not fail it
+    cases = [(params, seed) for seed in range(5)
+             for params in (OscillatorParams(), OscillatorParams(force_exponent=3),
+                            OscillatorParams(hbar=3.7, mass=0.2))]
+    for params, seed in cases:
+        assert not failing(checks.algebra(params, seed))
+    monkeypatch.setattr(checks, kernel, mutant)
+    for params, seed in cases:
+        assert failing(checks.algebra(params, seed)) == caught
 
 
 @pytest.mark.parametrize("units", UNITS + [(0.3, 3.0, 2.0), (5.0, 0.7, 0.2)], ids=str)

@@ -300,9 +300,9 @@ class TestBenchmarkTrace:
         finally:
             tracer.uninstall()
         assert codes == [0, 0]
-        assert tracer.snapshot()["core.multiply.calls"] > 0
+        assert tracer.snapshot()["core.commutator_diagonal.calls"] > 0
         patched = {key for key, obj in before.items() if during[key] is not obj}
-        assert {("BandAmplitudeArray", "get"), ("ampmech.core", "multiply")} <= patched
+        assert {("BandAmplitudeArray", "get"), ("ampmech.core", "commutator_diagonal")} <= patched
         assert self.bindings() == before
 
 

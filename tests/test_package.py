@@ -1,12 +1,14 @@
 """Every public name a module declares resolves, the package re-exports it,
-and the program, not only the tests, reads it."""
+and the program, not only the tests, reads it, as it reads every public
+method, property and field of a public class."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -43,22 +45,49 @@ PROGRAM += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench")
 UNCALLED = {"balance_residuals"}
 
 
+def _count_references(nodes, refs: Counter) -> None:
+    declared = set()
+    for node in nodes:
+        if isinstance(node, ast.AnnAssign):
+            declared.add(id(node.target))  # a field's declaration
+        elif isinstance(node, ast.Name) and id(node) not in declared:
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"\w+(\.\w+)+", node.value):
+                refs.update(node.value.split("."))
+
+
+def _program_trees():
+    """The parsed files of the program."""
+    return [ast.parse(path.read_text(), str(path)) for path in PROGRAM]
+
+
 def program_references() -> Counter:
     """Names the program reads: each bare name, each attribute and each part
     of a dotted name in a string, as the benchmark's tracer keys its hooks
     ("perturb.solve_perturbative"). A definition, a docstring and an entry of
     `__all__` are not references."""
     refs = Counter()
-    for path in PROGRAM:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                refs[node.id] += 1
-            elif isinstance(node, ast.Attribute):
-                refs[node.attr] += 1
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if re.fullmatch(r"\w+(\.\w+)+", node.value):
-                    refs.update(node.value.split("."))
+    for tree in _program_trees():
+        _count_references(ast.walk(tree), refs)
     return refs
+
+
+def constructor_references() -> dict:
+    """Per class name, the references made inside its own `__init__` and
+    `__post_init__`: a constructor that validates or stores a field does
+    not read it for the program."""
+    own = defaultdict(Counter)
+    for tree in _program_trees():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if (isinstance(node, ast.FunctionDef)
+                            and node.name in ("__init__", "__post_init__")):
+                        _count_references(ast.walk(node), own[cls.name])
+    return own
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -66,3 +95,24 @@ def test_public_names_have_a_caller(name):
     refs = program_references()
     public = importlib.import_module(f"ampmech.{name}").__all__
     assert [attr for attr in public if not refs[attr] and attr not in UNCALLED] == []
+
+
+def public_members(cls) -> list[str]:
+    """The public methods, properties and dataclass fields a class defines
+    itself; an exception's members are those of its base."""
+    members = set(getattr(cls, "__dataclass_fields__", {}))
+    members |= {attr for attr, obj in vars(cls).items()
+                if inspect.isfunction(obj) or isinstance(obj, property)}
+    return sorted(attr for attr in members if not attr.startswith("_"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_members_have_a_caller(name):
+    # the rule of the public names, one level down: a method, property or
+    # field of a public class is read by the program, not only by the tests
+    refs, own = program_references(), constructor_references()
+    module = importlib.import_module(f"ampmech.{name}")
+    classes = [getattr(module, attr) for attr in module.__all__
+               if inspect.isclass(getattr(module, attr))]
+    assert [f"{cls.__name__}.{attr}" for cls in classes for attr in public_members(cls)
+            if refs[attr] <= own[cls.__name__][attr]] == []
