@@ -9,13 +9,16 @@ argv of `tests/test_oracle.py::TestOracleVerdicts`; then the same argv
 with hbar and m scaled together by 10^j, j = -4..8, which leaves every
 unit-free coupling as it is, and three unit-scaled argv whose verdict
 flipped while the oracle's model bounds were absolute constants. A
-summary line per section counts the exit codes. Runs are in-process and
-deterministic, so two checkouts compare by diffing the output:
+summary line per section counts the exit codes and gives the SHA-256 of
+every run's stdout and stderr, in order. Runs are in-process and
+deterministic, so two checkouts compare by diffing the output: equal
+verdict lines show the same verdicts, equal summary lines the same bytes.
 
     PYTHONPATH=src python3 scripts/oracle_sweep.py > sweep.txt
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -72,26 +75,37 @@ def sections():
     return {"grid": grid, "unit-scaled": unit_scaled + list(UNIT_SCALED_ARGV)}
 
 
+def _run(argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["oracle", *argv], stream=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _failing(code, stdout):
+    if code >= 2:
+        return []
+    return sorted(c["id"] for c in json.loads(stdout)["checks"] if not c["pass"])
+
+
 def verdict(argv):
     """Exit code and sorted failing check ids of one in-process run."""
-    out = io.StringIO()
-    with contextlib.redirect_stderr(io.StringIO()):
-        code = run(["oracle", *argv], stream=out)
-    failing = []
-    if code < 2:
-        failing = sorted(c["id"] for c in json.loads(out.getvalue())["checks"] if not c["pass"])
-    return code, failing
+    code, stdout, _ = _run(argv)
+    return code, _failing(code, stdout)
 
 
 def main() -> None:
     for name, argvs in sections().items():
-        codes = Counter()
+        codes, digest = Counter(), hashlib.sha256()
         for argv in argvs:
-            code, failing = verdict(argv)
+            code, stdout, stderr = _run(argv)
             codes[code] += 1
-            print(f"{code} {','.join(failing) or '-'} oracle {' '.join(argv)}")
+            # repr keeps each run's two streams apart from the next run's
+            digest.update(repr((stdout, stderr)).encode())
+            print(f"{code} {','.join(_failing(code, stdout)) or '-'} oracle {' '.join(argv)}")
         summary = ", ".join(f"{n} exit {code}" for code, n in sorted(codes.items()))
-        print(f"# {name}: {len(argvs)} argv: {summary}")
+        print(f"# {name}: {len(argvs)} argv: {summary}; sha256 {digest.hexdigest()}")
         sys.stdout.flush()
 
 

@@ -26,7 +26,6 @@ from .perturb import (
     PerturbSolution,
     StructureViolationError,
     UnimplementedOrderError,
-    UnsupportedForceError,
     assemble_motion,
     closed_form_amplitude,
     closed_form_frequency,
@@ -48,8 +47,6 @@ from .oracle import (
     NumericError,
     PlateauError,
     SpectrumResult,
-    TruncatedOperator,
-    build_hamiltonian,
     cubic_coupling_limit,
     diagonalize,
     lowest_eigenpairs,

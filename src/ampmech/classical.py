@@ -74,7 +74,6 @@ class ClassicalSolution:
     order: int
     amp: np.ndarray
     omega_coeffs: np.ndarray
-    action: float | None = None
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amp, dtype=float)
@@ -163,10 +162,8 @@ def classical_solve(
         om[t, :, 0] = omega_coeffs[t] * g
 
     _march(params, amp, om, t_max, adjacent, step=0)
-    return ClassicalSolution(
-        params=params, order=order, amp=amp[:, :, 0], omega_coeffs=omega_coeffs,
-        action=action,
-    )
+    return ClassicalSolution(params=params, order=order, amp=amp[:, :, 0],
+                             omega_coeffs=omega_coeffs)
 
 
 def balance_residuals(sol: ClassicalSolution) -> np.ndarray:
@@ -193,21 +190,15 @@ def balance_residuals(sol: ClassicalSolution) -> np.ndarray:
     return out
 
 
-def action_integral(
-    sol: ClassicalSolution,
-    params: OscillatorParams | None = None,
-    lam: float | None = None,
-    n_samples: int = 256,
-    tol: float = 1e-8,
-) -> float:
+def action_integral(sol: ClassicalSolution, lam: float | None = None) -> float:
     """Action J = closed integral of m xdot^2 dt over one period.
 
     Evaluated in Fourier space as 2 pi m sum_alpha |X_alpha|^2 alpha^2 w
-    (signed harmonics) and cross-checked against direct time quadrature;
-    a mismatch beyond tol raises QuadratureMismatchError.
+    (signed harmonics) and cross-checked against direct time quadrature on
+    256 samples; a mismatch beyond 1e-8 |J| raises QuadratureMismatchError.
+    J sums nonnegative terms, so |J| is their size, in the units of the run.
     """
-    if params is None:
-        params = sol.params
+    params = sol.params
     if lam is None:
         lam = params.lam
     c = sol.cosine_coefficients(lam)
@@ -215,10 +206,10 @@ def action_integral(
     alphas = np.arange(c.size)
     j_fourier = math.pi * params.mass * w * float(np.sum(alphas**2 * c**2))
     period = 2.0 * math.pi / w
-    t = np.linspace(0.0, period, n_samples, endpoint=False)
+    t = np.linspace(0.0, period, 256, endpoint=False)
     xdot = sol.xdot_of_t(t, lam)
     j_quad = params.mass * float(np.mean(xdot**2)) * period
-    if abs(j_fourier - j_quad) > tol * max(1.0, abs(j_fourier)):
+    if abs(j_fourier - j_quad) > 1e-8 * abs(j_fourier):
         raise QuadratureMismatchError(
             f"Fourier action {j_fourier!r} vs quadrature {j_quad!r}"
         )

@@ -270,7 +270,7 @@ def cmd_classical(cfg):
     for k, v in enumerate(sol.omega_coeffs):
         rows.append(("omega", k, None, None, float(v)))
 
-    action = action_integral(sol, params, lam=cfg.lam)
+    action = action_integral(sol, lam=cfg.lam)
     rows.append(("action", None, None, None, action))
     residual = ode_residual(sol, cfg.lam, cfg.samples)
     residual_half = ode_residual(sol, cfg.lam / 2.0, cfg.samples)
@@ -412,8 +412,6 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise UsageError(f"--{name.replace('_', '-')} must be finite")
-        if self.force not in (2, 3):
-            raise UsageError("--force must be 2 or 3")
         if self.order < 0:
             raise UsageError("--order must be nonnegative")
         if self.n_max < 1:
@@ -426,10 +424,6 @@ class RunConfig:
             raise UsageError("--levels must be at least 1")
         if self.samples < 16:
             raise UsageError("--samples must be at least 16")
-        if self.fmt not in ("json", "csv"):
-            raise UsageError("--format must be json or csv")
-        if self.check not in CHECK_GROUPS:
-            raise UsageError(f"--check must be one of {', '.join(CHECK_GROUPS)}")
         if self.subcommand == "classical":
             if (self.a1 is None) == (self.action is None):
                 raise UsageError("classical needs exactly one of --a1 or --action")

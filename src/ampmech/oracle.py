@@ -1,10 +1,11 @@
 """Independent ground truth from modern quantum mechanics.
 
-Everything here is built the conventional way: ladder-operator matrices in
-the truncated number basis, a dense symmetric eigensolve, and textbook
-Rayleigh-Schrodinger perturbation theory at any order. None of it shares
-code paths with the banded perturbation solver, so agreement between the
-two is a real cross-check. `SpectrumResult.position_columns` is the one
+Everything here is built the conventional way: the Hamiltonian H_N in the
+truncated number basis, formed from ladder operators and kept by its
+2p + 3 diagonals, a dense symmetric eigensolve of those diagonals, and
+textbook Rayleigh-Schrodinger perturbation theory at any order. None of it
+shares code paths with the banded perturbation solver, so agreement
+between the two is a real cross-check. `SpectrumResult.position_columns` is the one
 path from eigenvectors to the position amplitudes <k|x|n>; each reader
 forms only the few columns n it reads, never the N x N matrix.
 
@@ -48,9 +49,7 @@ from .params import OscillatorParams
 __all__ = [
     "NumericError",
     "PlateauError",
-    "TruncatedOperator",
     "SpectrumResult",
-    "build_hamiltonian",
     "diagonalize",
     "spectrum",
     "lowest_eigenpairs",
@@ -83,37 +82,6 @@ class NumericError(RuntimeError):
 
 class PlateauError(RuntimeError):
     """Truncated eigenvalues have not stabilized under basis growth."""
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Dense real symmetric operator in the unperturbed number basis."""
-
-    params: OscillatorParams
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        # max |m| from the extremes, which a nan or inf entry makes non-finite
-        hi, lo = float(np.max(m)), float(np.min(m))
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise ValueError("matrix has a non-finite entry")
-        scale = max(hi, -lo) or 1.0
-        # one work array: m - m.T is antisymmetric, so its max is its max
-        # magnitude; then it holds 0.5 * (m + m.T)
-        work = np.subtract(m, m.T)
-        if float(np.max(work)) > 1e-14 * scale:
-            raise ValueError("matrix is not symmetric to working precision")
-        m = np.add(m, m.T, out=work)
-        m *= 0.5
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def basis_size(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -226,7 +194,9 @@ def _hamiltonian_bands(params: OscillatorParams, n: int) -> np.ndarray:
     """The 2p + 3 diagonals of H = p^2/2m + m omega0^2 x^2 / 2
     + m lam x^(p+1)/(p+1) on n states, with every operator product formed
     inside the truncated basis, diagonal by diagonal, since the ladder
-    operators are tridiagonal."""
+    operators are tridiagonal. Fewer than 8 states are refused."""
+    if n < 8:
+        raise ValueError("basis_size must be at least 8")
     x = _ladder_bands(_position_offdiag(params, n), 1.0)
     # p = i P with real P = sqrt(m hbar omega0 / 2) (a^dagger - a)
     p_scale = math.sqrt(params.mass * params.hbar * params.omega0 / 2.0)
@@ -242,38 +212,45 @@ def _hamiltonian_bands(params: OscillatorParams, n: int) -> np.ndarray:
     return bands
 
 
-def build_hamiltonian(params: OscillatorParams, basis_size: int) -> TruncatedOperator:
-    """The truncated Hamiltonian of `_hamiltonian_bands` as a dense matrix."""
-    if basis_size < 8:
-        raise ValueError("basis_size must be at least 8")
-    return TruncatedOperator(params=params, matrix=_dense(_hamiltonian_bands(params, basis_size)))
+def _symmetric(bands: np.ndarray) -> np.ndarray:
+    """0.5 (M + M^T) by diagonals: each mirrored pair (a, b) becomes
+    (a + b) * 0.5, the bits of 0.5 * (m + m.T) of the dense matrix."""
+    w, n = bands.shape[0] // 2, bands.shape[1]
+    out = np.zeros_like(bands)
+    for k in range(-w, w + 1):
+        lo, hi = max(-k, 0), n - max(k, 0)
+        out[w + k, lo:hi] = (bands[w + k, lo:hi] + bands[w - k, lo + k : hi + k]) * 0.5
+    return out
 
 
-def diagonalize(op: TruncatedOperator) -> SpectrumResult:
-    """Symmetric eigendecomposition with a per-pair residual check.
+def _parity_blocks(bands: np.ndarray):
+    """The dense blocks of an operator stored by diagonals, one at a time,
+    each with the slice of basis states it spans: its two parity blocks
+    where it couples no even level to an odd one (H of the quartic force
+    commutes with parity), the whole matrix otherwise."""
+    w, n = bands.shape[0] // 2, bands.shape[1]
+    step = 2 if n > 1 and not bands[(w + 1) % 2 :: 2].any() else 1
+    for start in range(step):
+        yield slice(start, None, step), _dense(bands[w % step :: step, start::step])
 
-    An operator that couples no even level to an odd one (H of the quartic
-    force commutes with parity) is solved as its two half-size blocks."""
-    h = op.matrix
-    n = op.basis_size
-    if n > 1 and not np.any(h[0::2, 1::2]):
-        blocks = (slice(0, None, 2), slice(1, None, 2))
-    else:
-        blocks = (slice(None),)
-    solved = []
-    for rows in blocks:
-        block = h[rows, rows]
+
+def diagonalize(params: OscillatorParams, bands: np.ndarray) -> SpectrumResult:
+    """Eigendecomposition of the symmetric part of an operator stored by
+    diagonals, solved per parity block, with a per-pair residual check."""
+    n = bands.shape[1]
+    solved, residuals = [], []
+    for rows, block in _parity_blocks(_symmetric(bands)):
         try:
             evals, evecs = np.linalg.eigh(block)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericError(f"eigensolver did not converge: {exc}") from exc
-        solved.append((block, evals, evecs))
+        r = block @ evecs
+        r -= evecs * evals
+        residuals.append(np.max(np.abs(r, out=r)))
+        solved.append((rows, evals, evecs))
     evals = np.concatenate([e for _, e, _ in solved])
     scale = float(np.max(np.abs(evals))) or 1.0
-    for block, e, v in solved:
-        r = block @ v
-        r -= v * e
-        residual = np.max(np.abs(r, out=r))
+    for residual in residuals:
         # a nan residual or scale fails this test
         if not residual <= 1e-10 * scale:
             raise NumericError(
@@ -283,21 +260,17 @@ def diagonalize(op: TruncatedOperator) -> SpectrumResult:
         evecs = solved[0][2]
     else:
         evecs = np.zeros((n, n))
-        even = solved[0][1].size
-        evecs[0::2, :even] = solved[0][2]
-        evecs[1::2, even:] = solved[1][2]
+        col = 0
+        for rows, e, v in solved:
+            evecs[rows, col : col + e.size] = v
+            col += e.size
         order = np.argsort(evals, kind="stable")
         evals, evecs = evals[order], evecs[:, order]
     # deterministic phases: largest-magnitude component positive
     flips = np.sign(evecs[np.abs(evecs).argmax(axis=0), np.arange(evecs.shape[1])])
     flips[flips == 0] = 1.0
     evecs *= flips
-    return SpectrumResult(
-        params=op.params,
-        basis_size=op.basis_size,
-        eigenvalues=evals,
-        eigenvectors=evecs,
-    )
+    return SpectrumResult(params=params, basis_size=n, eigenvalues=evals, eigenvectors=evecs)
 
 
 def cubic_coupling_limit(params: OscillatorParams) -> float:
@@ -326,9 +299,9 @@ def spectrum(params: OscillatorParams, basis_size: int, count: int) -> SpectrumR
 
     The pairs are the Rayleigh-Ritz block of `lowest_eigenpairs`, which
     shows that each is an eigenpair of H_N. `_certified` then shows that
-    no other eigenvalue of H_N lies below them; where it cannot, the block
-    grows to N, which is `diagonalize(build_hamiltonian(params, N))` bit
-    for bit.
+    no other eigenvalue of H_N lies below them; where it cannot, H_N is
+    solved in full. The diagonals of H_N are built once and serve every
+    Ritz block, the certificate and the full solve.
 
     For the cubic force this enforces the coupling cap. Where the potential
     is unbounded below it requires the lowest PLATEAU_LEVELS eigenvalues to
@@ -348,16 +321,17 @@ def spectrum(params: OscillatorParams, basis_size: int, count: int) -> SpectrumR
     the block's first doubling would already reach it.
     """
     _refuse_deep_cubic(params)
+    bands = _hamiltonian_bands(params, basis_size)
     w = params.force_exponent + 1
     smaller_size = basis_size - PLATEAU_STEP
     # a first block too large to stand in for the plateau partner saves no
     # solve, so the spectrum is then solved in full at once
     block = None
     if BLOCK_START * count + 2 * w <= smaller_size:
-        block = _ritz_block(params, basis_size, count)
+        block = _ritz_block(params, bands, count)
     if block is None or (block.basis_size < basis_size
-                         and not _certified(params, basis_size, block, count)):
-        block = diagonalize(build_hamiltonian(params, basis_size))
+                         and not _certified(bands, block, count)):
+        block = diagonalize(params, bands)
     result = _held(block, basis_size, count)
     levels = min(PLATEAU_LEVELS, smaller_size)
     if block.basis_size + 2 * w <= smaller_size:
@@ -365,7 +339,7 @@ def spectrum(params: OscillatorParams, basis_size: int, count: int) -> SpectrumR
     elif smaller_size > 2 * BLOCK_START * PLATEAU_LEVELS:
         smaller = lowest_eigenpairs(params, smaller_size, levels)
     else:
-        smaller = diagonalize(build_hamiltonian(params, smaller_size))
+        smaller = diagonalize(params, _hamiltonian_bands(params, smaller_size))
     drift = np.abs(result.eigenvalues[:levels] - smaller.eigenvalues[:levels])
     bound = PLATEAU_TOL * params.hbar * params.omega0
     if _unbounded_below(params) and np.any(drift > bound):
@@ -376,11 +350,10 @@ def spectrum(params: OscillatorParams, basis_size: int, count: int) -> SpectrumR
     return replace(result, plateau=drift)
 
 
-def _certified(params: OscillatorParams, basis_size: int, block: SpectrumResult,
-               count: int) -> bool:
-    """Whether H_N has no eigenvalue below sigma but the `count` lowest
-    pairs of an accepted Ritz block, with sigma midway between the block's
-    count-th and next Ritz value.
+def _certified(bands: np.ndarray, block: SpectrumResult, count: int) -> bool:
+    """Whether H_N, given by its diagonals, has no eigenvalue below sigma
+    but the `count` lowest pairs of an accepted Ritz block, with sigma
+    midway between the block's count-th and next Ritz value.
 
     Those pairs (E_i, v_i) are eigenpairs of H_N, so A = H_N - sigma I
     + c V V^T with c = 2 (sigma - E_0) has the eigenvalues
@@ -393,13 +366,9 @@ def _certified(params: OscillatorParams, basis_size: int, block: SpectrumResult,
     e = block.eigenvalues
     sigma = 0.5 * (e[count - 1] + e[count])
     c = 2.0 * (sigma - e[0])
-    bands = _hamiltonian_bands(params, basis_size)
-    w = params.force_exponent + 1
-    step = 1 if bands[(w + 1) % 2 :: 2].any() else 2
-    for start in range(step):
-        a = _dense(bands[w % step :: step, start::step])
+    for rows, a in _parity_blocks(bands):
         a.flat[:: a.shape[0] + 1] -= sigma
-        v = block.eigenvectors[start::step, :count]
+        v = block.eigenvectors[rows, :count]
         a[: len(v), : len(v)] += (c * v) @ v.T
         try:
             np.linalg.cholesky(a)
@@ -408,18 +377,21 @@ def _certified(params: OscillatorParams, basis_size: int, block: SpectrumResult,
     return True
 
 
-def _ritz_block(params: OscillatorParams, basis_size: int, count: int) -> SpectrumResult:
-    """The accepted Rayleigh-Ritz block of `lowest_eigenpairs`, every one
-    of its pairs."""
+def _ritz_block(params: OscillatorParams, bands: np.ndarray, count: int) -> SpectrumResult:
+    """The accepted Rayleigh-Ritz block of `lowest_eigenpairs` on the
+    diagonals of H_N, every one of its pairs."""
     w = params.force_exponent + 1
+    n = bands.shape[1]
     m = BLOCK_START * count
     while True:
-        m = min(m, basis_size)
-        op = build_hamiltonian(params, min(basis_size, m + 2 * w))
-        h = op.matrix
-        block = diagonalize(op if m == op.basis_size else TruncatedOperator(params, h[:m, :m]))
-        tail = h[m : m + w, m - w : m] @ block.eigenvectors[m - w :, :count]
-        if m == basis_size or np.max(np.abs(tail)) <= EPS * np.max(np.abs(block.eigenvalues)):
+        m = min(m, n)
+        block = diagonalize(params, bands[:, :m])
+        if m == n:
+            return block
+        # H_N[M:M+w, M-w:M], from the states M-w..M+w-1
+        coupling = _dense(_symmetric(bands[:, m - w : m + w]))[w:, :w]
+        tail = coupling @ block.eigenvectors[m - w :, :count]
+        if np.max(np.abs(tail)) <= EPS * np.max(np.abs(block.eigenvalues)):
             return block
         m *= 2
 
@@ -439,19 +411,19 @@ def lowest_eigenpairs(params: OscillatorParams, basis_size: int, count: int) -> 
     M x M block, not shown to be the lowest of H_N (`spectrum` certifies
     that).
 
-    H has band reach w = p + 1, and the leading M + w rows of H built on
-    M + 2w states are those of H_N, so the M x M block is solved without
-    forming H_N. A Ritz pair (e, v), with v padded by zeros, leaves
-    H_N v - e v = block residual + the tail t = H_N[M:M+w, M-w:M] v[M-w:].
-    The pairs are accepted when every max |t| <= eps times the block's
-    largest |eigenvalue|, below the rounding of the block's own eigensolve,
-    so each is an eigenpair of H_N to rounding; otherwise M doubles. At
-    M = N this is `diagonalize(build_hamiltonian(params, N))`, bit for
-    bit. Only the accepted pairs are kept, their eigenvectors padded to the
-    N states: reading pair `count` or past raises IndexError. The cubic
-    coupling cap is enforced as in `spectrum`."""
+    H has band reach w = p + 1, and the M x M block is the leading M
+    states of the diagonals of H_N, built once. A Ritz pair (e, v), with v
+    padded by zeros, leaves H_N v - e v = block residual + the tail
+    t = H_N[M:M+w, M-w:M] v[M-w:]. The pairs are accepted when every
+    max |t| <= eps times the block's largest |eigenvalue|, below the
+    rounding of the block's own eigensolve, so each is an eigenpair of H_N
+    to rounding; otherwise M doubles. At M = N this is the full solve of
+    H_N, bit for bit. Only the accepted pairs are kept, their eigenvectors
+    padded to the N states: reading pair `count` or past raises
+    IndexError. The cubic coupling cap is enforced as in `spectrum`."""
     _refuse_deep_cubic(params)
-    return _held(_ritz_block(params, basis_size, count), basis_size, count)
+    bands = _hamiltonian_bands(params, basis_size)
+    return _held(_ritz_block(params, bands, count), basis_size, count)
 
 
 def rspt(params: OscillatorParams, levels: int, order: int) -> tuple[np.ndarray, np.ndarray]:

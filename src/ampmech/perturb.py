@@ -55,7 +55,6 @@ from .core import (
 from .params import OscillatorParams
 
 __all__ = [
-    "UnsupportedForceError",
     "UnimplementedOrderError",
     "NoClosedFormError",
     "StructureViolationError",
@@ -78,10 +77,6 @@ __all__ = [
 # `EnergyMatrix.offdiag`: about 4 times the largest ratio measured over
 # n_max 12..3000, both forces and random unit systems
 ROUNDING_C = 4.0
-
-
-class UnsupportedForceError(ValueError):
-    """Force exponent outside the implemented set {2, 3}."""
 
 
 class UnimplementedOrderError(ValueError):
@@ -142,7 +137,6 @@ class CoefficientSet:
     entries. Unsolved slots are zero.
     """
 
-    force_exponent: int
     amp: np.ndarray
     freq_potential: np.ndarray
 
@@ -153,10 +147,6 @@ class CoefficientSet:
             raise ValueError("amp must have shape (orders, bands, rows)")
         if pot.ndim != 2 or pot.shape != (amp.shape[0], amp.shape[2]):
             raise ValueError("freq_potential must have shape (orders, rows)")
-        if self.force_exponent not in (2, 3):
-            raise UnsupportedForceError(
-                f"force exponent {self.force_exponent!r} not supported"
-            )
         for a in (amp, pot):
             a.setflags(write=False)
         object.__setattr__(self, "amp", amp)
@@ -592,7 +582,7 @@ def solve_perturbative(
         amp[t, 1, 1:] = u[:-1] / (2.0 * math.pi * params.mass * omega0 * a0[1:])
 
     solved = _march(params, amp, om, t_max, adjacent)
-    coeffs = CoefficientSet(force_exponent=p, amp=amp, freq_potential=pot)
+    coeffs = CoefficientSet(amp=amp, freq_potential=pot)
     return PerturbSolution(params=params, order=order, n_max=n_max, coeffs=coeffs,
                            solved_orders=solved)
 
@@ -614,9 +604,7 @@ def sho_solve(params: OscillatorParams, n_max: int) -> PerturbSolution:
     amp = np.zeros((1, 2, rows))
     amp[0, 1, 1:] = params.beta * np.sqrt(np.arange(1, rows, dtype=float))
     pot = params.omega0 * np.arange(rows, dtype=float)[None, :]
-    coeffs = CoefficientSet(
-        force_exponent=params.force_exponent, amp=amp, freq_potential=pot
-    )
+    coeffs = CoefficientSet(amp=amp, freq_potential=pot)
     return PerturbSolution(
         params=params, order=0, n_max=n_max, coeffs=coeffs, solved_orders={1: 0}
     )

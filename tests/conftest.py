@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ampmech import (FrequencyGrid, MotionRepresentation, OscillatorParams, position_matrix,
-                     solve_perturbative, spectrum)
+from ampmech import (FrequencyGrid, MotionRepresentation, OscillatorParams, diagonalize,
+                     position_matrix, solve_perturbative, spectrum)
 from ampmech.core import BandAmplitudeArray
-from ampmech.oracle import _dense
+from ampmech.oracle import _dense, _hamiltonian_bands, _symmetric
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
 settings.load_profile("suite")
@@ -48,6 +48,18 @@ def cached_spectrum():
         return _SPECTRA[key]
 
     return get
+
+
+def dense_hamiltonian(params, n):
+    """H_N as one dense matrix: the symmetric part 0.5 (H + H^T) of the
+    diagonals that `diagonalize` solves."""
+    return _dense(_symmetric(_hamiltonian_bands(params, n)))
+
+
+def full_spectrum(params, n):
+    """Every eigenpair of H_N, by one unvetted `diagonalize` of its
+    diagonals."""
+    return diagonalize(params, _hamiltonian_bands(params, n))
 
 
 def load_script(relative):
@@ -171,8 +183,7 @@ def build_recursions(params, alpha, order):
     identically on a solution, row by row, wherever the tables provide the
     neighbors the band couples to. The reference the recursion check and the
     printed recursion relations are tested against."""
-    from ampmech.perturb import (UnsupportedForceError, _check_order, _eom_terms, _half,
-                                 _omega_series, band_weight)
+    from ampmech.perturb import _check_order, _eom_terms, _half, _omega_series, band_weight
 
     p = params.force_exponent
     _check_order(order)
@@ -182,10 +193,6 @@ def build_recursions(params, alpha, order):
     scale = 1.0 / _half(alpha)
 
     def residual(coeffs):
-        if coeffs.force_exponent != p:
-            raise UnsupportedForceError(
-                "coefficient tables were built for a different force exponent"
-            )
         om = _omega_series(coeffs.freq_potential, max(coeffs.band_max, alpha))
         return scale * _eom_terms(params, coeffs.amp, om, power, range(alpha, alpha + 1))[power, 0]
 

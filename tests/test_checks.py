@@ -36,8 +36,7 @@ def tampered(sol, k, alpha, row, factor=1.0 + 1e-9):
     """The solution with one coefficient a^(k)(row, row - alpha) scaled."""
     amp = np.array(sol.coeffs.amp, copy=True)
     amp[k, alpha, row] *= factor
-    coeffs = CoefficientSet(sol.params.force_exponent, amp,
-                            np.array(sol.coeffs.freq_potential))
+    coeffs = CoefficientSet(amp, np.array(sol.coeffs.freq_potential))
     return PerturbSolution(params=sol.params, order=sol.order, n_max=sol.n_max,
                            coeffs=coeffs, solved_orders=sol.solved_orders)
 

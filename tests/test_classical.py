@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from ampmech import (
     ClassicalSolution,
     OscillatorParams,
+    QuadratureMismatchError,
     action_integral,
     balance_residuals,
     classical_solve,
@@ -377,6 +378,20 @@ class TestAction:
             params=P2, order=0, amp=np.zeros((1, 3)), omega_coeffs=np.array([1.0])
         )
         assert action_integral(sol, lam=0.0) == 0.0
+
+    @pytest.mark.parametrize("a1", [1e-3, 0.01, 1.0, 3.0])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_quadrature_mismatch_is_judged_relative_to_the_action(self, p, a1, monkeypatch):
+        # xdot grown by 1 + 1e-6 moves the quadrature by 2e-6 J, which the
+        # cross-check catches at any size of J: at a1 = 0.01, J = 3.1e-4,
+        # and an absolute bound of 1e-8 below J = 1 passed it
+        sol = classical_solve(OscillatorParams(lam=0.01, force_exponent=p), 2, a1=a1)
+        assert action_integral(sol) == pytest.approx(math.pi * a1**2, rel=0.1)
+        xdot = ClassicalSolution.xdot_of_t
+        monkeypatch.setattr(ClassicalSolution, "xdot_of_t",
+                            lambda self, t, lam: (1.0 + 1e-6) * xdot(self, t, lam))
+        with pytest.raises(QuadratureMismatchError):
+            action_integral(sol)
 
     def test_action_prescription_matches_leading_quantization(self):
         n = 11

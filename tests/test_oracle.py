@@ -17,8 +17,6 @@ from ampmech import (
     PerturbSolution,
     PlateauError,
     SpectrumResult,
-    TruncatedOperator,
-    build_hamiltonian,
     diagonalize,
     energy_diagonal_series,
     lowest_eigenpairs,
@@ -28,10 +26,12 @@ from ampmech import (
     spectrum,
 )
 from ampmech.checks import _gap_pairs, gap_exact, thomas_kuhn_residuals
-from ampmech.oracle import BLOCK_START, PLATEAU_LEVELS, PLATEAU_STEP
+from ampmech.oracle import (BLOCK_START, PLATEAU_LEVELS, PLATEAU_STEP, _dense,
+                            _hamiltonian_bands, _symmetric)
 from ampmech.perturb import ROUNDING_C
 from conftest import (assert_same_bits, default_lambda_grid, dense_amplitudes,
-                      lambda_series_fit, load_script, motion_from_spectrum)
+                      dense_hamiltonian, full_spectrum, lambda_series_fit, load_script,
+                      motion_from_spectrum)
 
 SWEEP = load_script("scripts/oracle_sweep.py")
 
@@ -43,7 +43,7 @@ UNITS = [{}, {"mass": 2.3, "omega0": 0.4, "hbar": 0.7}, {"mass": 0.5, "omega0": 
 
 def dense_hamiltonian_reference(params, n):
     """H built as before the banded build: dense N x N products of the
-    tridiagonal ladder matrices, symmetrized as `TruncatedOperator` does."""
+    tridiagonal ladder matrices, symmetrized as `diagonalize` does."""
     x = position_matrix(params, n)
     off = math.sqrt(params.mass * params.hbar * params.omega0 / 2.0) * np.sqrt(
         np.arange(1, n, dtype=float))
@@ -64,6 +64,17 @@ def amplitude_sizes(spec):
     return v.T @ np.abs(position_matrix(spec.params, spec.basis_size)) @ v
 
 
+def bands_of(m, w=None):
+    """The diagonals of a square matrix through band width w (every band by
+    default), in the layout of `oracle._dense`: row w + k holds m[r, r + k]."""
+    n = len(m)
+    w = n - 1 if w is None else w
+    out = np.zeros((2 * w + 1, n))
+    for k in range(-w, w + 1):
+        out[w + k, max(-k, 0) : n - max(k, 0)] = np.diagonal(m, k)
+    return out
+
+
 def series_energy(n, lam):
     return (n + 0.5) - 5.0 * lam**2 / 12.0 * (n**2 + n + 11.0 / 30.0)
 
@@ -71,13 +82,13 @@ def series_energy(n, lam):
 class TestHamiltonian:
     def test_uncoupled_is_diagonal(self):
         # products inside the truncation corrupt only the last corner entry
-        h = build_hamiltonian(OscillatorParams(lam=0.0), 20).matrix
+        h = dense_hamiltonian(OscillatorParams(lam=0.0), 20)
         expect = np.diag(np.arange(20) + 0.5)
         assert np.max(np.abs((h - expect)[:19, :19])) <= 1e-14
         assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
 
     def test_cubic_band_structure(self):
-        h = build_hamiltonian(P2, 20).matrix
+        h = dense_hamiltonian(P2, 20)
         for shift in range(4, 20):
             assert np.max(np.abs(np.diag(h, shift))) == 0.0
         assert np.max(np.abs(np.diag(h, 1))) > 0.0
@@ -87,35 +98,31 @@ class TestHamiltonian:
         spec = cached_spectrum(0.05)
         assert abs(spec.eigenvalues[0] - series_energy(0, 0.05)) <= 5e-5
 
-    def test_symmetry_validation(self):
-        with pytest.raises(ValueError):
-            TruncatedOperator(P2, np.array([[0.0, 1.0], [0.5, 0.0]]))
-
     def test_minimum_basis(self):
-        with pytest.raises(ValueError):
-            build_hamiltonian(P2, 4)
+        for solve in (spectrum, lowest_eigenpairs):
+            with pytest.raises(ValueError, match="at least 8"):
+                solve(P2, 4, 1)
 
     @pytest.mark.parametrize("units", UNITS, ids=["default", "units-a", "units-b"])
     @pytest.mark.parametrize("force", [2, 3])
     @pytest.mark.parametrize("n", [8, 80, 300])
     def test_banded_matches_dense_reference(self, n, force, units):
         params = OscillatorParams(force_exponent=force, **units)
-        h = build_hamiltonian(params, n).matrix
+        h = dense_hamiltonian(params, n)
         ref = dense_hamiltonian_reference(params, n)
         assert np.max(np.abs(h - ref)) <= 4.0 * EPS * np.max(np.abs(ref))
 
 
 class TestDiagonalize:
     def test_diagonal_matrix(self):
-        op = TruncatedOperator(P2, np.diag([3.0, 1.0, 2.0]))
-        res = diagonalize(op)
+        res = diagonalize(P2, np.array([[3.0, 1.0, 2.0]]))
         assert np.allclose(res.eigenvalues, [1.0, 2.0, 3.0], atol=0)
         assert np.allclose(np.abs(res.eigenvectors), np.eye(3)[:, [1, 2, 0]])
 
     def test_two_by_two_closed_form(self):
         a, b = 1.3, 0.4
         m = np.array([[a, b], [b, a]])
-        res = diagonalize(TruncatedOperator(P2, m))
+        res = diagonalize(P2, bands_of(m))
         assert res.eigenvalues[0] == pytest.approx(a - b, rel=1e-14)
         assert res.eigenvalues[-1] == pytest.approx(a + b, rel=1e-14)
 
@@ -128,7 +135,7 @@ class TestDiagonalize:
         # the displaced corner eigenvalue sorts into the middle of the
         # spectrum, so compare well below it
         params = OscillatorParams(lam=0.0)
-        res = diagonalize(build_hamiltonian(params, 24))
+        res = full_spectrum(params, 24)
         got = res.position_columns(10)[:10]
         assert np.max(np.abs(got - position_matrix(params, 24)[:10, :10])) <= 1e-12
 
@@ -158,9 +165,9 @@ class TestDiagonalize:
 
     @pytest.mark.parametrize("n", [8, 80, 300])
     def test_parity_blocks_match_full_eigh(self, n):
-        op = build_hamiltonian(OscillatorParams(lam=0.5, force_exponent=3), n)
-        got = diagonalize(op).eigenvalues
-        full = np.linalg.eigvalsh(op.matrix)
+        params = OscillatorParams(lam=0.5, force_exponent=3)
+        got = full_spectrum(params, n).eigenvalues
+        full = np.linalg.eigvalsh(dense_hamiltonian(params, n))
         assert np.max(np.abs(got - full)) <= n * EPS * np.max(np.abs(full))
 
     def test_same_parity_quartic_amplitudes_are_zero(self, cached_spectrum):
@@ -186,25 +193,16 @@ class TestDiagonalize:
             return evals, evecs
 
         monkeypatch.setattr(np.linalg, "eigh", tampered)
-        op = build_hamiltonian(OscillatorParams(force_exponent=force), 80)
         with pytest.raises(NumericError):
-            diagonalize(op)
+            full_spectrum(OscillatorParams(force_exponent=force), 80)
         assert calls[call] == ((80, 80) if force == 2 else (40, 40))
 
 
-def old_symmetry_verdict(m):
-    """True when TruncatedOperator accepted m before it checked and
-    symmetrized through one work array: the old comparisons, kept as the
-    mutant the refusal tests must catch."""
-    scale = float(np.max(np.abs(m))) or 1.0
-    return not float(np.max(np.abs(m - m.T))) > 1e-14 * scale
-
-
-def old_diagonalize(op):
-    """`diagonalize` before it formed the residual and the sign flips in
-    place, with its old residual test `residual > bound`."""
-    h = op.matrix
-    n = op.basis_size
+def old_diagonalize(params, h):
+    """`diagonalize` of a dense symmetric matrix h before it formed the
+    residual and the sign flips in place, with its old residual test
+    `residual > bound`."""
+    n = h.shape[0]
     if n > 1 and not np.any(h[0::2, 1::2]):
         blocks = (slice(0, None, 2), slice(1, None, 2))
     else:
@@ -231,70 +229,58 @@ def old_diagonalize(op):
         evals, evecs = evals[order], evecs[:, order]
     flips = np.sign(evecs[np.abs(evecs).argmax(axis=0), np.arange(evecs.shape[1])])
     flips[flips == 0] = 1.0
-    return SpectrumResult(params=op.params, basis_size=op.basis_size,
+    return SpectrumResult(params=params, basis_size=n,
                           eigenvalues=evals, eigenvectors=evecs * flips)
 
 
 @st.composite
-def symmetric_matrices(draw, min_size=1, max_size=12):
-    """Exactly symmetric matrices, some of them parity-block diagonal."""
-    n = draw(st.integers(min_size, max_size))
-    a = draw(hnp.arrays(np.float64, (n, n), elements=st.one_of(
-        st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -2.5]))))
-    m = a + a.T
+def banded_operators(draw, symmetric=True, max_size=12):
+    """Operators stored by diagonals, exactly symmetric unless asked
+    otherwise, some of them coupling no even level to an odd one."""
+    n = draw(st.integers(1, max_size))
+    w = draw(st.integers(0, min(4, n - 1)))
+    elements = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -2.5]))
+    bands = draw(hnp.arrays(np.float64, (2 * w + 1, n), elements=elements))
     if draw(st.booleans()):
-        m[0::2, 1::2] = 0.0
-        m[1::2, 0::2] = 0.0
-    return m
+        bands[(w + 1) % 2 :: 2] = 0.0
+    if symmetric:
+        # the upper triangle mirrored, signed zeros included
+        dense = _dense(bands)
+        bands = bands_of(np.where(np.tri(n, k=-1, dtype=bool), dense.T, dense), w)
+    return bands
 
 
 class TestOperatorValidation:
-    @given(symmetric_matrices(), st.data())
-    def test_symmetrization_has_the_bits_of_the_mean(self, sym, data):
-        # relative asymmetries below 1e-14 pass, so each entry pair is averaged
-        rel = data.draw(hnp.arrays(np.float64, sym.shape, elements=st.floats(-4e-15, 4e-15)))
-        m = sym * (1.0 + rel)
-        assert_same_bits(TruncatedOperator(P2, m).matrix, 0.5 * (m + m.T))
-
-    @given(symmetric_matrices(min_size=2), st.integers(0, 11), st.integers(0, 10),
-           st.one_of(st.floats(0.5, 2.0), st.sampled_from([1.0 - EPS, 1.0, 1.0 + 2 * EPS])))
-    def test_symmetry_verdict_flips_at_the_same_bound(self, m, i, shift, factor):
-        # an off-diagonal entry moved by about the bound 1e-14 * max |m|
-        n = len(m)
-        i, j = i % n, (i + 1 + shift % (n - 1)) % n
-        m[i, j] += factor * 1e-14 * (np.max(np.abs(m)) or 1.0)
-        try:
-            TruncatedOperator(P2, m)
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == old_symmetry_verdict(m)
+    @given(banded_operators(symmetric=False))
+    def test_symmetrization_has_the_bits_of_the_mean(self, bands):
+        # each mirrored pair is averaged; a slot outside the basis is never read
+        m = _dense(bands)
+        assert_same_bits(_dense(_symmetric(bands)), 0.5 * (m + m.T))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("cells", [[(0, 0)], [(0, 1)], [(1, 0)], [(0, 2), (2, 0)]],
                              ids=["diagonal", "upper", "lower", "pair"])
     def test_nonfinite_entry_refused(self, bad, cells):
+        # through the residual test: a non-finite entry leaves a nan residual
         m = np.eye(3)
         for cell in cells:
             m[cell] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            TruncatedOperator(P2, m)
-        with np.errstate(invalid="ignore"):
-            assert old_symmetry_verdict(m)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="nan"):
+            diagonalize(P2, bands_of(m))
 
 
 class TestDiagonalizeInPlace:
-    @given(symmetric_matrices())
-    def test_matches_the_old_function(self, m):
-        op = TruncatedOperator(P2, m)
-        got, ref = diagonalize(op), old_diagonalize(op)
+    @given(banded_operators())
+    def test_matches_the_old_function(self, bands):
+        got, ref = diagonalize(P2, bands), old_diagonalize(P2, _dense(bands))
         assert_same_bits(got.eigenvalues, ref.eigenvalues)
         assert_same_bits(got.eigenvectors, ref.eigenvectors)
 
     @pytest.mark.parametrize("force", [2, 3])
     def test_hamiltonians_match_the_old_function(self, force):
-        op = build_hamiltonian(OscillatorParams(force_exponent=force), 120)
-        got, ref = diagonalize(op), old_diagonalize(op)
+        params = OscillatorParams(force_exponent=force)
+        got = full_spectrum(params, 120)
+        ref = old_diagonalize(params, dense_hamiltonian(params, 120))
         assert_same_bits(got.eigenvalues, ref.eigenvalues)
         assert_same_bits(got.eigenvectors, ref.eigenvectors)
 
@@ -309,11 +295,11 @@ class TestDiagonalizeInPlace:
             return evals, np.full_like(evecs, np.nan)
 
         monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
-        op = build_hamiltonian(P2, 8)
+        bands = _hamiltonian_bands(P2, 8)
         with pytest.raises(NumericError):
-            diagonalize(op)
+            diagonalize(P2, bands)
         # the old test `residual > bound` is False for nan: no error
-        old_diagonalize(op)
+        old_diagonalize(P2, dense_hamiltonian(P2, 8))
 
 
 def oracle_peak_bytes(argv):
@@ -405,17 +391,17 @@ class TestSpectrumVetting:
         def built(n):
             sizes, out = [], io.StringIO()
 
-            def recorded(params, basis_size):
-                sizes.append(basis_size)
-                return build_hamiltonian(params, basis_size)
+            def recorded(params, bands, solve=diagonalize):
+                sizes.append(bands.shape[1])
+                return solve(params, bands)
 
-            monkeypatch.setattr(ampmech.oracle, "build_hamiltonian", recorded)
+            monkeypatch.setattr(ampmech.oracle, "diagonalize", recorded)
             assert ampmech.cli.run(["oracle", "--basis-size", str(n), *argv], stream=out) == 0
             return sizes, json.loads(out.getvalue())["results"]["plateau"]
 
-        # every spectrum is a block well below N - PLATEAU_STEP: the main
-        # one is certified without an eigensolve of H_N, and it stands in
-        # for its plateau partner, whose drift is then 0
+        # every eigensolve is a block well below N - PLATEAU_STEP: the main
+        # spectrum is certified without an eigensolve of H_N, and it stands
+        # in for its plateau partner, whose drift is then 0
         sizes, plateau = built(300)
         assert max(sizes) < 300 - PLATEAU_STEP
         assert plateau == [0] * PLATEAU_LEVELS
@@ -425,9 +411,32 @@ class TestSpectrumVetting:
         sizes, plateau = built(80)
         w = 4 if "--force" in argv else 3
         if BLOCK_START * 8 + 2 * w <= 80 - PLATEAU_STEP:
-            assert sizes[0] == BLOCK_START * 8 + 2 * w and plateau == [0] * PLATEAU_LEVELS
+            assert sizes[0] == BLOCK_START * 8 and plateau == [0] * PLATEAU_LEVELS
         else:
             assert sizes[:2] == [80, 80 - PLATEAU_STEP]
+
+    @pytest.mark.parametrize("force", ["2", "3"])
+    def test_each_spectrum_builds_h_once(self, force, monkeypatch):
+        # the main spectrum, the gap spectrum at lam_1/2 and the closure
+        # rows each build the diagonals of H_300 once, and every Ritz block
+        # and the certificate read them: no eigensolve exceeds a first block
+        built, solved = [], []
+        bands, eigh = ampmech.oracle._hamiltonian_bands, np.linalg.eigh
+
+        def recorded_bands(params, n):
+            built.append(n)
+            return bands(params, n)
+
+        def recorded_eigh(block):
+            solved.append(len(block))
+            return eigh(block)
+
+        monkeypatch.setattr(ampmech.oracle, "_hamiltonian_bands", recorded_bands)
+        monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+        argv = ["oracle", "--basis-size", "300", "--force", force]
+        assert ampmech.cli.run(argv, stream=io.StringIO()) == 0
+        assert built == [300] * 3
+        assert solved and max(solved) <= BLOCK_START * 8
 
     def test_a_skipped_certificate_passes_deep_truncation_states(self, monkeypatch):
         # H_600 of the cubic force holds truncation states far below the
@@ -444,12 +453,13 @@ class TestSpectrumVetting:
     def test_the_certificate_counts_the_levels_below_sigma(self, force, lam, n, certified):
         # against the eigenvalues of H_N below sigma, counted by a full solve
         params = OscillatorParams(lam=lam, force_exponent=force)
-        block = ampmech.oracle._ritz_block(params, n, 8)
+        bands = _hamiltonian_bands(params, n)
+        block = ampmech.oracle._ritz_block(params, bands, 8)
         assert block.basis_size < n
         sigma = 0.5 * (block.eigenvalues[7] + block.eigenvalues[8])
-        below = np.sum(np.linalg.eigvalsh(build_hamiltonian(params, n).matrix) < sigma)
+        below = np.sum(np.linalg.eigvalsh(dense_hamiltonian(params, n)) < sigma)
         assert (below == 8) == certified
-        assert ampmech.oracle._certified(params, n, block, 8) == certified
+        assert ampmech.oracle._certified(bands, block, 8) == certified
 
     def test_plateau_reported(self, cached_spectrum):
         spec = cached_spectrum(0.05)
@@ -458,8 +468,8 @@ class TestSpectrumVetting:
 
     def test_quartic_basis_growth(self):
         p3 = OscillatorParams(lam=0.1, force_exponent=3)
-        e60 = diagonalize(build_hamiltonian(p3, 60)).eigenvalues[:6]
-        e80 = diagonalize(build_hamiltonian(p3, 80)).eigenvalues[:6]
+        e60 = full_spectrum(p3, 60).eigenvalues[:6]
+        e80 = full_spectrum(p3, 80).eigenvalues[:6]
         assert np.max(np.abs(e80 - e60)) <= 1e-8
 
     def test_deep_cubic_coupling_rejected(self):
@@ -488,7 +498,7 @@ class TestSpectrumVetting:
 
 
 def full_spectrum_pairs(params, n, count):
-    spec = diagonalize(build_hamiltonian(params, n))
+    spec = full_spectrum(params, n)
     return spec.eigenvalues[:count], spec.eigenvectors[:, :count]
 
 
@@ -569,10 +579,18 @@ class TestLowestEigenpairs:
     @pytest.mark.parametrize("force", [2, 3])
     @pytest.mark.parametrize("m", [48, 56])
     def test_leading_rows_are_those_of_the_full_basis(self, force, m):
+        # the Ritz block was once solved on H built on M + 2w states; the
+        # leading states of the diagonals of H_N give its block and its
+        # tail bit for bit
         params = OscillatorParams(force_exponent=force)
         w = force + 1
-        small = build_hamiltonian(params, m + 2 * w).matrix
-        full = build_hamiltonian(params, 300).matrix
+        small = dense_hamiltonian(params, m + 2 * w)
+        bands = _hamiltonian_bands(params, 300)
+        assert_same_bits(_dense(_symmetric(bands[:, :m])), small[:m, :m])
+        assert_same_bits(_dense(_symmetric(bands[:, m - w : m + w]))[w:, :w],
+                         small[m : m + w, m - w : m])
+        # the smaller basis cuts its operator products in its last rows
+        full = dense_hamiltonian(params, 300)
         assert np.array_equal(small[: m + w, : m + w], full[: m + w, : m + w])
         assert not np.array_equal(small[-1], full[m + 2 * w - 1, : m + 2 * w])
 
@@ -860,8 +878,7 @@ class TestSumRule:
         # the rows against `quantum_condition_residual` on the dense matrix of
         # every band, which sums the same terms in another order; the full
         # solve, unvetted: the two sum the same terms in any basis
-        spec = diagonalize(build_hamiltonian(
-            OscillatorParams(lam=lam, force_exponent=force, **units), n))
+        spec = full_spectrum(OscillatorParams(lam=lam, force_exponent=force, **units), n)
         reference = quantum_condition_residual(motion_from_spectrum(spec))[:PLATEAU_LEVELS]
         x = dense_amplitudes(spec)[:, :PLATEAU_LEVELS]
         omega = (spec.eigenvalues[:, None] - spec.eigenvalues[:PLATEAU_LEVELS]) / spec.params.hbar
@@ -877,7 +894,7 @@ class TestClosure:
         # the oracle's rows, by closure over its main spectrum, against the
         # sum over every eigenpair of the full solve
         params = OscillatorParams(force_exponent=force)
-        full = diagonalize(build_hamiltonian(params, n))
+        full = full_spectrum(params, n)
         x = full.position_columns(PLATEAU_LEVELS)
         omega = (full.eigenvalues[:, None] - full.eigenvalues[:PLATEAU_LEVELS]) / params.hbar
         summed = 4.0 * math.pi * params.mass * np.sum(x * x * omega, axis=0) - params.h

@@ -73,14 +73,14 @@ def closed_form_frequency_reference(k, n, alpha, params):
     return alpha * params.omega0 if k == 0 else table[k, alpha]()
 
 
-def random_tables(seed, rows=16, band_max=4, orders=2, force_exponent=2):
+def random_tables(seed, rows=16, band_max=4, orders=2):
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=(orders + 1, band_max + 1, rows))
     for a in range(1, band_max + 1):
         amp[:, a, :a] = 0.0
     pot = rng.normal(size=(orders + 1, rows))
     pot[0] = np.arange(rows, dtype=float)
-    return CoefficientSet(force_exponent, amp, pot)
+    return CoefficientSet(amp, pot)
 
 
 def table_amplitude(cs, k, n, m):
@@ -309,12 +309,6 @@ class TestRecursionGenerator:
         with pytest.raises(ValueError):
             build_recursions(P2, 1, -1)
 
-    def test_force_exponent_must_match_tables(self):
-        cs = random_tables(0, force_exponent=3)
-        fn = build_recursions(P2, 1, 0)
-        with pytest.raises(ValueError):
-            fn(cs)
-
 
 class TestCarriedPowers:
     """The solver carries x^2 across powers of lam and forms only the top
@@ -528,7 +522,7 @@ class TestStackedEomTerms:
     @given(st.integers(0, 2**31 - 1), st.integers(0, 3), st.integers(1, 6),
            st.integers(1, 20), st.sampled_from((2, 3)), st.data())
     def test_random_tables_match_two_passes(self, seed, orders, band_max, rows, p, data):
-        cs = random_tables(seed, rows=rows, band_max=band_max, orders=orders, force_exponent=p)
+        cs = random_tables(seed, rows=rows, band_max=band_max, orders=orders)
         params = OscillatorParams(mass=1.7, omega0=0.6, force_exponent=p)
         lo = data.draw(st.integers(-band_max, band_max))
         hi = data.draw(st.integers(lo, band_max))
@@ -609,13 +603,13 @@ class TestStackedSumRule:
     @given(st.integers(0, 2**31 - 1), st.integers(0, 3), st.integers(1, 6),
            st.integers(1, 20), st.sampled_from((2, 3)), st.integers(0, 3))
     def test_random_tables_match_two_calls(self, seed, orders, band_max, rows, p, k):
-        cs = random_tables(seed, rows=rows, band_max=band_max, orders=orders, force_exponent=p)
+        cs = random_tables(seed, rows=rows, band_max=band_max, orders=orders)
         params = OscillatorParams(mass=1.7, omega0=0.6, hbar=0.8, force_exponent=p)
         self.assert_matches_two_calls(params, cs, k)
 
     def test_bands_wider_than_the_table(self):
         # band 3 outgrows two rows and has no entry (a ValueError before)
-        cs = random_tables(0, rows=2, band_max=3, orders=0, force_exponent=3)
+        cs = random_tables(0, rows=2, band_max=3, orders=0)
         params = OscillatorParams(mass=1.7, omega0=0.6, hbar=0.8, force_exponent=3)
         self.assert_matches_two_calls(params, cs, 2)
 
@@ -946,7 +940,7 @@ class TestStructureConstants:
             params=sol_cubic.params,
             order=sol_cubic.order,
             n_max=sol_cubic.n_max,
-            coeffs=CoefficientSet(2, amp, np.array(sol_cubic.coeffs.freq_potential)),
+            coeffs=CoefficientSet(amp, np.array(sol_cubic.coeffs.freq_potential)),
             solved_orders=sol_cubic.solved_orders,
         )
         with pytest.raises(StructureViolationError):
@@ -1092,7 +1086,7 @@ class TestEnergyMatrix:
             params=sol_cubic.params,
             order=sol_cubic.order,
             n_max=sol_cubic.n_max,
-            coeffs=CoefficientSet(2, amp, np.array(sol_cubic.coeffs.freq_potential)),
+            coeffs=CoefficientSet(amp, np.array(sol_cubic.coeffs.freq_potential)),
             solved_orders=sol_cubic.solved_orders,
         )
         with pytest.raises(EnergyConservationError):
