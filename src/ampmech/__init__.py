@@ -20,16 +20,13 @@ from .core import (
 from .perturb import (
     CoefficientSet,
     EnergyConservationError,
-    EnergyDiagonalSeries,
     EnergyMatrix,
     NoClosedFormError,
     PerturbSolution,
     StructureViolationError,
-    UnimplementedOrderError,
     assemble_motion,
     closed_form_amplitude,
     closed_form_frequency,
-    energy_diagonal_series,
     energy_matrix,
     extract_structure_constants,
     sho_solve,

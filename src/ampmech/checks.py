@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (BandAmplitudeArray, FrequencyGrid, MotionRepresentation,
                    commutator_diagonal, quantum_condition_residual, time_derivative)
-from .oracle import PLATEAU_LEVELS, _dense
+from .oracle import DEFAULT_UNIT_COUPLING, PLATEAU_LEVELS, _dense
 from .perturb import (ROUNDING_C, EnergyConservationError, StructureViolationError,
                       _engine_extent, _eom_terms, _half, _omega_series,
                       _qc_residual_coefficient, _series_mul, assemble_motion, band_weight,
@@ -271,7 +271,7 @@ def offdiag_energy(sol):
         em = energy_matrix(sol)
     except EnergyConservationError as exc:
         return None, [(f"offdiag-energy-order{exc.order}", exc.observed, exc.tolerance)]
-    return em, [(f"offdiag-energy-order{k}", *em.offdiag(k)) for k in range(em.order_cap + 1)]
+    return em, [(f"offdiag-energy-order{k}", *em.offdiag(k)) for k in range(em.order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +294,14 @@ def thomas_kuhn(residuals, params):
     return float(np.max(np.abs(residuals))), THOMAS_KUHN_TOL * params.hbar
 
 
-def rspt_matches_series(rspt, series, eds, lam: float):
+def rspt_matches_series(rspt, series, em, lam: float):
     """RSPT level energies against the amplitude route's energy series at
-    lam, both at the same order; the series' terms at level n are sized n+1
-    times, as in `EnergyMatrix.offdiag`."""
+    lam, both at the same order, the series the diagonal of the energy
+    matrix em; its terms at level n are sized n+1 times, as in
+    `EnergyMatrix.offdiag`."""
     n = np.arange(len(series))
-    size = sum(abs(lam) ** k * (np.abs(eds.kinetic[k]) + np.abs(eds.harmonic[k])
-                                + np.abs(eds.anharmonic[k]))[n] for k in range(len(eds.kinetic)))
+    size = sum(abs(lam) ** k * (np.abs(em.kinetic[k, 0]) + np.abs(em.harmonic[k, 0])
+                                + np.abs(em.anharmonic[k, 0]))[n] for k in range(em.order + 1))
     return (float(np.max(np.abs(np.array(rspt) - series))),
             ROUNDING_C * EPS * float(np.max((n + 1) * size)))
 
@@ -311,7 +312,8 @@ def gap_couplings(params) -> tuple[float, float]:
     of m = omega0 = hbar = 1 for every force. For the cubic force lam_1 is
     `cubic_coupling_limit` up to that limit's slack."""
     p = params.force_exponent
-    lam1 = 0.05 * params.omega0**2 * (params.mass * params.omega0 / params.hbar) ** ((p - 1) / 2)
+    lam1 = DEFAULT_UNIT_COUPLING * params.omega0**2 * (
+        params.mass * params.omega0 / params.hbar) ** ((p - 1) / 2)
     return lam1, lam1 / 2.0
 
 
@@ -356,20 +358,21 @@ def gap_exact(spec, sol):
     }
 
 
-def _gap_series(sol, eds, lam: float):
-    """The gap-order check's entries from the order-k series at lam."""
+def _gap_series(sol, em, lam: float):
+    """The gap-order check's entries from the order-k series at lam, the
+    energies from the diagonal of the energy matrix em."""
     p, orders = sol.params.force_exponent, range(sol.order + 1)
     x = [_half(a) * lam ** band_weight(p, a) * sum(lam**k * sol.a(k, a)[a : a + 2] for k in orders)
          for a in sol.public_bands]
     n = np.arange(1, PLATEAU_LEVELS)
     return {
-        "energy": eds.evaluate(lam)[:PLATEAU_LEVELS],
+        "energy": em.evaluate(lam)[:PLATEAU_LEVELS],
         "frequency": sum(lam**k * sol.omega_band(k, 1)[n] for k in orders),
         "amplitude": np.concatenate(x),
     }
 
 
-def gap_order(sol, eds, lams, exact, basis_size: int):
+def gap_order(sol, em, lams, exact, basis_size: int):
     """Halving ratio gap(lam_1) / gap(lam_1/2) of each entry, where a gap is
     |exact - order-k series| and exact holds `gap_exact` at the two
     `gap_couplings` lams. An entry is judged only where both its gaps lie
@@ -377,7 +380,7 @@ def gap_order(sol, eds, lams, exact, basis_size: int):
     judged entries and, per quantity, the check of its worst ratio against
     the `halving_window` of its own power."""
     lo, hi = HALVING_SPREAD
-    series = [_gap_series(sol, eds, lam) for lam in lams]
+    series = [_gap_series(sol, em, lam) for lam in lams]
     entries, found = [], []
     for quantity, (names, powers) in _gap_entries(sol).items():
         values = np.array([e[quantity] for e in exact])

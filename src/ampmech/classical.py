@@ -190,7 +190,7 @@ def balance_residuals(sol: ClassicalSolution) -> np.ndarray:
     return out
 
 
-def action_integral(sol: ClassicalSolution, lam: float | None = None) -> float:
+def action_integral(sol: ClassicalSolution, lam: float) -> float:
     """Action J = closed integral of m xdot^2 dt over one period.
 
     Evaluated in Fourier space as 2 pi m sum_alpha |X_alpha|^2 alpha^2 w
@@ -199,8 +199,6 @@ def action_integral(sol: ClassicalSolution, lam: float | None = None) -> float:
     J sums nonnegative terms, so |J| is their size, in the units of the run.
     """
     params = sol.params
-    if lam is None:
-        lam = params.lam
     c = sol.cosine_coefficients(lam)
     w = sol.omega(lam)
     alphas = np.arange(c.size)

@@ -41,7 +41,6 @@ from .oracle import (
 )
 from .params import OscillatorParams
 from .perturb import (
-    energy_diagonal_series,
     energy_matrix,
     extract_structure_constants,
     sho_solve,
@@ -333,12 +332,12 @@ def cmd_oracle(cfg):
     _check(checks, rows, "thomas-kuhn-sum-rule", *registry.thomas_kuhn(trk, params))
 
     rspt_total = rspt(params, levels, ORACLE_ORDER)[0].sum(axis=0)
-    eds = energy_diagonal_series(sol)
-    series = eds.evaluate(params.lam)[:levels]
+    em = energy_matrix(sol)
+    series = em.evaluate(params.lam)[:levels]
     gaps = np.abs(eigenvalues - series)
     rows.append(("perturbative-gap", None, None, None, gaps))
     _check(checks, rows, "rspt-matches-amplitude-series",
-           *registry.rspt_matches_series(rspt_total, series, eds, params.lam))
+           *registry.rspt_matches_series(rspt_total, series, em, params.lam))
 
     # the gap-order check reads spectra at lam_1 and lam_1/2, the first of
     # them the main one where lam is lam_1; each is reduced to the values
@@ -350,7 +349,7 @@ def cmd_oracle(cfg):
     for lam in lams[len(exact):]:
         exact.append(registry.gap_exact(lowest_eigenpairs(
             replace(params, lam=lam), cfg.basis_size, registry.gap_states(sol)), sol))
-    judged, found = registry.gap_order(sol, eds, lams, exact, cfg.basis_size)
+    judged, found = registry.gap_order(sol, em, lams, exact, cfg.basis_size)
     for check in found:
         _check(checks, rows, *check)
 
@@ -374,7 +373,7 @@ def cmd_sho(cfg):
     checks: list = []
     sol = sho_solve(params, cfg.n_max)
     amp = _values(sol.a(0, 1))
-    energies = _values(energy_matrix(sol, 0).diagonal(0))
+    energies = _values(energy_matrix(sol).diagonal(0))
     rows = [("a", 0, 1, None, amp), ("energy", 0, 0, None, energies)]
     for check in registry.sho(sol, max(1, cfg.n_max - 2)):
         _check(checks, rows, *check)

@@ -74,6 +74,9 @@ PLATEAU_LEVELS = 6
 # force at lam_1; so do the gap-order check's blocks at lam_1/2
 BLOCK_START = 8
 EPS = float(np.finfo(float).eps)
+# lam = 0.05 in units where m = omega0 = hbar = 1: the cubic coupling cap,
+# and the larger coupling lam_1 of the gap-order check (`checks.gap_couplings`)
+DEFAULT_UNIT_COUPLING = 0.05
 
 
 class NumericError(RuntimeError):
@@ -174,7 +177,9 @@ def _dense(bands: np.ndarray) -> np.ndarray:
     w, n = bands.shape[0] // 2, bands.shape[1]
     h = np.zeros((n, n))
     flat = h.reshape(-1)
-    for k in range(-w, w + 1):
+    # a diagonal at |k| >= n holds no entry
+    reach = min(w, n - 1)
+    for k in range(-reach, reach + 1):
         # the cells (r, r+k) of rows r = lo..lo+m-1 lie n+1 apart in flat
         lo, m = max(-k, 0), n - abs(k)
         flat[lo * (n + 1) + k :: n + 1][:m] = bands[w + k, lo : lo + m]
@@ -214,10 +219,12 @@ def _hamiltonian_bands(params: OscillatorParams, n: int) -> np.ndarray:
 
 def _symmetric(bands: np.ndarray) -> np.ndarray:
     """0.5 (M + M^T) by diagonals: each mirrored pair (a, b) becomes
-    (a + b) * 0.5, the bits of 0.5 * (m + m.T) of the dense matrix."""
+    (a + b) * 0.5, the bits of 0.5 * (m + m.T) of the dense matrix. A
+    diagonal at |k| >= n holds no entry and stays zero."""
     w, n = bands.shape[0] // 2, bands.shape[1]
     out = np.zeros_like(bands)
-    for k in range(-w, w + 1):
+    reach = min(w, n - 1)
+    for k in range(-reach, reach + 1):
         lo, hi = max(-k, 0), n - max(k, 0)
         out[w + k, lo:hi] = (bands[w + k, lo:hi] + bands[w - k, lo + k : hi + k]) * 0.5
     return out
@@ -277,7 +284,7 @@ def cubic_coupling_limit(params: OscillatorParams) -> float:
     """Largest |lam| at which `spectrum` takes the cubic force's truncated
     eigenvalues for metastable levels: the unit-free |lam|*beta/omega0^2 of
     lam = 0.05 in default units."""
-    return 0.05 * math.sqrt(2.0) * (1.0 + 1e-12) * params.omega0**2 / params.beta
+    return DEFAULT_UNIT_COUPLING * math.sqrt(2.0) * (1.0 + 1e-12) * params.omega0**2 / params.beta
 
 
 def _refuse_deep_cubic(params: OscillatorParams) -> None:

@@ -55,7 +55,6 @@ from .core import (
 from .params import OscillatorParams
 
 __all__ = [
-    "UnimplementedOrderError",
     "NoClosedFormError",
     "StructureViolationError",
     "EnergyConservationError",
@@ -69,18 +68,12 @@ __all__ = [
     "assemble_motion",
     "EnergyMatrix",
     "energy_matrix",
-    "EnergyDiagonalSeries",
-    "energy_diagonal_series",
 ]
 
 # c of every rounding bound c*eps*(summed size of the terms) in `checks` and
 # `EnergyMatrix.offdiag`: about 4 times the largest ratio measured over
 # n_max 12..3000, both forces and random unit systems
 ROUNDING_C = 4.0
-
-
-class UnimplementedOrderError(ValueError):
-    """Energy asked through an order of lam beyond the one the solution holds."""
 
 
 class NoClosedFormError(LookupError):
@@ -201,7 +194,7 @@ def _series_mul(
     a: np.ndarray, b: np.ndarray, max_power: int, step: int = 1, min_power: int = 0,
     bands: tuple[int, int] | None = None, a_lo: int | None = None,
 ) -> np.ndarray:
-    """Product of two banded lam-series: sum over g of a(n, n-g) b(n-step*g, .).
+    """Product of two real banded lam-series: sum over g of a(n, n-g) b(n-step*g, .).
     With step 0 on one row this is the convolution over signed harmonics.
     b holds the bands -bb..bb, a those from a_lo up (default centered too).
     Only the powers min_power..max_power and the signed bands lo..hi of
@@ -215,9 +208,7 @@ def _series_mul(
     a_lo = -((wa - 1) // 2) if a_lo is None else a_lo
     lo, hi = (a_lo - bb, a_lo + wa - 1 + bb) if bands is None else bands
     out = np.zeros(
-        (*(a.shape[:-3] or b.shape[:-3]), max_power + 1 - min_power, hi + 1 - lo, rows),
-        dtype=np.result_type(a, b),
-    )
+        (*(a.shape[:-3] or b.shape[:-3]), max_power + 1 - min_power, hi + 1 - lo, rows))
     # band g of a feeds rows r0..r1. All-zero (i, g) slices of a and bands of
     # b outside h0..h1-1, the span of its nonzero ones at the powers read, add
     # only zeros (and nan from 0 * inf): out starts at +0 and never holds -0.
@@ -253,9 +244,6 @@ def _series_mul(
                 continue
             sg = step * g
             r0, r1 = max(0, sg), min(rows - 1, rows - 1 + sg)
-            # a stays 3-d: numpy rounds a single complex product without fma
-            # when it broadcasts one factor from fewer dimensions, and with fma
-            # here
             out[..., s0 : s0 + j1 - j0, g0 + k0 : g0 + k1 : hs, r0 : r1 + 1] += (
                 a[..., i : i + 1, k : k + 1, r0 : r1 + 1]
                 * b[..., j0:j1, k0:k1:hs, r0 - sg : r1 + 1 - sg]
@@ -476,7 +464,7 @@ class PerturbSolution:
             raise KeyError(f"frequency potential not solved at order {k}")
         return self.coeffs.freq_potential[k, : self.n_max + 1]
 
-    def omega_band(self, k: int, alpha: int = 1) -> np.ndarray:
+    def omega_band(self, k: int, alpha: int) -> np.ndarray:
         """omega^(k)(n, n-alpha) for n = 0..n_max (zero where n < alpha)."""
         pot = self.coeffs.freq_potential[k]
         out = np.zeros(self.n_max + 1)
@@ -695,26 +683,20 @@ def _like(levels: np.ndarray, value) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else np.array(out, dtype=float)
 
 
-def extract_structure_constants(
-    sol: PerturbSolution,
-    band_max: int | None = None,
-    tol: float = 1e-10,
-) -> dict[int, float]:
+def extract_structure_constants(sol: PerturbSolution) -> dict[int, float]:
     """Numerical factors A_alpha in the lowest-order pattern
 
         a^(0)(n, n-alpha) = A_alpha * beta^alpha / omega0^e * sqrt(n!/(n-alpha)!),
 
     with e = 2 w(alpha), twice the band weight: 2(alpha-1) for the cubic
     force and alpha-1 for the quartic.
-    The factor must come out independent of n; a spread beyond tol raises
-    StructureViolationError.
+    The factor must come out independent of n; a spread beyond
+    1e-10 max(1, |A_alpha|) raises StructureViolationError.
     """
     p = sol.params.force_exponent
     b, w0 = sol.params.beta, sol.params.omega0
-    if band_max is None:
-        band_max = sol.band_max
     out: dict[int, float] = {}
-    for alpha in _band_list(p, band_max):
+    for alpha in _band_list(p, sol.band_max):
         if alpha == 0 or alpha not in sol.solved_orders:
             continue
         n = np.arange(alpha, sol.n_max + 1)
@@ -725,7 +707,7 @@ def extract_structure_constants(
         vals = sol.coeffs.amp[0, alpha, alpha : sol.n_max + 1] / norm
         ref = float(np.median(vals))
         spread = float(np.max(np.abs(vals - ref)))
-        if spread > tol * max(1.0, abs(ref)):
+        if spread > 1e-10 * max(1.0, abs(ref)):
             raise StructureViolationError(
                 f"band {alpha}: lowest-order amplitudes are n-dependent "
                 f"(spread {spread:.3e} about {ref:.6e})"
@@ -738,17 +720,11 @@ def extract_structure_constants(
 # assembly at numeric coupling
 
 
-def assemble_motion(
-    sol: PerturbSolution, lam: float, n_max: int | None = None
-) -> MotionRepresentation:
+def assemble_motion(sol: PerturbSolution, lam: float) -> MotionRepresentation:
     """Sum the coefficient tables at a numeric coupling into a motion
-    representation (real-symmetric amplitudes plus a frequency grid)."""
-    if n_max is None:
-        n_max = sol.n_max
-    if n_max > sol.n_max:
-        raise DimensionMismatchError(
-            f"requested n_max {n_max} exceeds solved range {sol.n_max}"
-        )
+    representation (real-symmetric amplitudes plus a frequency grid) of the
+    rows 0..n_max."""
+    n_max = sol.n_max
     p = sol.params.force_exponent
     c = sol.coeffs
     band_max = sol.band_max
@@ -783,15 +759,17 @@ def assemble_motion(
 
 @dataclass(frozen=True)
 class EnergyMatrix:
-    """Energy representatives W(n, n-alpha), split by power of lam and by
-    term of the energy function (kinetic, harmonic, anharmonic).
+    """Energy representatives W(n, n-alpha) through lam^order, split by power
+    of lam and by term of the energy function (kinetic, harmonic,
+    anharmonic).
 
     Arrays are indexed [power, alpha, n] with alpha >= 0; the full matrix
     is symmetric. Off-diagonal bands vanish order by order on a solution,
-    which `energy_matrix` verifies before returning.
+    which `energy_matrix` verifies before returning, and the level energies
+    are the diagonal.
     """
 
-    order_cap: int
+    order: int
     band_max: int
     n_max: int
     kinetic: np.ndarray
@@ -805,6 +783,11 @@ class EnergyMatrix:
     def diagonal(self, k: int) -> np.ndarray:
         return self.total(k, 0)
 
+    def evaluate(self, lam: float) -> np.ndarray:
+        """Level energies sum_k lam^k W^(k)(n, n) at a numeric coupling."""
+        total = self.kinetic[:, 0] + self.harmonic[:, 0] + self.anharmonic[:, 0]
+        return np.tensordot(lam ** np.arange(self.order + 1), total, axes=(0, 0))
+
     def offdiag(self, k: int) -> tuple[float, float]:
         """Largest |W(n, n-alpha)| over the off-diagonal bands at order lam^k,
         and its rounding bound c eps (n+1) (|K|+|H|+|A|)(n) at worst; n+1 is
@@ -815,9 +798,9 @@ class EnergyMatrix:
                 ROUNDING_C * float(np.finfo(float).eps) * float(np.max(size, initial=0.0)))
 
 
-def energy_matrix(sol: PerturbSolution, order_cap: int | None = None) -> EnergyMatrix:
+def energy_matrix(sol: PerturbSolution) -> EnergyMatrix:
     """Assemble W = m x'^2 / 2 + m omega0^2 x^2 / 2 + m lam x^(p+1)/(p+1)
-    through lam^order_cap with the two-index product law.
+    through the solution's order with the two-index product law.
 
     The kinetic term uses the entrywise derivative i*omega(n, m) X(n, m),
     so its frequency signs follow the antisymmetry omega(n, m) = -omega(m, n);
@@ -825,86 +808,47 @@ def energy_matrix(sol: PerturbSolution, order_cap: int | None = None) -> EnergyM
     Raises EnergyConservationError if any off-diagonal element fails to
     vanish to rounding (`EnergyMatrix.offdiag`) at the computed orders.
     """
-    if order_cap is None:
-        order_cap = sol.order
-    if order_cap > sol.order:
-        raise UnimplementedOrderError(
-            f"energy through lam^{order_cap} needs a solution of order "
-            f"{order_cap}, have {sol.order}"
-        )
-    p = sol.params.force_exponent
+    p, order = sol.params.force_exponent, sol.order
     c = sol.coeffs
     m = sol.params.mass
     band_x = sol.band_max
-    x = _x_series(p, c.amp, order_cap, band_x)
+    x = _x_series(p, c.amp, order, band_x)
     om = _omega_series(c.freq_potential, band_x)
     wx = np.zeros_like(x)
-    for s in range(order_cap + 1):
+    for s in range(order + 1):
         for j in range(min(om.shape[0], s + 1)):
             wx[s] += om[j] * x[s - j]
 
-    x2 = _series_mul(x, x, order_cap)
+    # each product forms only the bands 0..band_rep that W keeps, and x^2
+    # those that x^(p+1) = x^2 y reads: the kept ones widened by the reach
+    # of y = x (cubic) or x^2 (quartic, every band of x^2)
+    band_rep = min(max(_engine_extent(p, order)[0]) + 1, 2 * band_x)
+    reach = band_x if p == 2 else 2 * band_x
+    kept = (0, band_rep)
+    x2 = _series_mul(x, x, order, bands=(-reach, min(band_rep + reach, 2 * band_x)))
     # negating a factor, not the product, keeps the signs of zeros of the
     # real part of (i wx)(i wx)
-    d2 = _series_mul(-wx, wx, order_cap)
+    d2 = _series_mul(-wx, wx, order, bands=kept)
     # the anharmonic term x^(p+1) carries one explicit power of lam
-    src = _series_mul(x2, x if p == 2 else x2, order_cap - 1)
-    band_rep = min(max(_engine_extent(p, order_cap)[0]) + 1, 2 * band_x)
+    src = _series_mul(x2, x if p == 2 else x2, order - 1, bands=kept, a_lo=-reach)
     n_keep = sol.n_max + 1
 
-    def _trim(series: np.ndarray, factor: float, shift: int) -> np.ndarray:
-        out = np.zeros((order_cap + 1, band_rep + 1, n_keep))
-        bc = (series.shape[1] - 1) // 2
-        out[shift:] = factor * series[: order_cap + 1 - shift, bc : bc + band_rep + 1, :n_keep]
+    def _trim(series: np.ndarray, factor: float, shift: int, zero: int = 0) -> np.ndarray:
+        # band 0 of the series is its band `zero`
+        out = np.zeros((order + 1, band_rep + 1, n_keep))
+        out[shift:] = factor * series[: order + 1 - shift, zero : zero + band_rep + 1, :n_keep]
         return out
 
-    kinetic = _trim(d2, 0.5 * m, 0)
-    harmonic = _trim(x2, 0.5 * m * sol.params.omega0**2, 0)
-    anharmonic = _trim(src, m / (p + 1.0), 1)
-
     em = EnergyMatrix(
-        order_cap=order_cap,
+        order=order,
         band_max=band_rep,
         n_max=sol.n_max,
-        kinetic=kinetic,
-        harmonic=harmonic,
-        anharmonic=anharmonic,
+        kinetic=_trim(d2, 0.5 * m, 0),
+        harmonic=_trim(x2, 0.5 * m * sol.params.omega0**2, 0, zero=reach),
+        anharmonic=_trim(src, m / (p + 1.0), 1),
     )
-    for s in range(order_cap + 1):
+    for s in range(order + 1):
         observed, tolerance = em.offdiag(s)
         if observed > tolerance:
             raise EnergyConservationError(s, observed, tolerance)
     return em
-
-
-@dataclass(frozen=True)
-class EnergyDiagonalSeries:
-    """Level energies as a power series in lam, with the three energy-term
-    contributions reported separately."""
-
-    params: OscillatorParams
-    n_max: int
-    kinetic: np.ndarray
-    harmonic: np.ndarray
-    anharmonic: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.kinetic + self.harmonic + self.anharmonic
-
-    def evaluate(self, lam: float) -> np.ndarray:
-        orders = self.total.shape[0]
-        powers = lam ** np.arange(orders)
-        return np.tensordot(powers, self.total, axes=(0, 0))
-
-
-def energy_diagonal_series(sol: PerturbSolution) -> EnergyDiagonalSeries:
-    """Diagonal of the energy matrix, per power of lam and per term."""
-    em = energy_matrix(sol, sol.order)
-    return EnergyDiagonalSeries(
-        params=sol.params,
-        n_max=sol.n_max,
-        kinetic=em.kinetic[:, 0, :],
-        harmonic=em.harmonic[:, 0, :],
-        anharmonic=em.anharmonic[:, 0, :],
-    )

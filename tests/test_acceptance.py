@@ -23,7 +23,6 @@ from ampmech import (
     balance_residuals,
     classical_solve,
     commutator_diagonal,
-    energy_diagonal_series,
     energy_matrix,
     extract_structure_constants,
     ode_residual,
@@ -78,16 +77,16 @@ def test_criterion_1_closed_form_regression(sol_cubic):
 
 
 def test_criterion_2_energy_series(sol_cubic):
-    eds = energy_diagonal_series(sol_cubic)
+    em = energy_matrix(sol_cubic)
     n = np.arange(N_TOP + 1, dtype=float)
     poly = n**2 + n + 11.0 / 30.0
     checks = [
-        (eds.total[0][: N_TOP + 1], n + 0.5),
-        (eds.total[1][: N_TOP + 1], np.zeros(N_TOP + 1)),
-        (eds.total[2][: N_TOP + 1], -5.0 / 12.0 * poly),
-        (eds.harmonic[2][: N_TOP + 1], 0.5 * (5.0 * B**4 / 12.0) * poly),
-        (eds.kinetic[2][: N_TOP + 1], -0.5 * (5.0 * B**4 / 24.0) * poly),
-        (eds.anharmonic[2][: N_TOP + 1], -(5.0 * B**4 / 24.0) * poly),
+        (em.diagonal(0)[: N_TOP + 1], n + 0.5),
+        (em.diagonal(1)[: N_TOP + 1], np.zeros(N_TOP + 1)),
+        (em.diagonal(2)[: N_TOP + 1], -5.0 / 12.0 * poly),
+        (em.harmonic[2, 0, : N_TOP + 1], 0.5 * (5.0 * B**4 / 12.0) * poly),
+        (em.kinetic[2, 0, : N_TOP + 1], -0.5 * (5.0 * B**4 / 24.0) * poly),
+        (em.anharmonic[2, 0, : N_TOP + 1], -(5.0 * B**4 / 24.0) * poly),
     ]
     worst = max(
         float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
@@ -97,7 +96,7 @@ def test_criterion_2_energy_series(sol_cubic):
 
 
 def test_criterion_3_energy_conservation(sol_cubic):
-    em = energy_matrix(sol_cubic, 2)
+    em = energy_matrix(sol_cubic)
     worst_order1 = max(
         float(np.max(np.abs(em.total(1, 1)[: N_TOP + 1]))),
         float(np.max(np.abs(em.total(1, 3)[: N_TOP + 1]))),
@@ -152,8 +151,8 @@ def test_criterion_5_rspt_identity():
     reason="even spectrum in the coupling: gap is ~1.5e-4 at the third level",
 )
 def test_criterion_5_gap_magnitude(sol_cubic, cached_spectrum):
-    eds = energy_diagonal_series(sol_cubic)
-    gaps = np.abs(cached_spectrum(0.05).eigenvalues[:4] - eds.evaluate(0.05)[:4])
+    em = energy_matrix(sol_cubic)
+    gaps = np.abs(cached_spectrum(0.05).eigenvalues[:4] - em.evaluate(0.05)[:4])
     ok = bool(np.max(gaps) <= 5e-5)
     report("5b", ok, f"(expected failure) max gap n<=3 is {np.max(gaps):.2e}")
     assert ok
@@ -164,9 +163,9 @@ def test_criterion_5_gap_magnitude(sol_cubic, cached_spectrum):
     reason="even spectrum in the coupling: the gap scales as the fourth power, ~16x",
 )
 def test_criterion_5_gap_scaling(sol_cubic, cached_spectrum):
-    eds = energy_diagonal_series(sol_cubic)
-    g1 = np.abs(cached_spectrum(0.05).eigenvalues[:4] - eds.evaluate(0.05)[:4])
-    g2 = np.abs(cached_spectrum(0.025).eigenvalues[:4] - eds.evaluate(0.025)[:4])
+    em = energy_matrix(sol_cubic)
+    g1 = np.abs(cached_spectrum(0.05).eigenvalues[:4] - em.evaluate(0.05)[:4])
+    g2 = np.abs(cached_spectrum(0.025).eigenvalues[:4] - em.evaluate(0.025)[:4])
     ratio = float(np.max(g1 / g2))
     ok = 8.0 * 0.7 <= ratio <= 8.0 * 1.3
     report("5c", ok, f"(expected failure) measured drop {ratio:.2f}x")
@@ -221,13 +220,13 @@ def test_criterion_9_quartic_parity_and_validation(sol_quartic, cached_spectrum)
         np.max(np.abs(motion.amplitudes.band(alpha))) == 0.0
         for alpha in range(0, motion.amplitudes.band_max + 1, 2)
     )
-    eds = energy_diagonal_series(sol_quartic)
+    em = energy_matrix(sol_quartic)
     g1 = np.abs(
-        cached_spectrum(0.05, force_exponent=3).eigenvalues[:4] - eds.evaluate(0.05)[:4]
+        cached_spectrum(0.05, force_exponent=3).eigenvalues[:4] - em.evaluate(0.05)[:4]
     )
     g2 = np.abs(
         cached_spectrum(0.025, force_exponent=3).eigenvalues[:4]
-        - eds.evaluate(0.025)[:4]
+        - em.evaluate(0.025)[:4]
     )
     ratios = g1 / g2
     scaling_ok = bool(np.all((8.0 * 0.7 <= ratios) & (ratios <= 8.0 * 1.3)))

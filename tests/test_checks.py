@@ -21,7 +21,6 @@ from ampmech.perturb import (
     _series_mul,
     _x_series,
     band_weight,
-    energy_diagonal_series,
     energy_matrix,
     sho_solve,
     solve_perturbative,
@@ -90,6 +89,25 @@ def test_tampered_amplitude_fails_its_checks(group, force):
     assert not failing(clean)
     if clean:  # the closed forms are tabulated for the cubic force only
         assert failing(group(tampered(sol, 0, 1, 500)))
+
+
+def _table_failures(sol) -> set:
+    """Ids of the failing checks of the perturbative tables."""
+    return set(failing([*checks.recursion(sol), *checks.quantum_condition(sol),
+                        *checks.closed_form(sol), *checks.offdiag_energy(sol)[1]]))
+
+
+# a check's tolerance is the bound of its worst row, so at n_max 1000 a
+# defect in a low row hides under the rounding of the top rows: of the 12
+# checks that fail at n_max 12, 6 (cubic) and 1 (quartic) fail there
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="per-row verdicts are not in yet (ROADMAP item 8)")
+@pytest.mark.parametrize("force", [2, 3])
+def test_low_row_tamper_fails_at_any_n_max(force):
+    params = OscillatorParams(force_exponent=force)
+    small, large = (_table_failures(tampered(solve_perturbative(params, 2, n_max), 0, 1, 5))
+                    for n_max in (12, 1000))
+    assert small and small <= large, sorted(small - large)
 
 
 @pytest.mark.parametrize("force", [2, 3])
@@ -192,16 +210,16 @@ def test_gap_couplings_follow_the_units(units):
 def _gap_inputs(force):
     params = OscillatorParams(force_exponent=force)
     sol = solve_perturbative(params, 2, 12)
-    return sol, energy_diagonal_series(sol), checks.gap_couplings(params)
+    return sol, energy_matrix(sol), checks.gap_couplings(params)
 
 
 @pytest.mark.parametrize("force", [2, 3])
 def test_gap_order_judges_no_gap_at_rounding(force):
     # exact values equal to the series leave nothing to judge: each check
     # reports no observed value, which `cli` records as a failure
-    sol, eds, lams = _gap_inputs(force)
-    exact = [checks._gap_series(sol, eds, lam) for lam in lams]
-    entries, found = checks.gap_order(sol, eds, lams, exact, 80)
+    sol, em, lams = _gap_inputs(force)
+    exact = [checks._gap_series(sol, em, lam) for lam in lams]
+    entries, found = checks.gap_order(sol, em, lams, exact, 80)
     assert entries == [] and failing(found) == [c for c, _, _ in found]
     assert [observed for _, observed, _ in found] == [None] * 3
 
@@ -220,8 +238,8 @@ def test_gap_states_are_the_states_gap_exact_reads(force, states):
 def test_gap_order_reports_the_entry_outside_its_window():
     # rho = ratio / 2^q: 0.71 lies inside (0.7, 1.3) though farther from 1
     # on a log scale than 1.31, which lies outside
-    sol, eds, lams = _gap_inputs(2)
-    series = [checks._gap_series(sol, eds, lam) for lam in lams]
+    sol, em, lams = _gap_inputs(2)
+    series = [checks._gap_series(sol, em, lam) for lam in lams]
     exact = [{}, {}]
     for quantity, (_, powers) in checks._gap_entries(sol).items():
         rho = np.ones(len(powers))
@@ -230,7 +248,7 @@ def test_gap_order_reports_the_entry_outside_its_window():
         gap = 1e-3 * np.abs(series[0][quantity])
         exact[0][quantity] = series[0][quantity] + gap
         exact[1][quantity] = series[1][quantity] + gap / (rho * 2.0 ** np.array(powers))
-    entries, found = checks.gap_order(sol, eds, lams, exact, 80)
+    entries, found = checks.gap_order(sol, em, lams, exact, 80)
     assert [(c, obs > hi) for c, obs, (lo, hi) in found if not lo <= obs <= hi] == [
         ("gap-order-frequency", True)]
     # the order-2 cubic frequency gaps are of order lam^4
@@ -247,9 +265,9 @@ def test_rspt_matches_series_at_any_units(force, units):
     params = OscillatorParams(mass=m, omega0=w0, hbar=hbar, lam=lam, force_exponent=force)
     levels = 40
     energies = rspt(params, levels, 2)[0].sum(axis=0)
-    eds = energy_diagonal_series(solve_perturbative(params, 2, levels + 4))
+    em = energy_matrix(solve_perturbative(params, 2, levels + 4))
     observed, tolerance = checks.rspt_matches_series(
-        energies, eds.evaluate(lam)[:levels], eds, lam)
+        energies, em.evaluate(lam)[:levels], em, lam)
     assert observed <= tolerance
 
 

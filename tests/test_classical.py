@@ -386,12 +386,12 @@ class TestAction:
         # cross-check catches at any size of J: at a1 = 0.01, J = 3.1e-4,
         # and an absolute bound of 1e-8 below J = 1 passed it
         sol = classical_solve(OscillatorParams(lam=0.01, force_exponent=p), 2, a1=a1)
-        assert action_integral(sol) == pytest.approx(math.pi * a1**2, rel=0.1)
+        assert action_integral(sol, sol.params.lam) == pytest.approx(math.pi * a1**2, rel=0.1)
         xdot = ClassicalSolution.xdot_of_t
         monkeypatch.setattr(ClassicalSolution, "xdot_of_t",
                             lambda self, t, lam: (1.0 + 1e-6) * xdot(self, t, lam))
         with pytest.raises(QuadratureMismatchError):
-            action_integral(sol)
+            action_integral(sol, sol.params.lam)
 
     def test_action_prescription_matches_leading_quantization(self):
         n = 11

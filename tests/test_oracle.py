@@ -18,7 +18,7 @@ from ampmech import (
     PlateauError,
     SpectrumResult,
     diagonalize,
-    energy_diagonal_series,
+    energy_matrix,
     lowest_eigenpairs,
     position_matrix,
     quantum_condition_residual,
@@ -234,11 +234,12 @@ def old_diagonalize(params, h):
 
 
 @st.composite
-def banded_operators(draw, symmetric=True, max_size=12):
+def banded_operators(draw, symmetric=True, max_size=12, wide=False):
     """Operators stored by diagonals, exactly symmetric unless asked
-    otherwise, some of them coupling no even level to an odd one."""
+    otherwise, some of them coupling no even level to an odd one. A wide
+    one has up to three diagonals beyond the n - 1 its n states hold."""
     n = draw(st.integers(1, max_size))
-    w = draw(st.integers(0, min(4, n - 1)))
+    w = draw(st.integers(0, n + 3 if wide else min(4, n - 1)))
     elements = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -2.5]))
     bands = draw(hnp.arrays(np.float64, (2 * w + 1, n), elements=elements))
     if draw(st.booleans()):
@@ -267,6 +268,28 @@ class TestOperatorValidation:
             m[cell] = bad
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="nan"):
             diagonalize(P2, bands_of(m))
+
+
+def dense_reference(bands):
+    """The dense matrix of an operator stored by diagonals, cell by cell:
+    diagonals at |k| >= n hold no entry of the n states."""
+    w, n = bands.shape[0] // 2, bands.shape[1]
+    m, reach = np.zeros((n, n)), min(w, n - 1)
+    for k in range(-reach, reach + 1):
+        r = np.arange(max(-k, 0), n - max(k, 0))
+        m[r, r + k] = bands[w + k, r]
+    return m
+
+
+class TestWideBands:
+    @given(banded_operators(symmetric=False, wide=True))
+    def test_any_band_width_matches_the_dense_reference(self, bands):
+        m = dense_reference(bands)
+        assert_same_bits(_dense(bands), m)
+        assert_same_bits(_dense(_symmetric(bands)), 0.5 * (m + m.T))
+        got, ref = diagonalize(P2, bands), old_diagonalize(P2, 0.5 * (m + m.T))
+        assert_same_bits(got.eigenvalues, ref.eigenvalues)
+        assert_same_bits(got.eigenvectors, ref.eigenvectors)
 
 
 class TestDiagonalizeInPlace:
@@ -684,7 +707,7 @@ def _tampered_state(params, basis_size, count, one=spectrum):
 def _one_coefficient(accessor, order, band, row, factor):
     """The solver accessor `accessor` with its lam^order table of `band`
     scaled by `factor` at one row."""
-    def tampered(self, k, alpha=1):
+    def tampered(self, k, alpha):
         out = accessor(self, k, alpha)
         if (k, alpha) == (order, band):
             out = out.copy()
@@ -705,7 +728,7 @@ _FREQUENCY = (SpectrumResult, "omega_exact",
               {"gap-order-frequency"})
 # the series read the solver's lam^2 frequency, not a copy of it
 _FREQUENCY_TARGET = (PerturbSolution, "omega_band",
-                     lambda self, k, alpha=1, one=PerturbSolution.omega_band:
+                     lambda self, k, alpha, one=PerturbSolution.omega_band:
                          (1.1 if k == 2 else 1.0) * one(self, k, alpha),
                      {"gap-order-frequency"})
 CUBIC, QUARTIC = ["oracle"], ["oracle", "--force", "3"]
@@ -906,26 +929,26 @@ class TestSolverAgreement:
     def test_cubic_gap_scales_as_fourth_power(self, sol_cubic, cached_spectrum):
         # odd orders vanish for the cubic force: the second-order solver is
         # accidentally third-order accurate and the gap scales as lam^4
-        eds = energy_diagonal_series(sol_cubic)
+        em = energy_matrix(sol_cubic)
         g1 = np.abs(
-            cached_spectrum(0.05).eigenvalues[:4] - eds.evaluate(0.05)[:4]
+            cached_spectrum(0.05).eigenvalues[:4] - em.evaluate(0.05)[:4]
         )
         g2 = np.abs(
-            cached_spectrum(0.025).eigenvalues[:4] - eds.evaluate(0.025)[:4]
+            cached_spectrum(0.025).eigenvalues[:4] - em.evaluate(0.025)[:4]
         )
         ratios = g1 / g2
         assert np.all((16.0 * 0.8 <= ratios) & (ratios <= 16.0 * 1.2))
         assert np.max(g1[:2]) <= 5e-5  # ground and first level at lam = 0.05
 
     def test_quartic_gap_scales_as_third_power(self, sol_quartic, cached_spectrum):
-        eds = energy_diagonal_series(sol_quartic)
+        em = energy_matrix(sol_quartic)
         g1 = np.abs(
             cached_spectrum(0.05, force_exponent=3).eigenvalues[:4]
-            - eds.evaluate(0.05)[:4]
+            - em.evaluate(0.05)[:4]
         )
         g2 = np.abs(
             cached_spectrum(0.025, force_exponent=3).eigenvalues[:4]
-            - eds.evaluate(0.025)[:4]
+            - em.evaluate(0.025)[:4]
         )
         ratios = g1 / g2
         assert np.all((8.0 * 0.7 <= ratios) & (ratios <= 8.0 * 1.3))

@@ -1,10 +1,13 @@
 """Every public name a module declares resolves, the package re-exports it,
 and the program, not only the tests, reads it, as it reads every public
-method, property and field of a public class."""
+method, property and field of a public class, and sets every option they
+take."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
+import math
 import pathlib
 import pkgutil
 import re
@@ -43,6 +46,9 @@ PROGRAM += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench")
 # balance_residuals is the classical equation residual that acceptance
 # criterion 5 reads; only the tests call it
 UNCALLED = {"balance_residuals"}
+# defaulted parameters of the library that no call in the program sets, as
+# "function(parameter)": none, since an option held at one value is dead code
+UNSET: set[str] = set()
 
 
 def _count_references(nodes, refs: Counter) -> None:
@@ -116,3 +122,67 @@ def test_public_members_have_a_caller(name):
                if inspect.isclass(getattr(module, attr))]
     assert [f"{cls.__name__}.{attr}" for cls in classes for attr in public_members(cls)
             if refs[attr] <= own[cls.__name__][attr]] == []
+
+
+def defaulted_parameters(module):
+    """(name, callees, parameter, index) of each defaulted parameter of a
+    public function, a public method or the constructor of a public
+    dataclass of the module: the names a call to it goes by, and its place
+    among the positional arguments such a call passes (None for a
+    keyword-only parameter). A dataclass field is also set by `replace`."""
+    out = []
+    for attr in module.__all__:
+        obj = getattr(module, attr)
+        if inspect.isfunction(obj):
+            targets = [(attr, obj, {attr}, 0)]
+        elif inspect.isclass(obj):
+            targets = [(f"{attr}.{name}", fn, {name}, 1) for name, fn in vars(obj).items()
+                       if inspect.isfunction(fn) and not name.startswith("_")]
+            if dataclasses.is_dataclass(obj):
+                targets.append((attr, obj.__init__, {attr, "replace"}, 1))
+        else:
+            continue
+        for name, fn, callees, skip in targets:
+            params = list(inspect.signature(fn).parameters.values())[skip:]
+            for i, param in enumerate(params):
+                if param.default is not param.empty:
+                    positional = param.kind is not param.KEYWORD_ONLY
+                    out.append((f"{name}({param.name})", callees, param.name,
+                                i if positional else None))
+    return out
+
+
+def program_calls() -> dict:
+    """Per name called, the number of positional arguments and the keyword
+    names of each call in the program; a * or ** argument may pass any."""
+    calls = defaultdict(list)
+    for tree in _program_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                calls[name].append((math.inf, None))
+            else:
+                calls[name].append((len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def _sets(call, param: str, index) -> bool:
+    positional, keywords = call
+    return keywords is None or param in keywords or (index is not None and positional > index)
+
+
+@pytest.mark.parametrize("name", ["core", "perturb", "classical", "oracle"])
+def test_defaulted_parameters_are_set_by_the_program(name):
+    # an option that every call leaves at its default is one value in use:
+    # some call in the program passes each, by keyword or by position
+    calls = program_calls()
+    module = importlib.import_module(f"ampmech.{name}")
+    unset = [label for label, callees, param, index in defaulted_parameters(module)
+             if label not in UNSET and not any(
+                 _sets(call, param, None if callee == "replace" else index)
+                 for callee in callees for call in calls[callee])]
+    assert unset == []

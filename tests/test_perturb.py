@@ -11,7 +11,6 @@ from ampmech import (
     NoClosedFormError,
     OscillatorParams,
     StructureViolationError,
-    UnimplementedOrderError,
     quantum_condition_residual,
 )
 from ampmech import perturb
@@ -22,7 +21,6 @@ from ampmech.perturb import (
     assemble_motion,
     closed_form_amplitude,
     closed_form_frequency,
-    energy_diagonal_series,
     energy_matrix,
     extract_structure_constants,
     sho_solve,
@@ -135,13 +133,11 @@ def omega_series_reference(pot, band_max):
     return out
 
 
-def random_series(rng, orders, band_max, rows, complex_):
+def random_series(rng, orders, band_max, rows):
     """Random banded lam-series in which some (order, band) slices are zero,
     or zero on every row their band reaches and nonzero outside it."""
     shape = (orders, 2 * band_max + 1, rows)
     s = rng.normal(size=shape)
-    if complex_:
-        s = s + 1j * rng.normal(size=shape)
     for i in range(orders):
         for g in range(-band_max, band_max + 1):
             u = rng.random()
@@ -162,15 +158,14 @@ class TestSeriesKernels:
         st.integers(0, 2**31 - 1),
         st.integers(1, 4), st.integers(1, 4),
         st.integers(0, 4), st.integers(0, 4),
-        st.integers(1, 12), st.integers(0, 8),
-        st.booleans(), st.booleans(), st.booleans(),
+        st.integers(1, 12), st.integers(0, 8), st.booleans(),
     )
     def test_series_mul_matches_term_loop(
-        self, seed, pa, pb, ba, bb, rows, max_power, ca, cb, nonfinite
+        self, seed, pa, pb, ba, bb, rows, max_power, nonfinite
     ):
         rng = np.random.default_rng(seed)
-        a = random_series(rng, pa, ba, rows, ca)
-        b = random_series(rng, pb, bb, rows, cb)
+        a = random_series(rng, pa, ba, rows)
+        b = random_series(rng, pb, bb, rows)
         if nonfinite:
             # 0 * inf is nan, so a skipped all-zero slice must stay skipped
             b[rng.random(b.shape) < 0.1] = np.inf
@@ -182,15 +177,15 @@ class TestSeriesKernels:
         st.integers(1, 4), st.integers(1, 4),
         st.integers(0, 4), st.integers(0, 4),
         st.integers(1, 12), st.integers(0, 8), st.data(),
-        st.booleans(), st.booleans(), st.booleans(), st.sampled_from((0, 1)),
+        st.booleans(), st.sampled_from((0, 1)),
     )
     def test_bounded_series_mul_is_slice_of_full(
-        self, seed, pa, pb, ba, bb, rows, max_power, data, ca, cb, nonfinite, step
+        self, seed, pa, pb, ba, bb, rows, max_power, data, nonfinite, step
     ):
         min_power = data.draw(st.integers(0, max_power))
         rng = np.random.default_rng(seed)
-        a = random_series(rng, pa, ba, rows, ca)
-        b = random_series(rng, pb, bb, rows, cb)
+        a = random_series(rng, pa, ba, rows)
+        b = random_series(rng, pb, bb, rows)
         if nonfinite:
             b[rng.random(b.shape) < 0.1] = np.inf
         with np.errstate(invalid="ignore"):
@@ -204,11 +199,10 @@ class TestSeriesKernels:
         st.integers(1, 4), st.integers(1, 4),
         st.integers(0, 4), st.integers(0, 4),
         st.integers(1, 12), st.integers(0, 8), st.data(),
-        st.booleans(), st.booleans(), st.sampled_from(("a", "b", None)),
-        st.sampled_from((0, 1)), st.sampled_from((None, 2)),
+        st.sampled_from(("a", "b", None)), st.sampled_from((0, 1)), st.sampled_from((None, 2)),
     )
     def test_windowed_series_mul_is_band_slice_of_full(
-        self, seed, pa, pb, ba, bb, rows, max_power, data, ca, cb, nonfinite, step, lead
+        self, seed, pa, pb, ba, bb, rows, max_power, data, nonfinite, step, lead
     ):
         min_power = data.draw(st.integers(0, max_power))
         bc = ba + bb
@@ -216,13 +210,12 @@ class TestSeriesKernels:
         hi = data.draw(st.integers(lo, bc))
         rng = np.random.default_rng(seed)
 
-        def series(orders, band_max, complex_):
+        def series(orders, band_max):
             if lead is None:
-                return random_series(rng, orders, band_max, rows, complex_)
-            return np.stack([random_series(rng, orders, band_max, rows, complex_)
-                             for _ in range(lead)])
+                return random_series(rng, orders, band_max, rows)
+            return np.stack([random_series(rng, orders, band_max, rows) for _ in range(lead)])
 
-        a, b = series(pa, ba, ca), series(pb, bb, cb)
+        a, b = series(pa, ba), series(pb, bb)
         factor = {"a": a, "b": b}.get(nonfinite)
         if factor is not None:
             factor[rng.random(factor.shape) < 0.1] = np.inf
@@ -614,10 +607,10 @@ class TestStackedSumRule:
         self.assert_matches_two_calls(params, cs, 2)
 
 
-def parity_series(rng, orders, band_max, rows, complex_, parity):
+def parity_series(rng, orders, band_max, rows, parity):
     """A random series whose bands of one parity (index band_max + g) are all
     zero, as in odd x and even x^2 of the quartic force, with all-zero powers."""
-    s = random_series(rng, orders, band_max, rows, complex_)
+    s = random_series(rng, orders, band_max, rows)
     s[:, parity::2] = 0.0
     s[rng.random(orders) < 0.3] = 0.0
     return s
@@ -633,15 +626,14 @@ class TestSeriesMulStructure:
         st.integers(1, 4), st.integers(1, 4),
         st.integers(0, 4), st.integers(0, 5),
         st.integers(1, 12), st.integers(0, 8),
-        st.booleans(), st.booleans(), st.sampled_from(("a", "b", None)),
-        st.sampled_from((0, 1)),
+        st.sampled_from(("a", "b", None)), st.sampled_from((0, 1)),
     )
     def test_parity_skip_matches_term_loop(
-        self, seed, pa, pb, ba, bb, rows, max_power, ca, cb, nonfinite, parity
+        self, seed, pa, pb, ba, bb, rows, max_power, nonfinite, parity
     ):
         rng = np.random.default_rng(seed)
-        a = random_series(rng, pa, ba, rows, ca)
-        b = parity_series(rng, pb, bb, rows, cb, parity)
+        a = random_series(rng, pa, ba, rows)
+        b = parity_series(rng, pb, bb, rows, parity)
         factor = {"a": a, "b": b}.get(nonfinite)
         if factor is not None:
             factor[(rng.random(factor.shape) < 0.1) & (factor != 0)] = np.inf
@@ -668,9 +660,9 @@ class TestSeriesMulStructure:
     ):
         min_power = data.draw(st.integers(0, max_power))
         rng = np.random.default_rng(seed)
-        a = np.stack([random_series(rng, pa, ba, rows, False) for _ in range(2)])
+        a = np.stack([random_series(rng, pa, ba, rows) for _ in range(2)])
         make = parity_series if parity else lambda *args: random_series(*args[:-1])
-        b = np.stack([make(rng, pb, bb, rows, False, 1) for _ in range(2)])
+        b = np.stack([make(rng, pb, bb, rows, 1) for _ in range(2)])
         stacked = _series_mul(a, b, max_power, step, min_power=min_power)
         for q in range(2):
             assert_same_bits(stacked[q], _series_mul(a[q], b[q], max_power, step,
@@ -722,25 +714,27 @@ class TestEnginePad:
         assert sol.solved_orders == ref.solved_orders
 
 
-def kinetic_complex_reference(sol, order_cap):
+def kinetic_complex_reference(sol):
     """Kinetic energy terms from the complex derivative i*omega*X, squared
-    as a complex series product: the real kinetic term's reference."""
-    p, c = sol.params.force_exponent, sol.coeffs
-    x = _x_series(p, c.amp, order_cap, sol.band_max)
+    as a complex series product by the term loop: the real kinetic term's
+    reference."""
+    p, c, order = sol.params.force_exponent, sol.coeffs, sol.order
+    x = _x_series(p, c.amp, order, sol.band_max)
     om = _omega_series(c.freq_potential, sol.band_max)
     xdot = np.zeros_like(x, dtype=np.complex128)
-    for s in range(order_cap + 1):
+    for s in range(order + 1):
         for j in range(min(om.shape[0], s + 1)):
             xdot[s] += 1j * om[j] * x[s - j]
-    d2 = _series_mul(xdot, xdot, order_cap)
+    d2 = series_mul_reference(xdot, xdot, order)
     return 0.5 * sol.params.mass * np.real(d2)
 
 
-def energy_terms_loop_reference(sol, order_cap):
-    """Kinetic, harmonic and anharmonic terms trimmed one (power, band) slice
-    at a time, with no anharmonic product at order 0, as `energy_matrix` did
-    before it sliced each term at once."""
-    p, c, m = sol.params.force_exponent, sol.coeffs, sol.params.mass
+def energy_terms_loop_reference(sol):
+    """Kinetic, harmonic and anharmonic terms from the full-band products,
+    trimmed one (power, band) slice at a time, with no anharmonic product at
+    order 0, as `energy_matrix` did before it sliced each term at once and
+    formed only the bands it keeps."""
+    p, c, m, order_cap = sol.params.force_exponent, sol.coeffs, sol.params.mass, sol.order
     x = _x_series(p, c.amp, order_cap, sol.band_max)
     om = _omega_series(c.freq_potential, sol.band_max)
     wx = np.zeros_like(x)
@@ -967,12 +961,8 @@ class TestAssembleMotion:
         )
 
     def test_assembled_array_symmetric(self, sol_cubic):
-        m = assemble_motion(sol_cubic, 0.17, n_max=16)
+        m = assemble_motion(sol_cubic, 0.17)
         assert symmetry_defect(m.amplitudes) <= 1e-15
-
-    def test_respects_solved_range(self, sol_cubic):
-        with pytest.raises(DimensionMismatchError):
-            assemble_motion(sol_cubic, 0.1, n_max=sol_cubic.n_max + 1)
 
 
 class TestShoRoute:
@@ -984,7 +974,7 @@ class TestShoRoute:
         assert m.amplitudes.get(1, 0) == pytest.approx(
             math.sqrt(params.hbar / (2 * params.mass * params.omega0)), rel=1e-15
         )
-        em = energy_matrix(sol, 0)
+        em = energy_matrix(sol)
         assert em.diagonal(0)[0] == pytest.approx(0.5, rel=1e-15)
         n = np.arange(21)
         assert np.allclose(em.diagonal(0), n + 0.5, rtol=1e-14)
@@ -1004,8 +994,8 @@ class TestEnergyMatrix:
     @pytest.mark.parametrize("p", [2, 3])
     def test_real_kinetic_term_matches_complex_product(self, p, n_max):
         sol = solve_perturbative(OscillatorParams(force_exponent=p), 2, n_max)
-        em = energy_matrix(sol, 2)
-        ref = kinetic_complex_reference(sol, 2)
+        em = energy_matrix(sol)
+        ref = kinetic_complex_reference(sol)
         bc = (ref.shape[1] - 1) // 2
         assert_same_bits(em.kinetic, ref[:, bc : bc + em.band_max + 1, : n_max + 1])
 
@@ -1013,15 +1003,15 @@ class TestEnergyMatrix:
     @pytest.mark.parametrize("p", [2, 3])
     def test_terms_match_slice_loop(self, p, order):
         params = OscillatorParams(mass=1.3, omega0=0.8, hbar=0.7, force_exponent=p)
-        sol = solve_perturbative(params, order, order + 9)
-        for order_cap in range(order + 1):
-            em = energy_matrix(sol, order_cap)
+        for n_max in (order + 3, order + 9):
+            sol = solve_perturbative(params, order, n_max)
+            em = energy_matrix(sol)
             for got, ref in zip((em.kinetic, em.harmonic, em.anharmonic),
-                                energy_terms_loop_reference(sol, order_cap)):
+                                energy_terms_loop_reference(sol)):
                 assert_same_bits(got, ref)
 
     def test_diagonal_orders(self, sol_cubic):
-        em = energy_matrix(sol_cubic, 2)
+        em = energy_matrix(sol_cubic)
         n = np.arange(N_CHECK)
         assert np.allclose(em.diagonal(0)[:N_CHECK], n + 0.5, rtol=1e-13)
         assert np.max(np.abs(em.diagonal(1))) == 0.0
@@ -1030,7 +1020,7 @@ class TestEnergyMatrix:
         assert np.max(np.abs(got - target) / np.maximum(1.0, np.abs(target))) <= 1e-12
 
     def test_second_order_diagonal_pieces(self, sol_cubic):
-        em = energy_matrix(sol_cubic, 2)
+        em = energy_matrix(sol_cubic)
         n = np.arange(N_CHECK)
         poly = n**2 + n + 11.0 / 30.0
         harm = 0.5 * (5.0 * B**4 / 12.0) * poly
@@ -1041,7 +1031,7 @@ class TestEnergyMatrix:
         assert np.allclose(em.anharmonic[2, 0, :N_CHECK], anh, rtol=1e-12)
 
     def test_first_order_adjacent_band_contributions(self, sol_cubic):
-        em = energy_matrix(sol_cubic, 2)
+        em = energy_matrix(sol_cubic)
         n = np.arange(N_CHECK, dtype=float)
         nsr = n * np.sqrt(n)
         assert np.allclose(em.harmonic[1, 1, :N_CHECK], -5.0 / 24.0 * B**3 * nsr,
@@ -1053,7 +1043,7 @@ class TestEnergyMatrix:
         assert np.max(np.abs(em.total(1, 1))) <= 1e-12
 
     def test_second_band_static_cancellation(self, sol_cubic):
-        em = energy_matrix(sol_cubic, 2)
+        em = energy_matrix(sol_cubic)
         n = np.arange(N_CHECK, dtype=float)
         expect = np.zeros(N_CHECK)
         expect[2:] = 0.125 * 2.0 * np.sqrt(n[2:] * (n[2:] - 1))  # beta^2 = 2
@@ -1062,7 +1052,7 @@ class TestEnergyMatrix:
         assert np.max(np.abs(em.anharmonic[0, 2])) == 0.0
 
     def test_third_band_contributions(self, sol_cubic):
-        em = energy_matrix(sol_cubic, 2)
+        em = energy_matrix(sol_cubic)
         n = np.arange(N_CHECK, dtype=float)
         root = np.sqrt(np.clip(n * (n - 1) * (n - 2), 0.0, None))
         assert np.allclose(em.harmonic[1, 3, :N_CHECK], B**3 / 24.0 * root,
@@ -1074,7 +1064,7 @@ class TestEnergyMatrix:
         assert np.max(np.abs(em.total(1, 3))) <= 1e-12
 
     def test_off_diagonals_vanish_every_order(self, sol_cubic):
-        em = energy_matrix(sol_cubic, 2)
+        em = energy_matrix(sol_cubic)
         for k in range(3):
             for alpha in range(1, em.band_max + 1):
                 assert np.max(np.abs(em.total(k, alpha))) <= 1e-12
@@ -1090,27 +1080,24 @@ class TestEnergyMatrix:
             solved_orders=sol_cubic.solved_orders,
         )
         with pytest.raises(EnergyConservationError):
-            energy_matrix(broken, 2)
-
-    def test_order_cap_enforced(self):
-        sol = solve_perturbative(P2, 1, 10)
-        with pytest.raises(UnimplementedOrderError):
-            energy_matrix(sol, 2)
+            energy_matrix(broken)
 
 
 class TestEnergyDiagonalSeries:
+    """The level energies: the diagonal of the energy matrix, summed as a
+    series in lam by `EnergyMatrix.evaluate`."""
+
     def test_reference_value(self, sol_cubic):
-        eds = energy_diagonal_series(sol_cubic)
-        got = eds.evaluate(0.05)[0]
+        got = energy_matrix(sol_cubic).evaluate(0.05)[0]
         assert got == pytest.approx(0.5 - (5 * 0.0025 / 12) * (11 / 30), rel=1e-12)
 
     def test_matches_closed_form_series(self, sol_cubic):
-        eds = energy_diagonal_series(sol_cubic)
+        em = energy_matrix(sol_cubic)
         n = np.arange(N_CHECK)
-        assert np.allclose(eds.total[0][:N_CHECK], n + 0.5, rtol=1e-13)
-        assert np.max(np.abs(eds.total[1])) == 0.0
+        assert np.allclose(em.diagonal(0)[:N_CHECK], n + 0.5, rtol=1e-13)
+        assert np.max(np.abs(em.diagonal(1))) == 0.0
         target = -5.0 / 12.0 * (n**2 + n + 11.0 / 30.0)
-        assert np.allclose(eds.total[2][:N_CHECK], target, rtol=1e-12)
+        assert np.allclose(em.diagonal(2)[:N_CHECK], target, rtol=1e-12)
 
 
 @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.2, 3.0))

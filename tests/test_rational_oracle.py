@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from ampmech import OscillatorParams, rspt, solve_perturbative
-from ampmech.perturb import energy_diagonal_series
+from ampmech.perturb import energy_matrix
 
 ORDER = 8
 LEVELS = range(6)
@@ -106,7 +106,8 @@ def unit_params(p, units):
 @pytest.mark.parametrize("units", UNITS, ids=str)
 @pytest.mark.parametrize("p", [2, 3])
 def test_energy_series_matches_rational_rspt(p, units):
-    total = energy_diagonal_series(solve_perturbative(unit_params(p, units), ORDER, 12)).total
+    em = energy_matrix(solve_perturbative(unit_params(p, units), ORDER, 12))
+    total = em.kinetic[:, 0] + em.harmonic[:, 0] + em.anharmonic[:, 0]
     assert_matches_rational(total, p, units)
 
 
