@@ -29,7 +29,6 @@ from .perturb import (
     closed_form_frequency,
     energy_matrix,
     extract_structure_constants,
-    sho_solve,
     solve_perturbative,
 )
 from .classical import (

@@ -20,14 +20,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import (BandAmplitudeArray, FrequencyGrid, MotionRepresentation,
-                   commutator_diagonal, quantum_condition_residual, time_derivative)
+from .core import (BandAmplitudeArray, FrequencyGrid, MotionRepresentation, _omega_series,
+                   _series_mul, commutator_diagonal, quantum_condition_residual,
+                   time_derivative)
 from .oracle import DEFAULT_UNIT_COUPLING, PLATEAU_LEVELS, _dense
 from .perturb import (ROUNDING_C, EnergyConservationError, StructureViolationError,
-                      _engine_extent, _eom_terms, _half, _omega_series,
-                      _qc_residual_coefficient, _series_mul, assemble_motion, band_weight,
-                      closed_form_amplitude, closed_form_frequency, energy_matrix,
-                      extract_structure_constants, sho_solve)
+                      _engine_extent, _eom_terms, _half, _qc_residual_coefficient,
+                      assemble_motion, band_weight, closed_form_amplitude,
+                      closed_form_frequency, energy_matrix, extract_structure_constants,
+                      solve_perturbative)
 
 EPS = float(np.finfo(float).eps)
 # the random products of `algebra` sum up to 15 terms per entry
@@ -402,7 +403,7 @@ def gap_order(sol, em, lams, exact, basis_size: int):
 
 
 def _commutator_group(params, sol, seed):
-    yield from sho(sho_solve(replace(params, lam=0.0), 50), 49)
+    yield from sho(solve_perturbative(replace(params, lam=0.0), 0, 50), 49)
     yield "commutator-coupling-scaling", *coupling_scaling(params, sol)
 
 

@@ -13,8 +13,8 @@ fixed by its own balance equation. The leading amplitude a_1 is the free
 constant of the motion; prescribing the action J instead uses the
 leading-order quantization a_1 = sqrt(J / (pi m omega0)).
 
-Harmonic balance is the n-independent mode of the series engine in
-`perturb`: the orbit is a table with a single row, the product drops the
+Harmonic balance is the n-independent mode of the series engine of `core`
+and `perturb`: the orbit is a table with a single row, the product drops the
 row shift of the two-index law (step 0) and so becomes the convolution
 over signed harmonics, and the frequency of harmonic g is g*omega. The
 solve is the quantum march over the powers of lam with its own rule for

@@ -43,7 +43,6 @@ from .params import OscillatorParams
 from .perturb import (
     energy_matrix,
     extract_structure_constants,
-    sho_solve,
     solve_perturbative,
 )
 
@@ -286,7 +285,7 @@ def cmd_classical(cfg):
 
     if cfg.level is not None:
         n = cfg.level
-        quantum = solve_perturbative(params, cfg.order, max(n + 4, cfg.order + 3))
+        quantum = solve_perturbative(params, cfg.order, n + 4)
         cl = classical_solve(params, cfg.order, action=n * params.h)
         ratios = {
             "level": n,
@@ -368,10 +367,10 @@ def cmd_oracle(cfg):
 
 
 def cmd_sho(cfg):
-    # the exact route ignores --lam
+    # the exact route ignores --lam: the oscillator is the order-0 table at lam = 0
     params = _params_from(replace(cfg, lam=0.0))
     checks: list = []
-    sol = sho_solve(params, cfg.n_max)
+    sol = solve_perturbative(params, 0, cfg.n_max)
     amp = _values(sol.a(0, 1))
     energies = _values(energy_matrix(sol).diagonal(0))
     rows = [("a", 0, 1, None, amp), ("energy", 0, 0, None, energies)]

@@ -21,8 +21,9 @@ Products follow the two-index multiplication law
     (X*Y)(n, n-beta) = sum_alpha X(n, n-alpha) * Y(n-alpha, n-beta),
 
 i.e. matrix multiplication over the stored level range, dropping
-intermediate levels above the truncation ceiling. The solver forms it as
-`perturb._series_mul`, and `checks.algebra` checks it there.
+intermediate levels above the truncation ceiling. `_series_mul` forms it
+for the solver, the energy and the commutator alike, and `checks.algebra`
+checks it.
 """
 
 from __future__ import annotations
@@ -152,6 +153,88 @@ class MotionRepresentation:
             )
 
 
+# ---------------------------------------------------------------------------
+# series arithmetic: banded arrays with one coefficient per power of lam.
+# `step` is the row shift of the product law: 1 is the two-index law of
+# transition amplitudes; 0 drops it, so that on one row a series is the
+# Fourier series of classical harmonic balance. A series holds the signed
+# bands -b..b unless a window says otherwise; each function forms only the
+# bands its caller reads, and every band it forms has the bits of the full
+# product, since a skipped term lands only outside the window.
+
+
+def _series_mul(
+    a: np.ndarray, b: np.ndarray, max_power: int, step: int = 1, min_power: int = 0,
+    bands: tuple[int, int] | None = None, a_lo: int | None = None,
+) -> np.ndarray:
+    """Product of two real banded lam-series: sum over g of a(n, n-g) b(n-step*g, .).
+    With step 0 on one row this is the convolution over signed harmonics.
+    b holds the bands -bb..bb, a those from a_lo up (default centered too).
+    Only the powers min_power..max_power and the signed bands lo..hi of
+    bands (default all) are formed; out[s - min_power, g - lo] is the lam^s
+    coefficient on band g, with the same bits as in the full product.
+    Leading axes, past (powers, bands, rows), broadcast: each slice of finite
+    series gets the bits of its own product."""
+    *_, pa, wa, rows = a.shape
+    pb, wb = b.shape[-3:-1]
+    bb = (wb - 1) // 2
+    a_lo = -((wa - 1) // 2) if a_lo is None else a_lo
+    lo, hi = (a_lo - bb, a_lo + wa - 1 + bb) if bands is None else bands
+    out = np.zeros(
+        (*(a.shape[:-3] or b.shape[:-3]), max_power + 1 - min_power, hi + 1 - lo, rows))
+    # band g of a feeds rows r0..r1. All-zero (i, g) slices of a and bands of
+    # b outside h0..h1-1, the span of its nonzero ones at the powers read, add
+    # only zeros (and nan from 0 * inf): out starts at +0 and never holds -0.
+    # A slice or band is nonzero if it is in any stacked series.
+    n = np.arange(rows)
+    shift = step * np.arange(a_lo, a_lo + wa)[:, None]
+    mask = (n >= shift) & (n <= rows - 1 + shift)
+    live = np.any((a != 0) & mask, axis=(*range(a.ndim - 3), -1)).tolist()
+    nonzero = np.any(b != 0, axis=(*range(b.ndim - 3), -1))
+    b_lo, b_hi = nonzero.argmax(1).tolist(), (wb - nonzero[:, ::-1].argmax(1)).tolist()
+    # where the nonzero bands of b share one parity (odd x, even x^2 of the
+    # quartic force), a span takes every other band, from the first of that
+    # parity: the others are zero, and as above skipping them shows only as
+    # the nan of 0 * inf
+    held = nonzero.any(0).tolist()
+    hs = 1 if any(held[::2]) and any(held[1::2]) else 2
+    parity = held.index(True) % 2 if True in held else 0
+    for i, row in enumerate(live[: max_power + 1]):
+        j0, j1 = max(0, min_power - i), min(pb, max_power + 1 - i)
+        h0, h1 = min(b_lo[j0:j1], default=wb), max(b_hi[j0:j1], default=0)
+        h0 += (h0 - parity) % hs
+        if h0 >= h1:
+            continue
+        s0 = i + j0 - min_power
+        for k in [k for k, on in enumerate(row) if on]:
+            g = k + a_lo
+            # band h of b lands on band g + h - bb: keep those in lo..hi, on
+            # the parity of h0
+            g0 = g - bb - lo
+            k0, k1 = max(h0, -g0), min(h1, hi + 1 - lo - g0)
+            k0 += (k0 - h0) % hs
+            if k0 >= k1:
+                continue
+            sg = step * g
+            r0, r1 = max(0, sg), min(rows - 1, rows - 1 + sg)
+            out[..., s0 : s0 + j1 - j0, g0 + k0 : g0 + k1 : hs, r0 : r1 + 1] += (
+                a[..., i : i + 1, k : k + 1, r0 : r1 + 1]
+                * b[..., j0:j1, k0:k1:hs, r0 - sg : r1 + 1 - sg]
+            )
+    return out
+
+
+def _omega_series(pot: np.ndarray, band_max: int) -> np.ndarray:
+    """omega^(k)(n, n-g) per band from the frequency potentials."""
+    orders, rows = pot.shape
+    out = np.zeros((orders, 2 * band_max + 1, rows))
+    width = min(band_max, rows - 1)
+    for g in range(-width, width + 1):
+        lo, k = max(g, 0), rows - abs(g)
+        out[:, band_max + g, lo : lo + k] = pot[:, lo : lo + k] - pot[:, lo - g : lo - g + k]
+    return out
+
+
 def time_derivative(motion: MotionRepresentation) -> BandAmplitudeArray:
     """Real factor omega(n, m)*X(n, m) of the entry-wise derivative
     (d/dt X)(n, m) = i*omega(n, m)*X(n, m).
@@ -163,19 +246,11 @@ def time_derivative(motion: MotionRepresentation) -> BandAmplitudeArray:
     x = motion.amplitudes
     pot = motion.frequencies.potential
     b, n_rows = x.band_max, x.n_max + 1
-    # omega(n, n-alpha) for every band at once, zero where n-alpha is off the
-    # grid: row n of a strided view of the zero-padded potential holds
-    # Omega(n+b) .. Omega(n-b), so Omega(n-alpha) at column b + alpha. It is
-    # a plain ndarray view: numpy's stride_tricks keep some memory from every
-    # call (about 19 bytes with numpy 2.4)
-    padded = np.zeros(pot.size + 2 * b)
-    padded[b : b + pot.size] = pot
-    step = padded.itemsize
-    lower = np.ndarray((n_rows, 2 * b + 1), padded.dtype, padded, 2 * b * step, (step, -step))
-    col = np.arange(n_rows)[:, None] - np.arange(-b, b + 1)
-    keep = (col >= 0) & (col < pot.size)
-    omega = np.where(keep, pot[:n_rows, None] - lower, 0.0)
-    return BandAmplitudeArray(omega * np.where(keep, x.data, 0.0))
+    omega = _omega_series(pot[None], b)[0, :, :n_rows].T
+    # omega is 0 where the column level is off the grid; the X there is
+    # zeroed too, since 0 * -X would be -0
+    beyond = np.arange(n_rows)[:, None] - np.arange(-b, b + 1) >= pot.size
+    return BandAmplitudeArray(omega * np.where(beyond, 0.0, x.data))
 
 
 def quantum_condition_residual(motion: MotionRepresentation) -> np.ndarray:
@@ -223,18 +298,9 @@ def commutator_diagonal(motion: MotionRepresentation) -> np.ndarray:
     amplitudes are real (the cosine convention), so the products are real.
     """
     # dx/dt = i omega X; the products run on the real omega X, i taken out.
-    # Only band 0 of X*wX and wX*X is formed, summed over ascending alpha:
-    # stacked, row 0 is X(n, n-alpha) wX(n-alpha, n), row 1
-    # wX(n, n-alpha) X(n-alpha, n)
-    x = motion.amplitudes.data
-    wx = time_derivative(motion).data
-    left, right = np.stack([x, wx]), np.stack([wx, x])
-    n_rows, b = x.shape[0], (x.shape[1] - 1) // 2
-    diag = np.zeros((2, n_rows))
-    width = min(b, n_rows - 1)
-    for a in range(-width, width + 1):
-        lo, hi = max(0, a), min(n_rows - 1, n_rows - 1 + a)
-        diag[:, lo : hi + 1] += (left[:, lo : hi + 1, b + a]
-                                 * right[:, lo - a : hi + 1 - a, b - a])
+    # Only band 0 of X*wX and wX*X is formed, stacked in one product
+    x = motion.amplitudes.data.T[None]
+    wx = time_derivative(motion).data.T[None]
+    diag = _series_mul(np.stack([x, wx]), np.stack([wx, x]), 0, bands=(0, 0))[:, 0, 0]
     return 1j * (motion.params.mass * (diag[0] - diag[1]))
 

@@ -51,6 +51,8 @@ from .core import (
     DimensionMismatchError,
     FrequencyGrid,
     MotionRepresentation,
+    _omega_series,
+    _series_mul,
 )
 from .params import OscillatorParams
 
@@ -61,7 +63,6 @@ __all__ = [
     "CoefficientSet",
     "PerturbSolution",
     "solve_perturbative",
-    "sho_solve",
     "closed_form_amplitude",
     "closed_form_frequency",
     "extract_structure_constants",
@@ -155,13 +156,8 @@ class CoefficientSet:
 
 
 # ---------------------------------------------------------------------------
-# series arithmetic: banded arrays with one coefficient per power of lam.
-# `step` is the row shift of the product law: 1 is the two-index law of
-# transition amplitudes; 0 drops it, so that on one row a series is the
-# Fourier series of classical harmonic balance. A series holds the signed
-# bands -b..b unless a window says otherwise; each function forms only the
-# bands its caller reads, and every band it forms has the bits of the full
-# product, since a skipped term lands only outside the window.
+# the series of x, x^p and the equation-of-motion residual, in the series
+# arithmetic of `core` (`step` as there)
 
 
 def _x_series(
@@ -188,67 +184,6 @@ def _x_put(x: np.ndarray, p: int, amp: np.ndarray, k: int, a: int, step: int = 1
     if a > 0:
         # the mirror reads rows step*a.., none when the band outgrows the table
         x[..., s, band_max - a, : max(rows - step * a, 0)] = c * amp[..., k, a, step * a :]
-
-
-def _series_mul(
-    a: np.ndarray, b: np.ndarray, max_power: int, step: int = 1, min_power: int = 0,
-    bands: tuple[int, int] | None = None, a_lo: int | None = None,
-) -> np.ndarray:
-    """Product of two real banded lam-series: sum over g of a(n, n-g) b(n-step*g, .).
-    With step 0 on one row this is the convolution over signed harmonics.
-    b holds the bands -bb..bb, a those from a_lo up (default centered too).
-    Only the powers min_power..max_power and the signed bands lo..hi of
-    bands (default all) are formed; out[s - min_power, g - lo] is the lam^s
-    coefficient on band g, with the same bits as in the full product.
-    Leading axes, past (powers, bands, rows), broadcast: each slice of finite
-    series gets the bits of its own product."""
-    *_, pa, wa, rows = a.shape
-    pb, wb = b.shape[-3:-1]
-    bb = (wb - 1) // 2
-    a_lo = -((wa - 1) // 2) if a_lo is None else a_lo
-    lo, hi = (a_lo - bb, a_lo + wa - 1 + bb) if bands is None else bands
-    out = np.zeros(
-        (*(a.shape[:-3] or b.shape[:-3]), max_power + 1 - min_power, hi + 1 - lo, rows))
-    # band g of a feeds rows r0..r1. All-zero (i, g) slices of a and bands of
-    # b outside h0..h1-1, the span of its nonzero ones at the powers read, add
-    # only zeros (and nan from 0 * inf): out starts at +0 and never holds -0.
-    # A slice or band is nonzero if it is in any stacked series.
-    n = np.arange(rows)
-    shift = step * np.arange(a_lo, a_lo + wa)[:, None]
-    mask = (n >= shift) & (n <= rows - 1 + shift)
-    live = np.any((a != 0) & mask, axis=(*range(a.ndim - 3), -1)).tolist()
-    nonzero = np.any(b != 0, axis=(*range(b.ndim - 3), -1))
-    b_lo, b_hi = nonzero.argmax(1).tolist(), (wb - nonzero[:, ::-1].argmax(1)).tolist()
-    # where the nonzero bands of b share one parity (odd x, even x^2 of the
-    # quartic force), a span takes every other band, from the first of that
-    # parity: the others are zero, and as above skipping them shows only as
-    # the nan of 0 * inf
-    held = nonzero.any(0).tolist()
-    hs = 1 if any(held[::2]) and any(held[1::2]) else 2
-    parity = held.index(True) % 2 if True in held else 0
-    for i, row in enumerate(live[: max_power + 1]):
-        j0, j1 = max(0, min_power - i), min(pb, max_power + 1 - i)
-        h0, h1 = min(b_lo[j0:j1], default=wb), max(b_hi[j0:j1], default=0)
-        h0 += (h0 - parity) % hs
-        if h0 >= h1:
-            continue
-        s0 = i + j0 - min_power
-        for k in [k for k, on in enumerate(row) if on]:
-            g = k + a_lo
-            # band h of b lands on band g + h - bb: keep those in lo..hi, on
-            # the parity of h0
-            g0 = g - bb - lo
-            k0, k1 = max(h0, -g0), min(h1, hi + 1 - lo - g0)
-            k0 += (k0 - h0) % hs
-            if k0 >= k1:
-                continue
-            sg = step * g
-            r0, r1 = max(0, sg), min(rows - 1, rows - 1 + sg)
-            out[..., s0 : s0 + j1 - j0, g0 + k0 : g0 + k1 : hs, r0 : r1 + 1] += (
-                a[..., i : i + 1, k : k + 1, r0 : r1 + 1]
-                * b[..., j0:j1, k0:k1:hs, r0 - sg : r1 + 1 - sg]
-            )
-    return out
 
 
 def _x2_window(p: int, bands: range, band_max: int) -> tuple[int, int]:
@@ -278,17 +213,6 @@ def _xp_coefficient(
                          bands=(bands[0], bands[-1]),
                          a_lo=_x2_window(p, bands, (x.shape[-2] - 1) // 2)[0])
     return xp if min_power is not None else xp[..., 0, :, :]
-
-
-def _omega_series(pot: np.ndarray, band_max: int) -> np.ndarray:
-    """omega^(k)(n, n-g) per band from the frequency potentials."""
-    orders, rows = pot.shape
-    out = np.zeros((orders, 2 * band_max + 1, rows))
-    width = min(band_max, rows - 1)
-    for g in range(-width, width + 1):
-        lo, k = max(g, 0), rows - abs(g)
-        out[:, band_max + g, lo : lo + k] = pot[:, lo : lo + k] - pot[:, lo - g : lo - g + k]
-    return out
 
 
 def _eom_residual_coefficient(
@@ -542,10 +466,8 @@ def solve_perturbative(
     """
     p = params.force_exponent
     _check_order(order)
-    if n_max < order + 3:
-        raise DimensionMismatchError(
-            f"n_max = {n_max} too small; need at least order + 3 = {order + 3}"
-        )
+    if n_max < 1:
+        raise DimensionMismatchError("n_max must be at least 1")
     omega0, beta = params.omega0, params.beta
     _, t_max, band_eng, pad = _engine_extent(p, order)
     rows = n_max + 1 + pad
@@ -573,29 +495,6 @@ def solve_perturbative(
     coeffs = CoefficientSet(amp=amp, freq_potential=pot)
     return PerturbSolution(params=params, order=order, n_max=n_max, coeffs=coeffs,
                            solved_orders=solved)
-
-
-def sho_solve(params: OscillatorParams, n_max: int) -> PerturbSolution:
-    """Exact solution of the unperturbed oscillator (lam = 0 required).
-
-    Assuming only adjacent-level transitions survive, the equation of
-    motion forces omega(n, n-1) = omega0 and the sum rule fixes
-    a(n, n-1) = beta*sqrt(n), with the ground-state floor killing the
-    integration constant. Energies follow as (n + 1/2)*hbar*omega0.
-    """
-    if params.lam != 0.0:
-        raise ValueError("sho_solve requires lam = 0; use solve_perturbative instead")
-    if n_max < 1:
-        raise DimensionMismatchError("n_max must be at least 1")
-    pad = 4
-    rows = n_max + 1 + pad
-    amp = np.zeros((1, 2, rows))
-    amp[0, 1, 1:] = params.beta * np.sqrt(np.arange(1, rows, dtype=float))
-    pot = params.omega0 * np.arange(rows, dtype=float)[None, :]
-    coeffs = CoefficientSet(amp=amp, freq_potential=pot)
-    return PerturbSolution(
-        params=params, order=0, n_max=n_max, coeffs=coeffs, solved_orders={1: 0}
-    )
 
 
 # ---------------------------------------------------------------------------

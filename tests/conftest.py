@@ -106,7 +106,7 @@ def dense_of(arr):
 def series_product(x, y):
     """The two-index product of two band arrays by `_series_mul` at one
     power, on its series layout data.T[None]."""
-    from ampmech.perturb import _series_mul
+    from ampmech.core import _series_mul
 
     return BandAmplitudeArray(_series_mul(x.data.T[None], y.data.T[None], 0)[0].T)
 
@@ -153,7 +153,7 @@ def xp_rebuild_reference(p, x, x2, s, bands, step=1, min_power=None):
     ignored. Patched over `_xp_coefficient` it gives the old per-power
     rebuild of the solvers. With min_power, the coefficients
     lam^min_power..lam^s."""
-    from ampmech.perturb import _series_mul
+    from ampmech.core import _series_mul
 
     xp = _series_mul(x, x, s, step)
     if p == 3:
@@ -167,7 +167,7 @@ def xp_full_bands(p, x, x2, s, step=1):
     """lam^s coefficient of x^p on the bands of x, from x2, the full-band
     x^2 through lam^s, and the unwindowed product: the x^p term of the
     equation of motion as the engine formed it before it took band windows."""
-    from ampmech.perturb import _series_mul
+    from ampmech.core import _series_mul
 
     xp = x2[s] if p == 2 else _series_mul(x2[: s + 1], x, s, step, min_power=s)[0]
     bc, band_max = (xp.shape[-2] - 1) // 2, (x.shape[-2] - 1) // 2
@@ -183,7 +183,8 @@ def build_recursions(params, alpha, order):
     identically on a solution, row by row, wherever the tables provide the
     neighbors the band couples to. The reference the recursion check and the
     printed recursion relations are tested against."""
-    from ampmech.perturb import _check_order, _eom_terms, _half, _omega_series, band_weight
+    from ampmech.core import _omega_series
+    from ampmech.perturb import _check_order, _eom_terms, _half, band_weight
 
     p = params.force_exponent
     _check_order(order)

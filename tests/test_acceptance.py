@@ -28,7 +28,6 @@ from ampmech import (
     ode_residual,
     quantum_condition_residual,
     rspt,
-    sho_solve,
     solve_perturbative,
 )
 from ampmech.cli import run
@@ -115,7 +114,7 @@ def test_criterion_3_energy_conservation(sol_cubic):
 
 def test_criterion_4_sho_quantum_condition_and_commutator():
     n_max = 50
-    sol = sho_solve(OscillatorParams(lam=0.0), n_max)
+    sol = solve_perturbative(OscillatorParams(lam=0.0), 0, n_max)
     motion = assemble_motion(sol, 0.0)
     res = np.max(np.abs(quantum_condition_residual(motion)[: n_max - 1]))
     comm = np.max(np.abs(commutator_diagonal(motion)[: n_max - 1] - 1j))

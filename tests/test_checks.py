@@ -10,19 +10,16 @@ import pytest
 
 from ampmech import OscillatorParams, checks, rspt
 from ampmech.cli import run
-from ampmech.core import BandAmplitudeArray, time_derivative
+from ampmech.core import BandAmplitudeArray, _omega_series, _series_mul, time_derivative
 from ampmech.oracle import cubic_coupling_limit, lowest_eigenpairs
 from ampmech.perturb import (
     CoefficientSet,
     EnergyConservationError,
     PerturbSolution,
     _eom_residual_coefficient,
-    _omega_series,
-    _series_mul,
     _x_series,
     band_weight,
     energy_matrix,
-    sho_solve,
     solve_perturbative,
 )
 
@@ -129,7 +126,7 @@ def test_recursion_reads_every_solved_coefficient(force):
 @pytest.mark.parametrize("units", UNITS, ids=str)
 def test_tampered_sho_row_fails(units):
     m, w0, hbar = units
-    sol = sho_solve(OscillatorParams(mass=m, omega0=w0, hbar=hbar, lam=0.0), 1000)
+    sol = solve_perturbative(OscillatorParams(mass=m, omega0=w0, hbar=hbar, lam=0.0), 0, 1000)
     assert not failing(checks.sho(sol, 998))
     assert failing(checks.sho(tampered(sol, 0, 1, 500), 998)) == [
         "sho-quantum-condition", "sho-commutator"]

@@ -15,7 +15,8 @@ from ampmech import (
     solve_perturbative,
 )
 from ampmech import perturb
-from ampmech.perturb import _band_list, _engine_extent, _half, _series_mul, band_weight
+from ampmech.core import _series_mul
+from ampmech.perturb import _band_list, _engine_extent, _half, band_weight
 
 from conftest import assert_same_bits, xp_full_bands, xp_rebuild_reference
 

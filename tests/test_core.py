@@ -15,7 +15,7 @@ from ampmech import (
     quantum_condition_residual,
     time_derivative,
 )
-from ampmech.perturb import assemble_motion, sho_solve, solve_perturbative
+from ampmech.perturb import assemble_motion, solve_perturbative
 
 from conftest import (assert_same_bits, band_from_dense, dense_of, dyadic_potential,
                       motion_from_spectrum, random_symmetric_band, series_product,
@@ -26,7 +26,7 @@ SQ2 = math.sqrt(2.0)
 
 def sho_motion(n_max, params=None):
     p = params or OscillatorParams(lam=0.0)
-    return assemble_motion(sho_solve(p, n_max), 0.0)
+    return assemble_motion(solve_perturbative(p, 0, n_max), 0.0)
 
 
 def zeros(n_max, band_max):
@@ -407,7 +407,7 @@ class TestQuantumCondition:
 @pytest.mark.parametrize("kernel", ["time_derivative"])
 def test_strided_views_keep_no_memory(kernel):
     # numpy's stride_tricks keep about 19 bytes from every call; the kernel
-    # reads its strided view through a plain ndarray view instead
+    # uses none and keeps nothing
     motion = random_motion(0, 12, 3, 2)
     call = {"time_derivative": lambda: time_derivative(motion)}[kernel]
     call()

@@ -14,6 +14,7 @@ from ampmech import (
     quantum_condition_residual,
 )
 from ampmech import perturb
+from ampmech.core import _omega_series, _series_mul
 from ampmech.oracle import position_matrix
 from ampmech.perturb import (
     CoefficientSet,
@@ -23,10 +24,7 @@ from ampmech.perturb import (
     closed_form_frequency,
     energy_matrix,
     extract_structure_constants,
-    sho_solve,
     solve_perturbative,
-    _omega_series,
-    _series_mul,
     _x_series,
 )
 
@@ -691,6 +689,13 @@ def wide_pad_solve(p, order, units):
         return solve_perturbative(params, order, 37)
 
 
+@functools.cache
+def tall_solve(p, order):
+    """A solve at n_max = order + 12 and its energy matrix."""
+    sol = solve_perturbative(OscillatorParams(force_exponent=p), order, order + 12)
+    return sol, energy_matrix(sol)
+
+
 class TestEnginePad:
     """The row pad is the engine's dependency cone: every row that
     `assemble_motion` reads, 0..n_max+band_max, has the bits of a solve
@@ -712,6 +717,23 @@ class TestEnginePad:
         assert_same_bits(sol.coeffs.freq_potential[:, :read],
                          ref.coeffs.freq_potential[:, :read])
         assert sol.solved_orders == ref.solved_orders
+
+    @pytest.mark.parametrize("p, order, n_max", [
+        (p, order, n_max) for p in (2, 3) for order in (0, 2, 8)
+        for n_max in range(1, order + 3)])
+    def test_short_tables_are_rows_of_a_tall_solve(self, p, order, n_max):
+        # n_max needs no floor past 1: a short solve publishes the rows
+        # 0..n_max of a tall one, bit for bit
+        ref, em_ref = tall_solve(p, order)
+        sol = solve_perturbative(OscillatorParams(force_exponent=p), order, n_max)
+        em, rows = energy_matrix(sol), slice(0, n_max + 1)
+        assert sol.solved_orders == ref.solved_orders
+        for alpha, k_hi in sol.solved_orders.items():
+            for k in range(k_hi + 1):
+                assert_same_bits(sol.a(k, alpha), ref.a(k, alpha)[rows])
+        for k in range(order + 1):
+            assert_same_bits(sol.frequency_potential(k), ref.frequency_potential(k)[rows])
+            assert_same_bits(em.diagonal(k), em_ref.diagonal(k)[rows])
 
 
 def kinetic_complex_reference(sol):
@@ -890,7 +912,7 @@ class TestSolveInvariants:
         with pytest.raises(ValueError):
             solve_perturbative(P2, -1, 20)
         with pytest.raises(DimensionMismatchError):
-            solve_perturbative(P2, 2, 4)
+            solve_perturbative(P2, 2, 0)
 
     def test_quartic_parity(self, sol_quartic):
         # even bands carry no amplitude at any order
@@ -968,7 +990,7 @@ class TestAssembleMotion:
 class TestShoRoute:
     def test_adjacent_amplitude_and_energy(self):
         params = OscillatorParams(lam=0.0)
-        sol = sho_solve(params, 20)
+        sol = solve_perturbative(params, 0, 20)
         assert sol.a(0, 1)[1] == pytest.approx(B, rel=1e-15)
         m = assemble_motion(sol, 0.0)
         assert m.amplitudes.get(1, 0) == pytest.approx(
@@ -980,13 +1002,9 @@ class TestShoRoute:
         assert np.allclose(em.diagonal(0), n + 0.5, rtol=1e-14)
 
     def test_quantum_condition_exact(self):
-        sol = sho_solve(OscillatorParams(lam=0.0), 30)
+        sol = solve_perturbative(OscillatorParams(lam=0.0), 0, 30)
         res = quantum_condition_residual(assemble_motion(sol, 0.0))
         assert np.max(np.abs(res[:29])) <= 1e-12
-
-    def test_rejects_nonzero_coupling(self):
-        with pytest.raises(ValueError):
-            sho_solve(OscillatorParams(lam=0.1), 10)
 
 
 class TestEnergyMatrix:
@@ -1104,7 +1122,7 @@ class TestEnergyDiagonalSeries:
 def test_sum_rule_fixes_adjacent_amplitude(mass, omega0, hbar):
     # beta*sqrt(n) with the solver's positive sign convention, any units
     params = OscillatorParams(mass=mass, omega0=omega0, lam=0.0, hbar=hbar)
-    sol = sho_solve(params, 12)
+    sol = solve_perturbative(params, 0, 12)
     got = sol.a(0, 1)
     n = np.arange(13, dtype=float)
     assert np.allclose(got, params.beta * np.sqrt(n), rtol=1e-12)
