@@ -13,7 +13,9 @@ golden by the (quantity, order, band, n) of each line. The audit lists the remov
 added keys and each changed value with its distance in units in the last
 place (ulp) and its absolute change, so it survives a change of layout. The
 ulp distance of a value near zero can be huge for a change of rounding size,
-which the absolute change shows.
+which the absolute change shows. A check's observed value or tolerance in a
+JSON golden also gives its change as a fraction of the check's tolerance:
+the scale that a verdict reads it on.
 """
 
 import csv
@@ -95,6 +97,20 @@ def _distance(a: str, b: str) -> tuple[int, float] | None:
     return abs(_ordinal(x) - _ordinal(y)), abs(y - x)
 
 
+def _of_tolerance(key: str, change: float, keyed: dict[str, str]) -> str:
+    """", r of the tolerance", r = change / |tolerance|, where key is the
+    observed value or the tolerance of a check whose tolerance in keyed is a
+    nonzero number; else ""."""
+    check, _, leaf = key.rpartition("/")
+    if not check.startswith("/checks/") or leaf not in ("observed", "tolerance"):
+        return ""
+    try:
+        tolerance = abs(float(keyed[f"{check}/tolerance"]))
+    except (KeyError, ValueError):
+        return ""
+    return f", {change / tolerance:.3g} of the tolerance" if tolerance else ""
+
+
 def audit(name: str, old: str, new: str) -> str:
     """How `new` differs from `old`, key by key: a summary line, then one
     line per removed (-), added (+) and changed (~) key. Numbers are shown
@@ -117,7 +133,9 @@ def audit(name: str, old: str, new: str) -> str:
         (_, e), a, b = max(numbers, key=lambda c: c[0][1])
         summary += f", largest change {e:.3g} ({a} -> {b})"
     summary += f"; {len(removed)} keys removed, {len(added)} added"
-    lines = [f"  ~ {k}: {a} -> {b}" + ("" if d is None else f" ({d[0]} ulp, |d| {d[1]:.3g})")
+    lines = [f"  ~ {k}: {a} -> {b}" + ("" if d is None else
+                                        f" ({d[0]} ulp, |d| {d[1]:.3g}"
+                                        f"{_of_tolerance(k, d[1], after)})")
              for k, a, b, d in changed]
     return "\n".join([summary, *removed, *added, *lines])
 

@@ -1,10 +1,11 @@
 """Transition-amplitude mechanics for anharmonic oscillators.
 
 A small research library built around the two-index amplitude calculus:
-banded amplitude arrays with an exact Ritz frequency grid, the sum-rule
-quantum condition, an order-by-order perturbation solver for cubic and
-quartic forces, a classical Fourier/action benchmark, and an independent
-number-basis diagonalization oracle.
+banded amplitude arrays with an exact Ritz frequency grid and the
+commutator [x, p], an order-by-order perturbation solver for cubic and
+quartic forces that imposes the sum-rule quantum condition, a classical
+Fourier/action benchmark, and an independent number-basis diagonalization
+oracle.
 """
 
 from .params import OscillatorParams
@@ -14,7 +15,6 @@ from .core import (
     FrequencyGrid,
     MotionRepresentation,
     commutator_diagonal,
-    quantum_condition_residual,
     time_derivative,
 )
 from .perturb import (

@@ -21,11 +21,10 @@ from dataclasses import replace
 import numpy as np
 
 from .core import (BandAmplitudeArray, FrequencyGrid, MotionRepresentation, _omega_series,
-                   _series_mul, commutator_diagonal, quantum_condition_residual,
-                   time_derivative)
+                   _series_mul, commutator_diagonal, time_derivative)
 from .oracle import DEFAULT_UNIT_COUPLING, PLATEAU_LEVELS, _dense
 from .perturb import (ROUNDING_C, EnergyConservationError, StructureViolationError,
-                      _engine_extent, _eom_terms, _half, _qc_residual_coefficient,
+                      _engine_extent, _eom_terms, _half, _rate_series, _sum_rule, _x_series,
                       assemble_motion, band_weight, closed_form_amplitude,
                       closed_form_frequency, energy_matrix, extract_structure_constants,
                       solve_perturbative)
@@ -126,34 +125,40 @@ def algebra(params, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# sum rule and commutator of a motion
+# the sum rule and the commutator
 
 
-def _sum_rule_size(motion, rows: int) -> float:
-    """Largest summed size over the first `rows` rows of the sum rule's
-    terms, h and 4 pi m |X(n, m)|^2 (|Omega(n)| + |Omega(m)|) up and down."""
-    x, pot = motion.amplitudes, np.abs(motion.frequencies.potential)
-    n = np.arange(rows)
-    size = np.full(rows, motion.params.h)
-    for a in range(1, x.band_max + 1):
-        up = np.abs(x.band(-a)[:rows]) ** 2 * (pot[n + a] + pot[n])
-        down = np.abs(x.band(a)[:rows]) ** 2 * (pot[n] + pot[np.maximum(n - a, 0)])
-        size += 4.0 * math.pi * motion.params.mass * (up + down)
-    return float(np.max(size))
+def _omega_size(pot: np.ndarray, band_max: int) -> np.ndarray:
+    """The size |Omega(n)| + |Omega(n-g)| of each omega(n, n-g) per band of
+    `_omega_series`: 2 |Omega(n)| less the difference of the two."""
+    return 2.0 * np.abs(pot)[:, None, :] - _omega_series(np.abs(pot), band_max)
 
 
-def sho(sol, rows: int):
+def _sum_rule_terms(sol):
+    """The lam^k coefficients of the sum-rule residual, k = 0..order, and
+    the summed size of their terms, h and 4 pi m |X(n, m)|^2 (|Omega(n)| +
+    |Omega(m)|), each over (order k, row n), from one product of the
+    stacked [x, |x|] and [omega x, omega_size |x|]."""
+    params, pot = sol.params, sol.coeffs.freq_potential
+    reach = max(sol.public_bands)  # all that the sum rule reads, as in the solver
+    amp = sol.coeffs.amp[:, : reach + 1]
+    x = _x_series(params.force_exponent, np.stack([amp, np.abs(amp)]), sol.order, reach)
+    om_size = _omega_size(pot, reach)
+    om_size[:, reach] = 0.0  # omega(n, n) is formed exactly, as 0
+    # the size enters negated, so that h is subtracted as from the residual
+    om = np.stack([_omega_series(pot, reach), -om_size])
+    residual, size = _sum_rule(params, x, _rate_series(om, x, range(sol.order + 1)), sol.order)
+    return residual, -size
+
+
+def sho(sol):
     """Largest sum-rule residual and largest |[x, p](n, n) - i hbar| over the
-    first `rows` rows of an exact oscillator solution. The commutator's
+    rows 0..n_max of an exact oscillator solution. The commutator's
     deviation is the sum-rule residual over 2 pi, and so are its terms."""
-    motion = assemble_motion(sol, 0.0)
-    size = _sum_rule_size(motion, rows)
-    res = quantum_condition_residual(motion)[:rows]
-    yield "sho-quantum-condition", float(np.max(np.abs(res))), ROUNDING_C * EPS * size
-    comm = commutator_diagonal(motion)[:rows]
-    size /= 2.0 * math.pi
-    yield ("sho-commutator", float(np.max(np.abs(comm - 1j * motion.params.hbar))),
-           ROUNDING_C * EPS * size)
+    residual, size = (a[0, : sol.n_max + 1] for a in _sum_rule_terms(sol))
+    observed, tolerance = float(np.max(np.abs(residual))), ROUNDING_C * EPS * float(np.max(size))
+    yield "sho-quantum-condition", observed, tolerance
+    yield "sho-commutator", observed / (2.0 * math.pi), tolerance / (2.0 * math.pi)
 
 
 def halving_window(q: int) -> tuple[float, float]:
@@ -185,11 +190,8 @@ def recursion(sol):
     params, c, n_hi = sol.params, sol.coeffs, sol.n_max + 1
     t_max = _engine_extent(params.force_exponent, sol.order)[1]
     pot = c.freq_potential
-    # omega(n, n-g) is sized |Omega(n)| + |Omega(n-g)|: 2 |Omega(n)| less
-    # the difference of the two
-    om_size = 2.0 * np.abs(pot)[:, None, :] - _omega_series(np.abs(pot), c.band_max)
     terms = _eom_terms(params, c.amp, _omega_series(pot, c.band_max), t_max, sol.public_bands,
-                       om_size=om_size)
+                       om_size=_omega_size(pot, c.band_max))
     for band, alpha in enumerate(sol.public_bands):
         for k in range(sol.order + 1):
             t = band_weight(params.force_exponent, alpha) + k
@@ -207,13 +209,12 @@ def recursion(sol):
 def quantum_condition(sol):
     """Order-k sum-rule residuals, and the additivity of the frequencies."""
     params, c, n_hi = sol.params, sol.coeffs, sol.n_max + 1
+    residual, size = _sum_rule_terms(sol)
     for k in range(sol.order + 1):
-        residual, size = _qc_residual_coefficient(params, c.amp, c.freq_potential, k,
-                                                  sizes=True)
         amp_scale = float(np.max(np.abs(c.amp[: k + 1, 1, :n_hi])))
         scale = max(1.0, math.pi * params.mass * params.omega0 * amp_scale**2)
-        yield (f"quantum-condition-order{k}", float(np.max(np.abs(residual[:n_hi]))) / scale,
-               ROUNDING_C * EPS * float(np.max(size[:n_hi])) / scale)
+        yield (f"quantum-condition-order{k}", float(np.max(np.abs(residual[k, :n_hi]))) / scale,
+               ROUNDING_C * EPS * float(np.max(size[k, :n_hi])) / scale)
     worst = size = 0.0
     for k in range(sol.order + 1):
         om2 = sol.omega_band(k, 2)
@@ -403,7 +404,7 @@ def gap_order(sol, em, lams, exact, basis_size: int):
 
 
 def _commutator_group(params, sol, seed):
-    yield from sho(solve_perturbative(replace(params, lam=0.0), 0, 50), 49)
+    yield from sho(solve_perturbative(replace(params, lam=0.0), 0, 50))
     yield "commutator-coupling-scaling", *coupling_scaling(params, sol)
 
 

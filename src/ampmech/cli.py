@@ -374,7 +374,7 @@ def cmd_sho(cfg):
     amp = _values(sol.a(0, 1))
     energies = _values(energy_matrix(sol).diagonal(0))
     rows = [("a", 0, 1, None, amp), ("energy", 0, 0, None, energies)]
-    for check in registry.sho(sol, max(1, cfg.n_max - 2)):
+    for check in registry.sho(sol):
         _check(checks, rows, *check)
     results = {"beta": params.beta, "adjacent_amplitudes": amp, "energies": energies}
     return _report(cfg, {"n_max": cfg.n_max}, results, checks, rows)

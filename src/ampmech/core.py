@@ -22,13 +22,12 @@ Products follow the two-index multiplication law
 
 i.e. matrix multiplication over the stored level range, dropping
 intermediate levels above the truncation ceiling. `_series_mul` forms it
-for the solver, the energy and the commutator alike, and `checks.algebra`
-checks it.
+for the solver, the energy, the sum rule and the commutator alike, and
+`checks.algebra` checks it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
     "BandAmplitudeArray",
     "MotionRepresentation",
     "time_derivative",
-    "quantum_condition_residual",
     "commutator_diagonal",
 ]
 
@@ -253,48 +251,12 @@ def time_derivative(motion: MotionRepresentation) -> BandAmplitudeArray:
     return BandAmplitudeArray(omega * np.where(beyond, 0.0, x.data))
 
 
-def quantum_condition_residual(motion: MotionRepresentation) -> np.ndarray:
-    """Per-level residual of the sum-rule form of the quantum condition.
-
-    residual(n) = 4*pi*m * sum_{alpha>=0} ( |X(n+alpha, n)|^2 * omega(n+alpha, n)
-                  - |X(n, n-alpha)|^2 * omega(n, n-alpha) ) - h
-
-    Terms that reference a negative level vanish identically; terms whose
-    upper level exceeds the frequency grid are dropped, so only rows well
-    below the ceiling are meaningful. The residual is zero exactly when
-    the amplitudes obey the Thomas-Kuhn sum rule at level n.
-
-    Costs O(rows x band_max) numpy work, one pass per band, with no
-    per-entry Python calls.
-    """
-    x = motion.amplitudes
-    pot = motion.frequencies.potential
-    p = motion.params
-    n_rows = x.n_max + 1
-    scale = 4.0 * math.pi * p.mass
-    res = np.full(n_rows, -p.h, dtype=float)
-    for alpha in range(1, x.band_max + 1):
-        # the term of X(n, n-alpha) is the down term of row n and the up
-        # term of row n-alpha; per row the up term is added first
-        low = max(n_rows - alpha, 0)
-        amp2 = np.abs(x.band(alpha)[alpha:]) ** 2
-        term = scale * amp2 * (pot[alpha:n_rows] - pot[:low])
-        res[:low] += term
-        # rows whose upper level lies above the amplitude rows but inside the
-        # grid read |X(n+alpha, n)| from the stored mirror X(n, n+alpha)
-        top = min(n_rows, pot.size - alpha)
-        if top > low:
-            amp2 = np.abs(x.band(-alpha)[low:top]) ** 2
-            res[low:top] += scale * amp2 * (pot[low + alpha : top + alpha] - pot[low:top])
-        res[alpha:] -= term
-    return res
-
-
 def commutator_diagonal(motion: MotionRepresentation) -> np.ndarray:
     """Diagonal of x*p - p*x with p = m*dx/dt, via the multiplication law.
 
-    Equals i*hbar at every level where the quantum condition residual
-    vanishes. Rows near the truncation ceiling are unreliable. The
+    Its deviation from i*hbar is i/(2 pi) times the residual of Heisenberg's
+    sum rule, which `perturb._sum_rule` forms per power of lam from the same
+    product. Rows near the truncation ceiling are unreliable. The
     amplitudes are real (the cosine convention), so the products are real.
     """
     # dx/dt = i omega X; the products run on the real omega X, i taken out.

@@ -156,8 +156,8 @@ class CoefficientSet:
 
 
 # ---------------------------------------------------------------------------
-# the series of x, x^p and the equation-of-motion residual, in the series
-# arithmetic of `core` (`step` as there)
+# the series of x, x^p, the equation-of-motion residual and the sum rule, in
+# the series arithmetic of `core` (`step` as there)
 
 
 def _x_series(
@@ -272,58 +272,37 @@ def _solve_bands(
     return solved
 
 
-def _qc_residual_coefficient(
-    params: OscillatorParams,
-    amp: np.ndarray,
-    pot: np.ndarray,
-    k: int,
-    sizes: bool = False,
-) -> np.ndarray:
-    """lam^k coefficient of the quantum-condition residual
+def _rate_series(om: np.ndarray, x: np.ndarray, powers: range) -> np.ndarray:
+    """omega X, the real factor of the time derivative i omega X, at the
+    powers s of `powers` on a powers axis: sum_j om[j] x[s-j] entrywise, from
+    the per-band frequency series om[k, g, n] and the x series through
+    lam^powers[-1], on the same bands. Leading axes, before (powers, bands,
+    rows), broadcast."""
+    lead = np.broadcast_shapes(om.shape[:-3], x.shape[:-3])
+    out = np.zeros((*lead, len(powers), *x.shape[-2:]))
+    for i, s in enumerate(powers):
+        for j in range(min(om.shape[-3], s + 1)):
+            out[..., i, :, :] += om[..., j, :, :] * x[..., s - j, :, :]
+    return out
 
-        pi*m * sum_alpha lam^{2 w(alpha)} [ a^2(n+alpha, n) omega(n+alpha, n)
-                                          - a^2(n, n-alpha) omega(n, n-alpha) ]
-        - h,
 
-    evaluated from the current coefficient tables. With `sizes`, it is
-    stacked on a leading axis with the summed size of its terms, formed in
-    the same pass: each product by its absolute value, omega(n, m) by
-    |Omega(n)| + |Omega(m)|, and h."""
-    p = params.force_exponent
-    # lam^k reads the orders through k, on bands of weight w <= k/2; every
-    # band has w >= (alpha - 1)/2, so none past k + 1
-    amp, pot = amp[: k + 1, : k + 2], pot[: k + 1]
-    hi = lo = pot
-    sign, h = None, -params.h
-    if sizes:
-        # |a||b| is |ab|, and the size's downward terms enter negated where
-        # the residual's are subtracted: x - (-y) is x + y
-        amp, size = np.array([amp, np.abs(amp)]), np.abs(pot)
-        hi, lo = np.array([pot, size]), np.array([pot, -size])
-        sign, h = np.array([[1.0], [-1.0]]), np.array([[-params.h], [params.h]])
-    *lead, orders, bands, rows = amp.shape
-    res = np.zeros((*lead, rows))
-    if k == 0:
-        res += h
-    # a band as wide as the table has no entry
-    for alpha in _band_list(p, min(bands, rows) - 1):
-        rem = k - 2 * band_weight(p, alpha)
-        if rem < 0:
-            continue
-        for i in range(min(orders, rem + 1)):
-            for j in range(min(orders, rem + 1 - i)):
-                l = rem - i - j
-                if l >= pot.shape[0]:
-                    continue
-                m_hi = rows - alpha
-                term = amp[..., i, alpha, alpha:] * amp[..., j, alpha, alpha:]
-                term *= hi[..., l, alpha:] - lo[..., l, :m_hi]
-                # the upward term a(n+alpha, n), defined for n + alpha < rows,
-                # less the downward a(n, n-alpha): the same entries, shifted up
-                diff = np.zeros(res.shape)
-                diff[..., :m_hi] = term
-                diff[..., alpha:] -= term if sign is None else sign * term
-                res += math.pi * params.mass * diff
+def _sum_rule(params: OscillatorParams, x: np.ndarray, wx: np.ndarray, max_power: int,
+              min_power: int = 0) -> np.ndarray:
+    """lam^min_power..lam^max_power coefficients of the sum-rule residual
+
+        4 pi m sum_alpha [ X^2(n+alpha, n) omega(n+alpha, n)
+                           - X^2(n, n-alpha) omega(n, n-alpha) ] - h
+
+    over (power, row n), from the x series and wx, its `_rate_series`, both
+    through lam^max_power. The sum is band 0 of the product x (omega x):
+    its term X(n, n-g) omega(n-g, n) X(n-g, n) is a downward one for g > 0
+    and an upward one for g < 0. With X symmetric and omega antisymmetric,
+    (omega x) x has the opposite diagonal, so the residual is 2 pi times
+    [x, p](n, n)/i - hbar. Leading axes broadcast."""
+    res = 4.0 * math.pi * params.mass * _series_mul(
+        x, wx, max_power, min_power=min_power, bands=(0, 0))[..., 0, :]
+    if min_power == 0:
+        res[..., 0, :] -= params.h
     return res
 
 
@@ -421,12 +400,14 @@ def _engine_extent(p: int, order: int) -> tuple[range, int, int, int]:
 
 
 def _march(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max: int,
-           adjacent: Callable[[int, np.ndarray], None], step: int = 1) -> dict[int, int]:
+           adjacent: Callable[[int, np.ndarray, np.ndarray], None],
+           step: int = 1) -> dict[int, int]:
     """Solve the tables amp[k, alpha, n] and the per-band frequency series
     om[k, g, n], both set at order 0, power by power of lam through t_max.
-    At each power t within the tables, adjacent(t, res) sets the order-t
+    At each power t within the tables, adjacent(t, res, x) sets the order-t
     frequencies in om and adjacent amplitude in amp from res, the lam^t
-    residual on band 1; every other band follows from that residual. x and
+    residual on band 1, and x, the x series through lam^t, final through
+    lam^(t-1); every other band follows from that residual. x and
     its square are carried across t, each power set once, as its
     coefficients are solved; x^2, x^p and the residual are formed on the
     bands the solve reads. Returns the order solved per band."""
@@ -445,7 +426,7 @@ def _march(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max: int
         res_t = _eom_residual_coefficient(params, xt, om, t,
                                           _xp_coefficient(p, xt, x2, t - 1, bands, step), bands)
         if t < orders:
-            adjacent(t, res_t[bands.index(1)])
+            adjacent(t, res_t[bands.index(1)], xt)
             solved[1] = t
             _x_put(x, p, amp, t, 1, step)
         solved_t = _solve_bands(p, amp, res_t, t, bands, params.omega0, step)
@@ -469,7 +450,7 @@ def solve_perturbative(
     if n_max < 1:
         raise DimensionMismatchError("n_max must be at least 1")
     omega0, beta = params.omega0, params.beta
-    _, t_max, band_eng, pad = _engine_extent(p, order)
+    public, t_max, band_eng, pad = _engine_extent(p, order)
     rows = n_max + 1 + pad
 
     amp = np.zeros((order + 1, band_eng + 1, rows))
@@ -479,16 +460,25 @@ def solve_perturbative(
     amp[0, 1, 1:] = beta * np.sqrt(levels[1:])
 
     om = _omega_series(pot, band_eng)
+    # through lam^order the sum rule reads bands of weight w <= order/2, all
+    # public: x and omega x on those
+    win = slice(band_eng - max(public), band_eng + max(public) + 1)
+    wx = np.zeros((order + 1, 2 * max(public) + 1, rows))
     a0 = amp[0, 1]
 
-    def adjacent(t: int, res: np.ndarray) -> None:
+    def adjacent(t: int, res: np.ndarray, x: np.ndarray) -> None:
         # the adjacent band's amplitude drops out, the frequency remains
         pot_inc = np.zeros(rows)
         pot_inc[1:] = res[1:] / (omega0 * a0[1:])
         pot[t] = np.cumsum(pot_inc)
         om[t] = _omega_series(pot[t : t + 1], band_eng)[0]
-        # sum rule at order t: difference equation integrated from n = 0
-        u = -np.cumsum(_qc_residual_coefficient(params, amp, pot, t))
+        # sum rule at order t: difference equation integrated from n = 0.
+        # At lam^t it reads x and omega x only on bands +-1, through the
+        # unknown order-t amplitude, still zero; omega x is final through
+        # lam^(t-1), as x is, and its lam^t is formed again at t + 1
+        x_win = x[:, win]
+        wx[t - 1 : t + 1] = _rate_series(om[:, win], x_win, range(t - 1, t + 1))
+        u = -np.cumsum(_sum_rule(params, x_win, wx[: t + 1], t, min_power=t)[0])
         amp[t, 1, 1:] = u[:-1] / (2.0 * math.pi * params.mass * omega0 * a0[1:])
 
     solved = _march(params, amp, om, t_max, adjacent)
@@ -713,10 +703,7 @@ def energy_matrix(sol: PerturbSolution) -> EnergyMatrix:
     band_x = sol.band_max
     x = _x_series(p, c.amp, order, band_x)
     om = _omega_series(c.freq_potential, band_x)
-    wx = np.zeros_like(x)
-    for s in range(order + 1):
-        for j in range(min(om.shape[0], s + 1)):
-            wx[s] += om[j] * x[s - j]
+    wx = _rate_series(om, x, range(order + 1))
 
     # each product forms only the bands 0..band_rep that W keeps, and x^2
     # those that x^(p+1) = x^2 y reads: the kept ones widened by the reach

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import pathlib
 
 import numpy as np
@@ -122,10 +123,74 @@ def dense_amplitudes(spec):
 def motion_from_spectrum(spec):
     """The exact amplitudes and frequencies of a spectrum as a motion
     representation of every band, so that the kinematic checks of `core`
-    run on oracle data: with `quantum_condition_residual`, the reference
-    of the oracle's Thomas-Kuhn rows."""
+    run on oracle data, and `quantum_condition_residual` with them: the
+    reference of the oracle's Thomas-Kuhn rows."""
     return MotionRepresentation(band_from_dense(dense_amplitudes(spec)),
                                 FrequencyGrid(spec.eigenvalues / spec.params.hbar), spec.params)
+
+
+def quantum_condition_residual(motion):
+    """Per-level residual of Heisenberg's sum rule in the paper's form, band
+    by band at a numeric coupling,
+
+        4 pi m sum_{alpha>=1} ( |X(n+alpha, n)|^2 omega(n+alpha, n)
+                                - |X(n, n-alpha)|^2 omega(n, n-alpha) ) - h:
+
+    the reference that `perturb._sum_rule`, band 0 of x (omega x) per power
+    of lam, is tested against. Terms that reference a negative level
+    vanish; an upward term whose upper level lies above the amplitude rows
+    but inside the frequency grid reads the stored mirror X(n, n+alpha),
+    and one above the grid is dropped."""
+    x, pot, p = motion.amplitudes, motion.frequencies.potential, motion.params
+    n_rows = x.n_max + 1
+    scale = 4.0 * math.pi * p.mass
+    res = np.full(n_rows, -p.h, dtype=float)
+    for alpha in range(1, x.band_max + 1):
+        # the term of X(n, n-alpha) is the down term of row n and the up
+        # term of row n-alpha; per row the up term is added first
+        low = max(n_rows - alpha, 0)
+        term = scale * np.abs(x.band(alpha)[alpha:]) ** 2 * (pot[alpha:n_rows] - pot[:low])
+        res[:low] += term
+        top = min(n_rows, pot.size - alpha)
+        if top > low:
+            amp2 = np.abs(x.band(-alpha)[low:top]) ** 2
+            res[low:top] += scale * amp2 * (pot[low + alpha : top + alpha] - pot[low:top])
+        res[alpha:] -= term
+    return res
+
+
+def qc_residual_reference(params, amp, pot, k, absolute=False):
+    """The lam^k coefficient of the sum-rule residual from the tables, one
+    (band, order) term at a time, as the solver formed it before the sum
+    rule was band 0 of x (omega x): with `absolute`, the summed size of its
+    terms instead. The diagonal band adds nothing: omega(n, n) = 0."""
+    from ampmech.perturb import _band_list, band_weight
+
+    orders, bands, rows = amp.shape
+    res = np.zeros(rows)
+    if k == 0:
+        res += params.h if absolute else -params.h
+    for alpha in _band_list(params.force_exponent, min(bands, rows) - 1):
+        rem = k - 2 * band_weight(params.force_exponent, alpha)
+        if alpha == 0 or rem < 0:
+            continue
+        for i in range(min(orders, rem + 1)):
+            for j in range(min(orders, rem + 1 - i)):
+                l = rem - i - j
+                if l >= pot.shape[0]:
+                    continue
+                up = np.zeros(rows)
+                m_hi = rows - alpha
+                term = amp[i, alpha, alpha:] * amp[j, alpha, alpha:]
+                if absolute:
+                    term = np.abs(term) * (np.abs(pot[l, alpha:]) + np.abs(pot[l, :m_hi]))
+                else:
+                    term *= pot[l, alpha:] - pot[l, :m_hi]
+                up[:m_hi] = term
+                down = np.zeros(rows)
+                down[alpha:] = term
+                res += math.pi * params.mass * (up + down if absolute else up - down)
+    return res
 
 
 def symmetry_defect(arr):

@@ -26,14 +26,14 @@ from ampmech import (
     energy_matrix,
     extract_structure_constants,
     ode_residual,
-    quantum_condition_residual,
     rspt,
     solve_perturbative,
 )
 from ampmech.cli import run
 from ampmech.perturb import closed_form_amplitude, closed_form_frequency
 
-from conftest import default_lambda_grid, lambda_series_fit, motion_from_spectrum
+from conftest import (default_lambda_grid, lambda_series_fit, motion_from_spectrum,
+                      quantum_condition_residual)
 
 B = math.sqrt(2.0)
 P2 = OscillatorParams()

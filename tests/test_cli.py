@@ -378,6 +378,22 @@ class TestGoldenScript:
             "  ~ /residuals/1: 1000 -> 1000.0000000000001 (1 ulp, |d| 1.14e-13)",
         ]
 
+    def test_audit_gives_a_check_change_as_a_fraction_of_its_tolerance(self):
+        # a check value near zero that moves by rounding is ~2^52 ulp away;
+        # its verdict reads it on the scale of the (new) tolerance. A window
+        # is no scale
+        audit = _load_golden_script().audit
+        old = ('{"checks": [{"id": "a", "tolerance": 1e-12, "observed": 1e-16}, '
+               '{"id": "w", "tolerance": [1, 2], "observed": 1.5}]}\n')
+        new = old.replace("1e-12", "2e-12").replace("1e-16", "3e-16").replace("1.5", "1.25")
+        assert audit("g.json", old, new).splitlines()[1:] == [
+            "  ~ /checks/a/tolerance: 1e-12 -> 2e-12 "
+            "(4503599627370496 ulp, |d| 1e-12, 0.5 of the tolerance)",
+            "  ~ /checks/a/observed: 1e-16 -> 3e-16 "
+            "(6978958294375825 ulp, |d| 2e-16, 0.0001 of the tolerance)",
+            "  ~ /checks/w/observed: 1.5 -> 1.25 (1125899906842624 ulp, |d| 0.25)",
+        ]
+
     def test_audit_of_classical_extent_regeneration(self):
         # the classical golden while harmonic balance kept its own extent,
         # rendered back byte for byte: a guard harmonic, never solved, closed

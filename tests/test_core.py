@@ -12,14 +12,13 @@ from ampmech import (
     MotionRepresentation,
     OscillatorParams,
     commutator_diagonal,
-    quantum_condition_residual,
     time_derivative,
 )
 from ampmech.perturb import assemble_motion, solve_perturbative
 
 from conftest import (assert_same_bits, band_from_dense, dense_of, dyadic_potential,
-                      motion_from_spectrum, random_symmetric_band, series_product,
-                      symmetry_defect)
+                      motion_from_spectrum, quantum_condition_residual, random_symmetric_band,
+                      series_product, symmetry_defect)
 
 SQ2 = math.sqrt(2.0)
 

@@ -21,7 +21,6 @@ from ampmech import (
     energy_matrix,
     lowest_eigenpairs,
     position_matrix,
-    quantum_condition_residual,
     rspt,
     spectrum,
 )
@@ -31,7 +30,7 @@ from ampmech.oracle import (BLOCK_START, PLATEAU_LEVELS, PLATEAU_STEP, _dense,
 from ampmech.perturb import ROUNDING_C
 from conftest import (assert_same_bits, default_lambda_grid, dense_amplitudes,
                       dense_hamiltonian, full_spectrum, lambda_series_fit, load_script,
-                      motion_from_spectrum)
+                      motion_from_spectrum, quantum_condition_residual)
 
 SWEEP = load_script("scripts/oracle_sweep.py")
 

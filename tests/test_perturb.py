@@ -11,9 +11,8 @@ from ampmech import (
     NoClosedFormError,
     OscillatorParams,
     StructureViolationError,
-    quantum_condition_residual,
 )
-from ampmech import perturb
+from ampmech import checks, perturb
 from ampmech.core import _omega_series, _series_mul
 from ampmech.oracle import position_matrix
 from ampmech.perturb import (
@@ -28,12 +27,14 @@ from ampmech.perturb import (
     _x_series,
 )
 
-from conftest import (assert_same_bits, build_recursions, symmetry_defect, xp_full_bands,
+from conftest import (assert_same_bits, build_recursions, qc_residual_reference,
+                      quantum_condition_residual, symmetry_defect, xp_full_bands,
                       xp_rebuild_reference)
 
 B = math.sqrt(2.0)  # beta in default units
 P2 = OscillatorParams()
 N_CHECK = 21  # rows 0..20
+EPS = float(np.finfo(float).eps)
 
 
 def closed_form_amplitude_reference(k, n, alpha, params):
@@ -338,10 +339,10 @@ class TestCarriedPowers:
 
 
 def solve_rebuild_reference(params, order, n_max):
-    """The solver as it was before it carried x and the frequencies across
-    powers: both rebuilt from the tables at every power, and x^2, x^p and the
-    residual formed on every band. Returns the tables, and the solved
-    orders."""
+    """The solver as it was before it carried x, omega x and the
+    frequencies across powers: all rebuilt from the tables at every power,
+    and x^2, x^p and the residual formed on every band. Returns the tables,
+    and the solved orders."""
     p, omega0 = params.force_exponent, params.omega0
     _, t_max, band_eng, pad = perturb._engine_extent(p, order)
     bands = perturb._band_list(p, band_eng)
@@ -363,7 +364,8 @@ def solve_rebuild_reference(params, order, n_max):
             pot_inc = np.zeros(rows)
             pot_inc[1:] = res_t[band_eng + 1, 1:] / (omega0 * a0[1:])
             pot[t] = np.cumsum(pot_inc)
-            u = -np.cumsum(perturb._qc_residual_coefficient(params, amp, pot, t))
+            wx = perturb._rate_series(_omega_series(pot, band_eng), x, range(t + 1))
+            u = -np.cumsum(perturb._sum_rule(params, x, wx, t, min_power=t)[0])
             amp[t, 1, 1:] = u[:-1] / (2.0 * math.pi * params.mass * omega0 * a0[1:])
             solved[1] = t
         solved.update(perturb._solve_bands(p, amp, res_t[[band_eng + a for a in bands]], t,
@@ -535,74 +537,55 @@ class TestStackedEomTerms:
             assert_same_bits(res, ref)
 
 
-def qc_residual_reference(params, amp, pot, k, absolute=False):
-    """`_qc_residual_coefficient` as it was before the residual and its size
-    shared one pass: with `absolute`, the summed size of its terms instead,
-    so that the sum-rule check called it twice per order."""
-    p = params.force_exponent
-    orders, bands, rows = amp.shape
-    res = np.zeros(rows)
-    if k == 0:
-        res += params.h if absolute else -params.h
-    for alpha in perturb._band_list(p, min(bands, rows) - 1):
-        rem = k - 2 * perturb.band_weight(p, alpha)
-        if rem < 0:
-            continue
-        for i in range(min(orders, rem + 1)):
-            for j in range(min(orders, rem + 1 - i)):
-                l = rem - i - j
-                if l >= pot.shape[0]:
-                    continue
-                up = np.zeros(rows)
-                m_hi = rows - alpha
-                term = amp[i, alpha, alpha:] * amp[j, alpha, alpha:]
-                if absolute:
-                    term = np.abs(term) * (np.abs(pot[l, alpha:]) + np.abs(pot[l, :m_hi]))
-                else:
-                    term *= pot[l, alpha:] - pot[l, :m_hi]
-                up[:m_hi] = term
-                down = np.zeros(rows)
-                down[alpha:] = term
-                res += math.pi * params.mass * (up + down if absolute else up - down)
-    return res
-
-
 class TestStackedSumRule:
-    """The sum-rule residual and the summed size of its terms share one
-    pass, stacked on a leading axis; the two calls the check made before are
-    the reference."""
+    """The sum rule is band 0 of x (omega x) under the product law, and the
+    summed size of its terms comes from the same product, stacked; the
+    band-by-band loop over the tables, called once for each, is the
+    reference, within the rounding of that size."""
 
     @staticmethod
-    def assert_matches_two_calls(params, c, k):
-        amp, pot = c.amp, c.freq_potential
-        stacked = perturb._qc_residual_coefficient(params, amp, pot, k, sizes=True)
-        assert stacked.shape == (2, c.rows)
-        assert_same_bits(stacked[0], qc_residual_reference(params, amp, pot, k))
-        assert_same_bits(stacked[1], qc_residual_reference(params, amp, pot, k, absolute=True))
-        # the solver's call forms the residual alone, with the same bits
-        assert_same_bits(perturb._qc_residual_coefficient(params, amp, pot, k), stacked[0])
+    def assert_matches_two_calls(sol):
+        residual, size = checks._sum_rule_terms(sol)
+        c, params = sol.coeffs, sol.params
+        assert residual.shape == size.shape == (sol.order + 1, c.rows)
+        for k in range(sol.order + 1):
+            ref = qc_residual_reference(params, c.amp, c.freq_potential, k)
+            ref_size = qc_residual_reference(params, c.amp, c.freq_potential, k, absolute=True)
+            assert np.all(np.abs(residual[k] - ref) <= perturb.ROUNDING_C * EPS * ref_size)
+            # the same positive terms, summed in another order: the sizes
+            # agree to a relative eps per term (up to 7 measured at order 8)
+            assert np.allclose(size[k], ref_size, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("n_max", [12, 200])
     @pytest.mark.parametrize("order", range(9))
     @pytest.mark.parametrize("p", [2, 3])
     def test_solution_matches_two_calls(self, p, order, n_max):
-        params = OscillatorParams(force_exponent=p)
-        c = solve_perturbative(params, order, n_max).coeffs
-        for k in range(order + 1):
-            self.assert_matches_two_calls(params, c, k)
+        self.assert_matches_two_calls(
+            solve_perturbative(OscillatorParams(force_exponent=p), order, n_max))
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 3), st.integers(1, 6),
            st.integers(1, 20), st.sampled_from((2, 3)), st.integers(0, 3))
-    def test_random_tables_match_two_calls(self, seed, orders, band_max, rows, p, k):
+    def test_random_tables_match_two_calls(self, seed, orders, band_max, rows, p, order):
+        # the sum rule through lam^order, which may pass the tables' orders
         cs = random_tables(seed, rows=rows, band_max=band_max, orders=orders)
         params = OscillatorParams(mass=1.7, omega0=0.6, hbar=0.8, force_exponent=p)
-        self.assert_matches_two_calls(params, cs, k)
+        self.assert_matches_two_calls(PerturbSolution(params, order, rows - 1, cs, {1: orders}))
 
     def test_bands_wider_than_the_table(self):
-        # band 3 outgrows two rows and has no entry (a ValueError before)
-        cs = random_tables(0, rows=2, band_max=3, orders=0)
+        # band 3 outgrows two rows and has no entry
+        cs = random_tables(0, rows=2, band_max=3, orders=2)
         params = OscillatorParams(mass=1.7, omega0=0.6, hbar=0.8, force_exponent=3)
-        self.assert_matches_two_calls(params, cs, 2)
+        self.assert_matches_two_calls(PerturbSolution(params, 2, 1, cs, {1: 2}))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_residual_alone_has_the_stacked_bits(self, p):
+        # the solver forms the residual alone, with the bits of the stacked
+        # product that the checks read
+        sol = solve_perturbative(OscillatorParams(mass=2.3, omega0=0.4, force_exponent=p), 4, 30)
+        c = sol.coeffs
+        x = _x_series(p, c.amp, 4, c.band_max)
+        wx = perturb._rate_series(_omega_series(c.freq_potential, c.band_max), x, range(5))
+        assert_same_bits(perturb._sum_rule(sol.params, x, wx, 4), checks._sum_rule_terms(sol)[0])
 
 
 def parity_series(rng, orders, band_max, rows, parity):
@@ -866,9 +849,7 @@ class TestSolveInvariants:
                 assert np.max(np.abs(res[:N_CHECK])) <= 1e-12
 
     def test_quantum_condition_residuals_vanish(self, sol_cubic):
-        for k in range(3):
-            c = sol_cubic.coeffs
-            res = perturb._qc_residual_coefficient(sol_cubic.params, c.amp, c.freq_potential, k)
+        for res in checks._sum_rule_terms(sol_cubic)[0]:
             assert np.max(np.abs(res[:N_CHECK])) <= 1e-12
 
     def test_quartic_residuals_vanish(self, sol_quartic):
@@ -895,10 +876,8 @@ class TestSolveInvariants:
                         )
                     )
                 assert np.max(np.abs(res[:N_CHECK])) <= 1e-12 * max(1.0, scale)
-        for k in range(3):
+        for res in checks._sum_rule_terms(sol_quartic)[0]:
             # order-2 summands reach ~1e5 by n = 20, so this is ~1e-15 relative
-            c = sol_quartic.coeffs
-            res = perturb._qc_residual_coefficient(sol_quartic.params, c.amp, c.freq_potential, k)
             assert np.max(np.abs(res[:N_CHECK])) <= 1e-10
 
     def test_frequency_additivity(self, sol_cubic):

@@ -11,9 +11,11 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ampmech import OscillatorParams, rspt, solve_perturbative
+from ampmech import (EnergyConservationError, OscillatorParams, checks, perturb, rspt,
+                     solve_perturbative)
 from ampmech.perturb import energy_matrix
 
 ORDER = 8
@@ -117,3 +119,32 @@ def test_float_rspt_matches_rational_rspt(p, units):
     # at lam = 1 each term of the energy is its own coefficient
     total = rspt(replace(unit_params(p, units), lam=1.0), len(LEVELS), ORDER)[0]
     assert_matches_rational(total, p, units)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_independent_judges_catch_a_mutant_sum_rule(monkeypatch, p):
+    # the solver and the check quantum-condition-order{k} read one
+    # `_sum_rule`, so a defect in it would pass that check. The closed
+    # forms, the off-diagonal energy guard and this module's RSPT do not
+    # read it: mutate the solver's own use, 1e-9 n added to the sum rule at
+    # every order t >= 1, and each of them fails
+    real = perturb._sum_rule
+
+    def mutant(params, x, wx, max_power, min_power=0):
+        res = real(params, x, wx, max_power, min_power)
+        return res + 1e-9 * np.arange(res.shape[-1]) if min_power >= 1 else res
+
+    monkeypatch.setattr(perturb, "_sum_rule", mutant)
+    params = unit_params(p, UNITS[0])
+    sol = solve_perturbative(params, ORDER, 12)
+    with pytest.raises(EnergyConservationError):
+        energy_matrix(sol)
+    # the level energies past that guard
+    monkeypatch.setattr(perturb.EnergyMatrix, "offdiag", lambda self, k: (0.0, 0.0))
+    em = energy_matrix(sol)
+    with pytest.raises(AssertionError):
+        assert_matches_rational(em.kinetic[:, 0] + em.harmonic[:, 0] + em.anharmonic[:, 0],
+                                p, UNITS[0])
+    if p == 2:  # the closed forms are tabulated for the cubic force only
+        assert any(not observed <= tolerance
+                   for _, observed, tolerance in checks.closed_form(sol))
