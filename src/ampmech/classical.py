@@ -137,8 +137,8 @@ def classical_solve(
     if (a1 is None) == (action is None):
         raise ValueError("prescribe exactly one of a1 or action")
     if action is not None:
-        if action < 0:
-            raise ValueError("action must be nonnegative")
+        if action <= 0:
+            raise ValueError("action must be positive")
         a1 = math.sqrt(action / (math.pi * params.mass * params.omega0))
     assert a1 is not None
     if a1 <= 0:

@@ -64,22 +64,16 @@ class NonFiniteError(ValueError):
     """A result to be rendered is NaN or infinite."""
 
 
-def _fmt_table(values, line: str, sep: str, indexed: bool = False) -> str:
+def _fmt_table(values, template: str) -> str:
     """The one float rule for a 1-d table: 17 significant digits, -0.0 as 0,
-    NaN and inf refused. One % renders the whole table: `line`, which holds
-    "%.17g" (after "%d" when `indexed`, which passes each value's index
-    first), is repeated once per value and joined by `sep`."""
+    NaN and inf refused. One % renders the whole table: `template` holds one
+    "%.17g" per value, in order, with everything else around the values
+    (separators, a CSV line's row index) already written in."""
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise NonFiniteError("refusing to serialize a non-finite number")
     # x + 0.0 is x for every finite x except -0.0, which it turns into 0.0
-    args = (arr + 0.0).tolist()
-    if indexed:
-        pairs = [None] * (2 * len(args))
-        pairs[0::2] = range(len(args))
-        pairs[1::2] = args
-        args = pairs
-    return sep.join([line] * len(arr)) % tuple(args)
+    return template % tuple((arr + 0.0).tolist())
 
 
 def _fmt_float(x) -> str:
@@ -105,7 +99,7 @@ def render_json(obj, indent: int = 0) -> str:
         if len(obj) == 0:
             return "[]"
         if isinstance(obj, np.ndarray):  # 1-d, of floats
-            body = _fmt_table(obj, "%.17g", f",\n{inner}")
+            body = _fmt_table(obj, f",\n{inner}".join(["%.17g"] * len(obj)))
         else:
             body = f",\n{inner}".join(render_json(v, indent + 1) for v in obj)
         return f"[\n{inner}{body}\n{pad}]"
@@ -123,17 +117,23 @@ def render_json(obj, indent: int = 0) -> str:
 
 
 def render_csv(rows) -> str:
-    """One line per value; a row whose value is an array gives one line per n."""
+    """One line per value; a row whose value is an array gives one line per n.
+
+    An array's lines are one % over a template whose cells "n,%.17g" already
+    hold the row index, so only the values are converted. The cells are
+    built once per call for each table length, and the text is joined once."""
     lines = ["quantity,order,band,n,value"]
+    cells = functools.cache(lambda size: [f"{i},%.17g" for i in range(size)])
     for quantity, order, band, n, value in rows:
         order, band, n = ("" if v is None else str(int(v)) for v in (order, band, n))
         if isinstance(value, np.ndarray):
             if len(value):
                 prefix = f"{quantity},{order},{band},".replace("%", "%%")
-                lines.append(_fmt_table(value, prefix + "%d,%.17g", "\n", indexed=True))
+                lines.append(_fmt_table(value, prefix + ("\n" + prefix).join(cells(len(value)))))
         else:
             lines.append(f"{quantity},{order},{band},{n},{_fmt_float(value)}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the text once more
+    return "\n".join(lines)
 
 
 def _values(array) -> np.ndarray:
@@ -410,6 +410,12 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise UsageError(f"--{name.replace('_', '-')} must be finite")
+        for name in ("a1", "action"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise UsageError(f"--{name} must be positive")
+        if self.seed < 0:
+            raise UsageError("--seed must be nonnegative")
         if self.order < 0:
             raise UsageError("--order must be nonnegative")
         if self.n_max < 1:

@@ -189,6 +189,11 @@ class TestClassicalSolve:
             classical_solve(P2, 2)
         with pytest.raises(ValueError):
             classical_solve(P2, 2, a1=1.0, action=3.0)
+        # each guard names the input it refuses
+        with pytest.raises(ValueError, match="action must be positive"):
+            classical_solve(P2, 2, action=0.0)
+        with pytest.raises(ValueError, match="leading amplitude must be positive"):
+            classical_solve(P2, 2, a1=0.0)
 
     def test_quartic_frequency_hardening(self):
         a1 = 1.0

@@ -37,6 +37,13 @@ SUBCOMMAND_ARGV = {
     "sho": ["sho"],
 }
 
+# large CSV tables, one % each: the benchmark's slowest job class and a
+# quartic order-4 solve
+CSV_TABLE_ARGV = {
+    "solve-n3000": ["solve", "--n-max", "3000"],
+    "solve-quartic-order4": ["solve", "--force", "3", "--order", "4", "--n-max", "200"],
+}
+
 # results that are not finite or overflow: a numeric failure, exit 3
 NON_FINITE_ARGV = [
     ["classical", "--a1", "1e200"],
@@ -152,7 +159,7 @@ class TestExitCodes:
         code, _ = run_capture(["frobnicate"])
         assert code == 2
 
-    def test_semantic_validation(self):
+    def test_semantic_validation(self, capsys):
         assert run_capture(["solve", "--order", "-1"])[0] == 2
         assert run_capture(["solve", "--n-max", "3"])[0] == 2
         assert run_capture(["solve", "--n-max", "4"])[0] == 2
@@ -161,6 +168,21 @@ class TestExitCodes:
         assert run_capture(["classical", "--a1", "1.0", "--order", "10"])[0] == 0
         assert run_capture(["classical"])[0] == 2
         assert run_capture(["classical", "--a1", "1.0", "--action", "2.0"])[0] == 2
+        capsys.readouterr()
+        # a usage error that names the option; a negative --seed is refused
+        # whichever check group would read it
+        for argv, option in [
+            (["verify", "--seed", "-1"], "--seed"),
+            (["verify", "--check", "recursion", "--seed", "-1"], "--seed"),
+            (["verify", "--check", "algebra", "--seed", "-7"], "--seed"),
+            (["classical", "--action", "0"], "--action"),
+            (["classical", "--action", "-1.5"], "--action"),
+            (["classical", "--a1", "0"], "--a1"),
+            (["classical", "--a1", "-2", "--format", "csv"], "--a1"),
+        ]:
+            assert run_capture(argv) == (2, ""), argv
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and option in err, argv
 
     @pytest.mark.parametrize("n_max", ["1", "2", "3", "4"])
     def test_sho_takes_no_order_floor(self, n_max):
@@ -296,13 +318,16 @@ class TestBenchmarkTrace:
         try:
             tracer.install()
             during = self.bindings()
-            codes = [run(argv, stream=io.StringIO()) for argv in (["verify"], ["oracle"])]
+            codes = [run(argv, stream=io.StringIO())
+                     for argv in (["verify"], ["oracle"], ["solve", "--format", "csv"])]
         finally:
             tracer.uninstall()
-        assert codes == [0, 0]
+        assert codes == [0, 0, 0]
         assert tracer.snapshot()["core.commutator_diagonal.calls"] > 0
         patched = {key for key, obj in before.items() if during[key] is not obj}
-        assert {("BandAmplitudeArray", "get"), ("ampmech.core", "commutator_diagonal")} <= patched
+        # a renamed renderer would leave cli.render.* silently empty
+        assert {("BandAmplitudeArray", "get"), ("ampmech.core", "commutator_diagonal"),
+                ("ampmech.cli", "render_csv"), ("ampmech.cli", "render_json")} <= patched
         assert self.bindings() == before
 
 
@@ -488,8 +513,8 @@ class TestRendering:
                      st.sampled_from(FINITE_EDGES)))
     def test_scalar_rule_is_the_table_rule(self, x):
         # every finite double, -0.0, subnormals and +-max included
-        assert cli._fmt_float(x) == cli._fmt_table([x], "%.17g", "")
-        assert cli._fmt_float(np.float64(x)) == cli._fmt_table(np.array([x]), "%.17g", "")
+        assert cli._fmt_float(x) == cli._fmt_table([x], "%.17g")
+        assert cli._fmt_float(np.float64(x)) == cli._fmt_table(np.array([x]), "%.17g")
 
     @given(float_arrays, st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
     def test_non_finite_anywhere_is_refused(self, values, bad, data):
@@ -502,13 +527,16 @@ class TestRendering:
         with pytest.raises(ValueError, match="non-finite"):
             cli._fmt_float(bad)
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("sub", list(SUBCOMMAND_ARGV))
+    @pytest.mark.parametrize(
+        "sub, fmt",
+        [(sub, fmt) for sub in SUBCOMMAND_ARGV for fmt in ("csv", "json")]
+        + [(name, "csv") for name in CSV_TABLE_ARGV],
+        ids=lambda v: v)
     def test_subcommand_matches_per_value_reference(self, sub, fmt):
-        argv = SUBCOMMAND_ARGV[sub] + ["--format", fmt]
+        argv = {**SUBCOMMAND_ARGV, **CSV_TABLE_ARGV}[sub] + ["--format", fmt]
         cfg = cli.RunConfig(**vars(cli.build_parser().parse_args(argv)))
         cfg.validate()
-        payload, rows, code = cli._DISPATCH[sub](cfg)
+        payload, rows, code = cli._DISPATCH[argv[0]](cfg)
         if fmt == "json":
             expected = reference_render_json(per_value_payload(payload)) + "\n"
         else:
