@@ -24,8 +24,8 @@ from .core import (BandAmplitudeArray, FrequencyGrid, MotionRepresentation, _ome
                    _series_mul, commutator_diagonal, time_derivative)
 from .oracle import DEFAULT_UNIT_COUPLING, PLATEAU_LEVELS, _dense
 from .perturb import (ROUNDING_C, EnergyConservationError, StructureViolationError,
-                      _engine_extent, _eom_terms, _half, _rate_series, _sum_rule, _x_series,
-                      assemble_motion, band_weight, closed_form_amplitude,
+                      _engine_extent, _eom_terms, _half, _rate_mask, _rate_series, _sum_rule,
+                      _x_series, assemble_motion, band_weight, closed_form_amplitude,
                       closed_form_frequency, energy_matrix, extract_structure_constants,
                       solve_perturbative)
 
@@ -142,12 +142,16 @@ def _sum_rule_terms(sol):
     params, pot = sol.params, sol.coeffs.freq_potential
     reach = max(sol.public_bands)  # all that the sum rule reads, as in the solver
     amp = sol.coeffs.amp[:, : reach + 1]
-    x = _x_series(params.force_exponent, np.stack([amp, np.abs(amp)]), sol.order, reach)
+    x, x_live = _x_series(params.force_exponent, np.stack([amp, np.abs(amp)]), sol.order, reach)
     om_size = _omega_size(pot, reach)
     om_size[:, reach] = 0.0  # omega(n, n) is formed exactly, as 0
     # the size enters negated, so that h is subtracted as from the residual
     om = np.stack([_omega_series(pot, reach), -om_size])
-    residual, size = _sum_rule(params, x, _rate_series(om, x, range(sol.order + 1)), sol.order)
+    powers = range(sol.order + 1)
+    # an order of omega and of its size is zero where its potential is
+    wx_live = _rate_mask(pot.any(axis=-1), x_live, powers)
+    residual, size = _sum_rule(params, x, _rate_series(om, x, powers), sol.order,
+                               masks=(x_live, wx_live))
     return residual, -size
 
 

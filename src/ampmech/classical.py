@@ -156,7 +156,7 @@ def classical_solve(
     g = np.arange(-band_eng, band_eng + 1)
     om = np.multiply.outer(omega_coeffs, g)[:, :, None]
 
-    def adjacent(t: int, res: np.ndarray, x: np.ndarray) -> None:
+    def adjacent(t: int, res: np.ndarray, x: np.ndarray, live: np.ndarray) -> None:
         # fundamental: a1 is held fixed, the frequency correction remains
         omega_coeffs[t] = res[0] / (omega0 * a1)
         om[t, :, 0] = omega_coeffs[t] * g

@@ -161,9 +161,24 @@ class MotionRepresentation:
 # product, since a skipped term lands only outside the window.
 
 
+def _nonzero(s: np.ndarray, step: int = 0, lo: int | None = None) -> np.ndarray:
+    """Nonzero mask of a series over (power, band), by a scan of its entries:
+    slice (i, g) is True where any stacked series holds a nonzero entry on
+    the rows of band g that a product with row shift `step` reads (all rows
+    at step 0). lo is the lowest band (default centered). The engine carries
+    the masks of the series it forms; this is for operands from outside."""
+    *_, width, rows = s.shape
+    lo = -((width - 1) // 2) if lo is None else lo
+    n = np.arange(rows)
+    shift = step * np.arange(lo, lo + width)[:, None]
+    read = (n >= shift) & (n <= rows - 1 + shift)
+    return np.any((s != 0) & read, axis=(*range(s.ndim - 3), -1))
+
+
 def _series_mul(
     a: np.ndarray, b: np.ndarray, max_power: int, step: int = 1, min_power: int = 0,
     bands: tuple[int, int] | None = None, a_lo: int | None = None,
+    masks: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Product of two real banded lam-series: sum over g of a(n, n-g) b(n-step*g, .).
     With step 0 on one row this is the convolution over signed harmonics.
@@ -171,6 +186,9 @@ def _series_mul(
     Only the powers min_power..max_power and the signed bands lo..hi of
     bands (default all) are formed; out[s - min_power, g - lo] is the lam^s
     coefficient on band g, with the same bits as in the full product.
+    masks are the (power, band) nonzero masks of a and b (default
+    `_nonzero`): a mask may mark an all-zero slice live, which adds only
+    +0, but never a nonzero one dead.
     Leading axes, past (powers, bands, rows), broadcast: each slice of finite
     series gets the bits of its own product."""
     *_, pa, wa, rows = a.shape
@@ -180,24 +198,21 @@ def _series_mul(
     lo, hi = (a_lo - bb, a_lo + wa - 1 + bb) if bands is None else bands
     out = np.zeros(
         (*(a.shape[:-3] or b.shape[:-3]), max_power + 1 - min_power, hi + 1 - lo, rows))
-    # band g of a feeds rows r0..r1. All-zero (i, g) slices of a and bands of
-    # b outside h0..h1-1, the span of its nonzero ones at the powers read, add
+    # band g of a feeds rows r0..r1. Dead (i, g) slices of a and bands of b
+    # outside h0..h1-1, the span of its live ones at the powers read, add
     # only zeros (and nan from 0 * inf): out starts at +0 and never holds -0.
-    # A slice or band is nonzero if it is in any stacked series.
-    n = np.arange(rows)
-    shift = step * np.arange(a_lo, a_lo + wa)[:, None]
-    mask = (n >= shift) & (n <= rows - 1 + shift)
-    live = np.any((a != 0) & mask, axis=(*range(a.ndim - 3), -1)).tolist()
-    nonzero = np.any(b != 0, axis=(*range(b.ndim - 3), -1))
-    b_lo, b_hi = nonzero.argmax(1).tolist(), (wb - nonzero[:, ::-1].argmax(1)).tolist()
-    # where the nonzero bands of b share one parity (odd x, even x^2 of the
+    # A slice or band is live if it is in any stacked series.
+    live_a, live_b = (_nonzero(a, step, a_lo), _nonzero(b)) if masks is None else masks
+    assert live_a.shape == (pa, wa) and live_b.shape == (pb, wb)
+    b_lo, b_hi = live_b.argmax(1).tolist(), (wb - live_b[:, ::-1].argmax(1)).tolist()
+    # where the live bands of b share one parity (odd x, even x^2 of the
     # quartic force), a span takes every other band, from the first of that
     # parity: the others are zero, and as above skipping them shows only as
     # the nan of 0 * inf
-    held = nonzero.any(0).tolist()
+    held = live_b.any(0).tolist()
     hs = 1 if any(held[::2]) and any(held[1::2]) else 2
     parity = held.index(True) % 2 if True in held else 0
-    for i, row in enumerate(live[: max_power + 1]):
+    for i, row in enumerate(live_a.tolist()[: max_power + 1]):
         j0, j1 = max(0, min_power - i), min(pb, max_power + 1 - i)
         h0, h1 = min(b_lo[j0:j1], default=wb), max(b_hi[j0:j1], default=0)
         h0 += (h0 - parity) % hs

@@ -157,62 +157,87 @@ class CoefficientSet:
 
 # ---------------------------------------------------------------------------
 # the series of x, x^p, the equation-of-motion residual and the sum rule, in
-# the series arithmetic of `core` (`step` as there)
+# the series arithmetic of `core` (`step` as there). Each series the engine
+# forms carries its (power, band) nonzero mask for `_series_mul`: x its table
+# slots' as they are written, omega x one from the masks of its factors, and
+# a product one `any` per power it forms.
 
 
 def _x_series(
     p: int, amp: np.ndarray, max_power: int, band_max: int, step: int = 1
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Representation of x as data[s, band_max+g, n], the lam^s coefficient
-    of X(n, n-g), with the band weights and cosine halves folded in. The
-    mirrored band is X(n, n+g) = X(n+step*g, n). Leading axes of amp, past
-    its (orders, bands, rows), are kept as leading axes of the series."""
+    of X(n, n-g), with the band weights and cosine halves folded in, and its
+    nonzero mask over (s, band_max+g). The mirrored band is X(n, n+g) =
+    X(n+step*g, n). Leading axes of amp, past its (orders, bands, rows), are
+    kept as leading axes of the series."""
     *lead, orders, bands, rows = amp.shape
     data = np.zeros((*lead, max_power + 1, 2 * band_max + 1, rows))
+    live = np.zeros(data.shape[-3:-1], dtype=bool)
     for a in _band_list(p, min(bands - 1, band_max)):
         for k in range(min(orders, max_power + 1 - band_weight(p, a))):
-            _x_put(data, p, amp, k, a, step)
-    return data
+            _x_put(data, live, p, amp, k, a, step)
+    return data, live
 
 
-def _x_put(x: np.ndarray, p: int, amp: np.ndarray, k: int, a: int, step: int = 1) -> None:
+def _x_put(x: np.ndarray, live: np.ndarray, p: int, amp: np.ndarray, k: int, a: int,
+           step: int = 1) -> None:
     """Write a^(k)(n, n-a) into the x series at its power w(a) + k, on band a
-    and its mirror."""
+    and its mirror, and whether it is nonzero into the mask live."""
     band_max, rows = (x.shape[-2] - 1) // 2, x.shape[-1]
     s, c = band_weight(p, a) + k, _half(a)
     x[..., s, band_max + a, :] = c * amp[..., k, a, :]
+    live[s, band_max + a] = live[s, band_max - a] = amp[..., k, a, :].any()
     if a > 0:
         # the mirror reads rows step*a.., none when the band outgrows the table
         x[..., s, band_max - a, : max(rows - step * a, 0)] = c * amp[..., k, a, step * a :]
 
 
-def _x2_window(p: int, bands: range, band_max: int) -> tuple[int, int]:
-    """Signed bands lo..hi of x^2 that the bands of x^p from bands[0] through
-    bands[-1] read, for x on -band_max..band_max: those same bands for the
-    cubic force (x^p = x^2), and band_max more on each side for the quartic
-    (x^p = x^2 x)."""
-    reach = 0 if p == 2 else band_max
-    return bands[0] - reach, bands[-1] + reach
+def _x2_window(p: int, bands: range, band_max: int, max_power: int) -> tuple[int, int]:
+    """Signed bands lo..hi of x^2 through lam^max_power that the bands of x^p
+    from bands[0] through bands[-1] read, for x on -band_max..band_max:
+    those same bands for the cubic force (x^p = x^2), and for the quartic
+    (x^p = x^2 x) band_max more below, and above up to the widest band that
+    x^2 holds. x holds band a from lam^w(a) on, so x^2 holds at lam^s the
+    bands up to the widest sum a + b with w(a) + w(b) <= s."""
+    if p == 2:
+        return bands[0], bands[-1]
+    top = [max([a for a in _band_list(p, band_max) if band_weight(p, a) <= s], default=-1)
+           for s in range(max_power + 1)]
+    widest = max((top[i] + top[max_power - i] for i in range(max_power + 1)), default=0)
+    lo = bands[0] - band_max
+    return lo, max(min(bands[-1] + band_max, widest), lo)
 
 
 def _xp_coefficient(
     p: int, x: np.ndarray, x2: np.ndarray, s: int, bands: range, step: int = 1,
-    min_power: int | None = None,
+    min_power: int | None = None, masks: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """lam^s coefficient of x^p over (band, row), on the signed bands from
     bands[0] through bands[-1], from the x series and x2, the coefficients of
-    x^2 on `_x2_window`, both through lam^s. Only the top power of x^3 is
-    formed, so a solver that carries x2 across powers adds one power of each
-    per step. With min_power, the coefficients lam^min_power..lam^s instead,
-    on a powers axis, in one product."""
+    x^2 on `_x2_window`, both through lam^s, with masks the nonzero masks of
+    the two (default `core._nonzero`). Only the top power of x^3 is formed, so a
+    solver that carries x2 across powers adds one power of each per step.
+    With min_power, the coefficients lam^min_power..lam^s instead, on a
+    powers axis, in one product."""
     lo = s if min_power is None else min_power
     if p == 2:
         xp = x2[..., lo : s + 1, :, :]
     else:
+        if masks is not None:
+            masks = masks[1][: s + 1], masks[0]
         xp = _series_mul(x2[..., : s + 1, :, :], x, s, step, min_power=lo,
                          bands=(bands[0], bands[-1]),
-                         a_lo=_x2_window(p, bands, (x.shape[-2] - 1) // 2)[0])
+                         a_lo=_x2_window(p, bands, (x.shape[-2] - 1) // 2, s)[0], masks=masks)
     return xp if min_power is not None else xp[..., 0, :, :]
+
+
+def _orders_live(om: np.ndarray, bands: range) -> list[bool]:
+    """Whether each order of a frequency series om[k, g, n] holds a nonzero
+    entry on the signed bands of `bands`, in any stacked series."""
+    band_max = (om.shape[-2] - 1) // 2
+    on = om[..., band_max + bands.start : band_max + bands.stop : bands.step, :]
+    return np.any(on, axis=(*range(on.ndim - 3), -2, -1)).tolist()
 
 
 def _eom_residual_coefficient(
@@ -223,6 +248,7 @@ def _eom_residual_coefficient(
     xp_top: np.ndarray | None,
     bands: range,
     om_right: np.ndarray | None = None,
+    live: tuple[list[bool], list[bool]] | None = None,
 ) -> np.ndarray:
     """lam^power coefficient of the equation-of-motion representative,
 
@@ -232,15 +258,22 @@ def _eom_residual_coefficient(
     from the x series through lam^power, the per-band frequency series
     om[k, g, n], both on the same bands, and xp_top, the lam^(power-1)
     coefficient of x^p on bands[0]..bands[-1] (None at power 0). The second
-    factor of each omega_i omega_j comes from om_right (default om). Leading
-    axes, before (powers, bands, rows), broadcast."""
+    factor of each omega_i omega_j comes from om_right (default om). live
+    says per order whether om and om_right hold a nonzero entry on `bands`
+    (default `_orders_live`). Leading axes, before (powers, bands, rows),
+    broadcast."""
     band_max = (x.shape[-2] - 1) // 2
     on = slice(band_max + bands.start, band_max + bands.stop, bands.step)
     om_right = om if om_right is None else om_right
+    left, right = live or (_orders_live(om, bands), _orders_live(om_right, bands))
     res = params.omega0**2 * x[..., power, on, :]
-    # omega^2 acts entrywise per band; convolve the three order indices
+    # omega^2 acts entrywise per band; convolve the three order indices. A
+    # pair with an all-zero order subtracts only zeros: after the first pair
+    # res holds no -0, so skipping them keeps its bits
     for i in range(min(om.shape[-3], power + 1)):
         for j in range(min(om.shape[-3], power + 1 - i)):
+            if i + j and not (left[i] and right[j]):
+                continue
             res -= om[..., i, on, :] * om_right[..., j, on, :] * x[..., power - i - j, on, :]
     if xp_top is not None:
         res += xp_top[..., :: bands.step, :]
@@ -286,21 +319,36 @@ def _rate_series(om: np.ndarray, x: np.ndarray, powers: range) -> np.ndarray:
     return out
 
 
+def _rate_mask(om_live: np.ndarray, x_live: np.ndarray, powers: range) -> np.ndarray:
+    """Nonzero mask of `_rate_series` over (power, band) from om_live[k],
+    whether frequency order k holds a nonzero entry, and x_live, the mask of
+    the x series. omega(n, n) is formed as 0, so band 0 is zero."""
+    out = np.zeros((len(powers), x_live.shape[-1]), dtype=bool)
+    for i, s in enumerate(powers):
+        for j in range(min(len(om_live), s + 1)):
+            if om_live[j]:
+                out[i] |= x_live[s - j]
+    out[:, (x_live.shape[-1] - 1) // 2] = False
+    return out
+
+
 def _sum_rule(params: OscillatorParams, x: np.ndarray, wx: np.ndarray, max_power: int,
-              min_power: int = 0) -> np.ndarray:
+              min_power: int = 0, masks: tuple[np.ndarray, np.ndarray] | None = None,
+              ) -> np.ndarray:
     """lam^min_power..lam^max_power coefficients of the sum-rule residual
 
         4 pi m sum_alpha [ X^2(n+alpha, n) omega(n+alpha, n)
                            - X^2(n, n-alpha) omega(n, n-alpha) ] - h
 
     over (power, row n), from the x series and wx, its `_rate_series`, both
-    through lam^max_power. The sum is band 0 of the product x (omega x):
+    through lam^max_power, with masks their nonzero masks (default
+    `core._nonzero`). The sum is band 0 of the product x (omega x):
     its term X(n, n-g) omega(n-g, n) X(n-g, n) is a downward one for g > 0
     and an upward one for g < 0. With X symmetric and omega antisymmetric,
     (omega x) x has the opposite diagonal, so the residual is 2 pi times
     [x, p](n, n)/i - hbar. Leading axes broadcast."""
     res = 4.0 * math.pi * params.mass * _series_mul(
-        x, wx, max_power, min_power=min_power, bands=(0, 0))[..., 0, :]
+        x, wx, max_power, min_power=min_power, bands=(0, 0), masks=masks)[..., 0, :]
     if min_power == 0:
         res[..., 0, :] -= params.h
     return res
@@ -322,12 +370,17 @@ def _eom_terms(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max:
         om, om_right = np.stack([om, 2.0 * np.abs(om)]), np.stack([om, -om_size])
         amp = np.stack([amp, np.abs(amp)])
     band_max = (om.shape[-2] - 1) // 2
-    x = _x_series(p, amp, t_max, band_max, step)
-    x2 = _series_mul(x, x, max(t_max - 1, 0), step, bands=_x2_window(p, bands, band_max))
-    xp = _xp_coefficient(p, x, x2, t_max - 1, bands, step, min_power=0)
+    x, x_live = _x_series(p, amp, t_max, band_max, step)
+    top = max(t_max - 1, 0)
+    x2 = _series_mul(x, x, top, step, bands=_x2_window(p, bands, band_max, top),
+                     masks=(x_live, x_live))
+    x2_live = np.any(x2, axis=(*range(x2.ndim - 3), -1))
+    xp = _xp_coefficient(p, x, x2, t_max - 1, bands, step, min_power=0,
+                         masks=(x_live, x2_live))
+    live = _orders_live(om, bands), _orders_live(om_right, bands)
     return np.stack([
         _eom_residual_coefficient(params, x, om, t, xp[..., t - 1, :, :] if t else None,
-                                  bands, om_right)
+                                  bands, om_right, live)
         for t in range(t_max + 1)
     ], axis=-3)
 
@@ -400,38 +453,47 @@ def _engine_extent(p: int, order: int) -> tuple[range, int, int, int]:
 
 
 def _march(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max: int,
-           adjacent: Callable[[int, np.ndarray, np.ndarray], None],
+           adjacent: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None],
            step: int = 1) -> dict[int, int]:
     """Solve the tables amp[k, alpha, n] and the per-band frequency series
     om[k, g, n], both set at order 0, power by power of lam through t_max.
-    At each power t within the tables, adjacent(t, res, x) sets the order-t
-    frequencies in om and adjacent amplitude in amp from res, the lam^t
-    residual on band 1, and x, the x series through lam^t, final through
-    lam^(t-1); every other band follows from that residual. x and
-    its square are carried across t, each power set once, as its
-    coefficients are solved; x^2, x^p and the residual are formed on the
-    bands the solve reads. Returns the order solved per band."""
+    At each power t within the tables, adjacent(t, res, x, live) sets the
+    order-t frequencies in om and adjacent amplitude in amp from res, the
+    lam^t residual on band 1, and x, the x series through lam^t, final
+    through lam^(t-1), with live its nonzero mask; every other band follows
+    from that residual. x and its square are carried across t, each power
+    set once, as its coefficients are solved, with their masks; x^2, x^p
+    and the residual are formed on the bands the solve reads. Returns the
+    order solved per band."""
     p = params.force_exponent
     orders, width, rows = amp.shape
     bands = _band_list(p, width - 1)
     x = np.zeros((t_max + 1, 2 * width - 1, rows))
-    _x_put(x, p, amp, 0, 1, step)
-    window = _x2_window(p, bands, width - 1)
+    x_live = np.zeros(x.shape[:2], dtype=bool)
+    _x_put(x, x_live, p, amp, 0, 1, step)
+    window = _x2_window(p, bands, width - 1, t_max - 1)
     x2 = np.zeros((t_max, window[1] + 1 - window[0], rows))
+    x2_live = np.zeros(x2.shape[:2], dtype=bool)
+    # the unsolved frequency orders are zero
+    om_live = _orders_live(om[:1], bands) + [False] * (orders - 1)
     solved = {1: 0}
     for t in range(1, t_max + 1):
         # x is final through lam^(t-1), all that x^2 and x^p there read
-        xt = x[: t + 1]
-        x2[t - 1] = _series_mul(xt, xt, t - 1, step, min_power=t - 1, bands=window)[0]
-        res_t = _eom_residual_coefficient(params, xt, om, t,
-                                          _xp_coefficient(p, xt, x2, t - 1, bands, step), bands)
+        xt, live = x[: t + 1], x_live[: t + 1]
+        x2[t - 1] = _series_mul(xt, xt, t - 1, step, min_power=t - 1, bands=window,
+                                masks=(live, live))[0]
+        x2_live[t - 1] = x2[t - 1].any(axis=-1)
+        xp_top = _xp_coefficient(p, xt, x2, t - 1, bands, step, masks=(live, x2_live))
+        res_t = _eom_residual_coefficient(params, xt, om, t, xp_top, bands,
+                                          live=(om_live, om_live))
         if t < orders:
-            adjacent(t, res_t[bands.index(1)], xt)
+            adjacent(t, res_t[bands.index(1)], xt, live)
+            om_live[t] = _orders_live(om[t : t + 1], bands)[0]
             solved[1] = t
-            _x_put(x, p, amp, t, 1, step)
+            _x_put(x, x_live, p, amp, t, 1, step)
         solved_t = _solve_bands(p, amp, res_t, t, bands, params.omega0, step)
         for alpha, k in solved_t.items():
-            _x_put(x, p, amp, k, alpha, step)
+            _x_put(x, x_live, p, amp, k, alpha, step)
         solved.update(solved_t)
     return solved
 
@@ -464,9 +526,10 @@ def solve_perturbative(
     # public: x and omega x on those
     win = slice(band_eng - max(public), band_eng + max(public) + 1)
     wx = np.zeros((order + 1, 2 * max(public) + 1, rows))
+    wx_live = np.zeros(wx.shape[:2], dtype=bool)
     a0 = amp[0, 1]
 
-    def adjacent(t: int, res: np.ndarray, x: np.ndarray) -> None:
+    def adjacent(t: int, res: np.ndarray, x: np.ndarray, live: np.ndarray) -> None:
         # the adjacent band's amplitude drops out, the frequency remains
         pot_inc = np.zeros(rows)
         pot_inc[1:] = res[1:] / (omega0 * a0[1:])
@@ -476,9 +539,12 @@ def solve_perturbative(
         # At lam^t it reads x and omega x only on bands +-1, through the
         # unknown order-t amplitude, still zero; omega x is final through
         # lam^(t-1), as x is, and its lam^t is formed again at t + 1
-        x_win = x[:, win]
-        wx[t - 1 : t + 1] = _rate_series(om[:, win], x_win, range(t - 1, t + 1))
-        u = -np.cumsum(_sum_rule(params, x_win, wx[: t + 1], t, min_power=t)[0])
+        x_win, live_win = x[:, win], live[:, win]
+        powers = range(t - 1, t + 1)
+        wx[t - 1 : t + 1] = _rate_series(om[:, win], x_win, powers)
+        wx_live[t - 1 : t + 1] = _rate_mask(pot[: t + 1].any(axis=-1), live_win, powers)
+        u = -np.cumsum(_sum_rule(params, x_win, wx[: t + 1], t, min_power=t,
+                                 masks=(live_win, wx_live[: t + 1]))[0])
         amp[t, 1, 1:] = u[:-1] / (2.0 * math.pi * params.mass * omega0 * a0[1:])
 
     solved = _march(params, amp, om, t_max, adjacent)
@@ -700,23 +766,26 @@ def energy_matrix(sol: PerturbSolution) -> EnergyMatrix:
     p, order = sol.params.force_exponent, sol.order
     c = sol.coeffs
     m = sol.params.mass
-    band_x = sol.band_max
-    x = _x_series(p, c.amp, order, band_x)
-    om = _omega_series(c.freq_potential, band_x)
-    wx = _rate_series(om, x, range(order + 1))
+    # bands past the public ones first appear above lam^order
+    band_x = max(sol.public_bands)
+    x, x_live = _x_series(p, c.amp, order, band_x)
+    powers = range(order + 1)
+    wx = _rate_series(_omega_series(c.freq_potential, band_x), x, powers)
+    wx_live = _rate_mask(c.freq_potential.any(axis=-1), x_live, powers)
 
     # each product forms only the bands 0..band_rep that W keeps, and x^2
-    # those that x^(p+1) = x^2 y reads: the kept ones widened by the reach
-    # of y = x (cubic) or x^2 (quartic, every band of x^2)
-    band_rep = min(max(_engine_extent(p, order)[0]) + 1, 2 * band_x)
-    reach = band_x if p == 2 else 2 * band_x
+    # every band it holds: through lam^order the band weights end x^2 at
+    # band_rep too (`_x2_window`)
+    band_rep = band_x + 1
     kept = (0, band_rep)
-    x2 = _series_mul(x, x, order, bands=(-reach, min(band_rep + reach, 2 * band_x)))
+    x2 = _series_mul(x, x, order, bands=(-band_rep, band_rep), masks=(x_live, x_live))
+    x2_live = x2.any(axis=-1)
     # negating a factor, not the product, keeps the signs of zeros of the
     # real part of (i wx)(i wx)
-    d2 = _series_mul(-wx, wx, order, bands=kept)
-    # the anharmonic term x^(p+1) carries one explicit power of lam
-    src = _series_mul(x2, x if p == 2 else x2, order - 1, bands=kept, a_lo=-reach)
+    d2 = _series_mul(-wx, wx, order, bands=kept, masks=(wx_live, wx_live))
+    # the anharmonic term x^(p+1) = x^2 y carries one explicit power of lam
+    y, y_live = (x, x_live) if p == 2 else (x2, x2_live)
+    src = _series_mul(x2, y, order - 1, bands=kept, a_lo=-band_rep, masks=(x2_live, y_live))
     n_keep = sol.n_max + 1
 
     def _trim(series: np.ndarray, factor: float, shift: int, zero: int = 0) -> np.ndarray:
@@ -730,7 +799,7 @@ def energy_matrix(sol: PerturbSolution) -> EnergyMatrix:
         band_max=band_rep,
         n_max=sol.n_max,
         kinetic=_trim(d2, 0.5 * m, 0),
-        harmonic=_trim(x2, 0.5 * m * sol.params.omega0**2, 0, zero=reach),
+        harmonic=_trim(x2, 0.5 * m * sol.params.omega0**2, 0, zero=band_rep),
         anharmonic=_trim(src, m / (p + 1.0), 1),
     )
     for s in range(order + 1):

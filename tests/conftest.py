@@ -211,13 +211,13 @@ def assert_same_bits(got, ref):
     assert got.tobytes() == ref.tobytes()
 
 
-def xp_rebuild_reference(p, x, x2, s, bands, step=1, min_power=None):
+def xp_rebuild_reference(p, x, x2, s, bands, step=1, min_power=None, masks=None):
     """lam^s coefficient of x^p formed from scratch through lam^s on every
     band at every call, as the engine did before it carried x^2 across
-    powers, then cut to the bands bands[0]..bands[-1]; the carry array x2 is
-    ignored. Patched over `_xp_coefficient` it gives the old per-power
-    rebuild of the solvers. With min_power, the coefficients
-    lam^min_power..lam^s."""
+    powers, then cut to the bands bands[0]..bands[-1]; the carry array x2
+    and the carried masks are ignored, and the products scan their factors.
+    Patched over `_xp_coefficient` it gives the old per-power rebuild of the
+    solvers. With min_power, the coefficients lam^min_power..lam^s."""
     from ampmech.core import _series_mul
 
     xp = _series_mul(x, x, s, step)

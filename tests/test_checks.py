@@ -132,11 +132,12 @@ def test_tampered_sho_row_fails(units):
         "sho-quantum-condition", "sho-commutator"]
 
 
-def _series_mul_without_band_one(a, b, *args, **kwargs):
-    """`_series_mul` with band +1 of its (centered) first factor dropped."""
+def _series_mul_without_band_one(a, b, *args, masks=None, **kwargs):
+    """`_series_mul` with band +1 of its (centered) first factor dropped;
+    the masks, if any, are passed on as they are."""
     a = np.array(a, copy=True)
     a[..., (a.shape[-2] - 1) // 2 + 1, :] = 0.0
-    return _series_mul(a, b, *args, **kwargs)
+    return _series_mul(a, b, *args, masks=masks, **kwargs)
 
 
 def _omega_series_band_one_scaled(pot, band_max):
@@ -273,7 +274,7 @@ def recursion_reference(params, coeffs, alpha, order):
     one pass gave the equation of motion at every power."""
     p, power = params.force_exponent, band_weight(params.force_exponent, alpha) + order
     band_max = max(coeffs.band_max, alpha)
-    x = _x_series(p, coeffs.amp, power, band_max)
+    x, _ = _x_series(p, coeffs.amp, power, band_max)
     xp_top = None
     if power:
         xp_top = xp_full_bands(p, x, _series_mul(x, x, power - 1), power - 1)

@@ -108,7 +108,7 @@ def balance_residuals_per_power_reference(sol):
     x2 = np.zeros((t_max, 4 * band_eng + 1, 1))
     res = []
     for t in range(t_max + 1):
-        x = perturb._x_series(p, amp, t, band_eng, step=0)
+        x, _ = perturb._x_series(p, amp, t, band_eng, step=0)
         xp_top = None
         if t:
             x2[t - 1] = _series_mul(x, x, t - 1, step=0, min_power=t - 1)[0]

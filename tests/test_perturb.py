@@ -1,9 +1,11 @@
+import contextlib
 import functools
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ampmech import (
     DimensionMismatchError,
@@ -12,8 +14,8 @@ from ampmech import (
     OscillatorParams,
     StructureViolationError,
 )
-from ampmech import checks, perturb
-from ampmech.core import _omega_series, _series_mul
+from ampmech import checks, classical, core, perturb
+from ampmech.core import _nonzero, _omega_series, _series_mul
 from ampmech.oracle import position_matrix
 from ampmech.perturb import (
     CoefficientSet,
@@ -354,7 +356,7 @@ def solve_rebuild_reference(params, order, n_max):
     solved = {1: 0}
     x2 = np.zeros((t_max, 4 * band_eng + 1, rows))
     for t in range(1, t_max + 1):
-        x = _x_series(p, amp, t, band_eng)
+        x, _ = _x_series(p, amp, t, band_eng)
         x2[t - 1] = _series_mul(x, x, t - 1, min_power=t - 1)[0]
         xp_top = xp_full_bands(p, x, x2, t - 1)
         res_t = perturb._eom_residual_coefficient(
@@ -383,7 +385,7 @@ def eom_terms_two_pass_reference(params, coeffs, t_max, band_max, absolute=False
     """`_eom_terms` as it was before the residual and its size shared one
     pass: one series pass for each, from the tables alone."""
     p, pot = params.force_exponent, coeffs.freq_potential
-    x = _x_series(p, np.abs(coeffs.amp) if absolute else coeffs.amp, t_max, band_max)
+    x, _ = _x_series(p, np.abs(coeffs.amp) if absolute else coeffs.amp, t_max, band_max)
     x2 = _series_mul(x, x, max(t_max - 1, 0))
     om = _omega_series(pot, band_max)
     big = omega_size(pot, band_max)
@@ -410,7 +412,7 @@ def eom_terms_full_band_reference(params, amp, om, t_max, step=1, om_size=None):
         om, om_right = np.stack([om, 2.0 * np.abs(om)]), np.stack([om, -om_size])
         amp = np.stack([amp, np.abs(amp)])
     band_max = (om.shape[-2] - 1) // 2
-    x = _x_series(p, amp, t_max, band_max, step)
+    x, _ = _x_series(p, amp, t_max, band_max, step)
     x2 = _series_mul(x, x, max(t_max - 1, 0), step)
     xp = x2 if p == 2 else _series_mul(x2, x, max(t_max - 1, 0), step)
     bc = (xp.shape[-2] - 1) // 2
@@ -583,7 +585,7 @@ class TestStackedSumRule:
         # product that the checks read
         sol = solve_perturbative(OscillatorParams(mass=2.3, omega0=0.4, force_exponent=p), 4, 30)
         c = sol.coeffs
-        x = _x_series(p, c.amp, 4, c.band_max)
+        x, _ = _x_series(p, c.amp, 4, c.band_max)
         wx = perturb._rate_series(_omega_series(c.freq_potential, c.band_max), x, range(5))
         assert_same_bits(perturb._sum_rule(sol.params, x, wx, 4), checks._sum_rule_terms(sol)[0])
 
@@ -648,6 +650,205 @@ class TestSeriesMulStructure:
         for q in range(2):
             assert_same_bits(stacked[q], _series_mul(a[q], b[q], max_power, step,
                                                      min_power=min_power))
+
+
+class TestWeightWindow:
+    """x^2 is formed up to the widest band its powers hold, which the band
+    weights give: every band the window drops is zero in the full product."""
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from((2, 3)), st.integers(1, 6),
+           st.integers(0, 6), st.integers(0, 3), st.integers(1, 12), st.sampled_from((0, 1)),
+           st.data())
+    # band_max 1: x^2 reaches band 2 = band_max + 1, past a cap of band_max - 1
+    @example(seed=0, p=3, band_max=1, t_max=2, orders=2, rows=6, step=1, data=None)
+    def test_window_drops_only_zero_bands(self, seed, p, band_max, t_max, orders, rows, step,
+                                          data):
+        amp = random_tables(seed, rows=rows, band_max=band_max, orders=orders).amp
+        x, _ = _x_series(p, amp, t_max, band_max, step)
+        bands = perturb._band_list(p, band_max)
+        if data is not None:
+            lo = data.draw(st.integers(-band_max, band_max))
+            bands = range(lo, data.draw(st.integers(lo, band_max)) + 1,
+                          data.draw(st.sampled_from((1, 2))))
+        full = _series_mul(x, x, t_max, step)
+        bc = 2 * band_max
+        reach = 0 if p == 2 else band_max
+        lo, hi = perturb._x2_window(p, bands, band_max, t_max)
+        assert lo == bands[0] - reach and lo <= hi <= bands[-1] + reach
+        capped = _series_mul(x, x, t_max, step, bands=(lo, hi))
+        assert_same_bits(capped, full[:, bc + lo : bc + hi + 1])
+        dropped = full[:, bc + hi + 1 : bc + bands[-1] + reach + 1]
+        assert np.all(dropped == 0)
+
+    def test_quartic_solve_window(self):
+        # the order-2 quartic solve reads x^2 through lam^3: bands -8..8, not
+        # -8..18 (its bits are those of the full-band solve, `TestWindowedSolve`)
+        _, t_max, band_eng, _ = perturb._engine_extent(3, 2)
+        assert perturb._x2_window(3, perturb._band_list(3, band_eng), band_eng,
+                                  t_max - 1) == (-8, 8)
+
+
+def _masks_checked(mul, eom_residual):
+    """`_series_mul` and `_eom_residual_coefficient` that assert that their
+    masks mark every nonzero slice live, against `_nonzero`, and count the
+    calls that pass masks."""
+    calls = []
+
+    def checked_mul(a, b, *args, masks=None, **kwargs):
+        if masks is not None:
+            for factor, live in zip((a, b), masks):
+                assert not np.any(_nonzero(factor) & ~live), "a live slice marked dead"
+            calls.append(1)
+        return mul(a, b, *args, masks=masks, **kwargs)
+
+    def checked_residual(params, x, om, power, xp_top, bands, om_right=None, live=None):
+        right = om if om_right is None else om_right
+        if live is not None:
+            for f, got in zip((om, right), live):
+                scanned = perturb._orders_live(f, bands)
+                assert all(g or not s for g, s in zip(got, scanned)), "a live order marked dead"
+            calls.append(1)
+        return eom_residual(params, x, om, power, xp_top, bands, om_right, live)
+
+    return checked_mul, checked_residual, calls
+
+
+def _masks_scanned(mul, eom_residual):
+    """`_series_mul` and `_eom_residual_coefficient` that drop the masks they
+    are passed and scan their operands."""
+
+    def scanned_mul(a, b, *args, masks=None, **kwargs):
+        return mul(a, b, *args, **kwargs)
+
+    def scanned_residual(params, x, om, power, xp_top, bands, om_right=None, live=None):
+        return eom_residual(params, x, om, power, xp_top, bands, om_right)
+
+    return scanned_mul, scanned_residual
+
+
+MASK_UNITS = [(1.0, 1.0, 1.0), (1.3, 0.7, 1.1), (1e-3, 10.0, 1e4)]
+
+
+def _digests(arrays):
+    return [hashlib.sha256(a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes())
+            .hexdigest() for a in arrays]
+
+
+@contextlib.contextmanager
+def _engine_mode(mode):
+    """Run the engine with its masks checked at every call against the scan
+    (mode "checked"), or with every product scanning its operands ("scan").
+    Yields the list that counts the checked calls."""
+    mul, residual = perturb._series_mul, perturb._eom_residual_coefficient
+    calls = []
+    if mode == "checked":
+        mul, residual, calls = _masks_checked(mul, residual)
+    else:
+        mul, residual = _masks_scanned(mul, residual)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perturb, "_series_mul", mul)
+        mp.setattr(perturb, "_eom_residual_coefficient", residual)
+        yield calls
+
+
+def _unit_params(p, units):
+    m, w0, hbar = units
+    return OscillatorParams(mass=m, omega0=w0, hbar=hbar, force_exponent=p)
+
+
+@functools.cache
+def classical_bytes(p, order, units, mode):
+    """Digests of the harmonic-balance solve at a1 = 1 and of its residuals,
+    which do not depend on n_max, in an `_engine_mode`, and the number of
+    checked calls."""
+    with _engine_mode(mode) as calls:
+        cl = classical.classical_solve(_unit_params(p, units), order, a1=1.0)
+        return _digests([cl.amp, cl.omega_coeffs, classical.balance_residuals(cl)]), len(calls)
+
+
+@functools.cache
+def engine_bytes(p, order, n_max, units, mode):
+    """Digests of every output the engine forms for one case, by name: the
+    solve's tables, the energy matrix (or its error), the harmonic-balance
+    solve, `_eom_terms` as the recursion check calls it, and
+    `_sum_rule_terms`, in an `_engine_mode`; and the number of checked
+    calls."""
+    params = _unit_params(p, units)
+    out = {}
+    with _engine_mode(mode) as calls:
+        sol = solve_perturbative(params, order, n_max)
+        c = sol.coeffs
+        out["solve"] = [c.amp, c.freq_potential]
+        try:
+            em = energy_matrix(sol)
+            out["energy"] = [em.kinetic, em.harmonic, em.anharmonic]
+        except EnergyConservationError as exc:
+            out["energy"] = [np.frombuffer(str(exc).encode(), dtype=np.uint8)]
+        t_max = perturb._engine_extent(p, order)[1]
+        pot = c.freq_potential
+        out["eom_terms"] = [perturb._eom_terms(
+            params, c.amp, _omega_series(pot, c.band_max), t_max, sol.public_bands,
+            om_size=checks._omega_size(pot, c.band_max))]
+        out["sum_rule_terms"] = list(checks._sum_rule_terms(sol))
+    digests = {k: _digests(v) for k, v in out.items()}
+    digests["classical"], classical_calls = classical_bytes(p, order, units, mode)
+    return digests, len(calls) + classical_calls
+
+
+MASK_CASES = [(p, order, n_max, units) for p in (2, 3) for order in range(9)
+              for n_max in (1, 3, 12, 200) for units in MASK_UNITS]
+
+
+class TestCarriedMasks:
+    """The engine's products read carried (power, band) nonzero masks
+    instead of scanning their operands. A mask may mark a zero slice live,
+    never a nonzero one dead, and the products keep the bits of the scan."""
+
+    @pytest.mark.parametrize("p, order, n_max, units", MASK_CASES, ids=str)
+    def test_masks_mark_every_nonzero_slice_live(self, p, order, n_max, units):
+        _, calls = engine_bytes(p, order, n_max, units, "checked")
+        assert calls > 0
+
+    @pytest.mark.parametrize("p, order, n_max, units",
+                             MASK_CASES + [(p, order, 1000, units) for p in (2, 3)
+                                           for order in range(9) for units in MASK_UNITS],
+                             ids=str)
+    def test_masks_give_the_bits_of_the_scan(self, p, order, n_max, units):
+        assert engine_bytes(p, order, n_max, units, "checked")[0] == \
+            engine_bytes(p, order, n_max, units, "scan")[0]
+
+    @pytest.mark.parametrize("n_max", [1, 12, 200])
+    @pytest.mark.parametrize("order", range(9))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_march_scans_no_operand(self, monkeypatch, p, order, n_max):
+        scans = []
+
+        def counted(*args, **kwargs):
+            scans.append(1)
+            return _nonzero(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_nonzero", counted)
+        solve_perturbative(OscillatorParams(force_exponent=p), order, n_max)
+        classical.classical_solve(OscillatorParams(force_exponent=p), order, a1=1.0)
+        assert scans == []
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_cleared_mask_entry_is_caught(self, monkeypatch, p):
+        # a mutant that marks the slot of a^(0)(n, n-1) dead in x's mask
+        real = perturb._x_put
+
+        def mutant(x, live, p, amp, k, a, step=1):
+            real(x, live, p, amp, k, a, step)
+            if (k, a) == (0, 1):
+                live[0, (live.shape[-1] - 1) // 2 + 1] = False
+
+        mul, residual, _ = _masks_checked(perturb._series_mul,
+                                          perturb._eom_residual_coefficient)
+        monkeypatch.setattr(perturb, "_x_put", mutant)
+        monkeypatch.setattr(perturb, "_series_mul", mul)
+        with pytest.raises(AssertionError, match="a live slice marked dead"):
+            solve_perturbative(OscillatorParams(force_exponent=p), 2, 12)
 
 
 WIDE_PAD = 600
@@ -724,7 +925,7 @@ def kinetic_complex_reference(sol):
     as a complex series product by the term loop: the real kinetic term's
     reference."""
     p, c, order = sol.params.force_exponent, sol.coeffs, sol.order
-    x = _x_series(p, c.amp, order, sol.band_max)
+    x, _ = _x_series(p, c.amp, order, sol.band_max)
     om = _omega_series(c.freq_potential, sol.band_max)
     xdot = np.zeros_like(x, dtype=np.complex128)
     for s in range(order + 1):
@@ -740,7 +941,7 @@ def energy_terms_loop_reference(sol):
     order 0, as `energy_matrix` did before it sliced each term at once and
     formed only the bands it keeps."""
     p, c, m, order_cap = sol.params.force_exponent, sol.coeffs, sol.params.mass, sol.order
-    x = _x_series(p, c.amp, order_cap, sol.band_max)
+    x, _ = _x_series(p, c.amp, order_cap, sol.band_max)
     om = _omega_series(c.freq_potential, sol.band_max)
     wx = np.zeros_like(x)
     for s in range(order_cap + 1):

@@ -130,8 +130,8 @@ def test_independent_judges_catch_a_mutant_sum_rule(monkeypatch, p):
     # every order t >= 1, and each of them fails
     real = perturb._sum_rule
 
-    def mutant(params, x, wx, max_power, min_power=0):
-        res = real(params, x, wx, max_power, min_power)
+    def mutant(params, x, wx, max_power, min_power=0, masks=None):
+        res = real(params, x, wx, max_power, min_power, masks)
         return res + 1e-9 * np.arange(res.shape[-1]) if min_power >= 1 else res
 
     monkeypatch.setattr(perturb, "_sum_rule", mutant)
