@@ -24,7 +24,10 @@ block until the pairs no longer move is the plateau rule applied to the
 block. The pairs are the lowest of the block, not shown to be the lowest of
 H_N. `spectrum`, the main spectrum of the oracle, adds that proof: a
 Cholesky factorization of H_N shifted between the block's levels and the
-next, which costs a sixth of a full eigensolve or less. Where it fails, as
+next, run along the band of H_N in chunks of the block's size, so that its
+time grows as N, its memory not at all, and it forms no N x N array. At
+cubic N = 300 it takes a fifth of the dense factorization's time, at
+N = 600 a twelfth. Where it fails, as
 where H_N holds truncation states far below the metastable levels,
 `spectrum` solves H_N in full. The Thomas-Kuhn sum over every level of H_N
 needs no full solve either: closure forms it from the lowest pairs alone
@@ -93,13 +96,15 @@ class SpectrumResult:
     eigenvector's largest component positive; `position_columns` gives the
     exact position amplitudes between them. plateau holds
     |E(N) - E(N - PLATEAU_STEP)| for the lowest PLATEAU_LEVELS levels when
-    a basis-growth check was run."""
+    a basis-growth check was run; bands holds the diagonals of the operator
+    they solve, which `closure_sums` applies."""
 
     params: OscillatorParams
     basis_size: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     plateau: np.ndarray | None = None
+    bands: np.ndarray | None = None
 
     def omega_exact(self, n: int, m: int) -> float:
         return float(
@@ -122,10 +127,10 @@ class SpectrumResult:
         """sum_k X(k, n)^2 (E_k - E_n) for n < count, the sum running over
         a complete eigenbasis of H_N, by closure:
         (x v_n)^T (H_N - E_n) (x v_n), with the x of `position_columns`
-        and H_N applied through its diagonals. It reads only the pairs
-        n < count."""
+        and H_N applied through the diagonals the pairs were solved from.
+        It reads only the pairs n < count."""
         xv = self._position_images(count)
-        hxv = _apply_bands(_hamiltonian_bands(self.params, self.basis_size), xv)
+        hxv = _apply_bands(self.bands, xv)
         hxv -= self.eigenvalues[:count] * xv
         return np.sum(xv * hxv, axis=0)
 
@@ -231,14 +236,15 @@ def _symmetric(bands: np.ndarray) -> np.ndarray:
 
 
 def _parity_blocks(bands: np.ndarray):
-    """The dense blocks of an operator stored by diagonals, one at a time,
-    each with the slice of basis states it spans: its two parity blocks
-    where it couples no even level to an odd one (H of the quartic force
-    commutes with parity), the whole matrix otherwise."""
+    """The blocks of an operator stored by diagonals, each with the slice of
+    basis states it spans and its own diagonals: its two parity blocks where
+    it couples no even level to an odd one (H of the quartic force commutes
+    with parity), the whole operator otherwise. A parity block of band width
+    w keeps the even diagonals, w // 2 of them on each side."""
     w, n = bands.shape[0] // 2, bands.shape[1]
     step = 2 if n > 1 and not bands[(w + 1) % 2 :: 2].any() else 1
     for start in range(step):
-        yield slice(start, None, step), _dense(bands[w % step :: step, start::step])
+        yield slice(start, None, step), bands[w % step :: step, start::step]
 
 
 def diagonalize(params: OscillatorParams, bands: np.ndarray) -> SpectrumResult:
@@ -246,7 +252,8 @@ def diagonalize(params: OscillatorParams, bands: np.ndarray) -> SpectrumResult:
     diagonals, solved per parity block, with a per-pair residual check."""
     n = bands.shape[1]
     solved, residuals = [], []
-    for rows, block in _parity_blocks(_symmetric(bands)):
+    for rows, block_bands in _parity_blocks(_symmetric(bands)):
+        block = _dense(block_bands)
         try:
             evals, evecs = np.linalg.eigh(block)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -277,7 +284,8 @@ def diagonalize(params: OscillatorParams, bands: np.ndarray) -> SpectrumResult:
     flips = np.sign(evecs[np.abs(evecs).argmax(axis=0), np.arange(evecs.shape[1])])
     flips[flips == 0] = 1.0
     evecs *= flips
-    return SpectrumResult(params=params, basis_size=n, eigenvalues=evals, eigenvectors=evecs)
+    return SpectrumResult(params=params, basis_size=n, eigenvalues=evals, eigenvectors=evecs,
+                          bands=bands)
 
 
 def cubic_coupling_limit(params: OscillatorParams) -> float:
@@ -308,7 +316,9 @@ def spectrum(params: OscillatorParams, basis_size: int, count: int) -> SpectrumR
     shows that each is an eigenpair of H_N. `_certified` then shows that
     no other eigenvalue of H_N lies below them; where it cannot, H_N is
     solved in full. The diagonals of H_N are built once and serve every
-    Ritz block, the certificate and the full solve.
+    Ritz block, the certificate, the full solve and the closure sums of the
+    result. The certificate runs along the band of H_N in O(N M^2)
+    operations and O(M^2) memory for a block of M states.
 
     For the cubic force this enforces the coupling cap. Where the potential
     is unbounded below it requires the lowest PLATEAU_LEVELS eigenvalues to
@@ -339,7 +349,7 @@ def spectrum(params: OscillatorParams, basis_size: int, count: int) -> SpectrumR
     if block is None or (block.basis_size < basis_size
                          and not _certified(bands, block, count)):
         block = diagonalize(params, bands)
-    result = _held(block, basis_size, count)
+    result = _held(block, bands, count)
     levels = min(PLATEAU_LEVELS, smaller_size)
     if block.basis_size + 2 * w <= smaller_size:
         smaller = result
@@ -365,23 +375,57 @@ def _certified(bands: np.ndarray, block: SpectrumResult, count: int) -> bool:
     Those pairs (E_i, v_i) are eigenpairs of H_N, so A = H_N - sigma I
     + c V V^T with c = 2 (sigma - E_0) has the eigenvalues
     E_i - sigma + c > 0 on them and lambda - sigma on every other
-    eigenvalue lambda of H_N. A is positive definite, which
-    `np.linalg.cholesky` tests in N^3/3 operations, exactly when no such
-    lambda lies below sigma, up to rounding of order N eps max |H_N|. An
-    operator that couples no even level to an odd one, as the quartic H,
-    is tested as its two parity blocks, as `diagonalize` solves it."""
+    eigenvalue lambda of H_N. A is positive definite exactly when no such
+    lambda lies below sigma, up to rounding of order N eps max |H_N|, which
+    `_positive_definite` tests along the band of A in O(N M^2) operations
+    for a block of M states. An operator that couples no even level to an
+    odd one, as the quartic H, is tested as its two parity blocks, as
+    `diagonalize` solves it."""
     e = block.eigenvalues
     sigma = 0.5 * (e[count - 1] + e[count])
     c = 2.0 * (sigma - e[0])
-    for rows, a in _parity_blocks(bands):
-        a.flat[:: a.shape[0] + 1] -= sigma
+    for rows, block_bands in _parity_blocks(bands):
         v = block.eigenvectors[rows, :count]
-        a[: len(v), : len(v)] += (c * v) @ v.T
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
+        if not _positive_definite(block_bands, sigma, (c * v) @ v.T, block.basis_size):
             return False
     return True
+
+
+def _positive_definite(bands: np.ndarray, shift: float, corner: np.ndarray,
+                       step: int) -> bool:
+    """Whether A = M - shift I + C is positive definite, for an operator M
+    stored by diagonals and a dense C on its leading len(C) <= step states,
+    by the block Cholesky factorization that `np.linalg.cholesky` of the
+    dense A performs in exact arithmetic, reading the lower triangle of M as
+    it does, with no N x N array.
+
+    The rows are factored in chunks: the first [0, step + w) for band width
+    w, then step rows at a time (at least w). A chunk's rows reach back to
+    the last w states of the chunk before it only, through
+    G = M[next w rows, last w states], so its factor L_tt there leaves the
+    new chunk's leading w x w corner less Y^T Y, Y = L_tt^-1 G^T: the rows
+    of L that join the two chunks are Y^T."""
+    w, n = bands.shape[0] // 2, bands.shape[1]
+    stop = min(step + w, n)
+    a = _dense(bands[:, :stop])
+    a.flat[:: stop + 1] -= shift
+    a[: len(corner), : len(corner)] += corner
+    while True:
+        try:
+            factor = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return False
+        if stop == n:
+            return True
+        start, stop = stop, min(stop + max(step, w), n)
+        # the chunk with the w states before it, whose rows hold G
+        a = _dense(bands[:, start - w : stop])
+        a.flat[:: stop - start + w + 1] -= shift
+        g = a[w : 2 * w, :w]
+        t = len(factor) - w
+        y = np.linalg.solve(factor[t:, t:], g.T)
+        a = a[w:, w:]
+        a[: len(g), : len(g)] -= y.T @ y
 
 
 def _ritz_block(params: OscillatorParams, bands: np.ndarray, count: int) -> SpectrumResult:
@@ -403,13 +447,13 @@ def _ritz_block(params: OscillatorParams, bands: np.ndarray, count: int) -> Spec
         m *= 2
 
 
-def _held(block: SpectrumResult, basis_size: int, count: int) -> SpectrumResult:
-    """The `count` lowest pairs of a Ritz block as eigenpairs of H_N: each
-    eigenvector padded with zeros to the N states."""
-    v = np.zeros((basis_size, count))
+def _held(block: SpectrumResult, bands: np.ndarray, count: int) -> SpectrumResult:
+    """The `count` lowest pairs of a Ritz block as eigenpairs of H_N, given
+    by its diagonals: each eigenvector padded with zeros to the N states."""
+    v = np.zeros((bands.shape[1], count))
     v[: block.basis_size] = block.eigenvectors[:, :count]
-    return replace(block, basis_size=basis_size, eigenvalues=block.eigenvalues[:count],
-                   eigenvectors=v)
+    return replace(block, basis_size=bands.shape[1], eigenvalues=block.eigenvalues[:count],
+                   eigenvectors=v, bands=bands)
 
 
 def lowest_eigenpairs(params: OscillatorParams, basis_size: int, count: int) -> SpectrumResult:
@@ -430,7 +474,7 @@ def lowest_eigenpairs(params: OscillatorParams, basis_size: int, count: int) -> 
     IndexError. The cubic coupling cap is enforced as in `spectrum`."""
     _refuse_deep_cubic(params)
     bands = _hamiltonian_bands(params, basis_size)
-    return _held(_ritz_block(params, bands, count), basis_size, count)
+    return _held(_ritz_block(params, bands, count), bands, count)
 
 
 def rspt(params: OscillatorParams, levels: int, order: int) -> tuple[np.ndarray, np.ndarray]:

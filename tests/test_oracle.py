@@ -26,7 +26,8 @@ from ampmech import (
 )
 from ampmech.checks import _gap_pairs, gap_exact, thomas_kuhn_residuals
 from ampmech.oracle import (BLOCK_START, PLATEAU_LEVELS, PLATEAU_STEP, _dense,
-                            _hamiltonian_bands, _symmetric)
+                            _hamiltonian_bands, _parity_blocks, _positive_definite,
+                            _symmetric)
 from ampmech.perturb import ROUNDING_C
 from conftest import (assert_same_bits, default_lambda_grid, dense_amplitudes,
                       dense_hamiltonian, full_spectrum, lambda_series_fit, load_script,
@@ -324,6 +325,86 @@ class TestDiagonalizeInPlace:
         old_diagonalize(P2, dense_hamiltonian(P2, 8))
 
 
+@st.composite
+def shifted_banded_matrices(draw):
+    """(bands, shift, u, step): M stored by diagonals, not symmetric, and a
+    term U U^T on its leading len(U) <= step states, tested as `_certified`
+    tests A = M - shift I + U U^T: per block of `_parity_blocks`, in chunks
+    of step rows. Half of them couple no even state to an odd one, as the
+    quartic H, so their blocks are the strided even diagonals. The blocks
+    have band width w = 1..4 and size n on both sides of the chunk edges
+    step + w and step + w + max(step, w), or n <= w. The shift lies at least
+    delta = 1e-6 max(1, max |lambda|) from every eigenvalue lambda of the
+    lower triangles of the blocks of M + U U^T, far above the rounding
+    N eps ||A|| of either factorization, so each verdict is unambiguous."""
+    w, step, split = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.booleans())
+    edges = (step + w, step + w + max(step, w))
+    n = draw(st.one_of(st.integers(1, w),
+                       st.sampled_from(edges).flatmap(lambda e: st.integers(e - 1, e + 1))))
+    if split:
+        # the even block holds n states, the odd one n or n - 1
+        n, w = 2 * n - draw(st.integers(0, 1)), 2 * w
+    elements = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, 1.0]))
+    bands = draw(hnp.arrays(np.float64, (2 * w + 1, n), elements=elements))
+    if split:
+        bands[1::2] = 0.0
+    u = draw(hnp.arrays(np.float64, (draw(st.integers(0, min(step, n))), draw(st.integers(0, 3))),
+                        elements=st.floats(-3, 3)))
+    if split:
+        # each column of U on the states of one parity
+        u[draw(st.integers(0, 1)) :: 2] = 0.0
+    lam = np.sort(np.concatenate([
+        np.linalg.eigvalsh(shifted_block(sub, 0.0, u[rows]), UPLO="L")
+        for rows, sub in _parity_blocks(bands)]))
+    delta = 1e-6 * max(1.0, float(np.max(np.abs(lam))))
+    # just below the lowest eigenvalue, or just above one that has no other
+    # within 4 delta above it: where a factorization that drops part of A
+    # errs first
+    above = lam[np.append(np.diff(lam) >= 4 * delta, True)] + 2 * delta
+    shift = draw(st.sampled_from([lam[0] - 2 * delta, *above]))
+    return bands, shift, u, step
+
+
+def shifted_block(bands, shift, u):
+    """The dense M - shift I + U U^T, U on the leading states of M: the
+    matrix that `_positive_definite` factors along its band."""
+    a = _dense(bands)
+    a.flat[:: len(a) + 1] -= shift
+    a[: len(u), : len(u)] += u @ u.T
+    return a
+
+
+class TestBandedCholesky:
+    @given(shifted_banded_matrices())
+    def test_matches_the_dense_cholesky(self, case):
+        bands, shift, u, step = case
+        for rows, sub in _parity_blocks(bands):
+            a = shifted_block(sub, shift, u[rows])
+            try:
+                np.linalg.cholesky(a)
+                dense = True
+            except np.linalg.LinAlgError:
+                dense = False
+            assert dense == (np.linalg.eigvalsh(a, UPLO="L")[0] > 0)
+            assert _positive_definite(sub, shift, u[rows] @ u[rows].T, step) == dense
+
+    def test_the_certificate_forms_no_n_by_n_array(self):
+        # cubic H_600 at lam_1/2: every chunk spans at most M + w = 67
+        # states, and a few chunk-sized arrays live at once, against the
+        # 2.9 MB of one N x N matrix
+        params = OscillatorParams(lam=0.025)
+        bands = _hamiltonian_bands(params, 600)
+        block = ampmech.oracle._ritz_block(params, bands, 8)
+        tracemalloc.start()
+        try:
+            assert ampmech.oracle._certified(bands, block, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.basis_size == 64
+        assert peak <= 6 * 67 * 67 * 8
+
+
 def oracle_peak_bytes(argv):
     """tracemalloc's peak over one in-process run of argv, after a warm-up."""
     ampmech.cli.run(argv, stream=io.StringIO())
@@ -336,19 +417,21 @@ def oracle_peak_bytes(argv):
 
 
 class TestOracleMemory:
-    # The certificate of the main spectrum sets the peak: the dense
-    # H_N - sigma I + c V V^T and its Cholesky factor, N^2 each for the
-    # cubic force and N^2 / 4 each for each parity block of the quartic one.
-    # Measured at N = 200: 2.17 N^2 float64 for the cubic force, 0.68 N^2
-    # for the quartic one. The bounds leave 10 % above that
-    def test_cubic_oracle_peaks_near_two_matrices(self):
+    # No N x N array is formed: the certificate of the main spectrum factors
+    # H_N - sigma I + c V V^T along its band, in chunks of about the Ritz
+    # block's M states, so the peak grows about linearly in N (cubic: 196 KB
+    # at N = 200, 202 KB at N = 300). Measured at N = 200: 0.61 N^2 float64
+    # for the cubic force, 0.46 N^2 for the quartic one. The bounds leave
+    # 10 % above that; a dense certificate, the matrix and its Cholesky
+    # factor, peaked at 2.17 N^2 and 0.68 N^2
+    def test_cubic_oracle_peaks_below_two_thirds_of_a_matrix(self):
         n = 200
-        assert oracle_peak_bytes(["oracle", "--basis-size", str(n)]) <= 2.4 * n * n * 8
+        assert oracle_peak_bytes(["oracle", "--basis-size", str(n)]) <= 0.675 * n * n * 8
 
-    def test_quartic_oracle_peaks_below_one_matrix(self):
+    def test_quartic_oracle_peaks_below_half_a_matrix(self):
         n = 200
         peak = oracle_peak_bytes(["oracle", "--basis-size", str(n), "--force", "3"])
-        assert peak <= 0.75 * n * n * 8
+        assert peak <= 0.51 * n * n * 8
 
     @pytest.mark.parametrize("argv", [["oracle"], ["oracle", "--force", "3"],
                                       ["oracle", "--lam", "0.01"]], ids=" ".join)
@@ -439,9 +522,9 @@ class TestSpectrumVetting:
 
     @pytest.mark.parametrize("force", ["2", "3"])
     def test_each_spectrum_builds_h_once(self, force, monkeypatch):
-        # the main spectrum, the gap spectrum at lam_1/2 and the closure
-        # rows each build the diagonals of H_300 once, and every Ritz block
-        # and the certificate read them: no eigensolve exceeds a first block
+        # the main spectrum and the gap spectrum at lam_1/2 each build the
+        # diagonals of H_300 once, and every Ritz block, the certificate and
+        # the closure rows read them: no eigensolve exceeds a first block
         built, solved = [], []
         bands, eigh = ampmech.oracle._hamiltonian_bands, np.linalg.eigh
 
@@ -457,7 +540,7 @@ class TestSpectrumVetting:
         monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
         argv = ["oracle", "--basis-size", "300", "--force", force]
         assert ampmech.cli.run(argv, stream=io.StringIO()) == 0
-        assert built == [300] * 3
+        assert built == [300] * 2
         assert solved and max(solved) <= BLOCK_START * 8
 
     def test_a_skipped_certificate_passes_deep_truncation_states(self, monkeypatch):
@@ -881,6 +964,21 @@ class TestSeriesFit:
         assert abs(coefficients[1] - target) / abs(target) <= 1e-2
 
 
+def closure_term_sizes(spec, count):
+    """The summed sizes of the terms of `SpectrumResult.closure_sums` for
+    n < count: sum_i |(x v_n)_i ((H - E_n) x v_n)_i| over the states i, and
+    |x| |v_n| . |H - E_n| |x| |v_n|, which sizes the short sums of x v_n and
+    (H - E_n) x v_n inside it."""
+    xv = spec._position_images(count)
+    size = np.abs(position_matrix(spec.params, spec.basis_size)) @ np.abs(spec.eigenvectors[:, :count])
+    dense, outer, inner = _dense(spec.bands), np.empty(count), np.empty(count)
+    for k in range(count):
+        h = dense - spec.eigenvalues[k] * np.eye(spec.basis_size)
+        outer[k] = np.abs(xv[:, k]) @ np.abs(h @ xv[:, k])
+        inner[k] = size[:, k] @ np.abs(h) @ size[:, k]
+    return outer, inner
+
+
 class TestSumRule:
     def test_cubic_amplitudes(self, cached_spectrum):
         res = thomas_kuhn_residuals(cached_spectrum(0.05))
@@ -896,7 +994,7 @@ class TestSumRule:
                              ids=["default", "units"])
     @pytest.mark.parametrize("n", [24, 80, 300, 600])
     @pytest.mark.parametrize("force", [2, 3])
-    def test_rows_match_the_kinematic_residual(self, force, n, units, lam):
+    def test_rows_match_the_kinematic_residual(self, force, n, units, lam, monkeypatch):
         # the rows against `quantum_condition_residual` on the dense matrix of
         # every band, which sums the same terms in another order; the full
         # solve, unvetted: the two sum the same terms in any basis
@@ -904,9 +1002,21 @@ class TestSumRule:
         reference = quantum_condition_residual(motion_from_spectrum(spec))[:PLATEAU_LEVELS]
         x = dense_amplitudes(spec)[:, :PLATEAU_LEVELS]
         omega = (spec.eigenvalues[:, None] - spec.eigenvalues[:PLATEAU_LEVELS]) / spec.params.hbar
-        size = 4.0 * math.pi * spec.params.mass * np.sum(x * x * np.abs(omega), axis=0)
-        bound = ROUNDING_C * n * EPS * (size + spec.params.h)
+        c = 4.0 * math.pi * spec.params.mass
+        size = c * np.sum(x * x * np.abs(omega), axis=0)
+        outer, inner = closure_term_sizes(spec, PLATEAU_LEVELS)
+        # the explicit sum and the closure's outer sum run over the n states,
+        # each entry of (H - E_n) x v over 2p + 4 terms and of x v over 2
+        bound = ROUNDING_C * EPS * (n * (size + c / spec.params.hbar * outer + spec.params.h)
+                                    + (2 * force + 6) * c / spec.params.hbar * inner)
         assert np.all(np.abs(thomas_kuhn_residuals(spec) - reference) <= bound)
+        # a closure row off by 1e-9 of itself fails, on every row, even on
+        # the deep truncation states of the cubic H_600, whose closure terms
+        # reach 1.9e7 for rows of 4.5e3
+        one = SpectrumResult.closure_sums
+        monkeypatch.setattr(SpectrumResult, "closure_sums",
+                            lambda self, count: one(self, count) * (1.0 + 1e-9))
+        assert np.all(np.abs(thomas_kuhn_residuals(spec) - reference) > bound)
 
 
 class TestClosure:
