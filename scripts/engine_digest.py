@@ -3,11 +3,14 @@
 
 Each line hashes, in order: the amplitude tables and frequency potentials of
 `solve_perturbative`; the kinetic, harmonic and anharmonic arrays of
-`energy_matrix` (or the text of the error it raises); and the harmonic and
+`energy_matrix` (or the text of the error it raises); the harmonic and
 frequency coefficients of `classical_solve` at a1 = 1, which do not depend
-on n_max. The grid is both forces, orders 0-8, n_max 1, 3, 12, 200 and
-1000, and the units (m, omega0, hbar) (1, 1, 1), (1.3, 0.7, 1.1) and
-(1e-3, 10, 1e4). The bytes include the signs of zeros. Runs are
+on n_max; and the (id, observed, tolerance) of every check of
+`checks.recursion`, `quantum_condition`, `sho` and `offdiag_energy` on the
+solution, the two numbers by `float.hex`, so that the series the checks
+form keep their bits too. The grid is both forces, orders 0-8, n_max 1, 3,
+12, 200 and 1000, and the units (m, omega0, hbar) (1, 1, 1), (1.3, 0.7,
+1.1) and (1e-3, 10, 1e4). The bytes include the signs of zeros. Runs are
 deterministic, so two checkouts compare by diffing the output: a change to
 the series engine that keeps every bit prints the same lines.
 
@@ -17,7 +20,7 @@ the series engine that keeps every bit prints the same lines.
 import functools
 import hashlib
 
-from ampmech import OscillatorParams, classical_solve, energy_matrix, solve_perturbative
+from ampmech import OscillatorParams, checks, classical_solve, energy_matrix, solve_perturbative
 from ampmech.perturb import EnergyConservationError
 
 FORCES = (2, 3)
@@ -37,8 +40,23 @@ def classical_bytes(force, order, units):
     return sol.amp.tobytes() + sol.omega_coeffs.tobytes()
 
 
+def check_bytes(sol):
+    """The (id, observed, tolerance) of the checks on sol, one line each, and
+    the text of a ValueError that ends a group (the frequency additivity has
+    no rows to compare at n_max 1)."""
+    lines = []
+    for group in (checks.recursion, checks.quantum_condition, checks.sho,
+                  lambda sol: checks.offdiag_energy(sol)[1]):
+        try:
+            for check_id, observed, tolerance in group(sol):
+                lines.append(f"{check_id} {float(observed).hex()} {float(tolerance).hex()}")
+        except ValueError as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(lines).encode()
+
+
 def digest(force, order, n_max, units):
-    """SHA-256 of the solve, energy and classical bytes of one case."""
+    """SHA-256 of the solve, energy, classical and check bytes of one case."""
     h = hashlib.sha256()
     sol = solve_perturbative(params_of(force, units), order, n_max)
     h.update(sol.coeffs.amp.tobytes())
@@ -50,6 +68,7 @@ def digest(force, order, n_max, units):
     except EnergyConservationError as exc:
         h.update(str(exc).encode())
     h.update(classical_bytes(force, order, units))
+    h.update(check_bytes(sol))
     return h.hexdigest()
 
 

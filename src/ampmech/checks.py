@@ -20,8 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import (BandAmplitudeArray, FrequencyGrid, MotionRepresentation, _omega_series,
-                   _series_mul, commutator_diagonal, time_derivative)
+from .core import _omega_series, _series_mul, commutator_diagonal
 from .oracle import DEFAULT_UNIT_COUPLING, PLATEAU_LEVELS, _dense
 from .perturb import (ROUNDING_C, EnergyConservationError, StructureViolationError,
                       _engine_extent, _eom_terms, _half, _rate_mask, _rate_series, _sum_rule,
@@ -79,47 +78,49 @@ def _relative(got, want, size):
     return float(np.max(np.abs(got - want))) / scale, C_PRODUCT * EPS * float(np.max(size)) / scale
 
 
-def algebra(params, seed: int):
+def algebra(seed: int):
     """Ritz rule, product law and derivative on random banded arrays, as the
-    solver forms them: frequencies by `_omega_series`, products by
-    `_series_mul` at one power."""
+    solver forms them: frequencies by `_omega_series`, omega x as their
+    product with x, and products by `_series_mul` at one power. The arrays
+    are dense, so every (power, band) slice of a factor is passed live."""
     rng = np.random.default_rng(seed)
     n_max = 14
     x, y, z = (_random_symmetric_band(rng, n_max, b) for b in (2, 3, 2))
     # dyadic rationals keep potential differences exact in binary floating point
     pot = rng.integers(-(2**20), 2**20, size=n_max + 8).astype(float) / 1024.0
-    om = _omega_series(pot[None], 6)[0]  # omega(n, n-g) on the bands g through a + b = 6
-    worst = 0.0
-    for a in range(1, 4):
-        for b in range(1, 4):
-            n = np.arange(a + b, n_max)
-            ritz = om[6 + a, n] + om[6 + b, n - a] - om[6 + a + b, n]
-            worst = max(worst, float(np.max(np.abs(ritz), initial=0.0)))
-    yield "ritz-combination", worst, 0.0
+    # omega(n, n-g) on the bands g through a + b = 6 of the Ritz rule, and
+    # from -5 up for the rates of the bands -5..5 of x y
+    om = _omega_series(pot[None], 6, range(-5, 7))[0]
+    # the Ritz rule for every a, b = 1..3 at the rows n = a + b..n_max - 1,
+    # in one gather
+    a, b, n = np.ogrid[1:4, 1:4, :n_max]
+    ritz = om[6 + a, n] + om[6 + b, n - a] - om[6 + a + b, n]
+    yield "ritz-combination", float(np.abs(ritz).max(where=n >= a + b, initial=0.0)), 0.0
+
+    def mul(a, b):
+        return _series_mul(a, b, 0, masks=(np.ones(a.shape[:2], bool), np.ones(b.shape[:2], bool)))
 
     # each product and dense form is made once and read by every check
-    xy = _series_mul(x, y, 0)
+    xy = mul(x, y)
     dense_xy = _dense_series(xy)
     dense_x, dense_y = _dense_series(x), _dense_series(y)
     ax, ay, az = np.abs(dense_x), np.abs(dense_y), np.abs(_dense_series(z))
     axy = ax @ ay
     yield "multiply-matches-dense-product", *_relative(dense_xy, dense_x @ dense_y, axy)
-    left = _dense_series(_series_mul(xy, z, 0))
-    right = _dense_series(_series_mul(x, _series_mul(y, z, 0), 0))
+    left = _dense_series(mul(xy, z))
+    right = _dense_series(mul(x, mul(y, z)))
     yield "multiply-associative", *_relative(right, left, axy @ az)
     yield "product-transpose-reverses-order", *_relative(
-        dense_xy.T, _dense_series(_series_mul(y, x, 0)), ay @ ax)
-
-    grid = FrequencyGrid(pot)
+        dense_xy.T, _dense_series(mul(y, x)), ay @ ax)
 
     def rate(s):
-        """omega X of a series, the real factor of its time derivative."""
-        motion = MotionRepresentation(BandAmplitudeArray(s[0].T), grid, params)
-        return time_derivative(motion).data.T[None]
+        """omega x of a series, the real factor of its time derivative."""
+        b = (s.shape[1] - 1) // 2
+        return om[None, 6 - b : 7 + b, : n_max + 1] * s
 
     dx, dy = rate(x), rate(y)
     lhs = _dense_series(rate(xy))
-    rhs = _dense_series(_series_mul(dx, y, 0)) + _dense_series(_series_mul(x, dy, 0))
+    rhs = _dense_series(mul(dx, y)) + _dense_series(mul(x, dy))
     size = np.abs(_dense_series(dx)) @ ay + ax @ np.abs(_dense_series(dy))
     yield "derivative-product-rule", *_relative(lhs, rhs, size)
 
@@ -128,10 +129,11 @@ def algebra(params, seed: int):
 # the sum rule and the commutator
 
 
-def _omega_size(pot: np.ndarray, band_max: int) -> np.ndarray:
+def _omega_size(pot: np.ndarray, band_max: int, bands: range) -> np.ndarray:
     """The size |Omega(n)| + |Omega(n-g)| of each omega(n, n-g) per band of
-    `_omega_series`: 2 |Omega(n)| less the difference of the two."""
-    return 2.0 * np.abs(pot)[:, None, :] - _omega_series(np.abs(pot), band_max)
+    `_omega_series`: 2 |Omega(n)| less the difference of the two, formed on
+    the signed bands of `bands`."""
+    return 2.0 * np.abs(pot)[:, None, :] - _omega_series(np.abs(pot), band_max, bands)
 
 
 def _sum_rule_terms(sol):
@@ -141,12 +143,14 @@ def _sum_rule_terms(sol):
     stacked [x, |x|] and [omega x, omega_size |x|]."""
     params, pot = sol.params, sol.coeffs.freq_potential
     reach = max(sol.public_bands)  # all that the sum rule reads, as in the solver
+    # omega where x may be nonzero, as in the solver
+    bands = range(-reach, reach + 1, sol.public_bands.step)
     amp = sol.coeffs.amp[:, : reach + 1]
     x, x_live = _x_series(params.force_exponent, np.stack([amp, np.abs(amp)]), sol.order, reach)
-    om_size = _omega_size(pot, reach)
+    om_size = _omega_size(pot, reach, bands)
     om_size[:, reach] = 0.0  # omega(n, n) is formed exactly, as 0
     # the size enters negated, so that h is subtracted as from the residual
-    om = np.stack([_omega_series(pot, reach), -om_size])
+    om = np.stack([_omega_series(pot, reach, bands), -om_size])
     powers = range(sol.order + 1)
     # an order of omega and of its size is zero where its potential is
     wx_live = _rate_mask(pot.any(axis=-1), x_live, powers)
@@ -192,43 +196,49 @@ def recursion(sol):
     `_eom_terms` gives it, over the natural size of the band's terms
     at default units."""
     params, c, n_hi = sol.params, sol.coeffs, sol.n_max + 1
-    t_max = _engine_extent(params.force_exponent, sol.order)[1]
+    p, bands = params.force_exponent, sol.public_bands
+    t_max = _engine_extent(p, sol.order)[1]
     pot = c.freq_potential
-    terms = _eom_terms(params, c.amp, _omega_series(pot, c.band_max), t_max, sol.public_bands,
-                       om_size=_omega_size(pot, c.band_max))
-    for band, alpha in enumerate(sol.public_bands):
+    terms = _eom_terms(params, c.amp, _omega_series(pot, c.band_max, bands), t_max, bands,
+                       om_size=_omega_size(pot, c.band_max, bands))
+    # the maxima over the rows per (power, band), and the amplitude scale per
+    # (order, band), the running maximum over the orders
+    residual = np.abs(terms[0, ..., :n_hi]).max(axis=-1).tolist()
+    size = terms[1, ..., :n_hi].max(axis=-1).tolist()
+    amp = c.amp[: sol.order + 1, bands.start : bands.stop : bands.step, :n_hi]
+    amp_scale = np.maximum.accumulate(np.abs(amp).max(axis=-1)).tolist()
+    for band, alpha in enumerate(bands):
         for k in range(sol.order + 1):
-            t = band_weight(params.force_exponent, alpha) + k
-            amp_scale = float(np.max(np.abs(c.amp[: k + 1, alpha, :n_hi])))
+            t = band_weight(p, alpha) + k
             if alpha == 1:
-                scale = max(1.0, amp_scale**2)
+                scale = max(1.0, amp_scale[k][band]**2)
             else:
-                scale = max(1.0, abs(1 - alpha * alpha) * params.omega0**2 * amp_scale)
-            observed = float(np.max(np.abs(terms[0, t, band, :n_hi]))) / _half(alpha)
-            size = float(np.max(terms[1, t, band, :n_hi])) / _half(alpha)
+                scale = max(1.0, abs(1 - alpha * alpha) * params.omega0**2 * amp_scale[k][band])
+            observed = residual[t][band] / _half(alpha)
             yield (f"recursion-residual-band{alpha}-order{k}",
-                   observed / scale, ROUNDING_C * EPS * size / scale)
+                   observed / scale, ROUNDING_C * EPS * (size[t][band] / _half(alpha)) / scale)
 
 
 def quantum_condition(sol):
     """Order-k sum-rule residuals, and the additivity of the frequencies."""
     params, c, n_hi = sol.params, sol.coeffs, sol.n_max + 1
+    orders = sol.order + 1
     residual, size = _sum_rule_terms(sol)
-    for k in range(sol.order + 1):
-        amp_scale = float(np.max(np.abs(c.amp[: k + 1, 1, :n_hi])))
-        scale = max(1.0, math.pi * params.mass * params.omega0 * amp_scale**2)
-        yield (f"quantum-condition-order{k}", float(np.max(np.abs(residual[k, :n_hi]))) / scale,
-               ROUNDING_C * EPS * float(np.max(size[k, :n_hi])) / scale)
-    worst = size = 0.0
-    for k in range(sol.order + 1):
-        om2 = sol.omega_band(k, 2)
-        om1 = sol.omega_band(k, 1)
-        pair = np.zeros(sol.n_max + 1)
-        pair[2:] = om1[2:] + om1[1:-1]
-        worst = max(worst, float(np.max(np.abs(om2 - pair))))
-        pot = np.abs(sol.frequency_potential(k))
-        size = max(size, float(np.max(pot[2:] + 2.0 * pot[1:-1] + pot[:-2])))
-    yield "frequency-additivity", worst, ROUNDING_C * EPS * size
+    observed = np.abs(residual[:orders, :n_hi]).max(axis=-1).tolist()
+    size = size[:orders, :n_hi].max(axis=-1).tolist()
+    amp_scale = np.maximum.accumulate(np.abs(c.amp[:orders, 1, :n_hi]).max(axis=-1)).tolist()
+    for k in range(orders):
+        scale = max(1.0, math.pi * params.mass * params.omega0 * amp_scale[k]**2)
+        yield (f"quantum-condition-order{k}", observed[k] / scale,
+               ROUNDING_C * EPS * size[k] / scale)
+    # omega(n, n-2) against omega(n, n-1) + omega(n-1, n-2) at n >= 2, all
+    # orders in one pass; a frequency sized by its three potentials
+    pot = c.freq_potential[:orders, :n_hi]
+    om1, om2 = pot[:, 1:] - pot[:, :-1], pot[:, 2:] - pot[:, :-2]
+    worst = np.abs(om2 - (om1[:, 1:] + om1[:, :-1])).max(axis=-1).tolist()
+    a = np.abs(pot)
+    sizes = (a[:, 2:] + 2.0 * a[:, 1:-1] + a[:, :-2]).max(axis=-1).tolist()
+    yield "frequency-additivity", max([0.0, *worst]), ROUNDING_C * EPS * max([0.0, *sizes])
 
 
 _TABULATED_AMPLITUDES = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2),
@@ -416,7 +426,7 @@ def _commutator_group(params, sol, seed):
 # memo of `solve_perturbative`, so that a table is solved once per run; with
 # no arguments it gives verify's own table
 GROUPS = {
-    "algebra": lambda params, sol, seed: algebra(params, seed),
+    "algebra": lambda params, sol, seed: algebra(seed),
     "commutator": _commutator_group,
     "recursion": lambda params, sol, seed: recursion(sol()),
     "quantum-condition": lambda params, sol, seed: quantum_condition(sol()),

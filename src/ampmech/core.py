@@ -237,12 +237,16 @@ def _series_mul(
     return out
 
 
-def _omega_series(pot: np.ndarray, band_max: int) -> np.ndarray:
-    """omega^(k)(n, n-g) per band from the frequency potentials."""
+def _omega_series(pot: np.ndarray, band_max: int, bands: range | None = None) -> np.ndarray:
+    """omega^(k)(n, n-g) per band from the frequency potentials, on the
+    signed bands -band_max..band_max. Only the bands g of `bands` (default
+    all) are formed; the others are left zero for the caller not to read."""
     orders, rows = pot.shape
     out = np.zeros((orders, 2 * band_max + 1, rows))
     width = min(band_max, rows - 1)
-    for g in range(-width, width + 1):
+    for g in range(-width, width + 1) if bands is None else bands:
+        if abs(g) > width:
+            continue
         lo, k = max(g, 0), rows - abs(g)
         out[:, band_max + g, lo : lo + k] = pot[:, lo : lo + k] - pot[:, lo - g : lo - g + k]
     return out

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -195,40 +196,47 @@ def _x_put(x: np.ndarray, live: np.ndarray, p: int, amp: np.ndarray, k: int, a: 
 
 def _x2_window(p: int, bands: range, band_max: int, max_power: int) -> tuple[int, int]:
     """Signed bands lo..hi of x^2 through lam^max_power that the bands of x^p
-    from bands[0] through bands[-1] read, for x on -band_max..band_max:
-    those same bands for the cubic force (x^p = x^2), and for the quartic
-    (x^p = x^2 x) band_max more below, and above up to the widest band that
-    x^2 holds. x holds band a from lam^w(a) on, so x^2 holds at lam^s the
-    bands up to the widest sum a + b with w(a) + w(b) <= s."""
+    from bands[0] through bands[-1] read there, for x on -band_max..band_max:
+    those same bands for the cubic force (x^p = x^2). For the quartic
+    (x^p = x^2 x) the band weights end the window at both ends. x holds band
+    a from lam^w(a) on, so at lam^s it holds the bands up to top(s), the
+    widest a with w(a) <= s, and x^2 those up to the widest sum a + b with
+    w(a) + w(b) <= s. And x^p = x^2 x at lam^s reads x^2 at lam^i only
+    within top(s - i) of its own bands, at most top(max_power - i)."""
     if p == 2:
         return bands[0], bands[-1]
     top = [max([a for a in _band_list(p, band_max) if band_weight(p, a) <= s], default=-1)
            for s in range(max_power + 1)]
-    widest = max((top[i] + top[max_power - i] for i in range(max_power + 1)), default=0)
-    lo = bands[0] - band_max
-    return lo, max(min(bands[-1] + band_max, widest), lo)
+    spans = []
+    for i in range(max_power + 1):
+        widest = max(top[j] + top[i - j] for j in range(i + 1))
+        reach = top[max_power - i]
+        lo, hi = max(-widest, bands[0] - reach), min(widest, bands[-1] + reach)
+        if lo <= hi:
+            spans.append((lo, hi))
+    return min(lo for lo, _ in spans), max(hi for _, hi in spans)
 
 
 def _xp_coefficient(
-    p: int, x: np.ndarray, x2: np.ndarray, s: int, bands: range, step: int = 1,
+    p: int, x: np.ndarray, x2: np.ndarray, x2_lo: int, s: int, bands: range, step: int = 1,
     min_power: int | None = None, masks: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """lam^s coefficient of x^p over (band, row), on the signed bands from
     bands[0] through bands[-1], from the x series and x2, the coefficients of
-    x^2 on `_x2_window`, both through lam^s, with masks the nonzero masks of
-    the two (default `core._nonzero`). Only the top power of x^3 is formed, so a
+    x^2 on the bands from x2_lo up, which hold the `_x2_window` of these
+    bands, both through lam^s, with masks the nonzero masks of the two
+    (default `core._nonzero`). Only the top power of x^3 is formed, so a
     solver that carries x2 across powers adds one power of each per step.
     With min_power, the coefficients lam^min_power..lam^s instead, on a
     powers axis, in one product."""
     lo = s if min_power is None else min_power
     if p == 2:
-        xp = x2[..., lo : s + 1, :, :]
+        xp = x2[..., lo : s + 1, bands[0] - x2_lo : bands[-1] + 1 - x2_lo, :]
     else:
         if masks is not None:
             masks = masks[1][: s + 1], masks[0]
         xp = _series_mul(x2[..., : s + 1, :, :], x, s, step, min_power=lo,
-                         bands=(bands[0], bands[-1]),
-                         a_lo=_x2_window(p, bands, (x.shape[-2] - 1) // 2, s)[0], masks=masks)
+                         bands=(bands[0], bands[-1]), a_lo=x2_lo, masks=masks)
     return xp if min_power is not None else xp[..., 0, :, :]
 
 
@@ -372,10 +380,10 @@ def _eom_terms(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max:
     band_max = (om.shape[-2] - 1) // 2
     x, x_live = _x_series(p, amp, t_max, band_max, step)
     top = max(t_max - 1, 0)
-    x2 = _series_mul(x, x, top, step, bands=_x2_window(p, bands, band_max, top),
-                     masks=(x_live, x_live))
+    window = _x2_window(p, bands, band_max, top)
+    x2 = _series_mul(x, x, top, step, bands=window, masks=(x_live, x_live))
     x2_live = np.any(x2, axis=(*range(x2.ndim - 3), -1))
-    xp = _xp_coefficient(p, x, x2, t_max - 1, bands, step, min_power=0,
+    xp = _xp_coefficient(p, x, x2, window[0], t_max - 1, bands, step, min_power=0,
                          masks=(x_live, x2_live))
     live = _orders_live(om, bands), _orders_live(om_right, bands)
     return np.stack([
@@ -452,6 +460,19 @@ def _engine_extent(p: int, order: int) -> tuple[range, int, int, int]:
     return public, t_max, band_eng, band_eng + reach
 
 
+def _power_bands(p: int, orders: int, band_max: int, t_max: int) -> list[range]:
+    """The bands the march solves at each power t = 1..t_max of lam: those
+    alpha of `_band_list` whose order t - w(alpha) is within the tables, as
+    one range from the first to the last. For the quartic force at order 2
+    these are {1, 3}, {1, 3, 5}, {3, 5, 7} and {5, 7, 9}."""
+    bands = _band_list(p, band_max)
+    out = []
+    for t in range(1, t_max + 1):
+        solved = [a for a in bands if 0 <= t - band_weight(p, a) < orders]
+        out.append(range(solved[0], solved[-1] + 1, bands.step))
+    return out
+
+
 def _march(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max: int,
            adjacent: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None],
            step: int = 1) -> dict[int, int]:
@@ -461,34 +482,39 @@ def _march(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max: int
     order-t frequencies in om and adjacent amplitude in amp from res, the
     lam^t residual on band 1, and x, the x series through lam^t, final
     through lam^(t-1), with live its nonzero mask; every other band follows
-    from that residual. x and its square are carried across t, each power
-    set once, as its coefficients are solved, with their masks; x^2, x^p
-    and the residual are formed on the bands the solve reads. Returns the
-    order solved per band."""
+    from that residual. om is read on the bands of `_band_list`. x and its
+    square are carried across t, each power set once, as its coefficients
+    are solved, with their masks; x^p and the residual at lam^t are formed
+    on the bands whose order t solves (`_power_bands`), and x^2 on the
+    bands that x^p reads at any of them. Returns the order solved per
+    band."""
     p = params.force_exponent
     orders, width, rows = amp.shape
-    bands = _band_list(p, width - 1)
+    plan = _power_bands(p, orders, width - 1, t_max)
     x = np.zeros((t_max + 1, 2 * width - 1, rows))
     x_live = np.zeros(x.shape[:2], dtype=bool)
     _x_put(x, x_live, p, amp, 0, 1, step)
-    window = _x2_window(p, bands, width - 1, t_max - 1)
+    spans = [_x2_window(p, bands, width - 1, t - 1) for t, bands in enumerate(plan, 1)]
+    window = min((lo for lo, _ in spans), default=0), max((hi for _, hi in spans), default=0)
     x2 = np.zeros((t_max, window[1] + 1 - window[0], rows))
     x2_live = np.zeros(x2.shape[:2], dtype=bool)
     # the unsolved frequency orders are zero
-    om_live = _orders_live(om[:1], bands) + [False] * (orders - 1)
+    every = _band_list(p, width - 1)
+    om_live = _orders_live(om[:1], every) + [False] * (orders - 1)
     solved = {1: 0}
-    for t in range(1, t_max + 1):
+    for t, bands in enumerate(plan, 1):
         # x is final through lam^(t-1), all that x^2 and x^p there read
         xt, live = x[: t + 1], x_live[: t + 1]
         x2[t - 1] = _series_mul(xt, xt, t - 1, step, min_power=t - 1, bands=window,
                                 masks=(live, live))[0]
         x2_live[t - 1] = x2[t - 1].any(axis=-1)
-        xp_top = _xp_coefficient(p, xt, x2, t - 1, bands, step, masks=(live, x2_live))
+        xp_top = _xp_coefficient(p, xt, x2, window[0], t - 1, bands, step,
+                                 masks=(live, x2_live))
         res_t = _eom_residual_coefficient(params, xt, om, t, xp_top, bands,
                                           live=(om_live, om_live))
         if t < orders:
             adjacent(t, res_t[bands.index(1)], xt, live)
-            om_live[t] = _orders_live(om[t : t + 1], bands)[0]
+            om_live[t] = _orders_live(om[t : t + 1], every)[0]
             solved[1] = t
             _x_put(x, x_live, p, amp, t, 1, step)
         solved_t = _solve_bands(p, amp, res_t, t, bands, params.omega0, step)
@@ -521,7 +547,11 @@ def solve_perturbative(
     levels = np.arange(rows, dtype=float)
     amp[0, 1, 1:] = beta * np.sqrt(levels[1:])
 
-    om = _omega_series(pot, band_eng)
+    # omega on the bands that are read: the march's, of `_band_list`, and
+    # the public window of the sum rule below, the odd ones only for the
+    # quartic force, whose even bands of x are zero
+    om_bands = range(-max(public), band_eng + 1, public.step)
+    om = _omega_series(pot, band_eng, om_bands)
     # through lam^order the sum rule reads bands of weight w <= order/2, all
     # public: x and omega x on those
     win = slice(band_eng - max(public), band_eng + max(public) + 1)
@@ -534,7 +564,7 @@ def solve_perturbative(
         pot_inc = np.zeros(rows)
         pot_inc[1:] = res[1:] / (omega0 * a0[1:])
         pot[t] = np.cumsum(pot_inc)
-        om[t] = _omega_series(pot[t : t + 1], band_eng)[0]
+        om[t] = _omega_series(pot[t : t + 1], band_eng, om_bands)[0]
         # sum rule at order t: difference equation integrated from n = 0.
         # At lam^t it reads x and omega x only on bands +-1, through the
         # unknown order-t amplitude, still zero; omega x is final through
@@ -747,10 +777,19 @@ class EnergyMatrix:
         """Largest |W(n, n-alpha)| over the off-diagonal bands at order lam^k,
         and its rounding bound c eps (n+1) (|K|+|H|+|A|)(n) at worst; n+1 is
         the length of the sum-rule cumsum that feeds row n."""
-        parts = (self.kinetic[k, 1:], self.harmonic[k, 1:], self.anharmonic[k, 1:])
-        size = (np.arange(self.n_max + 1) + 1.0) * sum(np.abs(a) for a in parts)
-        return (float(np.max(np.abs(parts[0] + parts[1] + parts[2]), initial=0.0)),
-                ROUNDING_C * float(np.finfo(float).eps) * float(np.max(size, initial=0.0)))
+        return self._offdiag[k]
+
+    @cached_property
+    def _offdiag(self) -> list[tuple[float, float]]:
+        """`offdiag` of every order, formed once, for the guard of
+        `energy_matrix` and the checks alike."""
+        parts = (self.kinetic[:, 1:], self.harmonic[:, 1:], self.anharmonic[:, 1:])
+        size = (np.arange(self.n_max + 1) + 1.0) * (
+            np.abs(parts[0]) + np.abs(parts[1]) + np.abs(parts[2]))
+        observed = np.abs(parts[0] + parts[1] + parts[2]).max(axis=(1, 2), initial=0.0)
+        bound = size.max(axis=(1, 2), initial=0.0)
+        c = ROUNDING_C * float(np.finfo(float).eps)
+        return [(o, c * b) for o, b in zip(observed.tolist(), bound.tolist())]
 
 
 def energy_matrix(sol: PerturbSolution) -> EnergyMatrix:
@@ -770,7 +809,10 @@ def energy_matrix(sol: PerturbSolution) -> EnergyMatrix:
     band_x = max(sol.public_bands)
     x, x_live = _x_series(p, c.amp, order, band_x)
     powers = range(order + 1)
-    wx = _rate_series(_omega_series(c.freq_potential, band_x), x, powers)
+    # omega only where x may be nonzero: the products skip the even bands of
+    # the quartic omega x, dead in its mask
+    om = _omega_series(c.freq_potential, band_x, range(-band_x, band_x + 1, sol.public_bands.step))
+    wx = _rate_series(om, x, powers)
     wx_live = _rate_mask(c.freq_potential.any(axis=-1), x_live, powers)
 
     # each product forms only the bands 0..band_rep that W keeps, and x^2

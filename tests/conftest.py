@@ -211,11 +211,25 @@ def assert_same_bits(got, ref):
     assert got.tobytes() == ref.tobytes()
 
 
-def xp_rebuild_reference(p, x, x2, s, bands, step=1, min_power=None, masks=None):
+def check_bits(found):
+    """The (id, observed, tolerance) of a group of checks with the two
+    numbers by `float.hex`, signs of zeros included, then the text of a
+    ValueError that ends the group (frequency additivity at n_max 1)."""
+    lines = []
+    try:
+        for check_id, observed, tolerance in found:
+            lines.append((check_id, float(observed).hex(), float(tolerance).hex()))
+    except ValueError as exc:
+        lines.append(str(exc))
+    return lines
+
+
+def xp_rebuild_reference(p, x, x2, x2_lo, s, bands, step=1, min_power=None, masks=None):
     """lam^s coefficient of x^p formed from scratch through lam^s on every
     band at every call, as the engine did before it carried x^2 across
-    powers, then cut to the bands bands[0]..bands[-1]; the carry array x2
-    and the carried masks are ignored, and the products scan their factors.
+    powers, then cut to the bands bands[0]..bands[-1]; the carry array x2,
+    its lowest band x2_lo and the carried masks are ignored, and the
+    products scan their factors.
     Patched over `_xp_coefficient` it gives the old per-power rebuild of the
     solvers. With min_power, the coefficients lam^min_power..lam^s."""
     from ampmech.core import _series_mul

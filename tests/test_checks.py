@@ -10,20 +10,24 @@ import pytest
 
 from ampmech import OscillatorParams, checks, rspt
 from ampmech.cli import run
-from ampmech.core import BandAmplitudeArray, _omega_series, _series_mul, time_derivative
+from ampmech.core import _omega_series, _series_mul
 from ampmech.oracle import cubic_coupling_limit, lowest_eigenpairs
 from ampmech.perturb import (
+    ROUNDING_C,
     CoefficientSet,
     EnergyConservationError,
     PerturbSolution,
+    _engine_extent,
     _eom_residual_coefficient,
+    _eom_terms,
+    _half,
     _x_series,
     band_weight,
     energy_matrix,
     solve_perturbative,
 )
 
-from conftest import assert_same_bits, build_recursions, xp_full_bands
+from conftest import assert_same_bits, build_recursions, check_bits, xp_full_bands
 
 UNITS = [(1.0, 1.0, 1.0), (2.3, 0.4, 0.7), (1.0, 0.3, 1.0)]
 
@@ -140,38 +144,31 @@ def _series_mul_without_band_one(a, b, *args, masks=None, **kwargs):
     return _series_mul(a, b, *args, masks=masks, **kwargs)
 
 
-def _omega_series_band_one_scaled(pot, band_max):
-    om = _omega_series(pot, band_max)
+def _omega_series_band_one_scaled(pot, band_max, bands=None):
+    om = _omega_series(pot, band_max, bands)
     om[:, band_max + 1] *= 1.0 + 1e-9
     return om
-
-
-def _time_derivative_band_one_scaled(motion):
-    data = np.array(time_derivative(motion).data)
-    data[:, (data.shape[1] - 1) // 2 + 1] *= 1.0 + 1e-9
-    return BandAmplitudeArray(data)
 
 
 @pytest.mark.parametrize("kernel, mutant, caught", [
     ("_series_mul", _series_mul_without_band_one,
      ["multiply-matches-dense-product", "multiply-associative",
       "product-transpose-reverses-order"]),
-    ("_omega_series", _omega_series_band_one_scaled, ["ritz-combination"]),
-    ("time_derivative", _time_derivative_band_one_scaled, ["derivative-product-rule"]),
-], ids=["series-mul", "omega-series", "time-derivative"])
+    ("_omega_series", _omega_series_band_one_scaled,
+     ["ritz-combination", "derivative-product-rule"]),
+], ids=["series-mul", "omega-series"])
 def test_algebra_checks_catch_a_mutant_of_the_kernel_they_run(monkeypatch, kernel, mutant,
                                                               caught):
     # the algebra checks run the solver's own kernels, so a wrong band there
-    # fails them; the product rule holds for any product law, so a dropped
-    # band of the product does not fail it
-    cases = [(params, seed) for seed in range(5)
-             for params in (OscillatorParams(), OscillatorParams(force_exponent=3),
-                            OscillatorParams(hbar=3.7, mass=0.2))]
-    for params, seed in cases:
-        assert not failing(checks.algebra(params, seed))
+    # fails them: omega by `_omega_series`, which also forms the rates omega x
+    # of the product rule, and the products by `_series_mul`. The product rule
+    # holds for any product law, so a dropped band of the product does not
+    # fail it
+    for seed in range(15):
+        assert not failing(checks.algebra(seed))
     monkeypatch.setattr(checks, kernel, mutant)
-    for params, seed in cases:
-        assert failing(checks.algebra(params, seed)) == caught
+    for seed in range(15):
+        assert failing(checks.algebra(seed)) == caught
 
 
 @pytest.mark.parametrize("units", UNITS + [(0.3, 3.0, 2.0), (5.0, 0.7, 0.2)], ids=str)
@@ -298,3 +295,75 @@ def test_recursion_residuals_match_reference(force, n_max):
             check_id, observed, _ = next(found)
             assert check_id == f"recursion-residual-band{alpha}-order{k}"
             assert observed == float(np.max(np.abs(ref[: n_max + 1]))) / scale
+
+
+def recursion_loop(sol):
+    """`checks.recursion` with each maximum taken by itself per (band,
+    order), the amplitude scale over the orders 0..k each time, and omega
+    and its size formed on every band."""
+    params, c, n_hi = sol.params, sol.coeffs, sol.n_max + 1
+    p, pot, eps = params.force_exponent, c.freq_potential, checks.EPS
+    om_size = 2.0 * np.abs(pot)[:, None, :] - _omega_series(np.abs(pot), c.band_max)
+    terms = _eom_terms(params, c.amp, _omega_series(pot, c.band_max),
+                       _engine_extent(p, sol.order)[1], sol.public_bands, om_size=om_size)
+    for band, alpha in enumerate(sol.public_bands):
+        for k in range(sol.order + 1):
+            t = band_weight(p, alpha) + k
+            amp_scale = float(np.max(np.abs(c.amp[: k + 1, alpha, :n_hi])))
+            if alpha == 1:
+                scale = max(1.0, amp_scale**2)
+            else:
+                scale = max(1.0, abs(1 - alpha * alpha) * params.omega0**2 * amp_scale)
+            observed = float(np.max(np.abs(terms[0, t, band, :n_hi]))) / _half(alpha)
+            size = float(np.max(terms[1, t, band, :n_hi])) / _half(alpha)
+            yield (f"recursion-residual-band{alpha}-order{k}",
+                   observed / scale, ROUNDING_C * eps * size / scale)
+
+
+def quantum_condition_loop(sol):
+    """`checks.quantum_condition` with its maxima taken one order at a time."""
+    params, c, n_hi, eps = sol.params, sol.coeffs, sol.n_max + 1, checks.EPS
+    residual, size = checks._sum_rule_terms(sol)
+    for k in range(sol.order + 1):
+        amp_scale = float(np.max(np.abs(c.amp[: k + 1, 1, :n_hi])))
+        scale = max(1.0, math.pi * params.mass * params.omega0 * amp_scale**2)
+        yield (f"quantum-condition-order{k}", float(np.max(np.abs(residual[k, :n_hi]))) / scale,
+               ROUNDING_C * eps * float(np.max(size[k, :n_hi])) / scale)
+    worst = size = 0.0
+    for k in range(sol.order + 1):
+        om1, om2 = sol.omega_band(k, 1), sol.omega_band(k, 2)
+        pair = np.zeros(sol.n_max + 1)
+        pair[2:] = om1[2:] + om1[1:-1]
+        worst = max(worst, float(np.max(np.abs(om2 - pair))))
+        pot = np.abs(sol.frequency_potential(k))
+        size = max(size, float(np.max(pot[2:] + 2.0 * pot[1:-1] + pot[:-2])))
+    yield "frequency-additivity", worst, ROUNDING_C * eps * size
+
+
+def offdiag_loop(sol):
+    """`checks.offdiag_energy`'s figures formed one order at a time."""
+    em = energy_matrix(sol)
+    for k in range(em.order + 1):
+        parts = (em.kinetic[k, 1:], em.harmonic[k, 1:], em.anharmonic[k, 1:])
+        size = (np.arange(em.n_max + 1) + 1.0) * sum(np.abs(a) for a in parts)
+        yield (f"offdiag-energy-order{k}",
+               float(np.max(np.abs(parts[0] + parts[1] + parts[2]), initial=0.0)),
+               ROUNDING_C * checks.EPS * float(np.max(size, initial=0.0)))
+
+
+@pytest.mark.parametrize("units", [(1.0, 1.0, 1.0), (1e-3, 10.0, 1e4)], ids=str)
+@pytest.mark.parametrize("order", [0, 2, 5])
+@pytest.mark.parametrize("n_max", [1, 3, 12])
+@pytest.mark.parametrize("force", [2, 3])
+def test_one_pass_maxima_keep_the_bits_of_the_per_order_loop(force, n_max, order, units):
+    # at n_max 1 and 3 a lower order holds the largest amplitude of a band,
+    # so the amplitude scale must be the running maximum over the orders
+    m, w0, hbar = units
+    sol = solve_perturbative(
+        OscillatorParams(mass=m, omega0=w0, hbar=hbar, force_exponent=force), order, n_max)
+    for group, loop in ((checks.recursion, recursion_loop),
+                        (checks.quantum_condition, quantum_condition_loop)):
+        assert check_bits(group(sol)) == check_bits(loop(sol))
+    em, found = checks.offdiag_energy(sol)
+    if em is not None:
+        assert check_bits(found) == check_bits(offdiag_loop(sol))

@@ -29,7 +29,7 @@ from ampmech.perturb import (
     _x_series,
 )
 
-from conftest import (assert_same_bits, build_recursions, qc_residual_reference,
+from conftest import (assert_same_bits, build_recursions, check_bits, qc_residual_reference,
                       quantum_condition_residual, symmetry_defect, xp_full_bands,
                       xp_rebuild_reference)
 
@@ -653,8 +653,9 @@ class TestSeriesMulStructure:
 
 
 class TestWeightWindow:
-    """x^2 is formed up to the widest band its powers hold, which the band
-    weights give: every band the window drops is zero in the full product."""
+    """x^2 is formed only on the bands that x^p reads, which the band weights
+    end at both ends: x^p from the window has the bits of x^p from the full
+    x^2."""
 
     @settings(max_examples=200)
     @given(st.integers(0, 2**31 - 1), st.sampled_from((2, 3)), st.integers(1, 6),
@@ -662,8 +663,8 @@ class TestWeightWindow:
            st.data())
     # band_max 1: x^2 reaches band 2 = band_max + 1, past a cap of band_max - 1
     @example(seed=0, p=3, band_max=1, t_max=2, orders=2, rows=6, step=1, data=None)
-    def test_window_drops_only_zero_bands(self, seed, p, band_max, t_max, orders, rows, step,
-                                          data):
+    def test_window_drops_only_unread_bands(self, seed, p, band_max, t_max, orders, rows, step,
+                                            data):
         amp = random_tables(seed, rows=rows, band_max=band_max, orders=orders).amp
         x, _ = _x_series(p, amp, t_max, band_max, step)
         bands = perturb._band_list(p, band_max)
@@ -675,18 +676,26 @@ class TestWeightWindow:
         bc = 2 * band_max
         reach = 0 if p == 2 else band_max
         lo, hi = perturb._x2_window(p, bands, band_max, t_max)
-        assert lo == bands[0] - reach and lo <= hi <= bands[-1] + reach
+        assert bands[0] - reach <= lo <= hi <= bands[-1] + reach
         capped = _series_mul(x, x, t_max, step, bands=(lo, hi))
         assert_same_bits(capped, full[:, bc + lo : bc + hi + 1])
-        dropped = full[:, bc + hi + 1 : bc + bands[-1] + reach + 1]
-        assert np.all(dropped == 0)
+        # every power at once, as `_eom_terms` forms x^p, and the top alone,
+        # as the march does
+        for min_power in (0, t_max):
+            assert_same_bits(
+                perturb._xp_coefficient(p, x, capped, lo, t_max, bands, step, min_power),
+                perturb._xp_coefficient(p, x, full, -bc, t_max, bands, step, min_power))
 
     def test_quartic_solve_window(self):
-        # the order-2 quartic solve reads x^2 through lam^3: bands -8..8, not
-        # -8..18 (its bits are those of the full-band solve, `TestWindowedSolve`)
+        # the order-2 quartic march solves these bands at lam^1..lam^4, and
+        # x^3 there reads x^2 on bands -2..8 in all, where it read -8..8
+        # before the weights ended the window's low end too (its bits are
+        # those of the full-band solve, `TestWindowedSolve`)
         _, t_max, band_eng, _ = perturb._engine_extent(3, 2)
-        assert perturb._x2_window(3, perturb._band_list(3, band_eng), band_eng,
-                                  t_max - 1) == (-8, 8)
+        plan = perturb._power_bands(3, 3, band_eng, t_max)
+        assert [list(bands) for bands in plan] == [[1, 3], [1, 3, 5], [3, 5, 7], [5, 7, 9]]
+        assert [perturb._x2_window(3, bands, band_eng, t - 1)
+                for t, bands in enumerate(plan, 1)] == [(0, 2), (-2, 4), (-2, 6), (-2, 8)]
 
 
 def _masks_checked(mul, eom_residual):
@@ -787,9 +796,10 @@ def engine_bytes(p, order, n_max, units, mode):
             out["energy"] = [np.frombuffer(str(exc).encode(), dtype=np.uint8)]
         t_max = perturb._engine_extent(p, order)[1]
         pot = c.freq_potential
+        bands = sol.public_bands
         out["eom_terms"] = [perturb._eom_terms(
-            params, c.amp, _omega_series(pot, c.band_max), t_max, sol.public_bands,
-            om_size=checks._omega_size(pot, c.band_max))]
+            params, c.amp, _omega_series(pot, c.band_max, bands), t_max, bands,
+            om_size=checks._omega_size(pot, c.band_max, bands))]
         out["sum_rule_terms"] = list(checks._sum_rule_terms(sol))
     digests = {k: _digests(v) for k, v in out.items()}
     digests["classical"], classical_calls = classical_bytes(p, order, units, mode)
@@ -849,6 +859,71 @@ class TestCarriedMasks:
         monkeypatch.setattr(perturb, "_series_mul", mul)
         with pytest.raises(AssertionError, match="a live slice marked dead"):
             solve_perturbative(OscillatorParams(force_exponent=p), 2, 12)
+
+
+def engine_outputs(p, order, n_max):
+    """The bytes of a solve, its energy matrix (or its error), the
+    harmonic-balance solve at a1 = 1, and the (id, observed, tolerance) of
+    the checks that read the series engine, with the observed and the
+    tolerance by `float.hex`."""
+    params = OscillatorParams(mass=1.3, omega0=0.7, hbar=1.1, force_exponent=p)
+    sol = solve_perturbative(params, order, n_max)
+    out = {"solve": _digests([sol.coeffs.amp, sol.coeffs.freq_potential])}
+    try:
+        em = energy_matrix(sol)
+        out["energy"] = _digests([em.kinetic, em.harmonic, em.anharmonic])
+    except EnergyConservationError as exc:
+        out["energy"] = str(exc)
+    cl = classical.classical_solve(params, order, a1=1.0)
+    out["classical"] = _digests([cl.amp, cl.omega_coeffs])
+    for group in (checks.recursion, checks.quantum_condition, checks.sho):
+        out[group.__name__] = check_bits(group(sol))
+    return out
+
+
+UNREAD_CASES = [(p, order, n_max) for p in (2, 3) for order in range(9) for n_max in (3, 40)]
+
+
+class TestUnreadBands:
+    """The engine forms omega, x^2, x^p and the residual only on the bands
+    that their readers read, and drops no band that they do read."""
+
+    @pytest.mark.parametrize("p, order, n_max", UNREAD_CASES, ids=str)
+    def test_no_reader_reads_an_unformed_omega_band(self, monkeypatch, p, order, n_max):
+        # the bands that `_omega_series` is not asked for are nan, which any
+        # read would carry into an output
+        want = engine_outputs(p, order, n_max)
+        real = core._omega_series
+
+        def unformed_nan(pot, band_max, bands=None):
+            out = real(pot, band_max, bands)
+            if bands is not None:
+                unformed = np.ones(2 * band_max + 1, dtype=bool)
+                unformed[[band_max + g for g in bands]] = False
+                out[:, unformed] = np.nan
+            return out
+
+        for module in (core, perturb, checks):
+            monkeypatch.setattr(module, "_omega_series", unformed_nan)
+        assert engine_outputs(p, order, n_max) == want
+
+    @pytest.mark.parametrize("p, order, n_max", UNREAD_CASES, ids=str)
+    def test_wider_windows_change_no_bit(self, monkeypatch, p, order, n_max):
+        # x^2 on two more bands at each end, and x^p and the residual on
+        # every band at every power of the march
+        want = engine_outputs(p, order, n_max)
+        window = perturb._x2_window
+
+        def wider(*args):
+            lo, hi = window(*args)
+            return lo - 2, hi + 2
+
+        def every_band(p, orders, band_max, t_max):
+            return [perturb._band_list(p, band_max)] * t_max
+
+        monkeypatch.setattr(perturb, "_x2_window", wider)
+        monkeypatch.setattr(perturb, "_power_bands", every_band)
+        assert engine_outputs(p, order, n_max) == want
 
 
 WIDE_PAD = 600
