@@ -1,22 +1,15 @@
 """Transition-amplitude mechanics for anharmonic oscillators.
 
 A small research library built around the two-index amplitude calculus:
-banded amplitude arrays with an exact Ritz frequency grid and the
-commutator [x, p], an order-by-order perturbation solver for cubic and
-quartic forces that imposes the sum-rule quantum condition, a classical
-Fourier/action benchmark, and an independent number-basis diagonalization
-oracle.
+one series engine for banded amplitudes with an exact Ritz frequency grid,
+an order-by-order perturbation solver for cubic and quartic forces that
+imposes the sum-rule quantum condition (the diagonal of [x, p] = i hbar),
+a classical Fourier/action benchmark, and an independent number-basis
+diagonalization oracle.
 """
 
 from .params import OscillatorParams
-from .core import (
-    BandAmplitudeArray,
-    DimensionMismatchError,
-    FrequencyGrid,
-    MotionRepresentation,
-    commutator_diagonal,
-    time_derivative,
-)
+from .core import BandAmplitudeArray, DimensionMismatchError
 from .perturb import (
     CoefficientSet,
     EnergyConservationError,
@@ -24,7 +17,6 @@ from .perturb import (
     NoClosedFormError,
     PerturbSolution,
     StructureViolationError,
-    assemble_motion,
     closed_form_amplitude,
     closed_form_frequency,
     energy_matrix,

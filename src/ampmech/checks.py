@@ -20,11 +20,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import _omega_series, _series_mul, commutator_diagonal
+from .core import _omega_series, _series_mul
 from .oracle import DEFAULT_UNIT_COUPLING, PLATEAU_LEVELS, _dense
 from .perturb import (ROUNDING_C, EnergyConservationError, StructureViolationError,
                       _engine_extent, _eom_terms, _half, _rate_mask, _rate_series, _sum_rule,
-                      _x_series, assemble_motion, band_weight, closed_form_amplitude,
+                      _x_series, band_weight, closed_form_amplitude,
                       closed_form_frequency, energy_matrix, extract_structure_constants,
                       solve_perturbative)
 
@@ -174,16 +174,27 @@ def halving_window(q: int) -> tuple[float, float]:
     return HALVING_SPREAD[0] * 2.0**q, HALVING_SPREAD[1] * 2.0**q
 
 
+def _commutator_deviation(sol, lam):
+    """[x, p](n, n)/i - hbar per row n of the tables of sol, summed at the
+    numeric coupling lam: the sum-rule residual of the summed series over
+    2 pi, which `_sum_rule` forms with the engine's own x and omega x. It
+    reads only m and h of sol.params, which lam leaves as they are."""
+    p, c = sol.params.force_exponent, sol.coeffs
+    t_max = _engine_extent(p, sol.order)[1]
+    x = np.tensordot(lam ** np.arange(t_max + 1), _x_series(p, c.amp, t_max, c.band_max)[0], 1)
+    pot = np.tensordot(lam ** np.arange(sol.order + 1), c.freq_potential, 1)
+    wx = _omega_series(pot[None], c.band_max) * x
+    return _sum_rule(sol.params, x[None], wx, 0)[0] / (2.0 * math.pi)
+
+
 def coupling_scaling(params, solve):
     """Deviation of the quartic commutator from i hbar under coupling halving,
     on the table solve(params, order, n_max) gives."""
     quartic = replace(params, force_exponent=3)
     sol = solve(quartic, 2, 12)
     unit = params.mass * params.omega0**3 / params.hbar
-    devs = []
-    for lam in COUPLING_LAMS:
-        comm = commutator_diagonal(assemble_motion(sol, lam * unit))
-        devs.append(float(np.max(np.abs(comm[:5] - 1j * quartic.hbar))))
+    devs = [float(np.max(np.abs(_commutator_deviation(sol, lam * unit)[:5])))
+            for lam in COUPLING_LAMS]
     return devs[0] / devs[1], halving_window(3)
 
 

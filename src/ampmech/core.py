@@ -1,10 +1,11 @@
-"""Value types and exact kinematics of the transition-amplitude calculus.
+"""The series engine of the transition-amplitude calculus.
 
 The state of a one-dimensional oscillator is carried by an ensemble of
 transition amplitudes X(n, n-alpha) together with transition frequencies
-omega(n, m). Amplitudes live in a banded two-index array (rows are levels
-n, columns are bands alpha = n - m). Frequencies are stored as a per-level
-potential Omega(n) so that the Ritz combination rule
+omega(n, m). Amplitudes live in banded two-index series (rows are levels
+n, bands alpha = n - m, one coefficient per power of the coupling).
+Frequencies are stored as a per-level potential Omega(n), from which
+`_omega_series` forms omega(n, n-alpha), so that the Ritz combination rule
 
     omega(n, n-alpha) + omega(n-alpha, n-beta) = omega(n, n-beta)
 
@@ -22,8 +23,9 @@ Products follow the two-index multiplication law
 
 i.e. matrix multiplication over the stored level range, dropping
 intermediate levels above the truncation ceiling. `_series_mul` forms it
-for the solver, the energy, the sum rule and the commutator alike, and
-`checks.algebra` checks it.
+for the solver, the energy and the sum rule alike; the sum rule is the
+diagonal of the commutator [x, p] (`perturb._sum_rule`), and
+`checks.algebra` checks the product.
 """
 
 from __future__ import annotations
@@ -32,50 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import OscillatorParams
-
 __all__ = [
     "DimensionMismatchError",
-    "FrequencyGrid",
     "BandAmplitudeArray",
-    "MotionRepresentation",
-    "time_derivative",
-    "commutator_diagonal",
 ]
 
 
 class DimensionMismatchError(ValueError):
-    """Operands disagree on the stored level range."""
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Transition frequencies omega(n, m) = Omega(n) - Omega(m).
-
-    Only the per-level potential Omega is stored, which makes the Ritz
-    combination rule and the antisymmetry omega(n, m) = -omega(m, n)
-    structural identities.
-    """
-
-    potential: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.potential, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("potential must be a nonempty 1-d array")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("potential contains a non-finite entry")
-        object.__setattr__(self, "potential", _readonly(p))
-
-    @property
-    def n_max(self) -> int:
-        return self.potential.size - 1
+    """A table too short for the calculus: `solve_perturbative` raises it
+    for n_max below 1."""
 
 
 @dataclass(frozen=True)
@@ -85,6 +52,11 @@ class BandAmplitudeArray:
     data[n, band_max + alpha] holds the real X(n, n-alpha) for
     0 <= n <= n_max and |alpha| <= band_max. Entries whose column index
     n-alpha is negative are forced to zero.
+
+    The program forms no such array: the engine holds x as a lam-series
+    (`perturb._x_series`). The class stays only because the benchmark's
+    tracer (`perfbench/tracer.py`) counts calls of `get` in its trace mode;
+    it goes with that metric.
     """
 
     data: np.ndarray
@@ -132,23 +104,6 @@ class BandAmplitudeArray:
         if abs(alpha) > self.band_max:
             raise IndexError(f"band {alpha} outside band_max {self.band_max}")
         return self.data[:, self.band_max + alpha]
-
-
-@dataclass(frozen=True)
-class MotionRepresentation:
-    """Amplitudes plus frequencies plus parameters: the full representation
-    of the coordinate x(t) as the ensemble X(n, n-alpha)*exp(i*omega*t)."""
-
-    amplitudes: BandAmplitudeArray
-    frequencies: FrequencyGrid
-    params: OscillatorParams
-
-    def __post_init__(self) -> None:
-        if self.amplitudes.n_max > self.frequencies.n_max:
-            raise DimensionMismatchError(
-                "frequency grid must cover at least the amplitude rows "
-                f"({self.amplitudes.n_max} > {self.frequencies.n_max})"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -250,38 +205,3 @@ def _omega_series(pot: np.ndarray, band_max: int, bands: range | None = None) ->
         lo, k = max(g, 0), rows - abs(g)
         out[:, band_max + g, lo : lo + k] = pot[:, lo : lo + k] - pot[:, lo - g : lo - g + k]
     return out
-
-
-def time_derivative(motion: MotionRepresentation) -> BandAmplitudeArray:
-    """Real factor omega(n, m)*X(n, m) of the entry-wise derivative
-    (d/dt X)(n, m) = i*omega(n, m)*X(n, m).
-
-    The result is antisymmetric, omega(m, n)*X(m, n) = -omega(n, m)*X(n, m),
-    so `get`'s mirror does not hold for it. Entries whose column level lies
-    beyond the frequency grid are zeroed (truncation edge).
-    """
-    x = motion.amplitudes
-    pot = motion.frequencies.potential
-    b, n_rows = x.band_max, x.n_max + 1
-    omega = _omega_series(pot[None], b)[0, :, :n_rows].T
-    # omega is 0 where the column level is off the grid; the X there is
-    # zeroed too, since 0 * -X would be -0
-    beyond = np.arange(n_rows)[:, None] - np.arange(-b, b + 1) >= pot.size
-    return BandAmplitudeArray(omega * np.where(beyond, 0.0, x.data))
-
-
-def commutator_diagonal(motion: MotionRepresentation) -> np.ndarray:
-    """Diagonal of x*p - p*x with p = m*dx/dt, via the multiplication law.
-
-    Its deviation from i*hbar is i/(2 pi) times the residual of Heisenberg's
-    sum rule, which `perturb._sum_rule` forms per power of lam from the same
-    product. Rows near the truncation ceiling are unreliable. The
-    amplitudes are real (the cosine convention), so the products are real.
-    """
-    # dx/dt = i omega X; the products run on the real omega X, i taken out.
-    # Only band 0 of X*wX and wX*X is formed, stacked in one product
-    x = motion.amplitudes.data.T[None]
-    wx = time_derivative(motion).data.T[None]
-    diag = _series_mul(np.stack([x, wx]), np.stack([wx, x]), 0, bands=(0, 0))[:, 0, 0]
-    return 1j * (motion.params.mass * (diag[0] - diag[1]))
-

@@ -34,27 +34,20 @@ off, the same engine on a single row is classical harmonic balance (see
 `classical`).
 
 Coefficients are kept symbolic in lam (one array per power); a numeric
-coupling enters only when a motion representation or an energy value is
-assembled.
+coupling enters only when an energy value or the commutator's deviation
+(`checks.coupling_scaling`) is summed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .core import (
-    BandAmplitudeArray,
-    DimensionMismatchError,
-    FrequencyGrid,
-    MotionRepresentation,
-    _omega_series,
-    _series_mul,
-)
+from .core import DimensionMismatchError, _omega_series, _series_mul
 from .params import OscillatorParams
 
 __all__ = [
@@ -67,7 +60,6 @@ __all__ = [
     "closed_form_amplitude",
     "closed_form_frequency",
     "extract_structure_constants",
-    "assemble_motion",
     "EnergyMatrix",
     "energy_matrix",
 ]
@@ -402,7 +394,8 @@ class PerturbSolution:
     """Solved coefficient tables up to the requested order.
 
     Rows beyond n_max are headroom that keeps rows 0..n_max+band_max, all
-    that `assemble_motion` reads, exact; accessors expose n = 0..n_max.
+    that the sum rule of rows 0..n_max reads, exact; accessors expose
+    n = 0..n_max.
     """
 
     params: OscillatorParams
@@ -452,7 +445,7 @@ def _engine_extent(p: int, order: int) -> tuple[range, int, int, int]:
     h powers of lam (quartic) or 2h (cubic). So an order-k table at row n
     reads up to row n+k (quartic) or n+k/2 (cubic; n+k/2+1 on the diagonal
     band, of weight 1), and band_eng rows beyond that reach keep rows
-    0..n_max+band_eng, all that `assemble_motion` reads, exact."""
+    0..n_max+band_eng, all that the sum rule reads, exact."""
     public = _band_list(p, order + 1 if p == 2 else 2 * order + 1)
     t_max = max(band_weight(p, a) for a in public) + order
     band_eng = t_max + 1 if p == 2 else 2 * t_max + 1
@@ -699,43 +692,6 @@ def extract_structure_constants(sol: PerturbSolution) -> dict[int, float]:
             )
         out[alpha] = ref
     return out
-
-
-# ---------------------------------------------------------------------------
-# assembly at numeric coupling
-
-
-def assemble_motion(sol: PerturbSolution, lam: float) -> MotionRepresentation:
-    """Sum the coefficient tables at a numeric coupling into a motion
-    representation (real-symmetric amplitudes plus a frequency grid) of the
-    rows 0..n_max."""
-    n_max = sol.n_max
-    p = sol.params.force_exponent
-    c = sol.coeffs
-    band_max = sol.band_max
-    data = np.zeros((n_max + 1, 2 * band_max + 1))
-    for alpha, k_hi in sorted(sol.solved_orders.items()):
-        w = band_weight(p, alpha)
-        series = np.zeros(c.rows)
-        for k in range(k_hi + 1):
-            series += lam**k * c.amp[k, alpha, :]
-        series *= _half(alpha) * lam**w
-        data[:, band_max + alpha] = series[: n_max + 1]
-        if alpha > 0:
-            upper = series[alpha : alpha + n_max + 1]
-            data[: upper.size, band_max - alpha] = upper
-    grid_rows = min(c.rows, n_max + band_max + 1)
-    potential = np.zeros(grid_rows)
-    for k in range(sol.order + 1):
-        potential += lam**k * c.freq_potential[k, :grid_rows]
-    params = sol.params
-    if params.lam != lam:
-        params = replace(params, lam=lam)
-    return MotionRepresentation(
-        amplitudes=BandAmplitudeArray(data),
-        frequencies=FrequencyGrid(potential),
-        params=params,
-    )
 
 
 # ---------------------------------------------------------------------------

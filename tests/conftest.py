@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ampmech import (FrequencyGrid, MotionRepresentation, OscillatorParams, diagonalize,
-                     position_matrix, solve_perturbative, spectrum)
-from ampmech.core import BandAmplitudeArray
+from ampmech import (BandAmplitudeArray, OscillatorParams, diagonalize, position_matrix,
+                     solve_perturbative, spectrum)
 from ampmech.oracle import _dense, _hamiltonian_bands, _symmetric
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
@@ -121,17 +120,29 @@ def dense_amplitudes(spec):
 
 
 def motion_from_spectrum(spec):
-    """The exact amplitudes and frequencies of a spectrum as a motion
-    representation of every band, so that the kinematic checks of `core`
-    run on oracle data, and `quantum_condition_residual` with them: the
-    reference of the oracle's Thomas-Kuhn rows."""
-    return MotionRepresentation(band_from_dense(dense_amplitudes(spec)),
-                                FrequencyGrid(spec.eigenvalues / spec.params.hbar), spec.params)
+    """The exact amplitudes of a spectrum as a band array of every band, and
+    its frequency potentials E_n / hbar, so that the sum rule runs on
+    oracle data: `quantum_condition_residual` with them is the reference of
+    the oracle's Thomas-Kuhn rows."""
+    return band_from_dense(dense_amplitudes(spec)), spec.eigenvalues / spec.params.hbar
 
 
-def quantum_condition_residual(motion):
+def summed_motion(sol, lam):
+    """The tables of sol summed at the numeric coupling lam, as
+    `checks._commutator_deviation` sums them: the engine's x series as a band
+    array over every row of the tables, and the frequency potentials."""
+    from ampmech.perturb import _engine_extent, _x_series
+
+    p, c = sol.params.force_exponent, sol.coeffs
+    t_max = _engine_extent(p, sol.order)[1]
+    x = np.tensordot(lam ** np.arange(t_max + 1), _x_series(p, c.amp, t_max, c.band_max)[0], 1)
+    return BandAmplitudeArray(x.T), np.tensordot(lam ** np.arange(sol.order + 1),
+                                                 c.freq_potential, 1)
+
+
+def quantum_condition_residual(params, x, pot):
     """Per-level residual of Heisenberg's sum rule in the paper's form, band
-    by band at a numeric coupling,
+    by band, for the band array x on the frequency potentials pot,
 
         4 pi m sum_{alpha>=1} ( |X(n+alpha, n)|^2 omega(n+alpha, n)
                                 - |X(n, n-alpha)|^2 omega(n, n-alpha) ) - h:
@@ -139,12 +150,11 @@ def quantum_condition_residual(motion):
     the reference that `perturb._sum_rule`, band 0 of x (omega x) per power
     of lam, is tested against. Terms that reference a negative level
     vanish; an upward term whose upper level lies above the amplitude rows
-    but inside the frequency grid reads the stored mirror X(n, n+alpha),
-    and one above the grid is dropped."""
-    x, pot, p = motion.amplitudes, motion.frequencies.potential, motion.params
+    but inside the potentials reads the stored mirror X(n, n+alpha), and
+    one above them is dropped."""
     n_rows = x.n_max + 1
-    scale = 4.0 * math.pi * p.mass
-    res = np.full(n_rows, -p.h, dtype=float)
+    scale = 4.0 * math.pi * params.mass
+    res = np.full(n_rows, -params.h, dtype=float)
     for alpha in range(1, x.band_max + 1):
         # the term of X(n, n-alpha) is the down term of row n and the up
         # term of row n-alpha; per row the up term is added first

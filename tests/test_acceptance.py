@@ -19,21 +19,20 @@ import pytest
 
 from ampmech import (
     OscillatorParams,
-    assemble_motion,
     balance_residuals,
     classical_solve,
-    commutator_diagonal,
     energy_matrix,
     extract_structure_constants,
     ode_residual,
     rspt,
     solve_perturbative,
 )
+from ampmech.checks import _commutator_deviation
 from ampmech.cli import run
 from ampmech.perturb import closed_form_amplitude, closed_form_frequency
 
 from conftest import (default_lambda_grid, lambda_series_fit, motion_from_spectrum,
-                      quantum_condition_residual)
+                      quantum_condition_residual, summed_motion)
 
 B = math.sqrt(2.0)
 P2 = OscillatorParams()
@@ -115,9 +114,9 @@ def test_criterion_3_energy_conservation(sol_cubic):
 def test_criterion_4_sho_quantum_condition_and_commutator():
     n_max = 50
     sol = solve_perturbative(OscillatorParams(lam=0.0), 0, n_max)
-    motion = assemble_motion(sol, 0.0)
-    res = np.max(np.abs(quantum_condition_residual(motion)[: n_max - 1]))
-    comm = np.max(np.abs(commutator_diagonal(motion)[: n_max - 1] - 1j))
+    res = np.max(np.abs(quantum_condition_residual(sol.params, *summed_motion(sol, 0.0))
+                        [: n_max + 1]))
+    comm = np.max(np.abs(_commutator_deviation(sol, 0.0)[: n_max + 1]))
     ok = res <= 1e-12 and comm <= 1e-12
     assert report(
         "4a", ok, f"sum-rule residual {res:.2e}, commutator defect {comm:.2e}"
@@ -129,8 +128,7 @@ def test_criterion_4_commutator_scaling(sol_quartic):
     # third-power scaling (for the cubic force odd orders vanish, see notes)
     devs = []
     for lam in (0.1, 0.05):
-        comm = commutator_diagonal(assemble_motion(sol_quartic, lam))
-        devs.append(float(np.max(np.abs(comm[:5] - 1j))))
+        devs.append(float(np.max(np.abs(_commutator_deviation(sol_quartic, lam)[:5]))))
     ratio = devs[0] / devs[1]
     ok = 8.0 * 0.7 <= ratio <= 8.0 * 1.3
     assert report("4b", ok, f"commutator deviation drop {ratio:.2f}x")
@@ -189,9 +187,9 @@ def test_criterion_6_series_fits(cached_spectrum):
 def test_criterion_7_sum_rule_on_oracle(cached_spectrum):
     worst = 0.0
     for lam, force in ((0.05, 2), (0.1, 3), (0.5, 3)):
-        motion = motion_from_spectrum(cached_spectrum(lam, force_exponent=force))
+        spec = cached_spectrum(lam, force_exponent=force)
         worst = max(worst, float(np.max(np.abs(
-            quantum_condition_residual(motion)[:6]
+            quantum_condition_residual(spec.params, *motion_from_spectrum(spec))[:6]
         ))))
     assert report(7, worst <= 1e-8, f"worst sum-rule residual {worst:.2e}")
 
@@ -214,10 +212,9 @@ def test_criterion_8_correspondence():
 
 
 def test_criterion_9_quartic_parity_and_validation(sol_quartic, cached_spectrum):
-    motion = assemble_motion(sol_quartic, 0.3)
+    x = summed_motion(sol_quartic, 0.3)[0]
     parity_ok = all(
-        np.max(np.abs(motion.amplitudes.band(alpha))) == 0.0
-        for alpha in range(0, motion.amplitudes.band_max + 1, 2)
+        np.max(np.abs(x.band(alpha))) == 0.0 for alpha in range(0, x.band_max + 1, 2)
     )
     em = energy_matrix(sol_quartic)
     g1 = np.abs(

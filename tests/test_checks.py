@@ -4,6 +4,7 @@ injected violations that still fail."""
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,42 @@ def test_coupling_scaling_is_unit_free(units):
     default, _ = checks.coupling_scaling(OscillatorParams(), solve_perturbative)
     assert window[0] <= ratio <= window[1]
     assert ratio == pytest.approx(default, rel=1e-6)
+
+
+def test_coupling_scaling_fails_a_tampered_table():
+    # a^(1) of band 1 scaled by 1.1 adds a lam^2 deviation: the ratio reads
+    # about 21, past the window of the third power
+    def solve(params, order, n_max):
+        return tampered(solve_perturbative(params, order, n_max), 1, 1, slice(None), 1.1)
+
+    ratio, window = checks.coupling_scaling(OscillatorParams(), solve)
+    assert ratio > window[1]
+
+
+def _cut(sol):
+    """The solution with its tables cut to the rows 0..n_max it publishes."""
+    rows = sol.n_max + 1
+    return replace(sol, coeffs=CoefficientSet(sol.coeffs.amp[..., :rows],
+                                              sol.coeffs.freq_potential[:, :rows]))
+
+
+def _rows_match_a_taller_table(deviation) -> bool:
+    """Whether deviation(sol, lam) gives rows 0..12 of the quartic order-2
+    table at n_max 12 the bits of the table at n_max 40, at the couplings of
+    `coupling_scaling`."""
+    quartic = OscillatorParams(force_exponent=3)
+    short, tall = (solve_perturbative(quartic, 2, n_max) for n_max in (12, 40))
+    return all(np.array_equal(deviation(short, lam)[:13], deviation(tall, lam)[:13])
+               for lam in checks.COUPLING_LAMS)
+
+
+def test_commutator_reads_only_rows_the_table_holds():
+    # the table holds bands up to 9, so row 4 of the deviation reads row 13;
+    # the engine's pad keeps it, and a route that cuts the tables to the
+    # published rows moves row 4 by 3.3e-8 (sum-rule units) at lam 0.1
+    assert _rows_match_a_taller_table(checks._commutator_deviation)
+    assert not _rows_match_a_taller_table(
+        lambda sol, lam: checks._commutator_deviation(_cut(sol), lam))
 
 
 def test_offdiag_check_covers_every_band():

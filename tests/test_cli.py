@@ -323,10 +323,11 @@ class TestBenchmarkTrace:
         finally:
             tracer.uninstall()
         assert codes == [0, 0, 0]
-        assert tracer.snapshot()["core.commutator_diagonal.calls"] > 0
+        # verify solves three tables, oracle and solve one each
+        assert tracer.snapshot()["perturb.solve_perturbative.calls"] == 5
         patched = {key for key, obj in before.items() if during[key] is not obj}
         # a renamed renderer would leave cli.render.* silently empty
-        assert {("BandAmplitudeArray", "get"), ("ampmech.core", "commutator_diagonal"),
+        assert {("BandAmplitudeArray", "get"), ("ampmech.perturb", "solve_perturbative"),
                 ("ampmech.cli", "render_csv"), ("ampmech.cli", "render_json")} <= patched
         assert self.bindings() == before
 

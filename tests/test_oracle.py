@@ -999,7 +999,8 @@ class TestSumRule:
         # every band, which sums the same terms in another order; the full
         # solve, unvetted: the two sum the same terms in any basis
         spec = full_spectrum(OscillatorParams(lam=lam, force_exponent=force, **units), n)
-        reference = quantum_condition_residual(motion_from_spectrum(spec))[:PLATEAU_LEVELS]
+        reference = quantum_condition_residual(spec.params, *motion_from_spectrum(spec))
+        reference = reference[:PLATEAU_LEVELS]
         x = dense_amplitudes(spec)[:, :PLATEAU_LEVELS]
         omega = (spec.eigenvalues[:, None] - spec.eigenvalues[:PLATEAU_LEVELS]) / spec.params.hbar
         c = 4.0 * math.pi * spec.params.mass

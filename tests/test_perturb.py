@@ -20,7 +20,6 @@ from ampmech.oracle import position_matrix
 from ampmech.perturb import (
     CoefficientSet,
     PerturbSolution,
-    assemble_motion,
     closed_form_amplitude,
     closed_form_frequency,
     energy_matrix,
@@ -30,8 +29,8 @@ from ampmech.perturb import (
 )
 
 from conftest import (assert_same_bits, build_recursions, check_bits, qc_residual_reference,
-                      quantum_condition_residual, symmetry_defect, xp_full_bands,
-                      xp_rebuild_reference)
+                      quantum_condition_residual, summed_motion, symmetry_defect,
+                      xp_full_bands, xp_rebuild_reference)
 
 B = math.sqrt(2.0)  # beta in default units
 P2 = OscillatorParams()
@@ -956,8 +955,8 @@ def tall_solve(p, order):
 
 
 class TestEnginePad:
-    """The row pad is the engine's dependency cone: every row that
-    `assemble_motion` reads, 0..n_max+band_max, has the bits of a solve
+    """The row pad is the engine's dependency cone: every row that the sum
+    rule of rows 0..n_max reads, 0..n_max+band_max, has the bits of a solve
     with a far wider pad."""
 
     @pytest.mark.parametrize("units", PAD_UNITS, ids=str)
@@ -1172,8 +1171,7 @@ class TestSolveInvariants:
     def test_quartic_parity(self, sol_quartic):
         # even bands carry no amplitude at any order
         assert set(sol_quartic.solved_orders) <= {1, 3, 5, 7, 9}
-        motion = assemble_motion(sol_quartic, 0.3)
-        x = motion.amplitudes
+        x = summed_motion(sol_quartic, 0.3)[0]
         for alpha in range(0, x.band_max + 1, 2):
             assert np.max(np.abs(x.band(alpha))) == 0.0
             assert np.max(np.abs(x.band(-alpha))) == 0.0
@@ -1219,9 +1217,10 @@ class TestStructureConstants:
 
 
 class TestAssembleMotion:
+    """The engine's x series summed at a numeric coupling."""
+
     def test_zero_coupling_collapses_to_sho(self, sol_cubic):
-        m = assemble_motion(sol_cubic, 0.0)
-        x = m.amplitudes
+        x = summed_motion(sol_cubic, 0.0)[0]
         n = np.arange(8)
         assert np.allclose(x.band(1)[:8], B / 2 * np.sqrt(n), rtol=1e-14)
         for alpha in (0, 2, 3):
@@ -1229,17 +1228,16 @@ class TestAssembleMotion:
 
     def test_diagonal_entry_series(self, sol_cubic):
         lam = 0.1
-        m = assemble_motion(sol_cubic, lam)
+        x = summed_motion(sol_cubic, lam)[0]
         a00 = closed_form_amplitude(0, 1, 0, P2)
         a20 = closed_form_amplitude(2, 1, 0, P2)
         assert a00 == pytest.approx(-1.5, rel=1e-15)
-        assert m.amplitudes.get(1, 1) == pytest.approx(
+        assert x.get(1, 1) == pytest.approx(
             lam * a00 + lam**3 * a20, rel=1e-13
         )
 
     def test_assembled_array_symmetric(self, sol_cubic):
-        m = assemble_motion(sol_cubic, 0.17)
-        assert symmetry_defect(m.amplitudes) <= 1e-15
+        assert symmetry_defect(summed_motion(sol_cubic, 0.17)[0]) <= 1e-15
 
 
 class TestShoRoute:
@@ -1247,8 +1245,7 @@ class TestShoRoute:
         params = OscillatorParams(lam=0.0)
         sol = solve_perturbative(params, 0, 20)
         assert sol.a(0, 1)[1] == pytest.approx(B, rel=1e-15)
-        m = assemble_motion(sol, 0.0)
-        assert m.amplitudes.get(1, 0) == pytest.approx(
+        assert summed_motion(sol, 0.0)[0].get(1, 0) == pytest.approx(
             math.sqrt(params.hbar / (2 * params.mass * params.omega0)), rel=1e-15
         )
         em = energy_matrix(sol)
@@ -1258,8 +1255,8 @@ class TestShoRoute:
 
     def test_quantum_condition_exact(self):
         sol = solve_perturbative(OscillatorParams(lam=0.0), 0, 30)
-        res = quantum_condition_residual(assemble_motion(sol, 0.0))
-        assert np.max(np.abs(res[:29])) <= 1e-12
+        res = quantum_condition_residual(sol.params, *summed_motion(sol, 0.0))
+        assert np.max(np.abs(res[:31])) <= 1e-12
 
 
 class TestEnergyMatrix:
