@@ -246,10 +246,10 @@ def quantum_condition(sol):
     # orders in one pass; a frequency sized by its three potentials
     pot = c.freq_potential[:orders, :n_hi]
     om1, om2 = pot[:, 1:] - pot[:, :-1], pot[:, 2:] - pot[:, :-2]
-    worst = np.abs(om2 - (om1[:, 1:] + om1[:, :-1])).max(axis=-1).tolist()
+    worst = np.abs(om2 - (om1[:, 1:] + om1[:, :-1])).max(initial=0.0)
     a = np.abs(pot)
-    sizes = (a[:, 2:] + 2.0 * a[:, 1:-1] + a[:, :-2]).max(axis=-1).tolist()
-    yield "frequency-additivity", max([0.0, *worst]), ROUNDING_C * EPS * max([0.0, *sizes])
+    size = (a[:, 2:] + 2.0 * a[:, 1:-1] + a[:, :-2]).max(initial=0.0)
+    yield "frequency-additivity", float(worst), ROUNDING_C * EPS * float(size)
 
 
 _TABULATED_AMPLITUDES = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2),
@@ -271,8 +271,8 @@ def closed_form(sol):
         observed = size = 0.0
         for solved, target, n in tables:
             rel = np.maximum(1.0, np.abs(target))
-            observed = max(observed, float(np.max(np.abs(solved - target) / rel)))
-            size = max(size, float(np.max((n + 1) * np.abs(target) / rel)))
+            observed = max(observed, float(np.max(np.abs(solved - target) / rel, initial=0.0)))
+            size = max(size, float(np.max((n + 1) * np.abs(target) / rel, initial=0.0)))
         return observed, ROUNDING_C * EPS * size
 
     yield "closed-form-amplitudes", *worst(

@@ -54,6 +54,9 @@ __all__ = [
     "ode_residual",
 ]
 
+# points per period at which the time-domain figures sample the orbit
+SAMPLES = 256
+
 
 class QuadratureMismatchError(ValueError):
     """Fourier-space and time-quadrature action integrals disagree."""
@@ -195,7 +198,7 @@ def action_integral(sol: ClassicalSolution, lam: float) -> float:
 
     Evaluated in Fourier space as 2 pi m sum_alpha |X_alpha|^2 alpha^2 w
     (signed harmonics) and cross-checked against direct time quadrature on
-    256 samples; a mismatch beyond 1e-8 |J| raises QuadratureMismatchError.
+    SAMPLES points; a mismatch beyond 1e-8 |J| raises QuadratureMismatchError.
     J sums nonnegative terms, so |J| is their size, in the units of the run.
     """
     params = sol.params
@@ -204,7 +207,7 @@ def action_integral(sol: ClassicalSolution, lam: float) -> float:
     alphas = np.arange(c.size)
     j_fourier = math.pi * params.mass * w * float(np.sum(alphas**2 * c**2))
     period = 2.0 * math.pi / w
-    t = np.linspace(0.0, period, 256, endpoint=False)
+    t = np.linspace(0.0, period, SAMPLES, endpoint=False)
     xdot = sol.xdot_of_t(t, lam)
     j_quad = params.mass * float(np.mean(xdot**2)) * period
     if abs(j_fourier - j_quad) > 1e-8 * abs(j_fourier):
@@ -214,17 +217,15 @@ def action_integral(sol: ClassicalSolution, lam: float) -> float:
     return j_fourier
 
 
-def ode_residual(sol: ClassicalSolution, lam: float, n_samples: int = 256) -> float:
-    """Max over one period of |x'' + omega0^2 x + lam x^p| for the
-    truncated series; scales one power of lam beyond the solved order."""
-    if n_samples < 16:
-        raise ValueError("need at least 16 samples per period")
+def ode_residual(sol: ClassicalSolution, lam: float) -> float:
+    """Max over SAMPLES points of one period of |x'' + omega0^2 x + lam x^p|
+    for the truncated series; scales one power of lam beyond the solved order."""
     params = sol.params
     c = sol.cosine_coefficients(lam)
     w = sol.omega(lam)
     alphas = np.arange(c.size)
     period = 2.0 * math.pi / w
-    t = np.linspace(0.0, period, n_samples, endpoint=False)
+    t = np.linspace(0.0, period, SAMPLES, endpoint=False)
     phases = np.cos(np.outer(t, alphas) * w)
     x = phases @ c
     xddot = phases @ (-((alphas * w) ** 2) * c)

@@ -256,10 +256,7 @@ def cmd_verify(cfg):
 def cmd_classical(cfg):
     params = _params_from(cfg)
     rows: list = []
-    if cfg.action is not None:
-        sol = classical_solve(params, cfg.order, action=cfg.action)
-    else:
-        sol = classical_solve(params, cfg.order, a1=cfg.a1)
+    sol = classical_solve(params, cfg.order, a1=cfg.a1, action=cfg.action)
     coeff_tables = []
     for k, harmonics in enumerate(sol.harmonics):
         coeff_tables.append({"order": k, "values": _values(harmonics)})
@@ -270,8 +267,8 @@ def cmd_classical(cfg):
 
     action = action_integral(sol, lam=cfg.lam)
     rows.append(("action", None, None, None, action))
-    residual = ode_residual(sol, cfg.lam, cfg.samples)
-    residual_half = ode_residual(sol, cfg.lam / 2.0, cfg.samples)
+    residual = ode_residual(sol, cfg.lam)
+    residual_half = ode_residual(sol, cfg.lam / 2.0)
     rows.append(("ode-residual", None, None, None, residual))
     results = {
         "a1": float(sol.amp[0, 1]),
@@ -302,8 +299,7 @@ def cmd_classical(cfg):
             if key != "level":
                 rows.append((f"correspondence-{key}", None, None, n, float(val)))
 
-    extra = {"order": cfg.order, "a1": cfg.a1, "action": cfg.action,
-             "level": cfg.level, "samples": cfg.samples}
+    extra = {"order": cfg.order, "a1": cfg.a1, "action": cfg.action, "level": cfg.level}
     return _report(cfg, extra, results, [], rows)
 
 
@@ -386,6 +382,8 @@ def cmd_sho(cfg):
 
 @dataclass
 class RunConfig:
+    """One run's options, and the one place their defaults are declared."""
+
     subcommand: str
     mass: float = 1.0
     omega0: float = 1.0
@@ -399,7 +397,6 @@ class RunConfig:
     a1: float | None = None
     action: float | None = None
     level: int | None = None
-    samples: int = 256
     seed: int = 0
     check: str = "all"
     fmt: str = "json"
@@ -420,14 +417,10 @@ class RunConfig:
             raise UsageError("--order must be nonnegative")
         if self.n_max < 1:
             raise UsageError("--n-max must be at least 1")
-        if self.subcommand in ("solve", "verify") and self.n_max < self.order + 3:
-            raise UsageError("--n-max must be at least order + 3")
         if self.basis_size < 18:
             raise UsageError("--basis-size must be at least 18")
         if self.levels < 1:
             raise UsageError("--levels must be at least 1")
-        if self.samples < 16:
-            raise UsageError("--samples must be at least 16")
         if self.subcommand == "classical":
             if (self.a1 is None) == (self.action is None):
                 raise UsageError("classical needs exactly one of --a1 or --action")
@@ -436,15 +429,17 @@ class RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--mass", type=float, default=1.0)
-    shared.add_argument("--omega0", type=float, default=1.0)
-    shared.add_argument("--lam", type=float, default=0.05)
-    shared.add_argument("--hbar", type=float, default=1.0)
-    shared.add_argument("--force", type=int, default=2, choices=(2, 3))
-    shared.add_argument("--format", dest="fmt", default="json",
-                        choices=("json", "csv"))
-    shared.add_argument("--output", default=None, help="write here instead of stdout")
+    """The options of each subcommand. None has a default here: an option
+    left out is missing from the namespace, and `RunConfig` fills it in."""
+    omit = argparse.SUPPRESS
+    shared = argparse.ArgumentParser(add_help=False, argument_default=omit)
+    shared.add_argument("--mass", type=float)
+    shared.add_argument("--omega0", type=float)
+    shared.add_argument("--lam", type=float)
+    shared.add_argument("--hbar", type=float)
+    shared.add_argument("--force", type=int, choices=(2, 3))
+    shared.add_argument("--format", dest="fmt", choices=("json", "csv"))
+    shared.add_argument("--output", help="write here instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="ampmech",
@@ -452,35 +447,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[shared],
+    p_solve = sub.add_parser("solve", parents=[shared], argument_default=omit,
                              help="perturbative coefficient tables")
-    p_solve.add_argument("--order", type=int, default=2)
-    p_solve.add_argument("--n-max", type=int, default=12)
+    p_solve.add_argument("--order", type=int)
+    p_solve.add_argument("--n-max", type=int)
 
-    p_verify = sub.add_parser("verify", parents=[shared],
+    p_verify = sub.add_parser("verify", parents=[shared], argument_default=omit,
                               help="run invariant checks")
-    p_verify.add_argument("--order", type=int, default=2)
-    p_verify.add_argument("--n-max", type=int, default=12)
-    p_verify.add_argument("--check", default="all", choices=CHECK_GROUPS)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--order", type=int)
+    p_verify.add_argument("--n-max", type=int)
+    p_verify.add_argument("--check", choices=CHECK_GROUPS)
+    p_verify.add_argument("--seed", type=int)
 
-    p_classical = sub.add_parser("classical", parents=[shared],
+    p_classical = sub.add_parser("classical", parents=[shared], argument_default=omit,
                                  help="classical Fourier-series benchmark")
-    p_classical.add_argument("--order", type=int, default=2)
-    p_classical.add_argument("--a1", type=float, default=None)
-    p_classical.add_argument("--action", type=float, default=None)
-    p_classical.add_argument("--level", type=int, default=None,
+    p_classical.add_argument("--order", type=int)
+    p_classical.add_argument("--a1", type=float)
+    p_classical.add_argument("--action", type=float)
+    p_classical.add_argument("--level", type=int,
                              help="compare against quantum amplitudes at this level")
-    p_classical.add_argument("--samples", type=int, default=256)
 
-    p_oracle = sub.add_parser("oracle", parents=[shared],
+    p_oracle = sub.add_parser("oracle", parents=[shared], argument_default=omit,
                               help="diagonalization cross-checks")
-    p_oracle.add_argument("--basis-size", type=int, default=80)
-    p_oracle.add_argument("--levels", type=int, default=8)
+    p_oracle.add_argument("--basis-size", type=int)
+    p_oracle.add_argument("--levels", type=int)
 
-    p_sho = sub.add_parser("sho", parents=[shared],
+    p_sho = sub.add_parser("sho", parents=[shared], argument_default=omit,
                            help="exact unperturbed-oscillator route")
-    p_sho.add_argument("--n-max", type=int, default=12)
+    p_sho.add_argument("--n-max", type=int)
 
     return parser
 
@@ -503,7 +497,7 @@ def run(argv=None, stream=None) -> int:
         namespace = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = RunConfig(**{k: v for k, v in vars(namespace).items()})
+    cfg = RunConfig(**vars(namespace))
     try:
         cfg.validate()
         # an overflow or invalid operation stops where it happens

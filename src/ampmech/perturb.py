@@ -194,7 +194,9 @@ def _x2_window(p: int, bands: range, band_max: int, max_power: int) -> tuple[int
     a from lam^w(a) on, so at lam^s it holds the bands up to top(s), the
     widest a with w(a) <= s, and x^2 those up to the widest sum a + b with
     w(a) + w(b) <= s. And x^p = x^2 x at lam^s reads x^2 at lam^i only
-    within top(s - i) of its own bands, at most top(max_power - i)."""
+    within top(s - i) of its own bands, at most top(max_power - i). Bands
+    beyond that reach at every power read no band of x^2, and take the
+    one-band window of bands[0], which holds only zeros."""
     if p == 2:
         return bands[0], bands[-1]
     top = [max([a for a in _band_list(p, band_max) if band_weight(p, a) <= s], default=-1)
@@ -206,29 +208,29 @@ def _x2_window(p: int, bands: range, band_max: int, max_power: int) -> tuple[int
         lo, hi = max(-widest, bands[0] - reach), min(widest, bands[-1] + reach)
         if lo <= hi:
             spans.append((lo, hi))
-    return min(lo for lo, _ in spans), max(hi for _, hi in spans)
+    return (min((lo for lo, _ in spans), default=bands[0]),
+            max((hi for _, hi in spans), default=bands[0]))
 
 
 def _xp_coefficient(
     p: int, x: np.ndarray, x2: np.ndarray, x2_lo: int, s: int, bands: range, step: int = 1,
-    min_power: int | None = None, masks: tuple[np.ndarray, np.ndarray] | None = None,
+    min_power: int | None = None, *, masks: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """lam^s coefficient of x^p over (band, row), on the signed bands from
     bands[0] through bands[-1], from the x series and x2, the coefficients of
     x^2 on the bands from x2_lo up, which hold the `_x2_window` of these
-    bands, both through lam^s, with masks the nonzero masks of the two
-    (default `core._nonzero`). Only the top power of x^3 is formed, so a
-    solver that carries x2 across powers adds one power of each per step.
-    With min_power, the coefficients lam^min_power..lam^s instead, on a
-    powers axis, in one product."""
+    bands, both through lam^s, with masks the nonzero masks of the two.
+    Only the top power of x^3 is formed, so a solver that carries x2 across
+    powers adds one power of each per step. With min_power, the
+    coefficients lam^min_power..lam^s instead, on a powers axis, in one
+    product."""
     lo = s if min_power is None else min_power
     if p == 2:
         xp = x2[..., lo : s + 1, bands[0] - x2_lo : bands[-1] + 1 - x2_lo, :]
     else:
-        if masks is not None:
-            masks = masks[1][: s + 1], masks[0]
         xp = _series_mul(x2[..., : s + 1, :, :], x, s, step, min_power=lo,
-                         bands=(bands[0], bands[-1]), a_lo=x2_lo, masks=masks)
+                         bands=(bands[0], bands[-1]), a_lo=x2_lo,
+                         masks=(masks[1][: s + 1], masks[0]))
     return xp if min_power is not None else xp[..., 0, :, :]
 
 
@@ -247,8 +249,8 @@ def _eom_residual_coefficient(
     power: int,
     xp_top: np.ndarray | None,
     bands: range,
-    om_right: np.ndarray | None = None,
-    live: tuple[list[bool], list[bool]] | None = None,
+    om_right: np.ndarray,
+    live: tuple[list[bool], list[bool]],
 ) -> np.ndarray:
     """lam^power coefficient of the equation-of-motion representative,
 
@@ -258,14 +260,13 @@ def _eom_residual_coefficient(
     from the x series through lam^power, the per-band frequency series
     om[k, g, n], both on the same bands, and xp_top, the lam^(power-1)
     coefficient of x^p on bands[0]..bands[-1] (None at power 0). The second
-    factor of each omega_i omega_j comes from om_right (default om). live
-    says per order whether om and om_right hold a nonzero entry on `bands`
-    (default `_orders_live`). Leading axes, before (powers, bands, rows),
+    factor of each omega_i omega_j comes from om_right. live says per order
+    whether om and om_right hold a nonzero entry on `bands`, as
+    `_orders_live` finds. Leading axes, before (powers, bands, rows),
     broadcast."""
     band_max = (x.shape[-2] - 1) // 2
     on = slice(band_max + bands.start, band_max + bands.stop, bands.step)
-    om_right = om if om_right is None else om_right
-    left, right = live or (_orders_live(om, bands), _orders_live(om_right, bands))
+    left, right = live
     res = params.omega0**2 * x[..., power, on, :]
     # omega^2 acts entrywise per band; convolve the three order indices. A
     # pair with an all-zero order subtracts only zeros: after the first pair
@@ -423,11 +424,8 @@ class PerturbSolution:
 
     def omega_band(self, k: int, alpha: int) -> np.ndarray:
         """omega^(k)(n, n-alpha) for n = 0..n_max (zero where n < alpha)."""
-        pot = self.coeffs.freq_potential[k]
-        out = np.zeros(self.n_max + 1)
-        n = np.arange(alpha, self.n_max + 1)
-        out[alpha:] = pot[n] - pot[n - alpha]
-        return out
+        pot = self.coeffs.freq_potential[k : k + 1, : self.n_max + 1]
+        return _omega_series(pot, alpha, range(alpha, alpha + 1))[0, 2 * alpha]
 
     @property
     def public_bands(self) -> range:
@@ -503,8 +501,8 @@ def _march(params: OscillatorParams, amp: np.ndarray, om: np.ndarray, t_max: int
         x2_live[t - 1] = x2[t - 1].any(axis=-1)
         xp_top = _xp_coefficient(p, xt, x2, window[0], t - 1, bands, step,
                                  masks=(live, x2_live))
-        res_t = _eom_residual_coefficient(params, xt, om, t, xp_top, bands,
-                                          live=(om_live, om_live))
+        res_t = _eom_residual_coefficient(params, xt, om, t, xp_top, bands, om,
+                                          (om_live, om_live))
         if t < orders:
             adjacent(t, res_t[bands.index(1)], xt, live)
             om_live[t] = _orders_live(om[t : t + 1], every)[0]

@@ -22,6 +22,7 @@ from ampmech.perturb import (
     _eom_residual_coefficient,
     _eom_terms,
     _half,
+    _orders_live,
     _x_series,
     band_weight,
     energy_matrix,
@@ -312,9 +313,9 @@ def recursion_reference(params, coeffs, alpha, order):
     xp_top = None
     if power:
         xp_top = xp_full_bands(p, x, _series_mul(x, x, power - 1), power - 1)
-    res = _eom_residual_coefficient(
-        params, x, _omega_series(coeffs.freq_potential, band_max), power, xp_top,
-        range(-band_max, band_max + 1))
+    om, bands = _omega_series(coeffs.freq_potential, band_max), range(-band_max, band_max + 1)
+    live = _orders_live(om, bands)
+    res = _eom_residual_coefficient(params, x, om, power, xp_top, bands, om, (live, live))
     return (2.0 if alpha else 1.0) * res[band_max + alpha, :]
 
 
@@ -373,7 +374,7 @@ def quantum_condition_loop(sol):
         pair[2:] = om1[2:] + om1[1:-1]
         worst = max(worst, float(np.max(np.abs(om2 - pair))))
         pot = np.abs(sol.frequency_potential(k))
-        size = max(size, float(np.max(pot[2:] + 2.0 * pot[1:-1] + pot[:-2])))
+        size = max(size, float(np.max(pot[2:] + 2.0 * pot[1:-1] + pot[:-2], initial=0.0)))
     yield "frequency-additivity", worst, ROUNDING_C * eps * size
 
 
@@ -386,6 +387,16 @@ def offdiag_loop(sol):
         yield (f"offdiag-energy-order{k}",
                float(np.max(np.abs(parts[0] + parts[1] + parts[2]), initial=0.0)),
                ROUNDING_C * checks.EPS * float(np.max(size, initial=0.0)))
+
+
+def test_frequency_additivity_fails_a_nan_potential():
+    # one reduction over every order and row keeps the nan, which a fold by
+    # Python's max drops unless it comes first
+    sol = solve_perturbative(OscillatorParams(), 2, 12)
+    pot = np.array(sol.coeffs.freq_potential)
+    pot[1, 6] = np.nan
+    bad = replace(sol, coeffs=CoefficientSet(np.array(sol.coeffs.amp), pot))
+    assert "frequency-additivity" in failing(checks.quantum_condition(bad))
 
 
 @pytest.mark.parametrize("units", [(1.0, 1.0, 1.0), (1e-3, 10.0, 1e4)], ids=str)

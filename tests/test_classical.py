@@ -113,8 +113,10 @@ def balance_residuals_per_power_reference(sol):
         if t:
             x2[t - 1] = _series_mul(x, x, t - 1, step=0, min_power=t - 1)[0]
             xp_top = xp_full_bands(p, x, x2, t - 1, step=0)
-        res.append(perturb._eom_residual_coefficient(params, x, om, t, xp_top,
-                                                     range(-band_eng, band_eng + 1)))
+        bands = range(-band_eng, band_eng + 1)
+        live = perturb._orders_live(om, bands)
+        res.append(perturb._eom_residual_coefficient(params, x, om, t, xp_top, bands, om,
+                                                     (live, live)))
     out = np.zeros((order + 1, band_eng + 1))
     for alpha in _band_list(p, band_eng):
         w = band_weight(p, alpha)
@@ -419,11 +421,6 @@ class TestOdeResidual:
         sol = classical_solve(OscillatorParams(lam=0.01), 0, a1=1.0)
         ratio = ode_residual(sol, 0.01) / ode_residual(sol, 0.005)
         assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3
-
-    def test_sample_count_guard(self):
-        sol = classical_solve(P2, 1, a1=1.0)
-        with pytest.raises(ValueError):
-            ode_residual(sol, 0.01, n_samples=8)
 
 
 class TestCorrespondence:

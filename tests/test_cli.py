@@ -161,8 +161,6 @@ class TestExitCodes:
 
     def test_semantic_validation(self, capsys):
         assert run_capture(["solve", "--order", "-1"])[0] == 2
-        assert run_capture(["solve", "--n-max", "3"])[0] == 2
-        assert run_capture(["solve", "--n-max", "4"])[0] == 2
         assert run_capture(["sho", "--n-max", "0"])[0] == 2
         # classical takes --order but no --n-max
         assert run_capture(["classical", "--a1", "1.0", "--order", "10"])[0] == 0
@@ -186,11 +184,37 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("n_max", ["1", "2", "3", "4"])
     def test_sho_takes_no_order_floor(self, n_max):
-        # the order + 3 floor on --n-max belongs to solve and verify
+        # the recursion starts at the ground state, so a table of any height
+        # n_max >= 1 is a solution and every check judges its rows
         code, out = run_capture(["sho", "--n-max", n_max])
         assert code == 0
         checks = json.loads(out)["checks"]
         assert checks and all(c["pass"] for c in checks)
+
+    @pytest.mark.parametrize("command, force, order, n_max", [
+        (command, force, order, n_max) for command in ("solve", "verify")
+        for force in ("2", "3") for order in (0, 2, 8) for n_max in range(1, order + 3)])
+    def test_short_tables_take_no_order_floor(self, command, force, order, n_max):
+        # below n_max = order + 3 too; a check with no row to judge reports
+        # 0 against a tolerance of 0
+        code, out = run_capture([command, "--force", force, "--order", str(order),
+                                 "--n-max", str(n_max)])
+        assert code == 0
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        assert checks and all(c["pass"] for c in checks.values())
+        if command == "verify" and n_max == 1:
+            additivity = checks["frequency-additivity"]
+            assert additivity["observed"] == additivity["tolerance"] == 0.0
+
+    @pytest.mark.parametrize("subcommand", ["solve", "verify", "classical", "oracle", "sho"])
+    def test_defaults_come_from_run_config_alone(self, subcommand):
+        # an option left out is missing from the namespace
+        assert vars(cli.build_parser().parse_args([subcommand])) == {"subcommand": subcommand}
+
+    def test_sample_count_is_no_option(self, capsys):
+        # the time-domain figures sample the orbit at `classical.SAMPLES`
+        assert run_capture(["classical", "--a1", "1.0", "--samples", "256"]) == (2, "")
+        assert "unrecognized arguments: --samples 256" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["solve"], ["verify"], ["classical", "--a1", "1.0"],
                                       ["classical", "--a1", "1.0", "--level", "1"]],
@@ -437,7 +461,7 @@ class TestGoldenScript:
         old = cli.render_json(old) + "\n"
         audit = _load_golden_script().audit
         assert audit("classical.json", old, new).splitlines() == [
-            "5 of 40 values changed, largest distance 41699996549727 ulp "
+            "5 of 39 values changed, largest distance 41699996549727 ulp "
             "(0.033998842592592594 -> 0.034288194444444448), largest change 0.00229 "
             "(8.6025268070015937 -> 8.6048166074988188); 3 keys removed, 0 added",
             "  - /results/harmonic_coefficients/0/values/4: 0",

@@ -227,6 +227,16 @@ class TestBandAmplitudeArray:
         arr = random_symmetric_band(np.random.default_rng(5), 8, 2)
         assert symmetry_defect(arr) == 0.0
 
+    @given(st.integers(0, 2**31 - 1),
+           st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n + 3))))
+    def test_random_symmetric_band_at_any_width(self, seed, shape):
+        # widths up to n_max + 3: the bands past n_max reach no cell
+        n_max, band_max = shape
+        arr = random_symmetric_band(np.random.default_rng(seed), n_max, band_max)
+        dense = dense_of(arr)
+        assert_same_bits(dense, dense.T)
+        assert_same_bits(band_from_dense(dense, band_max).data, arr.data)
+
 
 class TestMultiply:
     """The two-index product law, as the solver forms it: `_series_mul` at

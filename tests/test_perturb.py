@@ -358,8 +358,10 @@ def solve_rebuild_reference(params, order, n_max):
         x, _ = _x_series(p, amp, t, band_eng)
         x2[t - 1] = _series_mul(x, x, t - 1, min_power=t - 1)[0]
         xp_top = xp_full_bands(p, x, x2, t - 1)
-        res_t = perturb._eom_residual_coefficient(
-            params, x, _omega_series(pot, band_eng), t, xp_top, range(-band_eng, band_eng + 1))
+        om, every = _omega_series(pot, band_eng), range(-band_eng, band_eng + 1)
+        live = perturb._orders_live(om, every)
+        res_t = perturb._eom_residual_coefficient(params, x, om, t, xp_top, every, om,
+                                                  (live, live))
         if t <= order:
             a0 = amp[0, 1]
             pot_inc = np.zeros(rows)
@@ -682,8 +684,15 @@ class TestWeightWindow:
         # as the march does
         for min_power in (0, t_max):
             assert_same_bits(
-                perturb._xp_coefficient(p, x, capped, lo, t_max, bands, step, min_power),
-                perturb._xp_coefficient(p, x, full, -bc, t_max, bands, step, min_power))
+                perturb._xp_coefficient(p, x, capped, lo, t_max, bands, step, min_power,
+                                        masks=(_nonzero(x), _nonzero(capped, step, lo))),
+                perturb._xp_coefficient(p, x, full, -bc, t_max, bands, step, min_power,
+                                        masks=(_nonzero(x), _nonzero(full, step, -bc))))
+
+    def test_bands_that_read_no_x2(self):
+        # x^3 on band 4 at lam^0 reads x^2 on bands 3..5, and x^2 holds only
+        # bands -2..2 there
+        assert perturb._x2_window(3, range(4, 5), 4, 0) == (4, 4)
 
     def test_quartic_solve_window(self):
         # the order-2 quartic march solves these bands at lam^1..lam^4, and
@@ -710,13 +719,11 @@ def _masks_checked(mul, eom_residual):
             calls.append(1)
         return mul(a, b, *args, masks=masks, **kwargs)
 
-    def checked_residual(params, x, om, power, xp_top, bands, om_right=None, live=None):
-        right = om if om_right is None else om_right
-        if live is not None:
-            for f, got in zip((om, right), live):
-                scanned = perturb._orders_live(f, bands)
-                assert all(g or not s for g, s in zip(got, scanned)), "a live order marked dead"
-            calls.append(1)
+    def checked_residual(params, x, om, power, xp_top, bands, om_right, live):
+        for f, got in zip((om, om_right), live):
+            scanned = perturb._orders_live(f, bands)
+            assert all(g or not s for g, s in zip(got, scanned)), "a live order marked dead"
+        calls.append(1)
         return eom_residual(params, x, om, power, xp_top, bands, om_right, live)
 
     return checked_mul, checked_residual, calls
@@ -729,8 +736,9 @@ def _masks_scanned(mul, eom_residual):
     def scanned_mul(a, b, *args, masks=None, **kwargs):
         return mul(a, b, *args, **kwargs)
 
-    def scanned_residual(params, x, om, power, xp_top, bands, om_right=None, live=None):
-        return eom_residual(params, x, om, power, xp_top, bands, om_right)
+    def scanned_residual(params, x, om, power, xp_top, bands, om_right, live):
+        live = perturb._orders_live(om, bands), perturb._orders_live(om_right, bands)
+        return eom_residual(params, x, om, power, xp_top, bands, om_right, live)
 
     return scanned_mul, scanned_residual
 
